@@ -128,7 +128,7 @@ def twisted_positivity_certificate(m: AffineLabel, h: Vec) -> TwistClassificatio
     minus_kh = tuple(-m.level * x for x in h)
     for j in range(d.rank):
         lam_j = tuple(m.level if i == j else 0 for i in range(d.rank))
-        if m.coeffs == lam_j and minus_kh in d.weyl_orbit(m.weight):
+        if m.coeffs == lam_j and d.dominant_conjugate(minus_kh) == m.weight:
             return TwistClassification("zero_with_witness", val, f"j={j + 1}")
     return TwistClassification("negative_violation", val, "zero without witness")
 
@@ -187,14 +187,16 @@ class HVector:
 
     @staticmethod
     def from_fundamental(algebra: ProductAlgebra, coeff_lists) -> "HVector":
+        if len(coeff_lists) != len(algebra.factors):
+            raise RootSystemError(
+                f"{algebra} needs one coefficient list per factor, got {len(coeff_lists)}"
+            )
         comps = []
         for (t, _), coeffs in zip(algebra.factors, coeff_lists):
             d = build_root_datum(t)
             if len(coeffs) != d.rank:
-                raise RootSystemError(f"h component for {t} needs {d.rank} coefficients")
+                raise RootSystemError(f"{t} needs {d.rank} coefficients, got {len(coeffs)}")
             comps.append(d.weight_from_fundamental([Fraction(c) for c in coeffs]))
-        if len(comps) != len(algebra.factors):
-            raise RootSystemError("h needs one component per factor")
         return HVector(algebra, tuple(comps))
 
     def norm_invariant(self) -> Fraction:

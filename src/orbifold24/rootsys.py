@@ -172,7 +172,9 @@ class RootDatum:
         self.simple_roots: list[Vec] = [
             tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)
         ]
-        self.roots: list[Vec] = self._generate_roots()
+        # every root is W-conjugate to a simple root of the same length
+        by_length = {norm: a for norm, a in zip(self.norms, self.simple_roots)}
+        self.roots: list[Vec] = sorted(set().union(*map(self.weyl_orbit, by_length.values())))
         if len(self.roots) != t.num_roots:
             raise RootSystemError(
                 f"{t}: generated {len(self.roots)} roots, expected {t.num_roots}"
@@ -182,7 +184,7 @@ class RootDatum:
             for j in range(n)
         ]
         self.rho: Vec = tuple(sum(w[i] for w in self.fundamental_weights) for i in range(n))
-        self.theta: Vec = self._highest_root()
+        self.theta: Vec = self.dominant_conjugate(by_length[max(by_length)])
         hv = 1 + self.pair(self.rho, self.theta)
         assert hv.denominator == 1 and int(hv) == t.dual_coxeter
         self.dual_coxeter = int(hv)
@@ -228,30 +230,6 @@ class RootDatum:
                     M[r] = [a - f * b for a, b in zip(M[r], M[col])]
         return tuple(M[i][n] for i in range(n))
 
-    def _generate_roots(self) -> list[Vec]:
-        seen = set(self.simple_roots)
-        queue = list(self.simple_roots)
-        while queue:
-            v = queue.pop()
-            for i in range(self.rank):
-                w = self.reflect(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        seen |= {tuple(-x for x in v) for v in seen}
-        return sorted(seen)
-
-    def _highest_root(self) -> Vec:
-        two = Fraction(2)
-        dominant_long = [
-            r
-            for r in self.roots
-            if self.norm(r) == two
-            and all(self.coroot_pairing(r, i) >= 0 for i in range(self.rank))
-        ]
-        assert len(dominant_long) == 1
-        return dominant_long[0]
-
     # -- weights -----------------------------------------------------------
 
     def weight_from_fundamental(self, coeffs) -> Vec:
@@ -266,10 +244,9 @@ class RootDatum:
         return tuple(out)
 
     def weight_to_fundamental(self, v: Vec) -> Vec:
+        if len(v) != self.rank:
+            raise RootSystemError(f"{self.type}: {len(v)} coordinates given, rank is {self.rank}")
         return tuple(self.coroot_pairing(v, i) for i in range(self.rank))
-
-    def is_dominant_integral(self, v: Vec) -> bool:
-        return all(c.denominator == 1 and c >= 0 for c in self.weight_to_fundamental(v))
 
     def weyl_orbit(self, v: Vec) -> set[Vec]:
         seen = {v}
@@ -282,6 +259,22 @@ class RootDatum:
                     seen.add(w)
                     queue.append(w)
         return seen
+
+    def dominant_conjugate(self, v: Vec) -> Vec:
+        """The dominant weight in the Weyl orbit of v.
+
+        Reflects in any simple root with a negative coroot pairing until
+        none is left; each step raises v by a positive multiple of a simple
+        root, so the walk ends at the unique dominant point of the orbit.
+        """
+        v = list(v)
+        m = list(self.weight_to_fundamental(v))
+        while (i := next((i for i, x in enumerate(m) if x < 0), None)) is not None:
+            c = m[i]
+            v[i] -= c
+            for j, row in enumerate(self.cartan):
+                m[j] -= c * row[i]
+        return tuple(v)
 
 
 @lru_cache(maxsize=None)
@@ -319,23 +312,30 @@ def _dominant_coefficient_states(d: RootDatum, lam_fund: tuple[int, ...]):
     return states
 
 
-@lru_cache(maxsize=None)
-def _support_cstates(t: SimpleType, lam_fund: tuple[int, ...]) -> frozenset:
-    """Weight support of the irreducible module, as integer c with mu = lam - c.alpha.
+def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
+    fund = d.weight_to_fundamental(lam)
+    if not all(c.denominator == 1 and c >= 0 for c in fund):
+        raise RootSystemError(f"{d.type}: weight {fund} is not dominant integral")
+    return tuple(int(c) for c in fund)
 
-    Dominant-chamber enumeration followed by Weyl-orbit closure under the
-    simple reflections; multiplicities are never computed.
+
+def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
+    """The set of all weights of the irreducible module with highest weight lam.
+
+    This is the enumerator: the dominant weights lam - c.alpha (c >= 0)
+    closed under the simple reflections; multiplicities are never computed.
+    min_pairing and support_contains answer their questions in closed form
+    without it, and the tests use it as their oracle.
     """
-    d = build_root_datum(t)
+    lam_fund = _require_dominant_integral(d, lam)
+    lam = d.weight_from_fundamental(lam_fund)
     n = d.rank
     A = d.cartan
-    seen: set[tuple[int, ...]] = set()
-    queue = []
-    for c in _dominant_coefficient_states(d, lam_fund):
-        if c not in seen:
-            m = tuple(lam_fund[j] - sum(A[j][i] * c[i] for i in range(n)) for j in range(n))
-            seen.add(c)
-            queue.append((c, m))
+    seen = set(_dominant_coefficient_states(d, lam_fund))
+    queue = [
+        (c, tuple(lam_fund[j] - sum(A[j][i] * c[i] for i in range(n)) for j in range(n)))
+        for c in seen
+    ]
     while queue:
         c, m = queue.pop()
         for i in range(n):
@@ -348,35 +348,23 @@ def _support_cstates(t: SimpleType, lam_fund: tuple[int, ...]) -> frozenset:
                     seen.add(c2)
                     m2 = tuple(m[j] - m[i] * A[j][i] for j in range(n))
                     queue.append((c2, m2))
-    return frozenset(seen)
-
-
-def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
-    fund = d.weight_to_fundamental(lam)
-    if not all(c.denominator == 1 and c >= 0 for c in fund):
-        raise RootSystemError(f"{d.type}: weight {fund} is not dominant integral")
-    return tuple(int(c) for c in fund)
-
-
-def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
-    """The set of all weights of the irreducible module with highest weight lam."""
-    lam_fund = _require_dominant_integral(d, lam)
-    lam = d.weight_from_fundamental(lam_fund)
-    n = d.rank
-    out = set()
-    for c in _support_cstates(d.type, lam_fund):
-        out.add(tuple(lam[j] - c[j] for j in range(n)))
-    return out
+    return {tuple(lam[j] - c[j] for j in range(n)) for c in seen}
 
 
 def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
-    """Whether mu lies in the weight support of the module with highest weight lam."""
+    """Whether mu lies in the weight support of the module with highest weight lam.
+
+    Closed form: mu is a weight exactly when lam - mu lies in the root
+    lattice Q and lam - dom(mu) in Q+, where dom is the dominant Weyl
+    conjugate (the support is Weyl invariant and its dominant part is the
+    dominant weights below lam).  The second condition implies the first:
+    W moves an integral weight only by roots and keeps a non-integral one
+    non-integral, so one test of lam - dom(mu) answers both.
+    """
     lam_fund = _require_dominant_integral(d, lam)
     lam = d.weight_from_fundamental(lam_fund)
-    c = tuple(l - m for l, m in zip(lam, mu))
-    if not all(x.denominator == 1 for x in c):
-        return False
-    return tuple(int(x) for x in c) in _support_cstates(d.type, lam_fund)
+    diff = (l - m for l, m in zip(lam, d.dominant_conjugate(mu)))
+    return all(x.denominator == 1 and x >= 0 for x in diff)
 
 
 def weyl_dimension(d: RootDatum, lam: Vec) -> int:
@@ -393,15 +381,12 @@ def weyl_dimension(d: RootDatum, lam: Vec) -> int:
 
 
 def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
-    """min of (h|mu) over the weight support of lam."""
+    """min of (h|mu) over the weight support of lam.
+
+    Closed form: -(lam | dom(-h)).  The support lies in the convex hull of
+    the Weyl orbit of lam, and (x|lam) over the orbit of x is largest at
+    the dominant conjugate of x.
+    """
     lam_fund = _require_dominant_integral(d, lam)
     lam = d.weight_from_fundamental(lam_fund)
-    h_alpha = [d.pair(h, a) for a in d.simple_roots]
-    base = d.pair(h, lam)
-    # (h|mu) = base - sum c_i (h|alpha_i); minimize by maximizing the sum
-    best = None
-    for c in _support_cstates(d.type, lam_fund):
-        s = sum(ci * hi for ci, hi in zip(c, h_alpha) if ci)
-        if best is None or s > best:
-            best = s
-    return base - best
+    return -d.pair(lam, d.dominant_conjugate(tuple(-x for x in h)))

@@ -62,6 +62,14 @@ class Scenario:
     notes: list = field(default_factory=list)
 
 
+# every key parse_scenario reads; any other key is a typo that would skip checks
+_KNOWN_FIELDS = frozenset({
+    "name", "factor", "h", "expect_h_norm", "expect_fixed", "expect_fixed_dim", "expect_new_dim",
+    "expect_shape", "lattice", "assume", "note", "table_max_weight", "table_weights",
+    "expect_table_counts", "base_weights", "expect_twisted_seed",
+})
+
+
 def _parse_coeff_list(text: str):
     return [Fraction(tok) for tok in text.split()]
 
@@ -79,7 +87,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         key, sep, value = line.partition(":")
         if not sep:
             raise ScenarioError(f"{source}:{lineno}: expected 'key: value'")
-        fields.setdefault(key.strip(), []).append(value.strip())
+        key = key.strip()
+        if key not in _KNOWN_FIELDS:
+            raise ScenarioError(f"{source}:{lineno}: unknown field '{key}'")
+        fields.setdefault(key, []).append(value.strip())
 
     def one(key, default=None):
         vals = fields.get(key)
@@ -122,13 +133,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                 w, _, n = tok.partition(":")
                 sc.expect_table_counts[Fraction(w)] = int(n)
         if "base_weights" in fields:
-            groups = one("base_weights").split(";")
             sc.base_weights = [
-                tuple(
-                    d.weight_from_fundamental(coeffs)
-                    for d, coeffs in zip(algebra.data, _parse_factor_lists(g))
-                )
-                for g in groups
+                HVector.from_fundamental(algebra, _parse_factor_lists(g)).components
+                for g in one("base_weights").split(";")
             ]
         if "expect_twisted_seed" in fields:
             t, k, n = one("expect_twisted_seed").split()

@@ -14,8 +14,9 @@ from orbifold24.affine import (
     twisted_lowest,
     twisted_positivity_certificate,
 )
-from orbifold24.cli import module_table_text, product_table_text
-from orbifold24.rootsys import RootSystemError, SimpleType
+from orbifold24 import rootsys
+from orbifold24.cli import _bundled_scenarios, module_table_text, product_table_text
+from orbifold24.rootsys import RootDatum, RootSystemError, SimpleType, support_contains
 
 F = Fraction
 
@@ -127,6 +128,12 @@ M1_H = HVector.from_fundamental(
 )
 
 
+def test_h_rejects_extra_components():
+    a = ProductAlgebra.of(("A1", 1), ("A2", 1))
+    with pytest.raises(RootSystemError):
+        HVector.from_fundamental(a, [[F(1, 2)], [0, F(1, 2)], [7, 7, 7]])
+
+
 def test_h_norm_invariant():
     assert M1_H.norm_invariant() == 2
 
@@ -236,3 +243,22 @@ def test_certificates_nonnegative_over_all_scenario_pairs():
             h = m.datum.weight_from_fundamental(hc)
             cert = twisted_positivity_certificate(m, h)
             assert cert.kind in ("positive", "zero_with_witness"), (name, m.coeffs, cert)
+
+
+def test_production_path_enumerates_no_support(monkeypatch):
+    # the closed forms answer every twisted-sector question of M1 and M3, and
+    # root data are built, without the weight-support enumeration
+    def enumerate_support(*args):
+        raise AssertionError("weight-support enumeration reached")
+
+    monkeypatch.setattr(rootsys, "_dominant_coefficient_states", enumerate_support)
+    for sc in _bundled_scenarios():
+        if sc.name not in ("M1", "M3"):
+            continue
+        for (t, k), h in zip(sc.algebra.factors, sc.h.components):
+            d = RootDatum(t)
+            minus_kh = tuple(-k * x for x in h)
+            for m in enumerate_modules(t, k):
+                twisted_lowest(m, h)
+                twisted_positivity_certificate(m, h)
+                support_contains(d, m.weight, minus_kh)

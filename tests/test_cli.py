@@ -153,3 +153,22 @@ def test_scenario_h_length_mismatch():
     )
     with pytest.raises(ScenarioError):
         parse_scenario(text)
+
+
+def test_base_weights_factor_count_checked():
+    text = M1_TEXT.replace(
+        "base_weights: 0 0 0 0 0 0 | 0 0 | 0 0 | 0 0 ;",
+        "base_weights: 0 0 0 0 0 0 | 0 0 | 0 0 ;",
+    )
+    assert text != M1_TEXT
+    with pytest.raises(ScenarioError, match="one coefficient list per factor"):
+        parse_scenario(text)
+
+
+def test_misspelled_key_is_rejected(tmp_path):
+    # a typo in an optional key must not turn into a PASS that skips checks
+    doctored = M1_TEXT.replace("table_max_weight:", "table_max_wieght:")
+    (tmp_path / "m1x.scn").write_text(doctored)
+    proc = run_cli("run", "--dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "table_max_wieght" in proc.stderr

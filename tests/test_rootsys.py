@@ -198,6 +198,18 @@ def test_support_contains():
     assert not support_contains(d, lam, wt(d, 2, 2))
 
 
+def test_support_contains_rejects_wrong_arity():
+    d = build_root_datum(SimpleType.parse("A2"))
+    with pytest.raises(RootSystemError):
+        support_contains(d, d.theta, (F(0), F(0), F(5)))
+
+
+def test_min_pairing_rejects_wrong_arity():
+    d = build_root_datum(SimpleType.parse("A2"))
+    with pytest.raises(RootSystemError):
+        min_pairing(d, (F(1, 2),), d.theta)
+
+
 # -- dimensions ----------------------------------------------------------------
 
 
