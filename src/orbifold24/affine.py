@@ -116,7 +116,7 @@ def twisted_positivity_certificate(m: AffineLabel, h: Vec) -> TwistClassificatio
     outcome rather than silently classified.
     """
     d = m.datum
-    if any(d.pair(h, a) < -1 for a in d.roots):
+    if any(v < -1 for v in d.pair_with_roots(h)):
         return TwistClassification("precondition_violated")
     val = twisted_lowest(m, h)
     if val > 0:
@@ -253,10 +253,8 @@ def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
 def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
     """(h|lambda) in Z/2 for all listed highest weights and (h|alpha) in Z/2 for all roots."""
     for (t, _), comp in zip(a.factors, h.components):
-        d = build_root_datum(t)
-        for alpha in d.roots:
-            if (2 * d.pair(comp, alpha)).denominator != 1:
-                return False
+        if any((2 * v).denominator != 1 for v in build_root_datum(t).pair_with_roots(comp)):
+            return False
     for m in labels:
         val = Fraction(0)
         for label, comp in zip(m.labels, h.components):

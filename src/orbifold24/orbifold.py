@@ -12,6 +12,10 @@ that factor's simple-root basis.  Two bilinear forms matter:
   read off as 2 / (invariant norm of a long root).  This reproduces the
   level transfer rules: a subsystem built on short ambient roots has its
   level multiplied by the squared-length ratio (2 for B/C/F, 3 for G).
+
+Both forms go through RootDatum.pair, which runs in integers.  The embedding
+search compares root pairings of its target as entries of one cached integer
+matrix, scale * (r|s).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .affine import HVector, ProductAlgebra
 from .rootsys import RootSystemError, SimpleType, Vec, build_root_datum
@@ -130,11 +135,6 @@ class SeedSubalgebra:
 # -- component classification ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _catalog_cartan(t: SimpleType):
-    return build_root_datum(t).cartan
-
-
 def _cartan_permutation_match(C, target) -> bool:
     """Whether C equals target up to a simultaneous permutation of indices."""
     n = len(C)
@@ -196,7 +196,7 @@ def classify_simple_system(simple_gram) -> SimpleType:
             t = SimpleType(letter, rank)
         except RootSystemError:
             continue
-        if _cartan_permutation_match(C, _catalog_cartan(t)):
+        if _cartan_permutation_match(C, build_root_datum(t).cartan):
             return t
     raise OrbifoldError(f"Cartan matrix {C} matches no simple type")
 
@@ -283,8 +283,7 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
     """
     fixed = []
     for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
-        for alpha in d.roots:
-            val = d.pair(comp, alpha)
+        for alpha, val in zip(d.roots, d.pair_with_roots(comp)):
             if (2 * val).denominator != 1:
                 raise OrbifoldError(
                     f"(h|alpha) = {val} is not half-integral on factor {t}"
@@ -365,32 +364,32 @@ def assemble_root_subsystem(a: ProductAlgebra, fixed_roots, twisted_roots) -> Se
 
 @lru_cache(maxsize=None)
 def _root_pairings(t: SimpleType):
-    """All roots of a type with their full pairing matrix, cached."""
+    """scale * (r|s) for all pairs of roots of a type, and the scaled norms, cached."""
     d = build_root_datum(t)
-    roots = d.roots
-    P = [[d.pair(r, s) for s in roots] for r in roots]
-    norms = [P[i][i] for i in range(len(roots))]
-    return roots, P, norms
+    P = [[sum(map(mul, r, row)) for row in d.root_rows] for r in d.iroots]
+    return P, [P[i][i] for i in range(len(P))]
 
 
-def _find_gram_embedding(target: SimpleType, required_gram, allowed_norms=None) -> bool:
+def _find_gram_embedding(target: SimpleType, required_gram, long_only: bool = False) -> bool:
     """Backtracking search for roots of the target with a prescribed Gram matrix.
+
+    The required Gram matrix is an integer matrix in the target's scale, so
+    its entries are compared directly with those of _root_pairings.
 
     Domains are filtered forward after every placement and the next index is
     always the one with the smallest domain.  Any solution can be moved by
     the Weyl group, which is transitive on roots of a given length, so the
     very first placement ranges over a single representative.
     """
-    roots, P, norms = _root_pairings(target)
+    P, norms = _root_pairings(target)
+    long_norm = max(norms)
     k = len(required_gram)
     domains = []
     for i in range(k):
         want = required_gram[i][i]
-        dom = [
-            j
-            for j in range(len(roots))
-            if norms[j] == want and (allowed_norms is None or norms[j] in allowed_norms)
-        ]
+        if long_only and want != long_norm:
+            return False
+        dom = [j for j, norm in enumerate(norms) if norm == want]
         if not dom:
             return False
         domains.append(dom)
@@ -419,34 +418,31 @@ def _find_gram_embedding(target: SimpleType, required_gram, allowed_norms=None) 
     return rec(domains, frozenset(range(k)), True)
 
 
-def _normalized_simple_gram(t: SimpleType):
-    d = build_root_datum(t)
-    return [[d.gram[i][j] for j in range(d.rank)] for i in range(d.rank)]
-
-
-def _block_gram(parts, scalings):
-    blocks = []
-    offsets = []
-    total = 0
-    for t in parts:
-        offsets.append(total)
-        total += t.rank
-    G = [[Fraction(0)] * total for _ in range(total)]
-    for t, xi, off in zip(parts, scalings, offsets):
-        g = _normalized_simple_gram(t)
-        for i in range(t.rank):
-            for j in range(t.rank):
-                G[off + i][off + j] = g[i][j] / xi
-    return G
-
-
 @lru_cache(maxsize=None)
 def _embedding_cached(target: SimpleType, parts_scaled, long_only: bool) -> bool:
-    parts = tuple(t for t, _ in parts_scaled)
-    scalings = [Fraction(x) for _, x in parts_scaled]
-    G = _block_gram(parts, scalings)
-    allowed = frozenset([Fraction(2)]) if long_only else None
-    return _find_gram_embedding(target, G, allowed)
+    """Whether the parts, each with its Gram matrix divided by its level
+    scaling xi, embed orthogonally in the target.
+
+    The required Gram matrix is block diagonal and is built in the target's
+    integers: an entry g of a part's integer Gram becomes
+    g * scale(target) / (scale(part) * xi).  An entry that is not integral
+    matches no pair of target roots, so the answer is False.
+    """
+    scale = build_root_datum(target).scale
+    total = sum(t.rank for t, _ in parts_scaled)
+    G = [[0] * total for _ in range(total)]
+    off = 0
+    for t, xi in parts_scaled:
+        d = build_root_datum(t)
+        div = d.scale * xi
+        for i, row in enumerate(d.igram):
+            for j, g in enumerate(row):
+                q, rem = divmod(g * scale, div)
+                if rem:
+                    return False
+                G[off + i][off + j] = q
+        off += t.rank
+    return _find_gram_embedding(target, G, long_only)
 
 
 def _embedding_query(target: SimpleType, parts, scalings, long_only: bool = False) -> bool:

@@ -1,10 +1,19 @@
 """Exact models of the finite simple root systems (ranks up to 12).
 
-Everything is computed over exact rationals.  Vectors live in the basis of
-simple roots, so roots have integer coordinates and all pairings are
-computed through the Gram matrix of the simple roots.  The invariant form
-is normalized so that long roots have squared length 2 (hence short roots
-have squared length 1, or 2/3 for G2).
+Everything is computed exactly.  Vectors live in the basis of simple
+roots, so roots have integer coordinates and all pairings are computed
+through the Gram matrix of the simple roots.  The invariant form is
+normalized so that long roots have squared length 2 (hence short roots have
+squared length 1, or 2/3 for G2).
+
+Pairings run in one integer kernel: each RootDatum scales its Gram matrix
+by the lcm of its denominators (1 for A/B/D/E and C2, 2 for C_n with n >= 3
+and F4, 3 for G2).  `pair` clears the denominators of both vectors, takes
+one integer product against scale * gram and divides once, so its result is
+the exact rational (u|v).  The integer row alpha.(scale gram) of every root
+is kept, so (v|alpha) for all roots is one integer dot product per root.
+The Weyl dimension formula runs in integers on the coroot coordinates of
+the positive roots.
 
 Simple-root numbering follows the Bourbaki tables, which is also the
 numbering used by the explicit Gram matrices this package has to match
@@ -17,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 
@@ -45,6 +56,12 @@ _DUAL_COXETER = {
 
 class RootSystemError(ValueError):
     pass
+
+
+def _to_integral(v) -> tuple[int, tuple[int, ...]]:
+    """(D, D*v) for a rational vector v, with D the lcm of its denominators."""
+    D = lcm(*(x.denominator for x in v))
+    return D, tuple(x.numerator * (D // x.denominator) for x in v)
 
 
 @dataclass(frozen=True, order=True)
@@ -157,6 +174,13 @@ class RootDatum:
         rho: half-sum of positive roots (= sum of fundamental weights).
         theta: the highest root.
         dual_coxeter: the dual Coxeter number.
+        scale: lcm of the Gram denominators (1 for A/B/D/E and C2, 2 for
+            C_n with n >= 3 and F4, 3 for G2).
+        igram: the integer matrix scale * gram.
+        iroots: the roots as integer tuples, in the order of roots.
+        root_rows: alpha.igram for every root alpha, in the order of roots.
+        positive_coroots: alpha^vee of every positive root in the basis of
+            simple coroots, in the order of positive_roots.
     """
 
     def __init__(self, t: SimpleType):
@@ -165,6 +189,8 @@ class RootDatum:
         self.rank = n
         self.gram = _gram_matrix(t)
         self.norms = [self.gram[i][i] for i in range(n)]
+        self.scale = lcm(*(g.denominator for row in self.gram for g in row))
+        self.igram = [[int(g * self.scale) for g in row] for row in self.gram]
         cartan = [[2 * self.gram[i][j] / self.gram[i][i] for j in range(n)] for i in range(n)]
         assert all(v.denominator == 1 for row in cartan for v in row)
         self.cartan = [[int(v) for v in row] for row in cartan]
@@ -190,23 +216,36 @@ class RootDatum:
         self.dual_coxeter = int(hv)
         self.positive_roots = [r for r in self.roots if sum(r) > 0]
 
+        self.iroots = [tuple(map(int, r)) for r in self.roots]
+        self.root_rows = [self.scaled_row(r) for r in self.iroots]
+        # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee
+        self.positive_coroots = []
+        for r, row in zip(self.iroots, self.root_rows):
+            if sum(r) > 0:
+                norm = sum(map(mul, r, row))
+                self.positive_coroots.append(
+                    tuple(a * self.igram[i][i] // norm for i, a in enumerate(r))
+                )
+
     # -- linear algebra over the simple-root basis ------------------------
 
+    def _require_rank(self, v) -> None:
+        if len(v) != self.rank:
+            raise RootSystemError(f"{self.type}: {len(v)} coordinates given, rank is {self.rank}")
+
     def pair(self, u: Vec, v: Vec) -> Fraction:
-        """(u|v) under the normalized invariant form."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = self.gram[i]
-                total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-        return total
+        """(u|v) under the normalized invariant form, computed in integers."""
+        self._require_rank(v)
+        du, wu = _to_integral(u)
+        dv, wv = _to_integral(v)
+        return Fraction(sum(map(mul, self.scaled_row(wu), wv)), du * dv * self.scale)
 
     def norm(self, v: Vec) -> Fraction:
         return self.pair(v, v)
 
     def coroot_pairing(self, v: Vec, i: int) -> Fraction:
         """<v, alpha_i^vee> = 2(v|alpha_i)/(alpha_i|alpha_i)."""
-        return sum(Fraction(self.cartan[i][j]) * v[j] for j in range(self.rank) if v[j])
+        return sum((a * x for a, x in zip(self.cartan[i], v) if a and x), Fraction(0))
 
     def reflect(self, v: Vec, i: int) -> Vec:
         c = self.coroot_pairing(v, i)
@@ -230,6 +269,20 @@ class RootDatum:
                     M[r] = [a - f * b for a, b in zip(M[r], M[col])]
         return tuple(M[i][n] for i in range(n))
 
+    # -- the integer kernel ------------------------------------------------
+
+    def scaled_row(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """w.igram for an integer vector w."""
+        self._require_rank(w)
+        return tuple(sum(map(mul, w, col)) for col in self.igram)
+
+    def pair_with_roots(self, v: Vec) -> list[Fraction]:
+        """(v|alpha) for every root alpha, in the order of roots."""
+        self._require_rank(v)
+        den, w = _to_integral(v)
+        den *= self.scale
+        return [Fraction(sum(map(mul, w, row)), den) for row in self.root_rows]
+
     # -- weights -----------------------------------------------------------
 
     def weight_from_fundamental(self, coeffs) -> Vec:
@@ -244,8 +297,7 @@ class RootDatum:
         return tuple(out)
 
     def weight_to_fundamental(self, v: Vec) -> Vec:
-        if len(v) != self.rank:
-            raise RootSystemError(f"{self.type}: {len(v)} coordinates given, rank is {self.rank}")
+        self._require_rank(v)
         return tuple(self.coroot_pairing(v, i) for i in range(self.rank))
 
     def weyl_orbit(self, v: Vec) -> set[Vec]:
@@ -273,7 +325,8 @@ class RootDatum:
             c = m[i]
             v[i] -= c
             for j, row in enumerate(self.cartan):
-                m[j] -= c * row[i]
+                if row[i]:
+                    m[j] -= c * row[i]
         return tuple(v)
 
 
@@ -368,16 +421,19 @@ def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
 
 
 def weyl_dimension(d: RootDatum, lam: Vec) -> int:
-    """Dimension of the irreducible module by the Weyl dimension formula."""
-    _require_dominant_integral(d, lam)
-    num = den = Fraction(1)
-    lam_rho = tuple(a + b for a, b in zip(lam, d.rho))
-    for a in d.positive_roots:
-        num *= d.pair(lam_rho, a)
-        den *= d.pair(d.rho, a)
-    dim = num / den
-    assert dim.denominator == 1
-    return int(dim)
+    """Dimension of the irreducible module by the Weyl dimension formula.
+
+    prod <lam+rho, a^vee> / prod <rho, a^vee> over the positive roots, in
+    integers: <lam+rho, a^vee> is the dot product of the Dynkin labels of
+    lam, each plus one, with the simple-coroot coordinates of a^vee.
+    """
+    labels = [c + 1 for c in _require_dominant_integral(d, lam)]
+    num = den = 1
+    for c in d.positive_coroots:
+        num *= sum(map(mul, c, labels))
+        den *= sum(c)
+    assert num % den == 0
+    return num // den
 
 
 def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:

@@ -253,19 +253,17 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
 
         # order 2: all root pairings are half-integral, at least one strictly
         pairings = [
-            (d.pair(comp, alpha), d)
-            for d, comp in zip(a.data, h.components)
-            for alpha in d.roots
+            v for d, comp in zip(a.data, h.components) for v in d.pair_with_roots(comp)
         ]
-        half_integral = all((2 * v).denominator == 1 for v, _ in pairings)
-        strict = any(v.denominator == 2 for v, _ in pairings)
+        half_integral = all((2 * v).denominator == 1 for v in pairings)
+        strict = any(v.denominator == 2 for v in pairings)
         add("order-two-pairings", "half-integral with a strict value",
             "half-integral with a strict value" if half_integral and strict else
             f"half-integral={half_integral}, strict={strict}")
 
         # assumption for the twisted lowest-weight theory: (h|alpha) >= -1
         add("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
-            "(h|alpha) >= -1 on all roots" if all(v >= -1 for v, _ in pairings)
+            "(h|alpha) >= -1 on all roots" if all(v >= -1 for v in pairings)
             else "violated")
 
         add("h-norm", sc.expect_h_norm, h.norm_invariant())

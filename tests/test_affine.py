@@ -224,6 +224,14 @@ def test_certificate_precondition_violation_reported():
     assert twisted_positivity_certificate(m, h).kind == "precondition_violated"
 
 
+@pytest.mark.parametrize("h", [(F(-1), F(-1), F(5)), (F(-3),)])
+def test_certificate_rejects_h_of_wrong_length(h):
+    # (-1, -1) alone pairs to -2 with theta; the extra coordinate must not be dropped
+    m = AffineLabel(SimpleType.parse("A2"), 1, (1, 0))
+    with pytest.raises(RootSystemError):
+        twisted_positivity_certificate(m, h)
+
+
 def test_certificates_nonnegative_over_all_scenario_pairs():
     cases = [
         ("E6", 3, [F(1, 2), 0, 0, 0, 0, F(-1, 2)]),

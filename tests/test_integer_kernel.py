@@ -1,0 +1,147 @@
+"""The integer pairing kernel of RootDatum against exact Fraction oracles.
+
+Every Gram matrix becomes integral once scaled by the lcm of its
+denominators, and every root has integer coordinates, so root pairings, the
+embedding search and the Weyl dimension formula run in integers.  Each of
+them is checked here against the rational computation it replaced.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from orbifold24.affine import enumerate_modules
+from orbifold24.orbifold import _embedding_query, _root_pairings
+from orbifold24.rootsys import (
+    MAX_RANK,
+    RootSystemError,
+    SimpleType,
+    build_root_datum,
+    weyl_dimension,
+)
+
+F = Fraction
+T = SimpleType.parse
+TYPES = (
+    [f"A{n}" for n in range(1, MAX_RANK + 1)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, MAX_RANK + 1)]
+    + [f"D{n}" for n in range(3, MAX_RANK + 1)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+SCALE = {"A": 1, "B": 1, "D": 1, "E": 1, "C": 2, "F": 2, "G": 3}  # C2 = B2 has scale 1
+# the Fraction oracle pairs every root pair only up to rank 8 (the full D12
+# matrix would cost ~18 s); the rank-12 types are checked on sample rows
+FULL_MATRIX_RANK = 8
+
+
+def sample_rows(n):
+    return sorted({0, n // 3, 2 * n // 3, n - 1})
+
+
+def gram_row(d, v):
+    """v.gram over the rationals, so that (v|w) = sum_j row_j w_j."""
+    return [sum(v[k] * d.gram[k][j] for k in range(d.rank)) for j in range(d.rank)]
+
+
+def dot(row, w):
+    return sum(x * y for x, y in zip(row, w) if y)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_kernel_is_the_scaled_gram(name):
+    d = build_root_datum(T(name))
+    assert d.scale == (1 if name == "C2" else SCALE[name[0]])
+    assert d.igram == [[d.scale * g for g in row] for row in d.gram]
+    assert all(isinstance(x, int) for row in d.igram for x in row)
+    assert d.iroots == d.roots
+    assert all(isinstance(x, int) for r in d.iroots for x in r)
+    # vectors with mixed denominators, not in the root lattice
+    v = tuple(x / 2 + y / 3 for x, y in zip(d.rho, d.fundamental_weights[0]))
+    u = tuple(x / 5 - y for x, y in zip(d.theta, d.fundamental_weights[-1]))
+    row = gram_row(d, v)
+    got = d.pair_with_roots(v)
+    assert got == [dot(row, a) for a in d.iroots]
+    assert all(got[i] == d.pair(v, d.roots[i]) for i in sample_rows(len(got)))
+    assert d.pair(v, u) == d.pair(u, v) == dot(row, u)
+    assert d.pair(v, v) == dot(row, v)
+    assert d.pair(u, tuple(0 for _ in u)) == 0
+
+
+@pytest.mark.parametrize("name", ["A1", "C3", "G2"])
+def test_kernel_rejects_wrong_arity(name):
+    d = build_root_datum(T(name))
+    short, long = (F(1),) * (d.rank - 1), (F(1),) * (d.rank + 1)
+    for bad in (short, long):
+        with pytest.raises(RootSystemError):
+            d.pair_with_roots(bad)
+        with pytest.raises(RootSystemError):
+            d.scaled_row(tuple(map(int, bad)))
+        with pytest.raises(RootSystemError):
+            d.pair(bad, d.rho)
+        with pytest.raises(RootSystemError):
+            d.pair(d.rho, bad)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_root_pairings_match_fraction_oracle(name):
+    d = build_root_datum(T(name))
+    P, norms = _root_pairings(d.type)
+    roots = d.roots
+    n = len(roots)
+    assert len(P) == n and norms == [P[i][i] for i in range(n)]
+    int_roots = [tuple(map(int, s)) for s in roots]
+    if d.rank <= FULL_MATRIX_RANK:
+        # every pair: the upper triangle against the oracle, the rest by symmetry
+        assert P == [list(col) for col in zip(*P)]
+        for i in range(n):
+            row = gram_row(d, roots[i])
+            assert P[i][i:] == [d.scale * dot(row, s) for s in int_roots[i:]]
+    else:
+        for i in sample_rows(n):
+            row = gram_row(d, roots[i])
+            assert P[i] == [d.scale * dot(row, s) for s in int_roots]
+
+
+@pytest.mark.parametrize(
+    "target,part,xi,expected",
+    [
+        ("C3", "A1", 3, False),
+        ("G2", "A1", 3, True),
+        ("C3", "A2", 2, True),
+        ("B3", "A3", 2, False),
+        ("F4", "D4", 2, True),
+        ("F4", "A2", 2, True),
+        ("B3", "A2", 2, False),
+    ],
+)
+def test_level_transfer_queries_scale_the_required_gram(target, part, xi, expected):
+    # the part's Gram is divided by xi before it is scaled to the target's
+    # integers; a non-integral scaled entry must answer False.  For A2 with
+    # xi = 2 in B3 the off-diagonal -1/2 would round to -1, which the short
+    # roots e1 and -e1 of B3 do have.
+    assert _embedding_query(T(target), (T(part),), (xi,)) is expected
+
+
+@pytest.mark.parametrize("name", [t for t in TYPES if T(t).rank <= 8])
+def test_weyl_dimension_matches_fraction_product(name):
+    d = build_root_datum(T(name))
+    positive = [tuple(map(int, a)) for a in d.positive_roots]
+    den = F(1)
+    for a in positive:
+        den *= dot(gram_row(d, d.rho), a)
+    for m in enumerate_modules(d.type, 2):
+        lam = m.weight
+        row = gram_row(d, [x + y for x, y in zip(lam, d.rho)])
+        num = F(1)
+        for a in positive:
+            num *= dot(row, a)
+        assert weyl_dimension(d, lam) == num / den
+
+
+def test_coroot_pairing_stays_a_fraction():
+    d = build_root_datum(T("C3"))
+    for v in [(0, 0, 0), (1, 2, 3), (F(1, 2), 0, F(-3, 2))]:
+        for i in range(d.rank):
+            c = d.coroot_pairing(v, i)
+            assert isinstance(c, Fraction)
+            assert c == 2 * dot(gram_row(d, v), d.simple_roots[i]) / d.norms[i]

@@ -279,6 +279,14 @@ def test_embeds_classical_facts():
     assert not embeds(T("G2"), T("E6"))
     assert not embeds(T("B3"), T("D7"))
     assert not embeds(T("C3"), T("A5"))
+    # Borel-de Siebenthal: maximal-rank subsystems of E8
+    assert embeds(T("D8"), T("E8"))
+    assert embeds(T("A8"), T("E8"))
+    assert embeds([T("E6"), T("A2")], T("E8"))
+    assert embeds([T("A4"), T("A4")], T("E8"))
+    assert embeds([T("D5"), T("A3")], T("E8"))
+    assert embeds([T("E7"), T("A1")], T("E8"))
+    assert embeds(T("D7"), T("E8"))
 
 
 # -- identification -------------------------------------------------------------
