@@ -6,7 +6,8 @@ Subcommands:
     dump-tables  print the module tables in the golden-file format
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
-parse error.
+parse error, 3 a scenario stage raised an internal error (its report says
+"error" and the checks after that stage did not run).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _summary_table(scenarios, reports):
         new = by_name.get("identification", "-").removeprefix("unique ")
         rows.append(
             (sc.name, str(sc.algebra), by_name.get("fixed-shape", "-"), new,
-             "pass" if rep.passed else "FAIL")
+             "pass" if rep.passed else rep.status.upper())
         )
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
@@ -114,6 +115,8 @@ def cmd_run(args) -> int:
                 print(line)
         passed = sum(r.passed for r in reports)
         print(f"{passed}/{len(reports)} scenarios pass")
+    if any(r.status == "error" for r in reports):
+        return 3
     return 0 if all(r.passed for r in reports) else 1
 
 

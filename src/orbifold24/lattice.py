@@ -5,19 +5,20 @@ the standard sum-zero model of A4.  The glue code lives in (Z/5)^6; digit g
 glues by the coset of g*(1,1,1,1,-4)/5.  The order-5 isometry cycles the
 last five blocks, and the twist analysis (shift vectors, twisted weight-one
 spaces, the norm bound for the inner automorphism) reduces to bounded
-enumerations over the A4* cosets.
+enumerations over the A4* cosets.  Those run on the integer vectors 5v and
+on squared distances scaled to integers; blocks become Fractions only on
+the way out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
-from math import isqrt
+from math import floor, isqrt
 
 from .orbifold import SemisimpleShape
-from .rootsys import SimpleType
+from .rootsys import SimpleType, _to_integral
 
 Block = tuple[Fraction, ...]
 LVec = tuple[Block, ...]
@@ -119,41 +120,67 @@ def a4_class_of(b: Block) -> int:
     return digits.pop()
 
 
-def a4_class_ball(digit: int, center: Block, max_norm) -> list[Block]:
-    """All v in the A4* coset of the digit with |v - center|^2 <= max_norm."""
+def _coset_ball(digit: int, center: Block, max_norm) -> tuple[int, list]:
+    """The A4* coset ball of the digit around the center, in integers.
+
+    Returns (s, ball), with s = 25*D^2 for D the lcm of the center's
+    denominators.  The ball lists the pairs (m, n), sorted by m, where m = 5v
+    runs over the integer vectors with m_i = digit mod 5 and sum(m) = 0, and
+    n = s*|v - center|^2 = sum (D*m_i - 5*D*center_i)^2 is at most s*max_norm.
+    """
+    den, dc = _to_integral(center)
+    cs = [5 * c for c in dc]
+    scale = 25 * den * den
     max_norm = Fraction(max_norm)
     if max_norm < 0:
-        return []
-    out = []
-    # work with the integer vector m = 5v, coordinates congruent to digit mod 5
-    c5 = [5 * c for c in center]
-    bound_num = 25 * max_norm
+        return scale, []
+    limit = floor(scale * max_norm)  # n is an integer, so n <= s*max_norm iff n <= limit
+    r = isqrt(limit)
 
-    def coord_range(i):
-        # (m_i - 5*center_i)^2 <= 25*max_norm for m_i = 5*v_i
-        s = isqrt(int(bound_num)) + 1
-        lo = int((c5[i] - s).__ceil__())
-        hi = int((c5[i] + s).__floor__())
-        start = lo + (digit - lo) % 5
-        return range(start, hi + 1, 5)
+    def coord_range(c):
+        # |D*m - c| <= r, with m = digit mod 5
+        lo, hi = -((r - c) // den), (c + r) // den
+        return range(lo + (digit - lo) % 5, hi + 1, 5)
 
-    ranges = [list(coord_range(i)) for i in range(5)]
+    ranges = [coord_range(c) for c in cs[:4]]
+    ball = []
 
-    def rec(i, acc, remaining):
-        if remaining < 0:
-            return
+    def rec(i, ms, used):
         if i == 4:
-            m5 = -sum(acc)
-            if m5 % 5 == (digit % 5) and (Fraction(m5) - c5[4]) ** 2 <= remaining:
-                out.append(tuple(Fraction(m, 5) for m in acc + [m5]))
+            m = -sum(ms)  # = digit mod 5, as each of the four others is
+            n = used + (den * m - cs[4]) ** 2
+            if n <= limit:
+                ball.append((tuple(ms) + (m,), n))
             return
         for m in ranges[i]:
-            d2 = (Fraction(m) - c5[i]) ** 2
-            if d2 <= remaining:
-                rec(i + 1, acc + [m], remaining - d2)
+            n = used + (den * m - cs[i]) ** 2
+            if n <= limit:
+                rec(i + 1, ms + [m], n)
 
-    rec(0, [], bound_num)
-    return sorted(out)
+    rec(0, [], 0)
+    ball.sort()
+    return scale, ball
+
+
+def _block(m) -> Block:
+    """The block m/5 of an integer vector m."""
+    return tuple(Fraction(x, 5) for x in m)
+
+
+def _fifths(b: Block) -> tuple[int, ...]:
+    """The integer vector 5b of an A4* block."""
+    return tuple(int(5 * c) for c in b)
+
+
+def _ball_min(digit: int, center: Block, max_norm) -> Fraction | None:
+    """Min of |v - center|^2 over the coset ball, or None when it is empty."""
+    scale, ball = _coset_ball(digit, center, max_norm)
+    return Fraction(min(n for _, n in ball), scale) if ball else None
+
+
+def a4_class_ball(digit: int, center: Block, max_norm) -> list[Block]:
+    """All v in the A4* coset of the digit with |v - center|^2 <= max_norm, sorted."""
+    return [_block(m) for m, _ in _coset_ball(digit, center, max_norm)[1]]
 
 
 def a4_class_min_vectors(digit: int) -> list[Block]:
@@ -247,7 +274,11 @@ class NiemeierLattice:
         if not all(tuple(w[0:1] + w[2:6] + w[1:2]) in self.glue.words for w in self.glue.words):
             raise LatticeError("glue code is not invariant under the block cycle")
         self.basis = self._build_basis()
-        self.gram = [[vec_dot(x, y) for y in self.basis] for x in self.basis]
+        fifths = [[c for b in x for c in _fifths(b)] for x in self.basis]
+        self.gram = [
+            [Fraction(sum(a * b for a, b in zip(x, y)), 25) for y in fifths] for x in fifths
+        ]
+        self._roots = tuple(v for v in self.vectors_of_norm_at_most(2) if vec_norm(v) == 2)
         self._check_invariants()
 
     # -- construction ------------------------------------------------------
@@ -301,7 +332,7 @@ class NiemeierLattice:
         det = _det_fraction([[Fraction(v) for v in row] for row in self.gram])
         if det != 1:
             raise LatticeError(f"Gram determinant is {det}, expected 1")
-        if len(self.roots()) != 120:
+        if len(self._roots) != 120:
             raise LatticeError("root count differs from 120")
         for b in self.basis:
             if not self.contains(tau0(b)):
@@ -317,37 +348,50 @@ class NiemeierLattice:
         return word in self.glue.words
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
-        """All lattice vectors of norm <= bound, by per-block coset budgeting."""
-        bound = Fraction(bound)
+        """All lattice vectors of norm <= bound, glue word by glue word.
+
+        Each glue digit's coset ball is enumerated once, at the full bound,
+        with every block's norm in units of 1/25.  The blocks under a budget
+        are a slice of that sorted ball, so the recursion over the glue words
+        only adds integers, and vectors share their block objects.
+        """
+        limit = floor(25 * Fraction(bound))
+        balls = {}
+        for g in range(5):
+            blocks = a4_class_ball(g, zero_block(), bound)
+            balls[g] = [(b, sum(x * x for x in _fifths(b))) for b in blocks]
+        min_norm = {g: min(n for _, n in ball) for g, ball in balls.items() if ball}
+        slices: dict[tuple[int, int], list] = {}
+
+        def fitting(g, budget):
+            key = (g, budget)
+            if key not in slices:
+                slices[key] = [(b, n) for b, n in balls[g] if n <= budget]
+            return slices[key]
+
         out = []
-        min_norms = {
-            g: block_dot(a4_class_min_vectors(g)[0], a4_class_min_vectors(g)[0])
-            for g in range(5)
-        }
         for word in sorted(self.glue.words):
-            tail_min = [Fraction(0)] * 7
+            if any(g not in min_norm for g in word):
+                continue
+            tail = [0] * 7
             for i in range(5, -1, -1):
-                tail_min[i] = tail_min[i + 1] + min_norms[word[i]]
-            if tail_min[0] > bound:
+                tail[i] = tail[i + 1] + min_norm[word[i]]
+            if tail[0] > limit:
                 continue
 
-            def rec(i, acc, used):
-                if i == 6:
-                    out.append(tuple(acc))
+            def rec(i, prefix, used):
+                budget = limit - used - tail[i + 1]
+                if i == 5:
+                    out.extend(prefix + (b,) for b, _ in fitting(word[5], budget))
                     return
-                budget = bound - used - tail_min[i + 1]
-                for b in a4_class_ball(word[i], zero_block(), budget):
-                    rec(i + 1, acc + [b], used + block_dot(b, b))
+                for b, n in fitting(word[i], budget):
+                    rec(i + 1, prefix + (b,), used + n)
 
-            rec(0, [], Fraction(0))
+            rec(0, (), 0)
         return out
 
-    @lru_cache(maxsize=None)
-    def _roots(self):
-        return tuple(v for v in self.vectors_of_norm_at_most(2) if vec_norm(v) == 2)
-
     def roots(self) -> tuple[LVec, ...]:
-        return self._roots()
+        return self._roots
 
     def dump(self) -> str:
         lines = ["basis"]
@@ -423,16 +467,13 @@ def enumerate_S(epsilon: int, r: int) -> list[Block]:
     """
     if epsilon not in (1, -1) or r not in (1, 2):
         raise LatticeError("epsilon must be +-1 and r in {1, 2}")
-    delta = block_scale(epsilon, DELTA1 if r == 1 else DELTA2)
-    target = Fraction(2, 5)
+    d5 = _fifths(block_scale(epsilon, DELTA1 if r == 1 else DELTA2))
     found = []
     per_coset = {}
     for g in range(5):
-        sols = [
-            block_add(a, delta)
-            for a in a4_class_ball(g, zero_block(), Fraction(8, 5))
-            if block_dot(block_add(a, delta), block_add(a, delta)) == target
-        ]
+        ball = _coset_ball(g, zero_block(), Fraction(8, 5))[1]
+        shifted = [tuple(x + d for x, d in zip(m, d5)) for m, _ in ball]
+        sols = [_block(s) for s in shifted if sum(x * x for x in s) == 10]  # 25 * 2/5
         per_coset[g] = sols
         found.extend(sols)
     if len(found) != 5 or any(len(s) != 1 for s in per_coset.values()):
@@ -463,20 +504,22 @@ def twisted_weight_one(epsilon: int, r: int):
     while l <= 1 - TWIST_GROUND_WEIGHT:
         grid.append(l)
         l += OSCILLATOR_GRID_STEP
-    solutions = []
+    # |a + delta|^2 + |b|^2/5 = need = 2(1 - 4/5 - l), times 125 with a' = 5(a + delta)
+    # and b' = 5b: 5|a'|^2 + |b'|^2 = 125*need
+    needs = [(l, 250 * (1 - TWIST_GROUND_WEIGHT - l)) for l in grid]
     # the diagonal block contributes |b|^2/5, so |b|^2 <= 5*budget
-    b_candidates = a4_class_ball(0, zero_block(), 5 * budget)
-    for l in grid:
-        need = 2 * (1 - TWIST_GROUND_WEIGHT - l)
-        for g in range(5):
-            for a in a4_class_ball(g, block_scale(-1, delta), need):
-                an = block_add(a, delta)
-                a_part = block_dot(an, an)
-                for b in b_candidates:
-                    if a_part + block_dot(b, b) / 5 == need:
-                        solutions.append((l, a, b))
-    weights = sorted(block_add(a, delta) for l, a, b in solutions)
-    if any(l != 0 or b != zero_block() for l, a, b in solutions):
+    b_norms = [sum(x * x for x in m) for m, _ in _coset_ball(0, zero_block(), 5 * budget)[1]]
+    d5 = _fifths(delta)
+    solutions = []
+    for g in range(5):
+        # the ball at the largest need (l = 0) holds the a of every smaller one
+        for m, _ in _coset_ball(g, block_scale(-1, delta), budget)[1]:
+            an = tuple(x + d for x, d in zip(m, d5))
+            a_part = 5 * sum(x * x for x in an)
+            for l, need in needs:
+                solutions.extend((l, an, nb) for nb in b_norms if a_part + nb == need)
+    weights = sorted(_block(an) for l, an, nb in solutions)
+    if any(l != 0 or nb != 0 for l, an, nb in solutions):
         raise LatticeError("unexpected oscillator or diagonal contribution at weight one")
     return len(solutions), weights
 
@@ -492,61 +535,31 @@ def inner_h() -> LVec:
 
 
 def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | None:
-    """Exact min of |alpha + h|^2 over lattice vectors, within the given bound."""
+    """Exact min of |alpha + h|^2 over lattice vectors, within the given bound.
+
+    The blocks of alpha range independently over the cosets of its glue word,
+    so the minimum for one word is the sum of the six per-block minima.
+    """
     bound = Fraction(bound)
-    block_min: dict[tuple[int, int], Fraction] = {}
-    block_lists: dict[tuple[int, int], list] = {}
-    for i in range(6):
-        center = block_scale(-1, h[i])
-        for g in range(5):
-            vs = a4_class_ball(g, center, bound)
-            block_lists[(i, g)] = vs
-            if vs:
-                block_min[(i, g)] = min(
-                    block_dot(block_add(v, h[i]), block_add(v, h[i])) for v in vs
-                )
-    best = None
-    for word in sorted(lattice.glue.words):
-        if any((i, g) not in block_min for i, g in enumerate(word)):
-            continue
+    block_min = {
+        (i, g): _ball_min(g, block_scale(-1, h[i]), bound) for i in range(6) for g in range(5)
+    }
+    totals = []
+    for word in lattice.glue.words:
         mins = [block_min[(i, g)] for i, g in enumerate(word)]
-        tail = [Fraction(0)] * 7
-        for i in range(5, -1, -1):
-            tail[i] = tail[i + 1] + mins[i]
-        if tail[0] > bound:
-            continue
-
-        def rec(i, used):
-            nonlocal best
-            if best is not None and used + tail[i] >= best:
-                return
-            if i == 6:
-                if best is None or used < best:
-                    best = used
-                return
-            for v in block_lists[(i, word[i])]:
-                s = block_add(v, h[i])
-                rec(i + 1, used + block_dot(s, s))
-
-        rec(0, Fraction(0))
-    return best
+        if None not in mins:
+            totals.append(sum(mins))
+    return min((t for t in totals if t <= bound), default=None)
 
 
 def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:
     """Exact min of |h + eps f^r + x|^2 over the projected lattice."""
     delta = block_scale(epsilon, DELTA1 if r == 1 else DELTA2)
     c1 = block_add(h[0], delta)
-    best1 = None
-    for g in range(5):
-        for a in a4_class_ball(g, block_scale(-1, c1), Fraction(4)):
-            n = block_dot(block_add(a, c1), block_add(a, c1))
-            best1 = n if best1 is None else min(best1, n)
-    # diagonal part: 5 * |b/5 + h_tail|^2 over b in A4
-    best2 = None
-    for b in a4_class_ball(0, block_scale(-5, h[1]), Fraction(20)):
-        d = block_add(block_scale(Fraction(1, 5), b), h[1])
-        n = 5 * block_dot(d, d)
-        best2 = n if best2 is None else min(best2, n)
+    mins = [_ball_min(g, block_scale(-1, c1), Fraction(4)) for g in range(5)]
+    best1 = min(m for m in mins if m is not None)
+    # diagonal part: 5 * |b/5 + h_tail|^2 = |b + 5 h_tail|^2 / 5 over b in A4
+    best2 = _ball_min(0, block_scale(-5, h[1]), Fraction(20)) / 5
     return best1 + best2
 
 

@@ -25,6 +25,7 @@ from .affine import (
     twisted_positivity_certificate,
 )
 from .orbifold import (
+    OrbifoldError,
     SemisimpleShape,
     assemble_root_subsystem,
     fixed_subalgebra,
@@ -177,8 +178,16 @@ class Report:
     def passed(self) -> bool:
         return self.error is None and all(c.ok for c in self.checks)
 
+    @property
+    def status(self) -> str:
+        """'pass', 'fail' (a check failed) or 'error' (a stage raised, so the
+        checks after it never ran)."""
+        if self.error is not None:
+            return "error"
+        return "pass" if self.passed else "fail"
+
     def lines(self, verbose: bool = False):
-        out = [f"scenario {self.scenario}: {'PASS' if self.passed else 'FAIL'}"]
+        out = [f"scenario {self.scenario}: {self.status.upper()}"]
         for a in self.assumptions:
             out.append(f"  assumption: {a}")
         for n in self.notes:
@@ -207,7 +216,7 @@ class Report:
         if self.error is not None:
             recs.append(
                 {"scenario": self.scenario, "check": "run", "expected": "completion",
-                 "actual": self.error, "status": "fail"}
+                 "actual": self.error, "status": "error"}
             )
         return recs
 
@@ -340,9 +349,9 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
                 verlinde_simple_current(a_sign)
                 add(f"simple-current(a={a_sign:+d})", "fusion is a simple current",
                     "fusion is a simple current")
-            except Exception as exc:
+            except OrbifoldError as exc:
                 add(f"simple-current(a={a_sign:+d})", "fusion is a simple current", str(exc))
-    except Exception as exc:  # a hard failure in any stage fails the scenario
+    except Exception as exc:  # a stage that raises is an error, not a failed check
         return Report(sc.name, checks, sc.assumptions, sc.notes, error=f"{type(exc).__name__}: {exc}")
 
     return Report(sc.name, checks, sc.assumptions, sc.notes)

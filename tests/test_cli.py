@@ -123,6 +123,29 @@ def test_json_report(tmp_path):
     assert failed[0]["expected"] == "5" and failed[0]["actual"] == "2"
 
 
+def test_stage_error_is_reported_apart_from_failures(monkeypatch, capsys):
+    from orbifold24 import scenarios
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("identification broke")
+
+    monkeypatch.setattr(scenarios, "identify", broken)
+    assert main(["run", "--scenario", "M1"]) == 3
+    out = capsys.readouterr().out
+    assert "scenario M1: ERROR" in out
+    assert "  error: RuntimeError: identification broke" in out
+    assert "0/1 scenarios pass" in out
+    assert main(["run", "--scenario", "M1", "--json"]) == 3
+    records = json.loads(capsys.readouterr().out)
+    assert records[-1] == {
+        "scenario": "M1", "check": "run", "expected": "completion",
+        "actual": "RuntimeError: identification broke", "status": "error",
+    }
+    # the checks before the failing stage ran and passed; none after it ran
+    assert all(r["status"] == "pass" for r in records[:-1])
+    assert "identification" not in {r["check"] for r in records}
+
+
 def test_trunc_flag_accepted(tmp_path):
     # a deeper truncation changes nothing: the identities are exact
     doctored = M1_TEXT

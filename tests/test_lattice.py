@@ -1,7 +1,15 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbifold24 import lattice
 from orbifold24.lattice import (
     A4_SIMPLE,
     BETA,
@@ -13,6 +21,7 @@ from orbifold24.lattice import (
     a4_class_ball,
     a4_class_min_vectors,
     a4_class_of,
+    a4_roots,
     block_add,
     block_dot,
     build_glue_code,
@@ -90,6 +99,57 @@ def test_class_ball_is_exact():
     # norm-2 vectors of the zero class are exactly the 20 roots
     roots = [v for v in a4_class_ball(0, zero_block(), 2) if block_dot(v, v) == 2]
     assert len(roots) == 20
+    assert roots == a4_roots()
+    assert a4_class_ball(0, zero_block(), 2) == brute_force_ball(0, zero_block(), 2)
+
+
+def brute_force_ball(digit, center, max_norm):
+    """The coset ball by Fraction distances over the whole coordinate box."""
+    max_norm = F(max_norm)
+    if max_norm < 0:
+        return []
+    reach = isqrt(floor(25 * max_norm)) + 1  # |m_i - 5 c_i| <= 5 sqrt(max_norm)
+    axes = [
+        [m for m in range(floor(5 * c) - reach, ceil(5 * c) + reach + 1) if m % 5 == digit % 5]
+        for c in center
+    ]
+    blocks = (tuple(F(m, 5) for m in ms) for ms in product(*axes) if sum(ms) == 0)
+    return sorted(v for v in blocks if sum((a - c) ** 2 for a, c in zip(v, center)) <= max_norm)
+
+
+def _rationals(denominators, lo, hi):
+    """k/d for d drawn from the denominators and lo*d <= k <= hi*d."""
+    return st.sampled_from(denominators).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: F(k, d))
+    )
+
+
+@st.composite
+def _centers(draw):
+    c = draw(st.lists(_rationals([1, 2, 3, 5, 10, 15], -3, 3), min_size=5, max_size=5))
+    if draw(st.booleans()):  # on the sum-zero hyperplane, where the callers' centers lie
+        c[4] = -sum(c[:4])
+    return tuple(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), _centers(), _rationals([1, 3, 5, 15], -1, 6))
+def test_class_ball_matches_brute_force(digit, center, max_norm):
+    got = a4_class_ball(digit, center, max_norm)
+    assert got == brute_force_ball(digit, center, max_norm)
+    if max_norm < 0:
+        assert got == []
+    # a bound a hair under the farthest distance drops exactly the farthest vectors
+    dist = {v: sum((a - c) ** 2 for a, c in zip(v, center)) for v in got}
+    if got:
+        far = max(dist.values())
+        assert a4_class_ball(digit, center, far - F(1, 10**6)) == [v for v in got if dist[v] < far]
+
+
+def test_class_ball_negative_bound_is_empty():
+    for g in range(5):
+        assert a4_class_ball(g, zero_block(), F(-1, 15)) == []
+        assert a4_class_ball(g, GLUE_REP, -1) == []
 
 
 # -- the lattice -----------------------------------------------------------------
@@ -118,6 +178,117 @@ def test_lattice_membership_example(N):
 def test_minimum_norm_is_two(N):
     small = N.vectors_of_norm_at_most(F(6, 5))
     assert small == [tuple(zero_block() for _ in range(6))]
+
+
+# -- the norm <= 4 enumeration -------------------------------------------------------
+
+
+def per_prefix_vectors(word, bound):
+    """The former enumeration of one glue word, kept as the oracle: a fresh coset
+    ball for every prefix, with Fraction budgets."""
+    bound = F(bound)
+    min_norms = {
+        g: block_dot(a4_class_min_vectors(g)[0], a4_class_min_vectors(g)[0]) for g in range(5)
+    }
+    tail_min = [F(0)] * 7
+    for i in range(5, -1, -1):
+        tail_min[i] = tail_min[i + 1] + min_norms[word[i]]
+    out = []
+    if tail_min[0] > bound:
+        return out
+
+    def rec(i, acc, used):
+        if i == 6:
+            out.append(tuple(acc))
+            return
+        budget = bound - used - tail_min[i + 1]
+        for b in a4_class_ball(word[i], zero_block(), budget):
+            rec(i + 1, acc + [b], used + block_dot(b, b))
+
+    rec(0, [], F(0))
+    return out
+
+
+@pytest.fixture(scope="module")
+def norm4(N):
+    return N.vectors_of_norm_at_most(4)
+
+
+@pytest.fixture(scope="module")
+def norm4_by_word(norm4):
+    """The norm <= 4 vectors of each glue word, in enumeration order."""
+    digit, groups = {}, {}
+    for v in norm4:
+        for b in v:
+            if id(b) not in digit:
+                digit[id(b)] = a4_class_of(b)
+        groups.setdefault(tuple(digit[id(b)] for b in v), []).append(v)
+    return groups
+
+
+def _block_keys(vectors):
+    """Each vector as a tuple of small block indices, with the blocks as integer
+    vectors 5b; blocks are shared between vectors, so each is converted once."""
+    index, blocks, by_id = {}, [], {}
+
+    def key(b):
+        i = by_id.get(id(b))
+        if i is None:
+            m = tuple(int(5 * c) for c in b)
+            i = index.setdefault(m, len(blocks))
+            if i == len(blocks):
+                blocks.append(m)
+            by_id[id(b)] = i
+        return i
+
+    return [tuple(key(b) for b in v) for v in vectors], blocks, index
+
+
+def test_norm4_counts_and_symmetry(norm4):
+    keys, blocks, index = _block_keys(norm4)
+    norms = [sum(x * x for x in m) for m in blocks]  # in units of 1/25
+    counts = Counter(sum(norms[i] for i in k) for k in keys)
+    # theta = E4^3 - 600 Delta: 1 + 120 q + 193680 q^2
+    assert counts == {0: 1, 50: 120, 100: 193680}
+    keyset = set(keys)
+    assert len(keyset) == len(keys)
+    neg = [index.get(tuple(-x for x in m)) for m in blocks]
+    for k in keys:
+        assert tuple(neg[i] for i in k) in keyset
+        assert (k[0], k[5], k[1], k[2], k[3], k[4]) in keyset
+
+
+def test_enumeration_matches_per_prefix_oracle(N):
+    oracle = [v for w in sorted(N.glue.words) for v in per_prefix_vectors(w, 2)]
+    assert N.vectors_of_norm_at_most(2) == oracle
+
+
+@pytest.mark.parametrize(
+    "word", [(0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 1, 4, 4, 1), (0, 0, 1, 2, 3, 4)]
+)
+def test_norm4_word_matches_per_prefix_oracle(N, norm4_by_word, word):
+    assert word in N.glue.words
+    got = norm4_by_word[word]
+    assert got and got == per_prefix_vectors(word, 4)
+
+
+def test_enumeration_builds_each_coset_ball_once(N, monkeypatch):
+    calls = []
+    ball = lattice.a4_class_ball
+
+    def counted(digit, center, max_norm):
+        calls.append(digit)
+        return ball(digit, center, max_norm)
+
+    monkeypatch.setattr(lattice, "a4_class_ball", counted)
+    N.vectors_of_norm_at_most(4)
+    assert max(Counter(calls).values(), default=0) <= 1
+
+
+def test_dropped_lattice_is_freed():
+    ref = weakref.ref(NiemeierLattice())
+    gc.collect()
+    assert ref() is None
 
 
 def test_tau0_isometry(N, h):
