@@ -278,7 +278,7 @@ class NiemeierLattice:
         self.gram = [
             [Fraction(sum(a * b for a, b in zip(x, y)), 25) for y in fifths] for x in fifths
         ]
-        self._roots = tuple(v for v in self.vectors_of_norm_at_most(2) if vec_norm(v) == 2)
+        self._roots = tuple(self._enumerate(2, exact=True))
         self._check_invariants()
 
     # -- construction ------------------------------------------------------
@@ -329,7 +329,7 @@ class NiemeierLattice:
                     raise LatticeError("Gram matrix is not integral")
                 if i == j and int(v) % 2:
                     raise LatticeError("lattice is not even")
-        det = _det_fraction([[Fraction(v) for v in row] for row in self.gram])
+        det = _det_bareiss([[int(v) for v in row] for row in self.gram])
         if det != 1:
             raise LatticeError(f"Gram determinant is {det}, expected 1")
         if len(self._roots) != 120:
@@ -348,12 +348,18 @@ class NiemeierLattice:
         return word in self.glue.words
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
-        """All lattice vectors of norm <= bound, glue word by glue word.
+        """All lattice vectors of norm <= bound, glue word by glue word."""
+        return self._enumerate(bound, exact=False)
+
+    def _enumerate(self, bound, exact: bool) -> list[LVec]:
+        """The lattice vectors of norm <= bound, or of norm == bound if exact.
 
         Each glue digit's coset ball is enumerated once, at the full bound,
         with every block's norm in units of 1/25.  The blocks under a budget
         are a slice of that sorted ball, so the recursion over the glue words
-        only adds integers, and vectors share their block objects.
+        only adds integers, and vectors share their block objects.  The last
+        block's budget is what the norm leaves, so the exact vectors are the
+        ones whose last block uses all of it.
         """
         limit = floor(25 * Fraction(bound))
         balls = {}
@@ -382,7 +388,10 @@ class NiemeierLattice:
             def rec(i, prefix, used):
                 budget = limit - used - tail[i + 1]
                 if i == 5:
-                    out.extend(prefix + (b,) for b, _ in fitting(word[5], budget))
+                    out.extend(
+                        prefix + (b,) for b, n in fitting(word[5], budget)
+                        if not exact or n == budget
+                    )
                     return
                 for b, n in fitting(word[i], budget):
                     rec(i + 1, prefix + (b,), used + n)
@@ -404,24 +413,28 @@ class NiemeierLattice:
         return "\n".join(lines)
 
 
-def _det_fraction(M) -> Fraction:
+def _det_bareiss(M: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination (Bareiss).
+
+    Every division is exact: after step k each entry is a k+1 by k+1 minor.
+    """
+    M = [list(row) for row in M]
     n = len(M)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            piv = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if piv is None:
+                return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pivot = M[k][k]
+        for i in range(k + 1, n):
+            row, f = M[i], M[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * M[k][j]) // prev
+        prev = pivot
+    return sign * M[-1][-1]
 
 
 # -- the fixed-space projection ----------------------------------------------

@@ -13,9 +13,19 @@ that factor's simple-root basis.  Two bilinear forms matter:
   level transfer rules: a subsystem built on short ambient roots has its
   level multiplied by the squared-length ratio (2 for B/C/F, 3 for G).
 
-Both forms go through RootDatum.pair, which runs in integers.  The embedding
-search compares root pairings of its target as entries of one cached integer
-matrix, scale * (r|s).
+Root sets are split, reduced to a simple system and classified as integer
+vectors under an integer form that is a positive multiple of the invariant
+form.  fixed_subalgebra works factor by factor, on the integer roots
+`iroots` and rows `root_rows` of each RootDatum, whose form is
+scale * k * (invariant); roots of different factors are orthogonal.
+assemble_root_subsystem and seeds_meeting flatten each product weight once
+onto one common denominator D, under the block-diagonal form with blocks
+igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i.  ProductWeight
+tuples of Fractions are only the boundary: the SeedSubalgebra values are
+built from them after classification.  The plain form goes through
+RootDatum.pair, which runs in integers.  The embedding search compares root
+pairings of its target as entries of one cached integer matrix,
+scale * (r|s).
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from math import lcm
+from operator import mul, sub
 
 from .affine import HVector, ProductAlgebra
 from .rootsys import RootSystemError, SimpleType, Vec, build_root_datum
@@ -174,84 +185,46 @@ def _cartan_permutation_match(C, target) -> bool:
     return rec(0)
 
 
-def classify_simple_system(simple_gram) -> SimpleType:
-    """Identify the simple type from the Gram matrix of a simple system.
+def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
+    """Identify the simple type with the given root count from the integer
+    Gram matrix of a simple system.
 
     The Cartan integers are scale invariant, so the Gram matrix may carry
-    any overall positive scaling.
+    any overall positive scaling.  Only the types with num_roots roots are
+    compared, so no other root datum is built.
     """
-    n = len(simple_gram)
-    C = [
-        [2 * simple_gram[i][j] / simple_gram[i][i] for j in range(n)]
-        for i in range(n)
-    ]
-    if any(v.denominator != 1 for row in C for v in row):
-        raise OrbifoldError("not a crystallographic simple system")
-    C = [[int(v) for v in row] for row in C]
+    C = []
+    for i, row in enumerate(simple_gram):
+        C.append([])
+        for g in row:
+            a, rem = divmod(2 * g, row[i])
+            if rem:
+                raise OrbifoldError("not a crystallographic simple system")
+            C[-1].append(a)
+    n = len(C)
     # A before D and C before B, so the coincidences D3=A3 and B2=C2 get
     # their canonical names
-    candidates = [("A", n), ("C", n), ("B", n), ("D", n), ("E", n), ("F", n), ("G", n)]
-    for letter, rank in candidates:
+    for letter in "ACBDEFG":
         try:
-            t = SimpleType(letter, rank)
+            t = SimpleType(letter, n)
         except RootSystemError:
             continue
-        if _cartan_permutation_match(C, build_root_datum(t).cartan):
+        if t.num_roots == num_roots and _cartan_permutation_match(C, build_root_datum(t).cartan):
             return t
-    raise OrbifoldError(f"Cartan matrix {C} matches no simple type")
+    raise OrbifoldError(f"Cartan matrix {C} matches no simple type with {num_roots} roots")
 
 
-def _extract_simple_system(roots):
-    """Simple roots of a root set: the lexicographically positive roots that
-    are not sums of two positive roots.
-
-    Lexicographic positivity on the flattened coordinates is induced by a
-    generic linear functional, so it is a valid choice of positive system.
-    """
-    root_set = set(roots)
-    if root_set != {negate(r) for r in root_set}:
-        raise OrbifoldError("root set is not closed under negation")
-    flat = {r: tuple(c for comp in r for c in comp) for r in roots}
-    positive = [r for r in roots if flat[r] > tuple(-c for c in flat[r])]
-    pos_set = set(positive)
-    simple = []
-    for r in positive:
-        decomposable = any(
-            tuple(
-                tuple(a - b for a, b in zip(cr, cs)) for cr, cs in zip(r, s)
-            )
-            in pos_set
-            for s in positive
-            if s != r
-        )
-        if not decomposable:
-            simple.append(r)
-    simple.sort(key=lambda r: flat[r])
-    return simple
+# -- integer root sets ---------------------------------------------------------
+#
+# A root set is a list of integer vectors with the parallel list of their
+# rows v.M under an integer form M, which is a positive multiple of the
+# invariant form: (x|y) = x.row(y) / den.
 
 
-def _classify_component(a: ProductAlgebra, roots) -> SeedSubalgebra:
-    """Classify one indecomposable component and read off its level."""
-    form = lambda x, y: invariant_pairing(a, x, y)
-    simple = _extract_simple_system(roots)
-    gram = [[form(x, y) for y in simple] for x in simple]
-    t = classify_simple_system(gram)
-    if len(roots) != t.num_roots:
-        raise OrbifoldError(
-            f"component classified as {t} but has {len(roots)} roots, expected {t.num_roots}"
-        )
-    long_inv = max(form(r, r) for r in roots)
-    level = 2 / long_inv
-    if level.denominator != 1 or level < 1:
-        raise OrbifoldError(f"component of type {t} has non-integral level {level}")
-    long_plain = max(plain_pairing(a, r, r) for r in roots)
-    return SeedSubalgebra(t, int(level), tuple(simple), tuple(sorted(roots)), long_plain)
-
-
-def _components(a: ProductAlgebra, roots):
-    """Split a root set into indecomposable components under the form."""
-    roots = sorted(roots)
-    parent = list(range(len(roots)))
+def _split(vecs, rows) -> list[list[int]]:
+    """Indices of the indecomposable components of a root set, each list
+    increasing; i and j are joined when vecs[i].rows[j] is non-zero."""
+    parent = list(range(len(vecs)))
 
     def find(i):
         while parent[i] != i:
@@ -259,16 +232,73 @@ def _components(a: ProductAlgebra, roots):
             i = parent[i]
         return i
 
-    for i, r in enumerate(roots):
-        for j in range(i + 1, len(roots)):
-            if invariant_pairing(a, r, roots[j]) != 0:
+    for i, v in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            if sum(map(mul, v, rows[j])):
                 pi, pj = find(i), find(j)
                 if pi != pj:
                     parent[pi] = pj
-    groups: dict[int, list] = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(find(i), []).append(r)
-    return [sorted(g) for g in groups.values()]
+    groups: dict[int, list[int]] = {}
+    for i in range(len(vecs)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _simple_indices(vecs) -> list[int]:
+    """Indices of the simple roots of a root set, in increasing order of the
+    vectors: the positive roots (first non-zero coordinate positive, the
+    order induced by a generic linear functional) that are not a difference
+    of two positive roots."""
+    zero = (0,) * len(vecs[0])
+    positive = [i for i, v in enumerate(vecs) if v > zero]
+    pos_set = {vecs[i] for i in positive}
+    simple = [
+        i for i in positive
+        if not any(tuple(map(sub, vecs[i], vecs[j])) in pos_set for j in positive)
+    ]
+    return sorted(simple, key=vecs.__getitem__)
+
+
+def _classify(vecs, rows, den: int):
+    """Type, level and simple-root indices of one indecomposable root set.
+
+    The level is 2 / (invariant norm of a long root) = 2 den / (largest
+    scaled norm), which is returned last.
+    """
+    simple = _simple_indices(vecs)
+    gram = [[sum(map(mul, vecs[i], rows[j])) for j in simple] for i in simple]
+    t = classify_simple_system(gram, len(vecs))
+    long_norm = max(sum(map(mul, v, row)) for v, row in zip(vecs, rows))
+    level, rem = divmod(2 * den, long_norm)
+    if rem or level < 1:
+        raise OrbifoldError(
+            f"component of type {t} has non-integral level {Fraction(2 * den, long_norm)}"
+        )
+    return t, level, simple, long_norm
+
+
+def _integer_form(a: ProductAlgebra, weights):
+    """Flatten product weights onto one integer form.
+
+    Every weight is flattened and multiplied by D, the lcm of all the
+    denominators.  The form is block diagonal: factor i's igram times
+    L / (scale_i k_i), with L the lcm of the scale_i k_i, so the invariant
+    form is (x|y) = (Dx).row(Dy) / (L D^2).  Returns the vectors, their
+    rows and L D^2.
+    """
+    D = lcm(*(c.denominator for w in weights for comp in w for c in comp))
+    L = lcm(*(d.scale * k for (_, k), d in zip(a.factors, a.data)))
+    mults = [L // (d.scale * k) for (_, k), d in zip(a.factors, a.data)]
+    vecs, rows = [], []
+    for w in weights:
+        v, row = [], []
+        for d, m, comp in zip(a.data, mults, w):
+            x = [c.numerator * (D // c.denominator) for c in comp]
+            v.extend(x)
+            row.extend(m * y for y in d.scaled_row(x))
+        vecs.append(tuple(v))
+        rows.append(tuple(row))
+    return vecs, rows, L * D * D
 
 
 # -- the fixed-point subalgebra ----------------------------------------------
@@ -280,17 +310,30 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
     Collects the ambient roots alpha with (h|alpha) integral, splits them
     into indecomposable components, classifies each component and reads off
     its level; the leftover Cartan directions form the abelian center.
+    Roots of different factors are orthogonal, so each factor is split on
+    its own integer roots and rows, at the form scale * k_i * (invariant).
     """
-    fixed = []
-    for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
-        for alpha, val in zip(d.roots, d.pair_with_roots(comp)):
+    seeds = []
+    for i, ((t, k), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
+        fixed = []
+        for j, val in enumerate(d.pair_with_roots(comp)):
             if (2 * val).denominator != 1:
                 raise OrbifoldError(
                     f"(h|alpha) = {val} is not half-integral on factor {t}"
                 )
             if val.denominator == 1:
-                fixed.append(factor_root(a, i, alpha))
-    seeds = [_classify_component(a, comp) for comp in _components(a, fixed)]
+                fixed.append(j)
+        vecs = [d.iroots[j] for j in fixed]
+        rows = [d.root_rows[j] for j in fixed]
+        for part in _split(vecs, rows):
+            ty, level, simple, long_norm = _classify(
+                [vecs[p] for p in part], [rows[p] for p in part], d.scale * k
+            )
+            roots = [factor_root(a, i, d.roots[fixed[p]]) for p in part]
+            seeds.append(SeedSubalgebra(
+                ty, level, tuple(roots[s] for s in simple), tuple(roots),
+                Fraction(long_norm, d.scale),
+            ))
     seeds.sort(key=lambda s: (_shape_sort_key((s.type, s.level)), s.simple_roots))
     center = a.rank - sum(s.type.rank for s in seeds)
     shape = SemisimpleShape(tuple((s.type, s.level) for s in seeds), center)
@@ -334,29 +377,42 @@ def assemble_root_subsystem(a: ProductAlgebra, fixed_roots, twisted_roots) -> Se
     report the violating pair.
     """
     roots = sorted(set(fixed_roots) | set(twisted_roots))
-    root_set = set(roots)
-    for r in roots:
-        if negate(r) not in root_set:
+    vecs, rows, den = _integer_form(a, roots)
+    index = set(vecs)
+    for r, v in zip(roots, vecs):
+        if tuple(-x for x in v) not in index:
             raise OrbifoldError(f"root set not closed under negation at {r}")
-    for r in roots:
-        nr = invariant_pairing(a, r, r)
-        for s in roots:
-            c = 2 * invariant_pairing(a, r, s) / nr
-            if c.denominator != 1:
+    for r, v, row in zip(roots, vecs, rows):
+        nr = sum(map(mul, v, row))
+        for s, w in zip(roots, vecs):
+            c, rem = divmod(2 * sum(map(mul, w, row)), nr)
+            if rem:
                 raise OrbifoldError(f"non-crystallographic pair {r}, {s}")
-            if c:
-                refl = tuple(
-                    tuple(sx - c * rx for sx, rx in zip(cs, cr))
-                    for cs, cr in zip(s, r)
+            if c and tuple(y - c * x for y, x in zip(w, v)) not in index:
+                raise OrbifoldError(
+                    f"not a root system: reflection of {s} in {r} escapes the set"
                 )
-                if refl not in root_set:
-                    raise OrbifoldError(
-                        f"not a root system: reflection of {s} in {r} escapes the set"
-                    )
-    comps = _components(a, roots)
-    if len(comps) != 1:
-        raise OrbifoldError(f"assembled set splits into {len(comps)} components")
-    return _classify_component(a, roots)
+    parts = _split(vecs, rows)
+    if len(parts) != 1:
+        raise OrbifoldError(f"assembled set splits into {len(parts)} components")
+    t, level, simple, _ = _classify(vecs, rows, den)
+    long_plain = max(plain_pairing(a, r, r) for r in roots)
+    return SeedSubalgebra(t, level, tuple(roots[i] for i in simple), tuple(roots), long_plain)
+
+
+def seeds_meeting(a: ProductAlgebra, seeds, roots) -> list[SeedSubalgebra]:
+    """The seeds with a root that pairs non-trivially, under the invariant
+    form, with one of the given roots."""
+    own = [r for s in seeds for r in s.roots]
+    vecs, rows, _ = _integer_form(a, own + list(roots))
+    others = rows[len(own):]
+    out, start = [], 0
+    for s in seeds:
+        end = start + len(s.roots)
+        if any(sum(map(mul, v, row)) for v in vecs[start:end] for row in others):
+            out.append(s)
+        start = end
+    return out
 
 
 # -- sub-root-system embeddings ----------------------------------------------

@@ -30,8 +30,8 @@ from .orbifold import (
     assemble_root_subsystem,
     fixed_subalgebra,
     identify,
-    invariant_pairing,
     negate,
+    seeds_meeting,
     twisted_sector_roots,
     verlinde_simple_current,
 )
@@ -240,11 +240,7 @@ def derive_seeds(sc: Scenario):
     if sc.base_weights is not None:
         tw = twisted_sector_roots(a, h, sc.base_weights)
         tw = tw + [negate(t) for t in tw]
-        joined = [
-            s
-            for s in seeds
-            if any(invariant_pairing(a, r, t) != 0 for r in s.roots for t in tw)
-        ]
+        joined = seeds_meeting(a, seeds, tw)
         fixed_part = [r for s in joined for r in s.roots]
         psi = assemble_root_subsystem(a, fixed_part, tw)
         seeds = [s for s in seeds if s not in joined] + [psi]
@@ -259,6 +255,8 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
 
     try:
         a, h = sc.algebra, sc.h
+        # whether a check proves that no twisted module reaches weight 1/2
+        half_excluded = False
 
         # order 2: all root pairings are half-integral, at least one strictly
         pairings = [
@@ -292,8 +290,9 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
 
             # no module may reach twisted weight 1/2, so the half-graded part is 0
             lows = sorted(product_twisted_lowest(lbl, h) for lbl in labels)
+            half_excluded = lows[0] > Fraction(1, 2)
             add("twisted-weights-exclude-half", "minimum > 1/2",
-                "minimum > 1/2" if lows[0] > Fraction(1, 2) else f"minimum {lows[0]}")
+                "minimum > 1/2" if half_excluded else f"minimum {lows[0]}")
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
             minus_kh = tuple(
@@ -329,13 +328,21 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
                 f"{exp_t},{exp_k} with {exp_n} roots",
                 f"{psi.type},{psi.level} with {len(psi.roots)} roots")
 
-        # the dimension formula, closed form cross-checked against the series route
-        dim_half = 0
-        new_dim, _ = dimension_identities(a.dim, shape.dim, dim_half, trunc)
-        add("dimension-formula", sc.expect_new_dim, new_dim)
-
+        # the lattice checks bound the twisted sectors' lowest weights, which
+        # the dimension formula needs; they are reported after it
+        lattice_checks = []
         if sc.lattice:
-            checks.extend(_lattice_checks(sc))
+            lattice_checks, sectors_above_half = _lattice_checks(sc)
+            half_excluded = half_excluded or sectors_above_half
+
+        # the dimension formula, closed form cross-checked against the series
+        # route; the half-graded part is 0 only where a check above proved it
+        new_dim, _ = dimension_identities(a.dim, shape.dim, 0, trunc)
+        add("dimension-formula", sc.expect_new_dim,
+            new_dim if half_excluded else
+            f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
+            " every twisted weight > 1/2")
+        checks.extend(lattice_checks)
 
         # identification of the new weight-one algebra
         found = identify(a.rank, new_dim, [(s.type, s.level) for s in seeds])
@@ -400,9 +407,10 @@ def _lattice_checks(sc: Scenario):
     ]
     untwisted_min = mn / 2  # weight of a pure lattice vector under the twist
     overall = min([untwisted_min] + sector_mins)
+    sectors_above_half = min(sector_mins) > Fraction(1, 2)
     add("twisted-minimum-weight", "1 (vacuum) with all sectors > 1/2",
         "1 (vacuum) with all sectors > 1/2"
-        if min(sector_mins) > Fraction(1, 2) and untwisted_min >= 1 and overall >= 1
+        if sectors_above_half and untwisted_min >= 1 and overall >= 1
         else f"untwisted {untwisted_min}, sectors {sector_mins}")
     shape = lat.fixed_shape_A45(h)
     add("lattice-fixed-shape", sc.expect_fixed, shape)
@@ -411,7 +419,7 @@ def _lattice_checks(sc: Scenario):
     in_proj = lat.projected_form_ok(lat.project_fixed(minus_h)) and lat.projected_form_ok(minus_h)
     add("cartan-weight-exclusion", "-h is not a spectrum weight",
         "-h is not a spectrum weight" if not in_proj else "occurs")
-    return checks
+    return checks, sectors_above_half
 
 
 def run_all(scenarios) -> list[Report]:

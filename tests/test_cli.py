@@ -195,3 +195,41 @@ def test_misspelled_key_is_rejected(tmp_path):
     proc = run_cli("run", "--dir", str(tmp_path))
     assert proc.returncode == 2
     assert "table_max_wieght" in proc.stderr
+
+
+# h = Lambda_1/2 on E6 alone: the vacuum reaches twisted weight exactly 1/2,
+# so nothing proves that the half-graded part vanishes
+HALF_TEXT = """name: half
+factor: E6 3
+factor: G2 1
+factor: G2 1
+factor: G2 1
+h: 1/2 0 0 0 0 0 | 0 0 | 0 0 | 0 0
+expect_h_norm: 1
+table_max_weight: 3
+expect_table_counts: 0:1 2:9 3:2
+expect_fixed: D5,3 G2,1^3 U(1)
+expect_fixed_dim: 88
+expect_new_dim: 168
+expect_shape: E7,3 A5,1
+"""
+
+
+@pytest.mark.parametrize("text", [
+    HALF_TEXT,
+    # without a table no check bounds the twisted weights at all
+    HALF_TEXT.replace("table_max_weight: 3\n", "").replace("expect_table_counts: 0:1 2:9 3:2\n", ""),
+])
+def test_dimension_formula_fails_unless_half_graded_part_is_proved_zero(text):
+    from orbifold24.scenarios import run_scenario
+
+    rep = run_scenario(parse_scenario(text))
+    assert rep.status == "fail"
+    checks = {c.name: c for c in rep.checks}
+    if "twisted-weights-exclude-half" in checks:
+        assert checks["twisted-weights-exclude-half"].actual == "minimum 1/2"
+    dim = checks["dimension-formula"]
+    # the formula's value matches the expectation, but it rests on an unproven
+    # assumption, so the check must not pass
+    assert not dim.ok
+    assert dim.actual.startswith("unproven: 168 assumes dim V_1/2 = 0")

@@ -166,6 +166,43 @@ def test_lattice_roots(N):
     roots = N.roots()
     assert len(roots) == 120
     assert all(vec_norm(r) == 2 for r in roots)
+    assert roots == tuple(v for v in N.vectors_of_norm_at_most(2) if vec_norm(v) == 2)
+
+
+def det_fraction(M) -> Fraction:
+    """Oracle: the determinant by Gaussian elimination in Fractions."""
+    M = [[Fraction(x) for x in row] for row in M]
+    n = len(M)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(col + 1, n):
+            if M[r][col]:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return det
+
+
+def test_gram_determinant_matches_fraction_oracle(N):
+    gram = [[int(v) for v in row] for row in N.gram]
+    assert lattice._det_bareiss(gram) == det_fraction(gram) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_bareiss_matches_fraction_oracle(M):
+    # small entries make zero pivots (row swaps) and singular matrices common
+    assert lattice._det_bareiss(M) == det_fraction(M)
 
 
 def test_lattice_membership_example(N):

@@ -1,12 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from orbifold24 import orbifold
 from orbifold24.affine import HVector, ProductAlgebra
 from orbifold24.orbifold import (
     OrbifoldError,
+    SeedSubalgebra,
     SemisimpleShape,
+    _cartan_permutation_match,
+    _shape_sort_key,
     assemble_root_subsystem,
+    classify_simple_system,
     embeds,
     factor_root,
     fixed_subalgebra,
@@ -14,10 +21,12 @@ from orbifold24.orbifold import (
     invariant_pairing,
     level_transfer,
     negate,
+    plain_pairing,
+    seeds_meeting,
     twisted_sector_roots,
     verlinde_simple_current,
 )
-from orbifold24.rootsys import SimpleType
+from orbifold24.rootsys import RootSystemError, SimpleType, build_root_datum
 
 F = Fraction
 T = SimpleType.parse
@@ -385,3 +394,244 @@ def test_level_transfer_matches_component_levels(name):
         factor = next(i for i, comp in enumerate(first) if any(comp))
         ambient_level = a.factors[factor][1]
         assert level_transfer(s.long_norm_ambient, ambient_level) == s.level
+
+
+# -- the Fraction oracle for the integer root-set path ---------------------------
+#
+# The component split, the simple-system extraction and the classification
+# on Fraction product weights under invariant_pairing: the oracle for the
+# integer path of fixed_subalgebra and assemble_root_subsystem.
+
+
+def oracle_classify_simple_system(simple_gram):
+    n = len(simple_gram)
+    C = [[2 * simple_gram[i][j] / simple_gram[i][i] for j in range(n)] for i in range(n)]
+    if any(v.denominator != 1 for row in C for v in row):
+        raise OrbifoldError("not a crystallographic simple system")
+    C = [[int(v) for v in row] for row in C]
+    for letter in "ACBDEFG":
+        try:
+            t = SimpleType(letter, n)
+        except RootSystemError:
+            continue
+        if _cartan_permutation_match(C, build_root_datum(t).cartan):
+            return t
+    raise OrbifoldError(f"Cartan matrix {C} matches no simple type")
+
+
+def oracle_extract_simple_system(roots):
+    root_set = set(roots)
+    if root_set != {negate(r) for r in root_set}:
+        raise OrbifoldError("root set is not closed under negation")
+    flat = {r: tuple(c for comp in r for c in comp) for r in roots}
+    positive = [r for r in roots if flat[r] > tuple(-c for c in flat[r])]
+    pos_set = set(positive)
+    simple = []
+    for r in positive:
+        decomposable = any(
+            tuple(tuple(a - b for a, b in zip(cr, cs)) for cr, cs in zip(r, s)) in pos_set
+            for s in positive
+            if s != r
+        )
+        if not decomposable:
+            simple.append(r)
+    simple.sort(key=lambda r: flat[r])
+    return simple
+
+
+def oracle_classify_component(a, roots):
+    form = lambda x, y: invariant_pairing(a, x, y)
+    simple = oracle_extract_simple_system(roots)
+    t = oracle_classify_simple_system([[form(x, y) for y in simple] for x in simple])
+    if len(roots) != t.num_roots:
+        raise OrbifoldError(f"component classified as {t} but has {len(roots)} roots")
+    level = 2 / max(form(r, r) for r in roots)
+    if level.denominator != 1 or level < 1:
+        raise OrbifoldError(f"component of type {t} has non-integral level {level}")
+    long_plain = max(plain_pairing(a, r, r) for r in roots)
+    return SeedSubalgebra(t, int(level), tuple(simple), tuple(sorted(roots)), long_plain)
+
+
+def oracle_components(a, roots):
+    roots = sorted(roots)
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, r in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            if invariant_pairing(a, r, roots[j]) != 0:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+    return [sorted(g) for g in groups.values()]
+
+
+def oracle_fixed_subalgebra(a, h):
+    fixed = []
+    for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
+        for alpha, val in zip(d.roots, d.pair_with_roots(comp)):
+            if (2 * val).denominator != 1:
+                raise OrbifoldError(f"(h|alpha) = {val} is not half-integral on factor {t}")
+            if val.denominator == 1:
+                fixed.append(factor_root(a, i, alpha))
+    seeds = [oracle_classify_component(a, comp) for comp in oracle_components(a, fixed)]
+    seeds.sort(key=lambda s: (_shape_sort_key((s.type, s.level)), s.simple_roots))
+    center = a.rank - sum(s.type.rank for s in seeds)
+    return SemisimpleShape(tuple((s.type, s.level) for s in seeds), center), seeds
+
+
+def oracle_assemble(a, fixed_roots, twisted_roots):
+    roots = sorted(set(fixed_roots) | set(twisted_roots))
+    root_set = set(roots)
+    for r in roots:
+        if negate(r) not in root_set:
+            raise OrbifoldError(f"root set not closed under negation at {r}")
+    for r in roots:
+        nr = invariant_pairing(a, r, r)
+        for s in roots:
+            c = 2 * invariant_pairing(a, r, s) / nr
+            if c.denominator != 1:
+                raise OrbifoldError(f"non-crystallographic pair {r}, {s}")
+            refl = tuple(tuple(sx - c * rx for sx, rx in zip(cs, cr)) for cs, cr in zip(s, r))
+            if c and refl not in root_set:
+                raise OrbifoldError(f"not a root system: reflection of {s} in {r} escapes the set")
+    if len(oracle_components(a, roots)) != 1:
+        raise OrbifoldError("assembled set splits")
+    return oracle_classify_component(a, roots)
+
+
+# -- the integer path against the oracle -------------------------------------------
+
+LOW_RANK_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+HIGH_RANK_TYPES = ["A9", "B10", "C9", "D11"]
+
+
+@st.composite
+def twist(draw, t):
+    """A dominant h with (h|alpha_j) in {0, 1/2, 1}, not all 0, and
+    (h|theta) <= 1, moved by a random Weyl word."""
+    d = build_root_datum(t)
+    p = [0] * d.rank  # 2 (h|alpha_j)
+    budget = 2  # 2 (h|theta) <= 2
+    for j in draw(st.permutations(range(d.rank))):
+        p[j] = draw(st.sampled_from([v for v in (0, 1, 2) if d.theta[j] * v <= budget]))
+        budget -= d.theta[j] * p[j]
+    assume(any(p))
+    # Dynkin label of h: (h|alpha_j) / ((alpha_j|alpha_j)/2)
+    h = d.weight_from_fundamental([F(x) / d.norms[j] for j, x in enumerate(p)])
+    for i in draw(st.lists(st.integers(0, d.rank - 1), max_size=2 * d.rank)):
+        h = d.reflect(h, i)
+    return h
+
+
+@st.composite
+def twisted_algebras(draw, names, factors):
+    """A product of `factors` types drawn from names, at distinct levels if
+    there are several, with an h drawn factor by factor."""
+    types = [SimpleType.parse(draw(st.sampled_from(names))) for _ in range(factors)]
+    levels = draw(st.permutations([1, 2, 3]))[:factors] if factors > 1 else [draw(st.integers(1, 3))]
+    a = ProductAlgebra(tuple(zip(types, levels)))
+    return a, HVector(a, tuple(draw(twist(t)) for t in types))
+
+
+def check_against_oracle(a, h):
+    shape, seeds = fixed_subalgebra(a, h)
+    want_shape, want_seeds = oracle_fixed_subalgebra(a, h)
+    assert shape == want_shape
+    assert [(s.type, s.level) for s in seeds] == [(s.type, s.level) for s in want_seeds]
+    for s, w in zip(seeds, want_seeds):
+        assert s.simple_roots == w.simple_roots
+        assert s.roots == w.roots
+        assert s.long_norm_ambient == w.long_norm_ambient
+    return seeds
+
+
+@pytest.mark.parametrize("name", LOW_RANK_TYPES)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_fixed_subalgebra_matches_oracle_up_to_rank_8(name, data):
+    check_against_oracle(*data.draw(twisted_algebras([name], 1)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(twisted_algebras(HIGH_RANK_TYPES, 1))
+def test_fixed_subalgebra_matches_oracle_at_high_rank(case):
+    check_against_oracle(*case)
+
+
+@settings(max_examples=15, deadline=None)
+@given(twisted_algebras([n for n in LOW_RANK_TYPES if int(n[1:]) <= 5], 2))
+def test_fixed_subalgebra_matches_oracle_on_products(case):
+    a, h = case
+    seeds = check_against_oracle(a, h)
+    # every seed is a root system on its own, under the block-diagonal form
+    # of the whole product, and meets only itself
+    for s in seeds:
+        assert assemble_root_subsystem(a, s.roots, []) == s
+        assert seeds_meeting(a, seeds, s.roots[:1]) == [s]
+
+
+def test_assemble_matches_oracle_on_m1_twisted_data():
+    a, h, bases, _ = m1_twisted_data()
+    _, seeds = fixed_subalgebra(a, h)
+    tw = twisted_sector_roots(a, h, bases)
+    tw = tw + [negate(t) for t in tw]
+    joined = [
+        s for s in seeds if any(invariant_pairing(a, r, t) != 0 for r in s.roots for t in tw)
+    ]
+    assert seeds_meeting(a, seeds, tw) == joined
+    fixed = [r for s in joined for r in s.roots]
+    assert assemble_root_subsystem(a, fixed, tw) == oracle_assemble(a, fixed, tw)
+    for broken in ([fixed, tw[:4]], [fixed[2:], tw]):
+        with pytest.raises(OrbifoldError):
+            oracle_assemble(a, *broken)
+        with pytest.raises(OrbifoldError):
+            assemble_root_subsystem(a, *broken)
+
+
+def test_fixed_subalgebra_builds_only_root_data_it_can_match(monkeypatch):
+    # a candidate type whose root count differs from the component's cannot
+    # match, so its root datum must not be built
+    built = []
+    real = orbifold.build_root_datum
+    monkeypatch.setattr(orbifold, "build_root_datum", lambda t: built.append(t) or real(t))
+    counts = set()
+    for name in ("M2", "M4"):
+        _, seeds = fixed_subalgebra(*SCENARIOS[name])
+        counts |= {len(s.roots) for s in seeds}
+    assert built
+    assert [t for t in built if t.num_roots not in counts] == []
+
+
+def test_classify_simple_system_rejects_non_crystallographic_gram():
+    with pytest.raises(OrbifoldError, match="not a crystallographic"):
+        classify_simple_system([[2, -1], [-1, 3]], 6)
+
+
+@pytest.mark.parametrize("gram,num_roots", [
+    ([[2, -2], [-2, 2]], 6),  # affine A1: Cartan entries -2, -2
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 12),  # affine A2: a triangle
+    ([[2, -1], [-1, 2]], 8),  # A2's Cartan matrix with a count no rank-2 type has
+])
+def test_classify_simple_system_rejects_unmatched_cartan(gram, num_roots):
+    with pytest.raises(OrbifoldError, match="matches no simple type"):
+        classify_simple_system(gram, num_roots)
+
+
+def test_classify_simple_system_names():
+    assert classify_simple_system([[2, -1], [-1, 2]], 6) == T("A2")
+    assert classify_simple_system([[2, -3], [-3, 6]], 12) == T("G2")  # G2 at scale 3
+    assert classify_simple_system([[4, -2], [-2, 2]], 8) == T("C2")  # B2 reads as C2
