@@ -1,10 +1,15 @@
 """Irreducible modules of simple affine vertex algebras at positive integral level.
 
-A module label is a dominant integral weight lambda with (theta|lambda) <= k.
-The lowest conformal weight is (lambda+2rho|lambda) / (2(k+h_vee)); under the
-inner twist by a Cartan element h it shifts to
+A module label is a dominant integral weight lambda, given by its Dynkin
+labels, with (theta|lambda) <= k.  The lowest conformal weight is
+(lambda+2rho|lambda) / (2(k+h_vee)); under the inner twist by a Cartan
+element h it shifts to
 
     conformal_weight + min{(h|mu) : mu in the weight support of lambda} + k(h|h)/2.
+
+Everything per module runs on its labels in integers: the conformal weight
+through the fundamental-weight pairings of the root datum, the minimum as
+-(lambda|dom(-h)), with dom(-h) computed once per (root datum, h).
 
 Product algebras (tensor products of simple affine factors) carry one label
 and one h-component per factor; all quantities add over the factors.
@@ -14,15 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .rootsys import (
+    IntWeight,
     RootDatum,
     RootSystemError,
     SimpleType,
     Vec,
     build_root_datum,
-    min_pairing,
+    label_pairing,
 )
 
 
@@ -38,10 +46,9 @@ class AffineLabel:
         if self.level < 1:
             raise RootSystemError("level must be a positive integer")
         d = self.datum
-        if len(self.coeffs) != d.rank or any(c < 0 for c in self.coeffs):
+        if len(self.coeffs) != d.rank or any(not isinstance(c, int) or c < 0 for c in self.coeffs):
             raise RootSystemError(f"bad weight coefficients {self.coeffs} for {self.type}")
-        lam = d.weight_from_fundamental(self.coeffs)
-        if d.pair(d.theta, lam) > self.level:
+        if sum(map(mul, d.comarks, self.coeffs)) > self.level:
             raise RootSystemError(
                 f"{self.type} weight {self.coeffs} not admissible at level {self.level}"
             )
@@ -63,10 +70,8 @@ def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:
     if k < 1:
         raise RootSystemError("level must be a positive integer")
     d = build_root_datum(t)
-    # (theta | lambda) = sum_i c_i (theta | Lambda_i); the marks are integers here
-    marks = [d.pair(d.theta, w) for w in d.fundamental_weights]
-    assert all(m.denominator == 1 for m in marks)
-    marks = [int(m) for m in marks]
+    # (theta | lambda) = sum_i c_i (theta | Lambda_i), the integer comarks
+    marks = d.comarks
     labels = []
 
     def rec(idx, budget, acc):
@@ -82,21 +87,36 @@ def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:
 
 
 def conformal_weight(m: AffineLabel) -> Fraction:
-    """Lowest L(0)-weight of the module: (lambda+2rho|lambda)/(2(k+h_vee))."""
+    """Lowest L(0)-weight of the module: (lambda+2rho|lambda)/(2(k+h_vee)).
+
+    rho has every label 1, so on labels c this is
+    sum_ij (c_i + 2) F_ij c_j / (N 2(k+h_vee)) with F / N the pairings of
+    the fundamental weights.
+    """
     d = m.datum
-    lam = m.weight
-    lam2rho = tuple(a + 2 * b for a, b in zip(lam, d.rho))
-    return d.pair(lam2rho, lam) / (2 * (m.level + d.dual_coxeter))
+    c = m.coeffs
+    num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
+    return Fraction(num, d.fund_gram_den * 2 * (m.level + d.dual_coxeter))
+
+
+@lru_cache(maxsize=1024)
+def _twist(d: RootDatum, h: Vec) -> tuple[IntWeight, Fraction, bool]:
+    """What every module of one factor shares under the twist by h:
+    dom(-h), (h|h), and whether (h|alpha) >= -1 on every root."""
+    x = d.integral(h)
+    floor = -x.den * d.scale
+    above = all(sum(map(mul, x.coords, row)) >= floor for row in d.root_rows)
+    return d.dominant_int(tuple(-v for v in h)), d.pair(h, h), above
 
 
 def twisted_lowest(m: AffineLabel, h: Vec) -> Fraction:
-    """Lowest L(0)-weight of the module twisted by the inner automorphism of h."""
+    """Lowest L(0)-weight of the module twisted by the inner automorphism of h.
+
+    The minimum of (h|mu) over the support is -(lambda|dom(-h)).
+    """
     d = m.datum
-    return (
-        conformal_weight(m)
-        + min_pairing(d, h, m.weight)
-        + Fraction(m.level) * d.pair(h, h) / 2
-    )
+    neg_dom, hh, _ = _twist(d, tuple(h))
+    return conformal_weight(m) - label_pairing(d, m.coeffs, neg_dom) + m.level * hh / 2
 
 
 @dataclass(frozen=True)
@@ -116,7 +136,8 @@ def twisted_positivity_certificate(m: AffineLabel, h: Vec) -> TwistClassificatio
     outcome rather than silently classified.
     """
     d = m.datum
-    if any(v < -1 for v in d.pair_with_roots(h)):
+    neg_dom, _, above = _twist(d, tuple(h))
+    if not above:
         return TwistClassification("precondition_violated")
     val = twisted_lowest(m, h)
     if val > 0:
@@ -125,10 +146,13 @@ def twisted_positivity_certificate(m: AffineLabel, h: Vec) -> TwistClassificatio
         return TwistClassification("negative_violation", val)
     if all(c == 0 for c in m.coeffs) and all(x == 0 for x in h):
         return TwistClassification("zero_with_witness", val, "vacuum")
-    minus_kh = tuple(-m.level * x for x in h)
+    # dom(-k h) = k dom(-h); compare its labels with lambda
+    k = m.level
     for j in range(d.rank):
-        lam_j = tuple(m.level if i == j else 0 for i in range(d.rank))
-        if m.coeffs == lam_j and d.dominant_conjugate(minus_kh) == m.weight:
+        lam_j = tuple(k if i == j else 0 for i in range(d.rank))
+        if m.coeffs == lam_j and all(
+            k * x == neg_dom.den * c for x, c in zip(neg_dom.labels, m.coeffs)
+        ):
             return TwistClassification("zero_with_witness", val, f"j={j + 1}")
     return TwistClassification("negative_violation", val, "zero without witness")
 
@@ -252,13 +276,14 @@ def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
 
 def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
     """(h|lambda) in Z/2 for all listed highest weights and (h|alpha) in Z/2 for all roots."""
-    for (t, _), comp in zip(a.factors, h.components):
-        if any((2 * v).denominator != 1 for v in build_root_datum(t).pair_with_roots(comp)):
+    for d, comp in zip(a.data, h.components):
+        if any((2 * v).denominator != 1 for v in d.pair_with_roots(comp)):
             return False
+    hs = [d.integral(comp) for d, comp in zip(a.data, h.components)]
     for m in labels:
         val = Fraction(0)
-        for label, comp in zip(m.labels, h.components):
-            val += label.datum.pair(comp, label.weight)
+        for label, x in zip(m.labels, hs):
+            val += label_pairing(label.datum, label.coeffs, x)
         if (2 * val).denominator != 1:
             return False
     return True

@@ -329,7 +329,7 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
             ty, level, simple, long_norm = _classify(
                 [vecs[p] for p in part], [rows[p] for p in part], d.scale * k
             )
-            roots = [factor_root(a, i, d.roots[fixed[p]]) for p in part]
+            roots = [factor_root(a, i, tuple(map(Fraction, d.iroots[fixed[p]]))) for p in part]
             seeds.append(SeedSubalgebra(
                 ty, level, tuple(roots[s] for s in simple), tuple(roots),
                 Fraction(long_norm, d.scale),

@@ -243,19 +243,43 @@ def eta24(scale, trunc: int) -> QSeries:
     return QSeries(2, coeffs, trunc)
 
 
-def hauptmodul(trunc: int) -> QSeries:
-    """The hauptmodul f = eta(tau)^24 / eta(2 tau)^24 = q^-1 - 24 + 276 q + ..."""
+def _frozen(s: QSeries) -> tuple:
+    """The parts of s as an immutable tuple, safe to share from a cache."""
+    return s.denom, tuple(s.coeffs.items()), s.trunc
+
+
+@lru_cache(maxsize=None)
+def _hauptmodul_frozen(trunc: int) -> tuple:
     window = trunc + 4  # room for the q^-1 shift
-    return eta24(1, window) * eta24(2, window).inverse()
+    return _frozen(eta24(1, window) * eta24(2, window).inverse())
+
+
+@lru_cache(maxsize=None)
+def _hauptmodul_S_power_frozen(n: int, trunc: int) -> tuple:
+    window = trunc + 4 * abs(n)
+    base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
+    return _frozen(Fraction(2**12) ** n * base**n)
+
+
+def hauptmodul(trunc: int) -> QSeries:
+    """The hauptmodul f = eta(tau)^24 / eta(2 tau)^24 = q^-1 - 24 + 276 q + ...
+
+    The coefficients are cached per truncation; each call returns a new
+    series, so a caller that changes it changes no later result.
+    """
+    denom, terms, t = _hauptmodul_frozen(trunc)
+    return QSeries(denom, dict(terms), t)
 
 
 def hauptmodul_S_power(n: int, trunc: int) -> QSeries:
-    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}."""
+    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}.
+
+    Cached as hauptmodul is; each call returns a new series.
+    """
     if n not in (1, -1, -2):
         raise QSeriesError("supported powers are 1, -1, -2")
-    window = trunc + 4 * abs(n)
-    base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
-    return Fraction(2**12) ** n * base**n
+    denom, terms, t = _hauptmodul_S_power_frozen(n, trunc)
+    return QSeries(denom, dict(terms), t)
 
 
 def t_transform(s: QSeries) -> QSeries:

@@ -1,19 +1,43 @@
 """Exact models of the finite simple root systems (ranks up to 12).
 
-Everything is computed exactly.  Vectors live in the basis of simple
-roots, so roots have integer coordinates and all pairings are computed
-through the Gram matrix of the simple roots.  The invariant form is
-normalized so that long roots have squared length 2 (hence short roots have
-squared length 1, or 2/3 for G2).
+Everything is computed exactly, and in integers.  The native weight is
+its vector of Dynkin labels <x, alpha_i^vee>; a weight that is not
+integral carries one denominator, so a weight is an `IntWeight`: den,
+den * (root coordinates) and den * (Dynkin labels).  The invariant form is
+normalized so that long roots have squared length 2 (hence short roots
+have squared length 1, or 2/3 for G2).
 
-Pairings run in one integer kernel: each RootDatum scales its Gram matrix
-by the lcm of its denominators (1 for A/B/D/E and C2, 2 for C_n with n >= 3
-and F4, 3 for G2).  `pair` clears the denominators of both vectors, takes
-one integer product against scale * gram and divides once, so its result is
-the exact rational (u|v).  The integer row alpha.(scale gram) of every root
-is kept, so (v|alpha) for all roots is one integer dot product per root.
-The Weyl dimension formula runs in integers on the coroot coordinates of
-the positive roots.
+Each RootDatum holds only integer data: the Cartan matrix, scale * gram
+(scale is the lcm of the Gram denominators: 1 for A/B/D/E and C2, 2 for
+C_n with n >= 3 and F4, 3 for G2), the roots `iroots` in root coordinates
+with their rows alpha.(scale gram), the fundamental weights in root
+coordinates over one denominator, the matrix of their pairings
+(Lambda_i|Lambda_j) over one denominator (both from a fraction-free
+inverse of the Cartan matrix), and the comarks (theta|Lambda_j).
+
+On labels the kernels are short integer products:
+
+* `dominant_int` walks the labels to the dominant Weyl conjugate: while a
+  label m_i is negative, reflect in alpha_i (the root coordinate i rises
+  by -m_i and the labels move by -m_i times column i of the Cartan
+  matrix);
+* (lambda|x) = sum_j lambda_j x_j (alpha_j|alpha_j)/2 for lambda given by
+  its labels and x by its root coordinates (`label_pairing`), which gives
+  min_pairing = -(lambda|dom(-h));
+* lambda - x in Q+ is read off the root coordinates of lambda, the
+  integer combination of the fundamental weights (`dominates`), which
+  gives support_contains;
+* the roots are the Weyl orbits of the dominant roots, walked on labels
+  by Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): from
+  an element with m_i > 0, step to s_i of it only when no label before i
+  goes negative, so each orbit element is reached exactly once.
+
+`Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
+public functions (`pair`, `pair_with_roots`, `weight_from_fundamental`,
+`dominant_conjugate`, `min_pairing`, `support_contains`,
+`weight_support`, `weyl_dimension`) take and give Vecs and convert once,
+and the `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
+`fundamental_weights`, `rho` and `theta` are derived on each access.
 
 Simple-root numbering follows the Bourbaki tables, which is also the
 numbering used by the explicit Gram matrices this package has to match
@@ -26,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 Vec = tuple[Fraction, ...]
@@ -62,6 +86,40 @@ def _to_integral(v) -> tuple[int, tuple[int, ...]]:
     """(D, D*v) for a rational vector v, with D the lcm of its denominators."""
     D = lcm(*(x.denominator for x in v))
     return D, tuple(x.numerator * (D // x.denominator) for x in v)
+
+
+class IntWeight:
+    """A weight x in integers: den > 0, den * (root coordinates of x) and
+    den * (Dynkin labels of x)."""
+
+    __slots__ = ("den", "coords", "labels")
+
+    def __init__(self, den: int, coords: tuple[int, ...], labels: tuple[int, ...]):
+        self.den, self.coords, self.labels = den, coords, labels
+
+
+def _bareiss_inverse(M: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(p, R) with M^-1 = R / p, for an invertible integer matrix M.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I]: every
+    division is exact, as after step k each entry is a minor of the
+    augmented matrix, and at the end the left block is p times the identity.
+    """
+    n = len(M)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k]), None)
+        if piv is None:
+            raise RootSystemError("singular matrix")
+        A[k], A[piv] = A[piv], A[k]
+        top, pk = A[k], A[k][k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(pk * a - f * b) // prev for a, b in zip(A[i], top)]
+        prev = pk
+    return prev, [row[n:] for row in A]
 
 
 @dataclass(frozen=True, order=True)
@@ -165,22 +223,23 @@ def _gram_matrix(t: SimpleType) -> list[list[Fraction]]:
 class RootDatum:
     """A simple root system with exact pairings, roots and weight data.
 
-    Attributes:
+    Attributes (all integer except gram and norms):
         type: the SimpleType.
-        gram: Gram matrix of the simple roots.
-        cartan: integer Cartan matrix a[i][j] = 2(alpha_i|alpha_j)/(alpha_i|alpha_i).
-        roots: all roots, integer coordinates in the simple-root basis.
-        fundamental_weights: Lambda_1..Lambda_n in the simple-root basis.
-        rho: half-sum of positive roots (= sum of fundamental weights).
-        theta: the highest root.
+        gram: Gram matrix of the simple roots; norms: its diagonal.
+        cartan: the Cartan matrix a[i][j] = 2(alpha_i|alpha_j)/(alpha_i|alpha_i),
+            so the labels of x are cartan times its root coordinates.
         dual_coxeter: the dual Coxeter number.
         scale: lcm of the Gram denominators (1 for A/B/D/E and C2, 2 for
             C_n with n >= 3 and F4, 3 for G2).
         igram: the integer matrix scale * gram.
-        iroots: the roots as integer tuples, in the order of roots.
-        root_rows: alpha.igram for every root alpha, in the order of roots.
+        iroots: the roots in root coordinates, sorted.
+        root_rows: alpha.igram for every root alpha, in the order of iroots.
         positive_coroots: alpha^vee of every positive root in the basis of
-            simple coroots, in the order of positive_roots.
+            simple coroots, in the order of the positive roots in iroots.
+        fund_den, fund_coords: Lambda_j = fund_coords[j] / fund_den in root
+            coordinates.
+        fund_gram_den, fund_gram: (Lambda_i|Lambda_j) = fund_gram[i][j] / fund_gram_den.
+        comarks: (theta|Lambda_j), so (theta|lambda) = comarks . labels.
     """
 
     def __init__(self, t: SimpleType):
@@ -191,32 +250,46 @@ class RootDatum:
         self.norms = [self.gram[i][i] for i in range(n)]
         self.scale = lcm(*(g.denominator for row in self.gram for g in row))
         self.igram = [[int(g * self.scale) for g in row] for row in self.gram]
-        cartan = [[2 * self.gram[i][j] / self.gram[i][i] for j in range(n)] for i in range(n)]
-        assert all(v.denominator == 1 for row in cartan for v in row)
-        self.cartan = [[int(v) for v in row] for row in cartan]
-
-        self.simple_roots: list[Vec] = [
-            tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)
+        assert all(2 * g % row[i] == 0 for i, row in enumerate(self.igram) for g in row)
+        self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(self.igram)]
+        # column i of the Cartan matrix (the labels of alpha_i), its non-zero entries
+        self._columns = [
+            tuple((j, row[i]) for j, row in enumerate(self.cartan) if row[i]) for i in range(n)
         ]
-        # every root is W-conjugate to a simple root of the same length
-        by_length = {norm: a for norm, a in zip(self.norms, self.simple_roots)}
-        self.roots: list[Vec] = sorted(set().union(*map(self.weyl_orbit, by_length.values())))
-        if len(self.roots) != t.num_roots:
-            raise RootSystemError(
-                f"{t}: generated {len(self.roots)} roots, expected {t.num_roots}"
-            )
-        self.fundamental_weights: list[Vec] = [
-            self._solve_gram([self.gram[i][i] / 2 if i == j else Fraction(0) for i in range(n)])
-            for j in range(n)
-        ]
-        self.rho: Vec = tuple(sum(w[i] for w in self.fundamental_weights) for i in range(n))
-        self.theta: Vec = self.dominant_conjugate(by_length[max(by_length)])
-        hv = 1 + self.pair(self.rho, self.theta)
-        assert hv.denominator == 1 and int(hv) == t.dual_coxeter
-        self.dual_coxeter = int(hv)
-        self.positive_roots = [r for r in self.roots if sum(r) > 0]
 
-        self.iroots = [tuple(map(int, r)) for r in self.roots]
+        # Lambda_j is column j of cartan^-1; (Lambda_i|Lambda_j) = (cartan^-1)_ij (alpha_i|alpha_i)/2
+        p, adj = _bareiss_inverse(self.cartan)
+        if p < 0:
+            p, adj = -p, [[-x for x in row] for row in adj]
+        g = gcd(p, *(x for row in adj for x in row))
+        self.fund_den = p // g
+        self.fund_coords = [tuple(row[j] // g for row in adj) for j in range(n)]
+        F = [[x * self.igram[i][i] for x in row] for i, row in enumerate(adj)]
+        N = 2 * self.scale * p
+        g = gcd(N, *(x for row in F for x in row))
+        self.fund_gram_den = N // g
+        self.fund_gram = [[x // g for x in row] for row in F]
+        assert all(F[i][j] == F[j][i] for i in range(n) for j in range(i))
+
+        # every root is W-conjugate to the dominant root of its length
+        by_length = {self.igram[i][i]: i for i in range(n)}
+        roots = []
+        for norm in sorted(by_length):
+            i = by_length[norm]
+            unit = tuple(int(j == i) for j in range(n))
+            top = self._dominant(IntWeight(1, unit, tuple(row[i] for row in self.cartan)))
+            roots.extend(self._orbit(top))
+        if len(roots) != t.num_roots:
+            raise RootSystemError(f"{t}: generated {len(roots)} roots, expected {t.num_roots}")
+        self.iroots = sorted(roots)
+        theta = top.coords  # the dominant root of the largest norm, the highest root
+        self.comarks = tuple(
+            x * self.igram[j][j] // (2 * self.scale) for j, x in enumerate(theta)
+        )
+        # h_vee = 1 + (rho|theta), and (rho|theta) is the sum of the comarks
+        assert 1 + sum(self.comarks) == t.dual_coxeter
+        self.dual_coxeter = t.dual_coxeter
+
         self.root_rows = [self.scaled_row(r) for r in self.iroots]
         # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee
         self.positive_coroots = []
@@ -227,7 +300,36 @@ class RootDatum:
                     tuple(a * self.igram[i][i] // norm for i, a in enumerate(r))
                 )
 
-    # -- linear algebra over the simple-root basis ------------------------
+    # -- the Fraction accessors, derived from the integer data --------------
+
+    @property
+    def roots(self) -> list[Vec]:
+        """All roots in the simple-root basis, sorted."""
+        return [tuple(map(Fraction, r)) for r in self.iroots]
+
+    @property
+    def positive_roots(self) -> list[Vec]:
+        return [tuple(map(Fraction, r)) for r in self.iroots if sum(r) > 0]
+
+    @property
+    def simple_roots(self) -> list[Vec]:
+        return [tuple(Fraction(int(j == i)) for j in range(self.rank)) for i in range(self.rank)]
+
+    @property
+    def fundamental_weights(self) -> list[Vec]:
+        return [tuple(Fraction(x, self.fund_den) for x in w) for w in self.fund_coords]
+
+    @property
+    def rho(self) -> Vec:
+        """Half the sum of the positive roots, the sum of the fundamental weights."""
+        return tuple(Fraction(sum(col), self.fund_den) for col in zip(*self.fund_coords))
+
+    @property
+    def theta(self) -> Vec:
+        """The highest root."""
+        return tuple(map(Fraction, max(self.iroots, key=sum)))
+
+    # -- pairings of Vecs ---------------------------------------------------
 
     def _require_rank(self, v) -> None:
         if len(v) != self.rank:
@@ -247,37 +349,13 @@ class RootDatum:
         """<v, alpha_i^vee> = 2(v|alpha_i)/(alpha_i|alpha_i)."""
         return sum((a * x for a, x in zip(self.cartan[i], v) if a and x), Fraction(0))
 
-    def reflect(self, v: Vec, i: int) -> Vec:
-        c = self.coroot_pairing(v, i)
-        if not c:
-            return v
-        out = list(v)
-        out[i] -= c
-        return tuple(out)
-
-    def _solve_gram(self, rhs: list[Fraction]) -> Vec:
-        n = self.rank
-        M = [row[:] + [rhs[i]] for i, row in enumerate(self.gram)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if M[r][col])
-            M[col], M[piv] = M[piv], M[col]
-            inv = 1 / M[col][col]
-            M[col] = [x * inv for x in M[col]]
-            for r in range(n):
-                if r != col and M[r][col]:
-                    f = M[r][col]
-                    M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-        return tuple(M[i][n] for i in range(n))
-
-    # -- the integer kernel ------------------------------------------------
-
     def scaled_row(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """w.igram for an integer vector w."""
         self._require_rank(w)
         return tuple(sum(map(mul, w, col)) for col in self.igram)
 
     def pair_with_roots(self, v: Vec) -> list[Fraction]:
-        """(v|alpha) for every root alpha, in the order of roots."""
+        """(v|alpha) for every root alpha, in the order of iroots."""
         self._require_rank(v)
         den, w = _to_integral(v)
         den *= self.scale
@@ -285,49 +363,78 @@ class RootDatum:
 
     # -- weights -----------------------------------------------------------
 
-    def weight_from_fundamental(self, coeffs) -> Vec:
-        n = self.rank
-        out = [Fraction(0)] * n
-        for j, c in enumerate(coeffs):
+    def integral(self, v: Vec) -> IntWeight:
+        """v with its denominators cleared, in root coordinates and labels."""
+        self._require_rank(v)
+        den, w = _to_integral(v)
+        return IntWeight(den, w, tuple(sum(map(mul, row, w)) for row in self.cartan))
+
+    def _label_coords(self, labels) -> list:
+        """fund_den times the root coordinates of the weight with the given
+        integer Dynkin labels."""
+        out = [0] * self.rank
+        for c, w in zip(labels, self.fund_coords):
             if c:
-                c = Fraction(c)
-                w = self.fundamental_weights[j]
-                for i in range(n):
-                    out[i] += c * w[i]
-        return tuple(out)
+                for i, x in enumerate(w):
+                    out[i] += c * x
+        return out
+
+    def weight_from_fundamental(self, coeffs) -> Vec:
+        """The Vec of the weight with the given (rational) Dynkin labels."""
+        self._require_rank(coeffs)
+        den, c = _to_integral(coeffs)
+        den *= self.fund_den
+        return tuple(Fraction(x, den) for x in self._label_coords(c))
 
     def weight_to_fundamental(self, v: Vec) -> Vec:
         self._require_rank(v)
         return tuple(self.coroot_pairing(v, i) for i in range(self.rank))
 
-    def weyl_orbit(self, v: Vec) -> set[Vec]:
-        seen = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for i in range(self.rank):
-                w = self.reflect(u, i)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def _dominant(self, x: IntWeight) -> IntWeight:
+        w, m = list(x.coords), list(x.labels)
+        while (i := next((i for i, c in enumerate(m) if c < 0), None)) is not None:
+            c = m[i]
+            w[i] -= c
+            for j, a in self._columns[i]:
+                m[j] -= c * a
+        return IntWeight(x.den, tuple(w), tuple(m))
 
-    def dominant_conjugate(self, v: Vec) -> Vec:
+    def dominant_int(self, v: Vec) -> IntWeight:
         """The dominant weight in the Weyl orbit of v.
 
-        Reflects in any simple root with a negative coroot pairing until
-        none is left; each step raises v by a positive multiple of a simple
-        root, so the walk ends at the unique dominant point of the orbit.
+        Reflects in any simple root with a negative label until none is
+        left; each step raises v by a positive multiple of a simple root,
+        so the walk ends at the unique dominant point of the orbit.
         """
-        v = list(v)
-        m = list(self.weight_to_fundamental(v))
-        while (i := next((i for i, x in enumerate(m) if x < 0), None)) is not None:
-            c = m[i]
-            v[i] -= c
-            for j, row in enumerate(self.cartan):
-                if row[i]:
-                    m[j] -= c * row[i]
-        return tuple(v)
+        return self._dominant(self.integral(v))
+
+    def dominant_conjugate(self, v: Vec) -> Vec:
+        x = self.dominant_int(v)
+        return tuple(Fraction(c, x.den) for c in x.coords)
+
+    def _orbit(self, top: IntWeight) -> list[tuple[int, ...]]:
+        """Root coordinates (times den) of the Weyl orbit of a dominant weight.
+
+        Snow's rule: every element but top has one parent, s_i of it for the
+        first i with a negative label, so a child s_i(mu) of mu (m_i > 0) is
+        taken only when its labels before i are all >= 0.
+        """
+        out = [top.coords]
+        stack = [(top.coords, top.labels)]
+        while stack:
+            w, m = stack.pop()
+            for i, c in enumerate(m):
+                if c > 0:
+                    m2 = list(m)
+                    for j, a in self._columns[i]:
+                        m2[j] -= c * a
+                    if all(x >= 0 for x in m2[:i]):
+                        w2 = list(w)
+                        w2[i] -= c
+                        w2 = tuple(w2)
+                        out.append(w2)
+                        stack.append((w2, m2))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -366,10 +473,11 @@ def _dominant_coefficient_states(d: RootDatum, lam_fund: tuple[int, ...]):
 
 
 def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
-    fund = d.weight_to_fundamental(lam)
-    if not all(c.denominator == 1 and c >= 0 for c in fund):
+    x = d.integral(lam)
+    if any(m < 0 or m % x.den for m in x.labels):
+        fund = tuple(Fraction(m, x.den) for m in x.labels)
         raise RootSystemError(f"{d.type}: weight {fund} is not dominant integral")
-    return tuple(int(c) for c in fund)
+    return tuple(m // x.den for m in x.labels)
 
 
 def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
@@ -404,6 +512,25 @@ def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     return {tuple(lam[j] - c[j] for j in range(n)) for c in seen}
 
 
+def label_pairing(d: RootDatum, labels, x: IntWeight) -> Fraction:
+    """(lambda|x) for lambda given by its labels: (lambda|alpha_j) is
+    lambda_j (alpha_j|alpha_j)/2, so this is one integer dot product with
+    the root coordinates of x."""
+    num = sum(c * w * d.igram[j][j] for j, (c, w) in enumerate(zip(labels, x.coords)) if c)
+    return Fraction(num, 2 * d.scale * x.den)
+
+
+def dominates(d: RootDatum, labels, x: IntWeight) -> bool:
+    """Whether lambda - x lies in Q+, for lambda given by its labels.
+
+    The root coordinates of lambda are sum_j lambda_j fund_coords[j] / fund_den;
+    every coordinate of the difference must be a non-negative integer.
+    """
+    N, D = d.fund_den, x.den
+    diffs = (D * l - N * y for l, y in zip(d._label_coords(labels), x.coords))
+    return all(z >= 0 and z % (N * D) == 0 for z in diffs)
+
+
 def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
     """Whether mu lies in the weight support of the module with highest weight lam.
 
@@ -414,10 +541,7 @@ def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
     W moves an integral weight only by roots and keeps a non-integral one
     non-integral, so one test of lam - dom(mu) answers both.
     """
-    lam_fund = _require_dominant_integral(d, lam)
-    lam = d.weight_from_fundamental(lam_fund)
-    diff = (l - m for l, m in zip(lam, d.dominant_conjugate(mu)))
-    return all(x.denominator == 1 and x >= 0 for x in diff)
+    return dominates(d, _require_dominant_integral(d, lam), d.dominant_int(mu))
 
 
 def weyl_dimension(d: RootDatum, lam: Vec) -> int:
@@ -443,6 +567,5 @@ def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
     the Weyl orbit of lam, and (x|lam) over the orbit of x is largest at
     the dominant conjugate of x.
     """
-    lam_fund = _require_dominant_integral(d, lam)
-    lam = d.weight_from_fundamental(lam_fund)
-    return -d.pair(lam, d.dominant_conjugate(tuple(-x for x in h)))
+    labels = _require_dominant_integral(d, lam)
+    return -label_pairing(d, labels, d.dominant_int(tuple(-x for x in h)))

@@ -36,7 +36,7 @@ from .orbifold import (
     verlinde_simple_current,
 )
 from .qseries import DEFAULT_TRUNC, dimension_identities
-from .rootsys import SimpleType, support_contains
+from .rootsys import SimpleType, dominates
 
 
 class ScenarioError(ValueError):
@@ -295,14 +295,12 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
                 "minimum > 1/2" if half_excluded else f"minimum {lows[0]}")
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
-            minus_kh = tuple(
-                tuple(-k * x for x in comp) for (_, k), comp in zip(a.factors, h.components)
-            )
+            doms = [
+                d.dominant_int(tuple(-k * x for x in comp))
+                for d, (_, k), comp in zip(a.data, a.factors, h.components)
+            ]
             occurs = any(
-                all(
-                    support_contains(d, lbl.labels[i].weight, minus_kh[i])
-                    for i, d in enumerate(a.data)
-                )
+                all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
                 for lbl in labels
             )
             add("cartan-weight-exclusion", "-k.h is not a module weight",

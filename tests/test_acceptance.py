@@ -7,6 +7,7 @@ means exact equality; each criterion prints its own pass/fail line.
 from contextlib import contextmanager
 from fractions import Fraction
 
+from fraction_oracle import reflect
 from orbifold24.affine import (
     HVector,
     ProductAlgebra,
@@ -254,7 +255,7 @@ def test_criterion_11_property_suites():
             d = build_root_datum(T(name))
             sup = weight_support(d, d.weight_from_fundamental([F(c) for c in coeffs]))
             for i in range(d.rank):
-                assert {d.reflect(mu, i) for mu in sup} == sup
+                assert {reflect(d, mu, i) for mu in sup} == sup
         # twisted lowest weights nonnegative across all modules of each scenario
         for name, factors, hlists, *_ in SCENARIO_DATA:
             a, h = scenario_h(factors, hlists)

@@ -14,9 +14,17 @@ from orbifold24.affine import (
     twisted_lowest,
     twisted_positivity_certificate,
 )
-from orbifold24 import rootsys
+from orbifold24 import affine, rootsys
 from orbifold24.cli import _bundled_scenarios, module_table_text, product_table_text
-from orbifold24.rootsys import RootDatum, RootSystemError, SimpleType, support_contains
+from orbifold24.scenarios import run_scenario
+from orbifold24.rootsys import (
+    RootDatum,
+    RootSystemError,
+    SimpleType,
+    build_root_datum,
+    min_pairing,
+    support_contains,
+)
 
 F = Fraction
 
@@ -270,3 +278,77 @@ def test_production_path_enumerates_no_support(monkeypatch):
                 twisted_lowest(m, h)
                 twisted_positivity_certificate(m, h)
                 support_contains(d, m.weight, minus_kh)
+
+
+def test_production_path_uses_only_the_integer_kernel(monkeypatch):
+    # the Fraction label conversions and the Fraction accessors of the root
+    # datum are boundary helpers: parsing and running all five bundled
+    # scenarios, with fresh root data and twist caches, reaches none of them
+    def boundary(*args):
+        raise AssertionError("Fraction boundary helper reached")
+
+    for name in ("coroot_pairing", "weight_to_fundamental", "dominant_conjugate"):
+        monkeypatch.setattr(RootDatum, name, boundary)
+    for name in ("roots", "positive_roots", "simple_roots", "fundamental_weights", "rho", "theta"):
+        monkeypatch.setattr(RootDatum, name, property(boundary))
+    rootsys.build_root_datum.cache_clear()
+    affine._twist.cache_clear()
+    try:
+        for sc in _bundled_scenarios():
+            rep = run_scenario(sc)
+            assert rep.passed, "\n".join(rep.lines())
+    finally:
+        # root data built under the patch are dropped with it
+        rootsys.build_root_datum.cache_clear()
+        affine._twist.cache_clear()
+
+
+# -- loud failures ------------------------------------------------------------------
+
+A2 = SimpleType.parse("A2")
+
+
+def a2_weight(*labels):
+    return build_root_datum(A2).weight_from_fundamental([F(c) for c in labels])
+
+
+BAD_QUERIES = {
+    # wrong arity of h, lambda or mu
+    "min_pairing h too short": lambda d: min_pairing(d, (F(1, 2),), a2_weight(1, 0)),
+    "min_pairing h too long": lambda d: min_pairing(d, (F(1, 2), F(0), F(0)), a2_weight(1, 0)),
+    "min_pairing lambda too short": lambda d: min_pairing(d, a2_weight(F(1, 2), 0), (F(1),)),
+    "support_contains lambda too short": lambda d: support_contains(d, (F(1),), a2_weight(1, 0)),
+    "support_contains mu too long": lambda d: support_contains(
+        d, a2_weight(1, 0), (F(0), F(0), F(1))),
+    "twisted_lowest h too short": lambda d: twisted_lowest(AffineLabel(A2, 1, (1, 0)), (F(1, 2),)),
+    "twisted_lowest h too long": lambda d: twisted_lowest(
+        AffineLabel(A2, 1, (1, 0)), (F(1, 2), F(0), F(0))),
+    "AffineLabel too few labels": lambda d: AffineLabel(A2, 1, (1,)),
+    # a non-integral lambda
+    "min_pairing lambda non-integral": lambda d: min_pairing(
+        d, a2_weight(F(1, 2), 0), a2_weight(F(1, 2), 0)),
+    "support_contains lambda non-integral": lambda d: support_contains(
+        d, a2_weight(F(1, 2), 0), a2_weight(0, 0)),
+    # a non-dominant lambda
+    "min_pairing lambda non-dominant": lambda d: min_pairing(
+        d, a2_weight(F(1, 2), 0), a2_weight(-1, 1)),
+    "support_contains lambda non-dominant": lambda d: support_contains(
+        d, a2_weight(-1, 1), a2_weight(0, 0)),
+    "AffineLabel non-dominant": lambda d: AffineLabel(A2, 1, (-1, 1)),
+    # an inadmissible label, which twisted_lowest can then never receive
+    "AffineLabel inadmissible": lambda d: AffineLabel(A2, 1, (1, 1)),
+    "twisted_lowest of an inadmissible label": lambda d: twisted_lowest(
+        AffineLabel(A2, 1, (2, 0)), a2_weight(F(1, 2), 0)),
+    "AffineLabel level 0": lambda d: AffineLabel(A2, 0, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+def test_bad_queries_raise(case):
+    with pytest.raises(RootSystemError):
+        BAD_QUERIES[case](build_root_datum(A2))
+
+
+def test_affine_label_rejects_non_integral_labels():
+    with pytest.raises(RootSystemError):
+        AffineLabel(A2, 1, (F(1, 2), 0))

@@ -69,6 +69,16 @@ def test_list_command():
     assert "lattice" in lines[4]
 
 
+@pytest.mark.parametrize(
+    "args,golden",
+    [(["run"], "run.txt"), (["run", "-v"], "run_v.txt"), (["run", "--json"], "run.json")],
+)
+def test_run_matches_golden(args, golden, capsys):
+    # the reports of the bundled scenarios, byte for byte, and the exit code
+    assert main(args) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 def test_dump_tables_matches_golden(tmp_path):
     proc = run_cli("dump-tables", "--out", str(tmp_path))
     assert proc.returncode == 0

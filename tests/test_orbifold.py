@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fraction_oracle import reflect
 from orbifold24 import orbifold
 from orbifold24.affine import HVector, ProductAlgebra
 from orbifold24.orbifold import (
@@ -533,7 +534,7 @@ def twist(draw, t):
     # Dynkin label of h: (h|alpha_j) / ((alpha_j|alpha_j)/2)
     h = d.weight_from_fundamental([F(x) / d.norms[j] for j, x in enumerate(p)])
     for i in draw(st.lists(st.integers(0, d.rank - 1), max_size=2 * d.rank)):
-        h = d.reflect(h, i)
+        h = reflect(d, h, i)
     return h
 
 

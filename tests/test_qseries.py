@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from orbifold24 import qseries
 from orbifold24.qseries import (
     C24_2,
     C48_2,
+    DEFAULT_TRUNC,
     DIM_CONSTANT,
     QSeries,
     QSeriesError,
@@ -207,3 +209,25 @@ def test_truncation_propagates():
     assert (a * b).trunc == 2
     with pytest.raises(QSeriesError):
         (a + b)[1]  # beyond truncation
+
+
+def test_cached_hauptmodul_series_are_not_shared():
+    # the hauptmodul and its S-transform powers are cached; a caller that
+    # changes a returned series must not change any later result
+    expected = dimension_identities(120, 48, 0)
+    builders = [lambda: hauptmodul(DEFAULT_TRUNC)] + [
+        lambda n=n: hauptmodul_S_power(n, DEFAULT_TRUNC) for n in (1, -1, -2)
+    ]
+    for build in builders:
+        first = build()
+        before = dict(first.coeffs)
+        assert before
+        first.coeffs.clear()
+        again = build()
+        assert again is not first and again.coeffs == before
+    assert dimension_identities(120, 48, 0) == expected
+    # after both runs the cache still holds what an uncached build gives
+    assert qseries._hauptmodul_frozen(DEFAULT_TRUNC) == qseries._hauptmodul_frozen.__wrapped__(DEFAULT_TRUNC)
+    for n in (1, -1, -2):
+        cached = qseries._hauptmodul_S_power_frozen(n, DEFAULT_TRUNC)
+        assert cached == qseries._hauptmodul_S_power_frozen.__wrapped__(n, DEFAULT_TRUNC)

@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import fraction_oracle as oracle
+from fraction_oracle import reflect
 from orbifold24.rootsys import (
+    MAX_RANK,
+    RootDatum,
     RootSystemError,
     SimpleType,
+    _bareiss_inverse,
     build_root_datum,
     min_pairing,
     support_contains,
@@ -52,7 +58,7 @@ def test_datum_invariants(name):
     for r in d.roots:
         assert tuple(-x for x in r) in root_set
         for i in range(d.rank):
-            assert d.reflect(r, i) in root_set
+            assert reflect(d, r, i) in root_set
 
 
 @pytest.mark.parametrize(
@@ -180,7 +186,7 @@ def test_support_weyl_invariance():
         d = build_root_datum(SimpleType.parse(name))
         sup = weight_support(d, wt(d, *coeffs))
         for i in range(d.rank):
-            assert {d.reflect(mu, i) for mu in sup} == sup
+            assert {reflect(d, mu, i) for mu in sup} == sup
 
 
 def test_support_rejects_non_dominant():
@@ -304,3 +310,49 @@ def test_weight_bound_lemmas(name, hc, lc, bound):
     h = wt(d, *hc)
     lam = d.theta if lc == "theta" else wt(d, *lc)
     assert min_pairing(d, h, lam) >= bound
+
+
+# -- the integer datum against the Fraction oracle ------------------------------
+
+EVERY_TYPE = (
+    [f"A{n}" for n in range(1, MAX_RANK + 1)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, MAX_RANK + 1)]
+    + [f"D{n}" for n in range(3, MAX_RANK + 1)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_integer_datum_matches_fraction_oracle(name):
+    # a fresh datum: the label orbits and the Bareiss inverse, not a cached one
+    d = RootDatum(SimpleType.parse(name))
+    roots, fund, rho, theta = oracle.datum(d.type)
+    assert d.roots == roots
+    assert d.iroots == [tuple(map(int, r)) for r in roots]
+    assert d.positive_roots == [r for r in roots if sum(r) > 0]
+    assert d.fundamental_weights == fund
+    assert d.rho == rho
+    assert d.theta == theta
+    # F / N = (Lambda_i|Lambda_j), with N the least common denominator
+    rows = [oracle.gram_row(d, u) for u in fund]
+    pairings = [[sum(a * b for a, b in zip(row, v)) for v in fund] for row in rows]
+    assert [[F(x, d.fund_gram_den) for x in row] for row in d.fund_gram] == pairings
+    assert d.fund_gram_den == max(x.denominator for row in pairings for x in row)
+    assert all(F(x) == oracle.pair(d, theta, w) for x, w in zip(d.comarks, fund))
+
+
+def test_bareiss_inverse_against_fractions():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            p, R = _bareiss_inverse(M)
+        except RootSystemError:
+            # singular: the rows are dependent, so the Fraction elimination fails too
+            with pytest.raises(StopIteration):
+                oracle.solve(M, [])
+            continue
+        for i in range(n):
+            for j in range(n):
+                assert sum(F(M[i][k]) * F(R[k][j], p) for k in range(n)) == (i == j)

@@ -1,9 +1,14 @@
-"""Property tests: the Weyl-chamber closed forms against the enumerated support.
+"""Property tests: the Weyl-chamber closed forms against two oracles.
 
 For every simple type up to rank 12, a random dominant lambda with
 (theta|lambda) <= 2 and a random half-integral h, min_pairing and
 support_contains must agree with rootsys.weight_support, which enumerates
 the whole support and is kept as the oracle for exactly this purpose.
+
+The integer label kernel under them (dominant conjugates, label pairings,
+conformal weights, twisted lowest weights and their certificates) is also
+checked against the Fraction kernel it replaced, tests/fraction_oracle.py,
+on every module label up to level 3, with no limit on the support.
 """
 
 from fractions import Fraction
@@ -13,7 +18,15 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbifold24.affine import enumerate_modules
+import fraction_oracle as oracle
+from fraction_oracle import reflect
+from orbifold24.affine import (
+    AffineLabel,
+    conformal_weight,
+    enumerate_modules,
+    twisted_lowest,
+    twisted_positivity_certificate,
+)
 from orbifold24.rootsys import (
     MAX_RANK,
     SimpleType,
@@ -75,7 +88,7 @@ def test_closed_forms_match_enumeration(case, data):
     above = tuple(l + t for l, t in zip(lam, d.theta))
     queries = [lam, above] + mus + inside
     index = st.integers(0, d.rank - 1)
-    queries += [d.reflect(mu, data.draw(index)) for mu in queries]
+    queries += [reflect(d, mu, data.draw(index)) for mu in queries]
     # weights off the coset lam + Q as well (Lambda_1 is in Q only for E8, F4, G2)
     queries += [
         tuple(a + b for a, b in zip(mu, v)) for mu in inside for v in (h, d.fundamental_weights[0])
@@ -94,4 +107,77 @@ def test_dominant_conjugate_is_a_class_function(case):
         assert is_dominant(d, dom)
         assert d.norm(dom) == d.norm(v)
         for i in range(d.rank):
-            assert d.dominant_conjugate(d.reflect(v, i)) == dom
+            assert d.dominant_conjugate(reflect(d, v, i)) == dom
+
+
+# -- the integer label kernel against the Fraction oracle ------------------------
+
+
+@st.composite
+def label_cases(draw):
+    """A type, a module label lambda at level k <= 3 and an h: random
+    half-integral labels, or -Lambda_j / s, which with lambda = k Lambda_j
+    reaches the zero-weight witness."""
+    name = draw(st.sampled_from(TYPES))
+    d = build_root_datum(SimpleType.parse(name))
+    _, fund, _, theta = oracle.datum(d.type)
+    comarks = [oracle.pair(d, theta, w) for w in fund]
+    k = draw(st.integers(1, 3))
+    j = draw(st.integers(0, d.rank - 1))
+    if comarks[j] == 1 and draw(st.booleans()):
+        coeffs = [k if i == j else 0 for i in range(d.rank)]
+    else:
+        coeffs, budget = [0] * d.rank, k
+        for i in draw(st.permutations(range(d.rank))):
+            coeffs[i] = draw(st.integers(0, int(budget / comarks[i])))
+            budget -= coeffs[i] * comarks[i]
+    if draw(st.booleans()):
+        halves = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+        h_labels = draw(st.lists(halves, min_size=d.rank, max_size=d.rank))
+    else:
+        s = draw(st.sampled_from([1, 2, 3]))
+        h_labels = [F(-1, s) if i == j else 0 for i in range(d.rank)]
+    h = oracle.weight_from_fundamental(d, h_labels)
+    index = st.integers(0, d.rank - 1)
+    h = draw(st.sampled_from([h, reflect(d, h, draw(index))]))
+    return d, AffineLabel(d.type, k, tuple(coeffs)), h, draw(st.data())
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_cases())
+def test_label_kernel_matches_fraction_oracle(case):
+    d, m, h, data = case
+    k = m.level
+    lam = oracle.weight_from_fundamental(d, m.coeffs)
+    assert m.weight == lam
+    assert d.dominant_conjugate(h) == oracle.dominant_conjugate(d, h)
+    assert min_pairing(d, h, lam) == oracle.min_pairing(d, h, lam)
+    assert conformal_weight(m) == oracle.conformal_weight(d, lam, k)
+    assert twisted_lowest(m, h) == oracle.twisted_lowest(d, lam, k, h)
+    cert = twisted_positivity_certificate(m, h)
+    assert (cert.kind, cert.witness) == oracle.certificate(d, m.coeffs, k, h)
+
+    offsets = st.lists(st.integers(-1, 2), min_size=d.rank, max_size=d.rank)
+    below = [tuple(l - c for l, c in zip(lam, cs)) for cs in data.draw(st.lists(offsets, max_size=3))]
+    queries = [lam, h, tuple(-k * x for x in h)] + below
+    queries += [reflect(d, mu, data.draw(st.integers(0, d.rank - 1))) for mu in queries]
+    for mu in queries:
+        assert support_contains(d, lam, mu) == oracle.support_contains(d, lam, mu), mu
+
+
+def test_zero_weight_witnesses_match_fraction_oracle():
+    # lambda = k Lambda_j and h = -Lambda_j over every admissible (type, j, k):
+    # the certificates, witnesses included, equal the oracle's, and witnesses occur
+    witnesses = 0
+    for name in TYPES:
+        d = build_root_datum(SimpleType.parse(name))
+        if d.rank > 8:
+            continue
+        for j in (j for j, mark in enumerate(d.comarks) if mark == 1):
+            for k in (1, 2):
+                m = AffineLabel(d.type, k, tuple(k if i == j else 0 for i in range(d.rank)))
+                h = oracle.weight_from_fundamental(d, [F(-1) if i == j else 0 for i in range(d.rank)])
+                cert = twisted_positivity_certificate(m, h)
+                assert (cert.kind, cert.witness) == oracle.certificate(d, m.coeffs, k, h)
+                witnesses += cert.witness is not None
+    assert witnesses > 10

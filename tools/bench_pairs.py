@@ -1,0 +1,135 @@
+"""Alternating parent/change benchmark pairs, written to a BENCH_<n>.json record.
+
+    python3 tools/bench_pairs.py --base REV --workload NAME \
+        --pairs 10 --first-seed 6101 --out BENCH_6.json
+
+Run from the root of the repository.  The base revision is exported with
+`git archive` into a temporary directory; the working tree is the
+change.  Each pair runs `python3 perfbench/run.py --workload NAME
+--seed S --seconds 20 --trace 0` once in each tree, the seed
+stepping up by one per pair and the side that runs first alternating, so
+that a drift of the machine's speed falls on both sides alike.
+
+The record keeps, per workload: the seeds, every pair's metrics and
+`correct`/`failed` fields, and per metric the median and quartiles of
+each side and the number of pairs in which the change was better (lower).
+It also records the machine and the Python version.  Keys of an existing
+record that this run does not measure (other workloads, a hand-entered
+history of earlier changes) are kept, so one file can gather several runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("setup_s", "run_s", "peak_rss_mb")
+SECONDS = 20
+
+
+def export(rev: str, into: Path) -> Path:
+    """The files of revision rev, extracted under into/rev."""
+    dest = into / rev.replace("/", "_")
+    dest.mkdir()
+    archive = into / f"{dest.name}.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
+    archive.unlink()
+    return dest
+
+
+def bench(tree: Path, workload: str, seed: int) -> dict:
+    """One perfbench run in tree; its closing JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            **{m: result["metrics"][m]["value"] for m in METRICS}}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    out = {}
+    for m in METRICS:
+        base = [p["base"][m] for p in pairs]
+        change = [p["change"][m] for p in pairs]
+        out[m] = {
+            "base": quartiles(base),
+            "change": quartiles(change),
+            "change_better": sum(c < b for b, c in zip(base, change)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def machine() -> dict:
+    return {
+        "system": platform.system(),
+        "release": platform.release(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="parent revision")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--first-seed", type=int, required=True)
+    p.add_argument("--out", required=True, type=Path)
+    args = p.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"base": export(args.base, Path(tmp)), "change": ROOT}
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = bench(trees[side], args.workload, seed)
+            pairs.append(pair)
+            print(json.dumps(pair), flush=True)
+
+    record["machine"] = machine()
+    record["command"] = ("python3 perfbench/run.py --workload W --seed S "
+                         f"--seconds {SECONDS} --trace 0")
+    record.setdefault("workloads", {})[args.workload] = {
+        "base": args.base,
+        "change": "working tree",
+        "seeds": [p["seed"] for p in pairs],
+        "pairs": pairs,
+        "summary": summarize(pairs),
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
