@@ -1,21 +1,28 @@
 """The rank-24 even unimodular lattice glued from six A4 blocks mod 5.
 
-Vectors are 6-tuples of blocks, each block a 5-tuple of exact rationals in
-the standard sum-zero model of A4.  The glue code lives in (Z/5)^6; digit g
-glues by the coset of g*(1,1,1,1,-4)/5.  The order-5 isometry cycles the
-last five blocks, and the twist analysis (shift vectors, twisted weight-one
-spaces, the norm bound for the inner automorphism) reduces to bounded
-enumerations over the A4* cosets.  Those run on the integer vectors 5v and
-on squared distances scaled to integers; blocks become Fractions only on
-the way out.
+Vectors are 6-tuples of blocks in the standard sum-zero model of A4.  Inside
+this module a block v of A4* is the integer vector m = 5v: the tables, the
+basis, the Gram matrix, membership and every bounded enumeration work on
+these integers, and the product of two of them is 25 times the product of
+the blocks.  The glue code lives in (Z/5)^6; digit g glues by the coset of
+g*(1,1,1,1,-4)/5, so every coordinate of m is the digit mod 5.  The order-5
+isometry cycles the last five blocks, and the twist analysis (shift vectors,
+twisted weight-one spaces, the norm bound for the inner automorphism)
+reduces to bounded enumerations over the A4* cosets, on m and on squared
+distances scaled to integers.
+
+A vector crosses the module boundary as a tuple of Fraction blocks: the
+basis, the roots, the enumerated vectors and sets, h and the shifts come out
+that way, and `dot`, `contains` and `a4_class_of` take them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import floor, isqrt
+from operator import mul
 
 from .orbifold import SemisimpleShape
 from .rootsys import SimpleType, _to_integral
@@ -42,19 +49,21 @@ A4_SIMPLE = (
     (0, 0, 0, 1, -1),
 )
 
-# the glue representative [1]; digit g glues by g*GLUE_REP mod A4
-GLUE_REP = tuple(Fraction(c, 5) for c in (1, 1, 1, 1, -4))
-
+# the fixed blocks below are given as their integer vectors 5v
+ZERO5 = (0,) * 5
+# the glue representative [1]; digit g glues by g*GLUE5/5 mod A4
+GLUE5 = (1, 1, 1, 1, -4)
+# Lambda', the first block of 2h
+LAMBDA5 = (5, -5, 0, -5, 5)
 # shift vectors of the order-5 twist, both of norm 2/5
-DELTA1 = tuple(Fraction(c, 5) for c in (2, 1, 0, -1, -2))
-DELTA2 = tuple(Fraction(c, 5) for c in (-1, 2, 0, -2, 1))
+DELTA5 = {1: (2, 1, 0, -1, -2), 2: (-1, 2, 0, -2, 1)}
 
-BETA = {
-    0: tuple(Fraction(c, 5) for c in (-2, 2, 1, 0, -1)),
-    1: tuple(Fraction(c, 5) for c in (0, -1, -2, 2, 1)),
-    2: tuple(Fraction(c, 5) for c in (2, 1, 0, -1, -2)),
-    3: tuple(Fraction(c, 5) for c in (-1, -2, 2, 1, 0)),
-    4: tuple(Fraction(c, 5) for c in (1, 0, -1, -2, 2)),
+BETA5 = {
+    0: (-2, 2, 1, 0, -1),
+    1: (0, -1, -2, 2, 1),
+    2: (2, 1, 0, -1, -2),
+    3: (-1, -2, 2, 1, 0),
+    4: (1, 0, -1, -2, 2),
 }
 
 TWIST_GROUND_WEIGHT = Fraction(4, 5)  # conformal weight of the order-5 twisted ground state
@@ -63,41 +72,30 @@ TWIST_GROUND_WEIGHT = Fraction(4, 5)  # conformal weight of the order-5 twisted 
 OSCILLATOR_GRID_STEP = Fraction(1, 15)
 
 
-def block_add(x: Block, y: Block) -> Block:
-    return tuple(a + b for a, b in zip(x, y))
+def dot(x: LVec, y: LVec) -> Fraction:
+    """(x|y) of two vectors of rational blocks, from one integer product."""
+    dx, wx = _to_integral([c for b in x for c in b])
+    dy, wy = _to_integral([c for b in y for c in b])
+    return Fraction(sum(map(mul, wx, wy)), dx * dy)
 
 
-def block_scale(c, x: Block) -> Block:
+def scale(c, x: LVec) -> LVec:
+    """The vector c*x."""
     c = Fraction(c)
-    return tuple(c * a for a in x)
+    return tuple(tuple(c * a for a in b) for b in x)
 
 
-def block_dot(x: Block, y: Block) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+def _block(m) -> Block:
+    """The block m/5 of an integer vector m."""
+    return tuple(Fraction(x, 5) for x in m)
 
 
-def vec_add(x: LVec, y: LVec) -> LVec:
-    return tuple(block_add(a, b) for a, b in zip(x, y))
-
-
-def vec_scale(c, x: LVec) -> LVec:
-    return tuple(block_scale(c, b) for b in x)
-
-
-def vec_dot(x: LVec, y: LVec) -> Fraction:
-    return sum((block_dot(a, b) for a, b in zip(x, y)), Fraction(0))
-
-
-def vec_norm(x: LVec) -> Fraction:
-    return vec_dot(x, x)
-
-
-def zero_block() -> Block:
-    return (Fraction(0),) * 5
-
-
-def embed_block(i: int, b: Block) -> LVec:
-    return tuple(tuple(Fraction(c) for c in b) if j == i else zero_block() for j in range(6))
+def _fives(b: Block) -> tuple[int, ...] | None:
+    """The integer vector 5b, or None when 5b is not integral."""
+    m = [5 * c for c in b]
+    if any(x.denominator != 1 for x in m):
+        return None
+    return tuple(x.numerator for x in m)
 
 
 def a4_roots() -> list[Block]:
@@ -110,31 +108,29 @@ def a4_roots() -> list[Block]:
 
 
 def a4_class_of(b: Block) -> int:
-    """Glue digit of an A4* vector (all coordinates share 5*b_i mod 5)."""
-    fives = [5 * c for c in b]
-    if any(c.denominator != 1 for c in fives) or sum(fives) != 0:
+    """Glue digit of an A4* block: m = 5b is integral with sum 0, and every m_i
+    is the digit mod 5."""
+    m = _fives(b)
+    if m is None or sum(m) != 0 or len({x % 5 for x in m}) != 1:
         raise LatticeError(f"{b} is not in the dual of the A4 block")
-    digits = {int(c) % 5 for c in fives}
-    if len(digits) != 1:
-        raise LatticeError(f"{b} is not in the dual of the A4 block")
-    return digits.pop()
+    return m[0] % 5
 
 
-def _coset_ball(digit: int, center: Block, max_norm) -> tuple[int, list]:
-    """The A4* coset ball of the digit around the center, in integers.
+def _coset_ball(digit: int, center5, max_norm) -> tuple[int, list]:
+    """The A4* coset ball of the digit around a center c, in integers.
 
-    Returns (s, ball), with s = 25*D^2 for D the lcm of the center's
-    denominators.  The ball lists the pairs (m, n), sorted by m, where m = 5v
-    runs over the integer vectors with m_i = digit mod 5 and sum(m) = 0, and
-    n = s*|v - center|^2 = sum (D*m_i - 5*D*center_i)^2 is at most s*max_norm.
+    The center is given as 5c.  Returns (s, ball), with s = 25*D^2 for D the
+    lcm of the denominators of 5c.  The ball lists the pairs (m, n), sorted by
+    m, where m = 5v runs over the integer vectors with m_i = digit mod 5 and
+    sum(m) = 0, and n = s*|v - c|^2 = sum (D*m_i - D*5c_i)^2 is at most
+    s*max_norm.  At an integral 5c, D = 1 and n = |m - 5c|^2.
     """
-    den, dc = _to_integral(center)
-    cs = [5 * c for c in dc]
-    scale = 25 * den * den
+    den, cs = _to_integral(center5)
+    s = 25 * den * den
     max_norm = Fraction(max_norm)
     if max_norm < 0:
-        return scale, []
-    limit = floor(scale * max_norm)  # n is an integer, so n <= s*max_norm iff n <= limit
+        return s, []
+    limit = floor(s * max_norm)  # n is an integer, so n <= s*max_norm iff n <= limit
     r = isqrt(limit)
 
     def coord_range(c):
@@ -159,34 +155,25 @@ def _coset_ball(digit: int, center: Block, max_norm) -> tuple[int, list]:
 
     rec(0, [], 0)
     ball.sort()
-    return scale, ball
+    return s, ball
 
 
-def _block(m) -> Block:
-    """The block m/5 of an integer vector m."""
-    return tuple(Fraction(x, 5) for x in m)
-
-
-def _fifths(b: Block) -> tuple[int, ...]:
-    """The integer vector 5b of an A4* block."""
-    return tuple(int(5 * c) for c in b)
-
-
-def _ball_min(digit: int, center: Block, max_norm) -> Fraction | None:
-    """Min of |v - center|^2 over the coset ball, or None when it is empty."""
-    scale, ball = _coset_ball(digit, center, max_norm)
-    return Fraction(min(n for _, n in ball), scale) if ball else None
+def _ball_min(digit: int, center5, max_norm) -> Fraction | None:
+    """Min of |v - c|^2 over the coset ball around c (given as 5c), or None
+    when it is empty."""
+    s, ball = _coset_ball(digit, center5, max_norm)
+    return Fraction(min(n for _, n in ball), s) if ball else None
 
 
 def a4_class_ball(digit: int, center: Block, max_norm) -> list[Block]:
     """All v in the A4* coset of the digit with |v - center|^2 <= max_norm, sorted."""
-    return [_block(m) for m, _ in _coset_ball(digit, center, max_norm)[1]]
+    return [_block(m) for m, _ in _coset_ball(digit, [5 * c for c in center], max_norm)[1]]
 
 
 def a4_class_min_vectors(digit: int) -> list[Block]:
     """Minimal-norm vectors of an A4* coset (norms 0, 4/5, 6/5, 6/5, 4/5)."""
     for bound in (Fraction(0), Fraction(4, 5), Fraction(6, 5)):
-        vs = a4_class_ball(digit, zero_block(), bound)
+        vs = a4_class_ball(digit, ZERO5, bound)
         if vs:
             return vs
     raise LatticeError("empty coset ball")  # pragma: no cover
@@ -273,63 +260,39 @@ class NiemeierLattice:
         self.glue = build_glue_code()
         if not all(tuple(w[0:1] + w[2:6] + w[1:2]) in self.glue.words for w in self.glue.words):
             raise LatticeError("glue code is not invariant under the block cycle")
-        self.basis = self._build_basis()
-        fifths = [[c for b in x for c in _fifths(b)] for x in self.basis]
-        self.gram = [
-            [Fraction(sum(a * b for a, b in zip(x, y)), 25) for y in fifths] for x in fifths
-        ]
+        flat = self._build_basis()
+        self.basis = [tuple(_block(x[5 * i : 5 * i + 5]) for i in range(6)) for x in flat]
+        products = [[sum(map(mul, x, y)) for y in flat] for x in flat]
+        # each product of 5v vectors is 25 times an entry of the Gram matrix
+        if any(p % 25 for row in products for p in row):
+            raise LatticeError("Gram matrix is not integral")
+        self.gram = [[p // 25 for p in row] for row in products]
         self._roots = tuple(self._enumerate(2, exact=True))
         self._check_invariants()
 
     # -- construction ------------------------------------------------------
 
-    def _glue_vector(self, word) -> LVec:
-        return tuple(block_scale(g, GLUE_REP) for g in word)
-
-    def _to_simple_coords(self, v: LVec) -> list[Fraction]:
-        """Coordinates w.r.t. the 24 block simple roots (partial sums per block)."""
-        out = []
-        for b in v:
-            acc = Fraction(0)
-            for c in b[:4]:
-                acc += c
-                out.append(acc)
-        return out
-
-    def _from_simple_coords(self, coords) -> LVec:
-        blocks = []
-        for i in range(6):
-            c = [Fraction(x) for x in coords[4 * i : 4 * i + 4]]
-            blocks.append(
-                (c[0], c[1] - c[0], c[2] - c[1], c[3] - c[2], -c[3])
-            )
-        return tuple(tuple(b) for b in blocks)
-
-    def _build_basis(self) -> list[LVec]:
-        gens: list[LVec] = []
-        for i in range(6):
-            for s in A4_SIMPLE:
-                gens.append(embed_block(i, s))
-        for w in GLUE_GENERATORS:
-            gens.append(self._glue_vector(w))
-        rows = []
-        for g in gens:
-            coords = [5 * c for c in self._to_simple_coords(g)]
-            assert all(c.denominator == 1 for c in coords)
-            rows.append([int(c) for c in coords])
-        hnf = _hnf_rows(rows)
+    def _build_basis(self) -> list[list[int]]:
+        """A basis as flat integer vectors 5v, from the Hermite normal form of
+        the generators in simple-root coordinates (per block, the partial sums
+        of the first four coordinates of 5v)."""
+        gens = [
+            tuple(tuple(5 * c for c in s) if j == i else ZERO5 for j in range(6))
+            for i in range(6)
+            for s in A4_SIMPLE
+        ]
+        gens += [tuple(tuple(g * c for c in GLUE5) for g in w) for w in GLUE_GENERATORS]
+        hnf = _hnf_rows([[c for m in v for c in accumulate(m[:4])] for v in gens])
         if len(hnf) != 24:
             raise LatticeError(f"lattice generators span rank {len(hnf)}, expected 24")
-        return [self._from_simple_coords([Fraction(c, 5) for c in row]) for row in hnf]
+        # partial sums (c0, c1, c2, c3) give back the block (c0, c1-c0, c2-c1, c3-c2, -c3)
+        blocks = [[row[4 * i : 4 * i + 4] for i in range(6)] for row in hnf]
+        return [[b - a for c in cs for a, b in zip([0] + c, c + [0])] for cs in blocks]
 
     def _check_invariants(self):
-        for i, row in enumerate(self.gram):
-            for j, v in enumerate(row):
-                if v.denominator != 1:
-                    raise LatticeError("Gram matrix is not integral")
-                if i == j and int(v) % 2:
-                    raise LatticeError("lattice is not even")
-        det = _det_bareiss([[int(v) for v in row] for row in self.gram])
+        if any(self.gram[i][i] % 2 for i in range(24)):
+            raise LatticeError("lattice is not even")
+        det = _det_bareiss(self.gram)
         if det != 1:
             raise LatticeError(f"Gram determinant is {det}, expected 1")
         if len(self._roots) != 120:
@@ -362,10 +325,10 @@ class NiemeierLattice:
         ones whose last block uses all of it.
         """
         limit = floor(25 * Fraction(bound))
-        balls = {}
-        for g in range(5):
-            blocks = a4_class_ball(g, zero_block(), bound)
-            balls[g] = [(b, sum(x * x for x in _fifths(b))) for b in blocks]
+        # around the zero center n = |m|^2, the block's norm in units of 1/25
+        balls = {
+            g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)[1]] for g in range(5)
+        }
         min_norm = {g: min(n for _, n in ball) for g, ball in balls.items() if ball}
         slices: dict[tuple[int, int], list] = {}
 
@@ -409,7 +372,7 @@ class NiemeierLattice:
             lines.append("\t".join(f"{c.numerator}/{c.denominator}" for c in flat))
         lines.append("gram")
         for row in self.gram:
-            lines.append("\t".join(str(int(v)) for v in row))
+            lines.append("\t".join(map(str, row)))
         return "\n".join(lines)
 
 
@@ -442,10 +405,8 @@ def _det_bareiss(M: list[list[int]]) -> int:
 
 def project_fixed(v: LVec) -> LVec:
     """Orthogonal projection onto the fixed space of the block cycle."""
-    avg = zero_block()
-    for b in v[1:]:
-        avg = block_add(avg, b)
-    avg = block_scale(Fraction(1, 5), avg)
+    den, w = _to_integral([c for b in v[1:] for c in b])
+    avg = tuple(Fraction(sum(w[k::5]), 5 * den) for k in range(5))
     return (v[0],) + (avg,) * 5
 
 
@@ -457,19 +418,24 @@ def projected_form_ok(p: LVec) -> bool:
         return False
     if any(p[i] != p[1] for i in range(2, 6)):
         return False
-    b = block_scale(5, p[1])
-    if any(c.denominator != 1 for c in b) or sum(b) != 0:
-        return False
-    return True
+    b = _fives(p[1])
+    return b is not None and sum(b) == 0
 
 
 # -- twist shifts and twisted weight-one data --------------------------------
 
 
+def _shift5(epsilon: int, r: int) -> tuple[int, ...]:
+    """5*eps*delta^r, the first block of the shift eps*f^r as an integer vector."""
+    if epsilon not in (1, -1) or r not in (1, 2):
+        raise LatticeError("epsilon must be +-1 and r in {1, 2}")
+    return tuple(epsilon * c for c in DELTA5[r])
+
+
 def shift_vector(r: int) -> LVec:
     if r not in (1, 2):
         raise LatticeError("shift index must be 1 or 2")
-    return embed_block(0, DELTA1 if r == 1 else DELTA2)
+    return (_block(DELTA5[r]),) + (_block(ZERO5),) * 5
 
 
 def enumerate_S(epsilon: int, r: int) -> list[Block]:
@@ -478,13 +444,11 @@ def enumerate_S(epsilon: int, r: int) -> list[Block]:
     Brute force over the coset representatives of A4*/A4 with the proof's
     norm bound |a|^2 <= 8/5; exactly one solution per coset.
     """
-    if epsilon not in (1, -1) or r not in (1, 2):
-        raise LatticeError("epsilon must be +-1 and r in {1, 2}")
-    d5 = _fifths(block_scale(epsilon, DELTA1 if r == 1 else DELTA2))
+    d5 = _shift5(epsilon, r)
     found = []
     per_coset = {}
     for g in range(5):
-        ball = _coset_ball(g, zero_block(), Fraction(8, 5))[1]
+        ball = _coset_ball(g, ZERO5, Fraction(8, 5))[1]
         shifted = [tuple(x + d for x, d in zip(m, d5)) for m, _ in ball]
         sols = [_block(s) for s in shifted if sum(x * x for x in s) == 10]  # 25 * 2/5
         per_coset[g] = sols
@@ -510,7 +474,7 @@ def twisted_weight_one(epsilon: int, r: int):
     oscillator grid; only l = 0, b = 0 survive and the five weights are the
     shifted minimal vectors.
     """
-    delta = block_scale(epsilon, DELTA1 if r == 1 else DELTA2)
+    d5 = _shift5(epsilon, r)
     budget = 2 * (1 - TWIST_GROUND_WEIGHT)  # |x + eps f|^2 <= 2/5 at l = 0
     grid = []
     l = Fraction(0)
@@ -520,17 +484,17 @@ def twisted_weight_one(epsilon: int, r: int):
     # |a + delta|^2 + |b|^2/5 = need = 2(1 - 4/5 - l), times 125 with a' = 5(a + delta)
     # and b' = 5b: 5|a'|^2 + |b'|^2 = 125*need
     needs = [(l, 250 * (1 - TWIST_GROUND_WEIGHT - l)) for l in grid]
-    # the diagonal block contributes |b|^2/5, so |b|^2 <= 5*budget
-    b_norms = [sum(x * x for x in m) for m, _ in _coset_ball(0, zero_block(), 5 * budget)[1]]
-    d5 = _fifths(delta)
+    # the diagonal block contributes |b|^2/5, so |b|^2 <= 5*budget; around the
+    # zero center the ball's n is |b'|^2
+    b_norms = [n for _, n in _coset_ball(0, ZERO5, 5 * budget)[1]]
     solutions = []
     for g in range(5):
-        # the ball at the largest need (l = 0) holds the a of every smaller one
-        for m, _ in _coset_ball(g, block_scale(-1, delta), budget)[1]:
+        # the ball at the largest need (l = 0) holds the a of every smaller one;
+        # around -delta its n is |a'|^2
+        for m, n in _coset_ball(g, tuple(-d for d in d5), budget)[1]:
             an = tuple(x + d for x, d in zip(m, d5))
-            a_part = 5 * sum(x * x for x in an)
             for l, need in needs:
-                solutions.extend((l, an, nb) for nb in b_norms if a_part + nb == need)
+                solutions.extend((l, an, nb) for nb in b_norms if 5 * n + nb == need)
     weights = sorted(_block(an) for l, an, nb in solutions)
     if any(l != 0 or nb != 0 for l, an, nb in solutions):
         raise LatticeError("unexpected oscillator or diagonal contribution at weight one")
@@ -541,9 +505,9 @@ def twisted_weight_one(epsilon: int, r: int):
 
 
 def inner_h() -> LVec:
-    lam_p = tuple(Fraction(c) for c in (1, -1, 0, -1, 1))
+    """h = (Lambda', Lambda, ..., Lambda)/2, so that 2h lies in the lattice."""
     return tuple(
-        block_scale(Fraction(1, 2), lam_p if i == 0 else GLUE_REP) for i in range(6)
+        tuple(Fraction(c, 10) for c in (LAMBDA5 if i == 0 else GLUE5)) for i in range(6)
     )
 
 
@@ -555,7 +519,7 @@ def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | Non
     """
     bound = Fraction(bound)
     block_min = {
-        (i, g): _ball_min(g, block_scale(-1, h[i]), bound) for i in range(6) for g in range(5)
+        (i, g): _ball_min(g, [-5 * c for c in h[i]], bound) for i in range(6) for g in range(5)
     }
     totals = []
     for word in lattice.glue.words:
@@ -567,12 +531,12 @@ def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | Non
 
 def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:
     """Exact min of |h + eps f^r + x|^2 over the projected lattice."""
-    delta = block_scale(epsilon, DELTA1 if r == 1 else DELTA2)
-    c1 = block_add(h[0], delta)
-    mins = [_ball_min(g, block_scale(-1, c1), Fraction(4)) for g in range(5)]
+    d5 = _shift5(epsilon, r)
+    center5 = [-5 * a - d for a, d in zip(h[0], d5)]  # 5 * -(h_0 + eps delta^r)
+    mins = [_ball_min(g, center5, Fraction(4)) for g in range(5)]
     best1 = min(m for m in mins if m is not None)
     # diagonal part: 5 * |b/5 + h_tail|^2 = |b + 5 h_tail|^2 / 5 over b in A4
-    best2 = _ball_min(0, block_scale(-5, h[1]), Fraction(20)) / 5
+    best2 = _ball_min(0, [-25 * c for c in h[1]], Fraction(20)) / 5
     return best1 + best2
 
 
@@ -583,15 +547,12 @@ def fixed_shape_A45(h: LVec) -> SemisimpleShape:
     delta_{i,4}; dropping the fourth node of each A4 leaves A3 x A3 at
     level 5 with a two-dimensional center.
     """
-    lam = GLUE_REP
-    lam_p = tuple(Fraction(c) for c in (1, -1, 0, -1, 1))
-    betas = [BETA[i] for i in (1, 2, 3, 4)]
     for i, alpha in enumerate(A4_SIMPLE, start=1):
-        got = block_dot(tuple(Fraction(c) for c in alpha), lam)
+        got = Fraction(sum(map(mul, alpha, GLUE5)), 5)
         if got != (1 if i == 4 else 0):
             raise LatticeError(f"(alpha_{i}|Lambda) = {got}, expected {int(i == 4)}")
-    for i, beta in enumerate(betas, start=1):
-        got = block_dot(beta, lam_p)
+    for i in (1, 2, 3, 4):
+        got = Fraction(sum(map(mul, BETA5[i], LAMBDA5)), 25)
         if got != (1 if i == 4 else 0):
             raise LatticeError(f"(beta_{i}|Lambda') = {got}, expected {int(i == 4)}")
     a3 = SimpleType.parse("A3")

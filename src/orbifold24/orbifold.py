@@ -630,6 +630,7 @@ def identify(rank_budget: int, dim_target: int, seeds) -> list[SemisimpleShape]:
 # -- the Verlinde check --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # depends only on a = +-1, and the result is immutable
 def verlinde_simple_current(a: int):
     """Fusion rules of the four-module system from its S-matrix.
 

@@ -312,7 +312,8 @@ def character_fit(dim_g1: int, dim_half: int, trunc: int = DEFAULT_TRUNC) -> Cha
     c0 = Fraction(dim_g1 + 24)
     c_minus1 = Fraction(2**12) * (Fraction(dim_half, 2) + 24)
     f = hauptmodul(trunc)
-    series = f + c0 + c_minus1 * f.inverse() + Fraction(2**23) * (f.inverse() ** 2)
+    f_inv = f.inverse()
+    series = f + c0 + c_minus1 * f_inv + Fraction(2**23) * (f_inv ** 2)
     assert series[Fraction(-1)] == 1
     assert series[0] == dim_g1
     return CharacterFit(c0, c_minus1, series)

@@ -104,6 +104,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         return vals[0]
 
     try:
+        lattice = one("lattice", "false")
+        if lattice.lower() not in ("true", "false"):
+            raise ScenarioError(
+                f"{source}: field 'lattice' must be true or false, not {lattice!r}"
+            )
         factors = [
             (SimpleType.parse(tok.split()[0]), int(tok.split()[1]))
             for tok in fields.get("factor", [])
@@ -119,7 +124,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             expect_fixed_dim=int(one("expect_fixed_dim")),
             expect_new_dim=int(one("expect_new_dim")),
             expect_shape=SemisimpleShape.parse(one("expect_shape")),
-            lattice=one("lattice", "false").lower() == "true",
+            lattice=lattice.lower() == "true",
             assumptions=fields.get("assume", []),
             notes=fields.get("note", []),
         )
@@ -141,9 +146,15 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if "expect_twisted_seed" in fields:
             t, k, n = one("expect_twisted_seed").split()
             sc.expect_twisted_seed = (SimpleType.parse(t), int(k), int(n))
-        if sc.base_weights is not None and sc.expect_twisted_seed is None:
+        # one half of a pair without the other would skip or break the check it feeds
+        if ("base_weights" in fields) != ("expect_twisted_seed" in fields):
             raise ScenarioError(
-                f"{source}: base_weights requires expect_twisted_seed"
+                f"{source}: base_weights and expect_twisted_seed must be given together"
+            )
+        if ("expect_table_counts" in fields) != (sc.table_max_weight is not None):
+            raise ScenarioError(
+                f"{source}: expect_table_counts and a table (table_max_weight or"
+                " table_weights) must be given together"
             )
     except ScenarioError:
         raise
@@ -372,9 +383,9 @@ def _lattice_checks(sc: Scenario):
     N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
     add("lattice-roots", 120, len(N.roots()))
     h = lat.inner_h()
-    add("lattice-h-norm", sc.expect_h_norm, lat.vec_norm(h))
+    add("lattice-h-norm", sc.expect_h_norm, lat.dot(h, h))
     add("lattice-h-membership", "2h in the lattice",
-        "2h in the lattice" if N.contains(lat.vec_scale(2, h)) else "missing")
+        "2h in the lattice" if N.contains(lat.scale(2, h)) else "missing")
     adds = []
     for eps in (1, -1):
         for r in (1, 2):
@@ -382,7 +393,7 @@ def _lattice_checks(sc: Scenario):
             S = lat.enumerate_S(eps, r)
             cnt, weights = lat.twisted_weight_one(eps, r)
             adds.append(
-                (eps, r, lat.vec_norm(f), lat.vec_dot(h, f), len(S), cnt, sorted(S) == weights)
+                (eps, r, lat.dot(f, f), lat.dot(h, f), len(S), cnt, sorted(S) == weights)
             )
     add("shift-vectors", "norm 2/5, orthogonal to h, all four sectors",
         "norm 2/5, orthogonal to h, all four sectors"
@@ -413,7 +424,7 @@ def _lattice_checks(sc: Scenario):
     shape = lat.fixed_shape_A45(h)
     add("lattice-fixed-shape", sc.expect_fixed, shape)
     # the distinguished weight -h is absent from both untwisted and twisted spectra
-    minus_h = lat.vec_scale(-1, h)
+    minus_h = lat.scale(-1, h)
     in_proj = lat.projected_form_ok(lat.project_fixed(minus_h)) and lat.projected_form_ok(minus_h)
     add("cartan-weight-exclusion", "-h is not a spectrum weight",
         "-h is not a spectrum weight" if not in_proj else "occurs")

@@ -6,6 +6,10 @@ through the Fraction Gram matrix, roots are Weyl orbits found by a
 breadth-first search with a `seen` set, and the fundamental weights solve
 a Fraction linear system in the Gram matrix.  It reads only `d.gram`, `d.rank` and `d.type`
 of a root datum, so it shares no arithmetic with the code it checks.
+
+The block sums at the end are how the A4^6 lattice computed before its
+integer 5v model: a vector is a tuple of Fraction blocks, and products are
+summed coordinate by coordinate in Fractions.
 """
 
 from fractions import Fraction
@@ -160,3 +164,18 @@ def certificate(d, coeffs, level, h):
         if tuple(coeffs) == tuple(level * (i == j) for i in range(d.rank)) and dom == lam:
             return "zero_with_witness", f"j={j + 1}"
     return "negative_violation", "zero without witness"
+
+
+# -- the lattice's Fraction block arithmetic ----------------------------------
+
+
+def block_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def block_dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def vec_dot(x, y):
+    return sum((block_dot(a, b) for a, b in zip(x, y)), Fraction(0))

@@ -7,7 +7,7 @@ means exact equality; each criterion prints its own pass/fail line.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from fraction_oracle import reflect
+from fraction_oracle import block_add, reflect, vec_dot
 from orbifold24.affine import (
     HVector,
     ProductAlgebra,
@@ -17,9 +17,8 @@ from orbifold24.affine import (
 )
 from orbifold24.cli import module_table_text, product_table_text
 from orbifold24.lattice import (
-    BETA,
+    BETA5,
     NiemeierLattice,
-    block_add,
     build_glue_code,
     enumerate_S,
     fixed_shape_A45,
@@ -29,7 +28,6 @@ from orbifold24.lattice import (
     shift_vector,
     twist_anomaly,
     twisted_weight_one,
-    vec_dot,
 )
 from orbifold24.orbifold import (
     SemisimpleShape,
@@ -238,6 +236,7 @@ def test_criterion_10_lattice_suite():
                 count, weights = twisted_weight_one(eps, r)
                 assert count == 5 and weights == sorted(S)
                 assert vec_dot(h, shift_vector(r)) == 0
+        BETA = {i: tuple(F(c, 5) for c in b) for i, b in BETA5.items()}
         assert sorted(enumerate_S(1, 1)) == sorted(BETA.values())
         assert sorted(enumerate_S(1, 2)) == sorted(
             block_add(BETA[i], BETA[(i + 1) % 5]) for i in range(5)

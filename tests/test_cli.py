@@ -9,9 +9,8 @@ from orbifold24.cli import _bundled_scenarios, main
 from orbifold24.scenarios import ScenarioError, parse_scenario
 
 DATA = Path(__file__).parent / "data"
-M1_TEXT = (
-    Path(__file__).parents[1] / "src" / "orbifold24" / "scenarios" / "m1.scn"
-).read_text()
+SCENARIOS = Path(__file__).parents[1] / "src" / "orbifold24" / "scenarios"
+M1_TEXT = (SCENARIOS / "m1.scn").read_text()
 
 
 def run_cli(*args):
@@ -179,6 +178,17 @@ def test_base_weights_require_expected_seed():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("line", [
+    "base_weights:", "table_max_weight: 3\n", "expect_table_counts: 0:1 2:9 3:2\n",
+])
+def test_paired_fields_must_come_together(line):
+    # without its partner, each of these would skip a check or raise mid-run
+    text = "".join(l for l in M1_TEXT.splitlines(keepends=True) if not l.startswith(line))
+    assert text != M1_TEXT
+    with pytest.raises(ScenarioError, match="must be given together"):
+        parse_scenario(text)
+
+
 def test_scenario_h_length_mismatch():
     text = M1_TEXT.replace(
         "h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0",
@@ -243,3 +253,61 @@ def test_dimension_formula_fails_unless_half_graded_part_is_proved_zero(text):
     # assumption, so the check must not pass
     assert not dim.ok
     assert dim.actual.startswith("unproven: 168 assumes dim V_1/2 = 0")
+
+
+def test_lattice_value_must_be_true_or_false(tmp_path):
+    # a typo in the value would otherwise skip every lattice check
+    text = (SCENARIOS / "m5.scn").read_text()
+    assert "lattice: true\n" in text
+    (tmp_path / "m5x.scn").write_text(text.replace("lattice: true\n", "lattice: ture\n"))
+    proc = run_cli("run", "--dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "'ture'" in proc.stderr
+    for value in ("TRUE", "False"):
+        assert parse_scenario(text.replace("lattice: true", f"lattice: {value}")).lattice == (
+            value.lower() == "true"
+        )
+
+
+def _mutations(text):
+    """(kind, key, text) for each key line dropped, duplicated and misspelled,
+    and for a misspelled lattice value."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, sep, _ = line.partition(":")
+        if not sep or line.startswith("#"):
+            continue
+        typo = key[1] + key[0] + key[2:] if len(key) > 1 else key * 2
+        assert typo != key
+        before, after = lines[:i], lines[i + 1 :]
+        yield "drop", key, "".join(before + after)
+        yield "duplicate", key, "".join(before + [line, line] + after)
+        yield "misspell", key, "".join(before + [typo + line[len(key) :]] + after)
+    if "\nlattice: true\n" in text:
+        yield "value", "lattice", text.replace("\nlattice: true\n", "\nlattice: ture\n")
+    else:
+        yield "value", "lattice", text + "lattice: ture\n"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.name)
+def test_mutated_scenario_never_passes_with_skipped_checks(path, scenario_reports):
+    # a mutation is rejected (exit 2) or runs to a report that does not pass;
+    # only an assumption or note line may be dropped or repeated, and then the
+    # same checks must run and pass
+    from orbifold24.scenarios import run_scenario
+
+    text = path.read_text()
+    base = scenario_reports[parse_scenario(text).name]
+    for kind, key, mutated in _mutations(text):
+        harmless = key in ("assume", "note") and kind in ("drop", "duplicate")
+        try:
+            sc = parse_scenario(mutated, path.name)
+        except ScenarioError:
+            assert not harmless, (kind, key)
+            continue
+        rep = run_scenario(sc)
+        if harmless:
+            assert rep.status == "pass", (kind, key)
+            assert [c.name for c in rep.checks] == [c.name for c in base.checks]
+        else:  # a failed check, not an internal error
+            assert rep.status == "fail", (kind, key, rep.error)

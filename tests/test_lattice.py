@@ -4,46 +4,58 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracle import block_add, block_dot, vec_dot
 from orbifold24 import lattice
 from orbifold24.lattice import (
     A4_SIMPLE,
-    BETA,
-    DELTA1,
-    DELTA2,
-    GLUE_REP,
+    BETA5,
+    DELTA5,
+    GLUE5,
+    GLUE_GENERATORS,
+    LAMBDA5,
     LatticeError,
     NiemeierLattice,
     a4_class_ball,
     a4_class_min_vectors,
     a4_class_of,
     a4_roots,
-    block_add,
-    block_dot,
     build_glue_code,
+    dot,
     enumerate_S,
     fixed_shape_A45,
     inner_h,
     min_norm_shifted,
     project_fixed,
     projected_form_ok,
+    scale,
     shift_vector,
     tau0,
     twist_anomaly,
     twisted_sector_min_shift,
     twisted_weight_one,
-    vec_dot,
-    vec_norm,
-    vec_scale,
-    zero_block,
 )
 from orbifold24.orbifold import SemisimpleShape
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
+
+
+def fifths(m):
+    """The Fraction block m/5 of an integer table entry m = 5v."""
+    return tuple(F(c, 5) for c in m)
+
+
+ZERO = (F(0),) * 5
+GLUE_REP = fifths(GLUE5)
+LAMBDA_P = fifths(LAMBDA5)
+DELTA1, DELTA2 = fifths(DELTA5[1]), fifths(DELTA5[2])
+BETA = {i: fifths(b) for i, b in BETA5.items()}
 
 
 @pytest.fixture(scope="module")
@@ -90,17 +102,17 @@ def test_class_minimal_norms():
 
 def test_class_of_glue_representative():
     assert a4_class_of(GLUE_REP) == 1
-    assert a4_class_of(zero_block()) == 0
+    assert a4_class_of(ZERO) == 0
     with pytest.raises(LatticeError):
         a4_class_of((F(1, 2),) * 4 + (F(-2),))
 
 
 def test_class_ball_is_exact():
     # norm-2 vectors of the zero class are exactly the 20 roots
-    roots = [v for v in a4_class_ball(0, zero_block(), 2) if block_dot(v, v) == 2]
+    roots = [v for v in a4_class_ball(0, ZERO, 2) if block_dot(v, v) == 2]
     assert len(roots) == 20
     assert roots == a4_roots()
-    assert a4_class_ball(0, zero_block(), 2) == brute_force_ball(0, zero_block(), 2)
+    assert a4_class_ball(0, ZERO, 2) == brute_force_ball(0, ZERO, 2)
 
 
 def brute_force_ball(digit, center, max_norm):
@@ -148,7 +160,7 @@ def test_class_ball_matches_brute_force(digit, center, max_norm):
 
 def test_class_ball_negative_bound_is_empty():
     for g in range(5):
-        assert a4_class_ball(g, zero_block(), F(-1, 15)) == []
+        assert a4_class_ball(g, ZERO, F(-1, 15)) == []
         assert a4_class_ball(g, GLUE_REP, -1) == []
 
 
@@ -156,7 +168,7 @@ def test_class_ball_negative_bound_is_empty():
 
 
 def test_lattice_even_unimodular(N):
-    assert all(v.denominator == 1 for row in N.gram for v in row)
+    assert all(type(v) is int for row in N.gram for v in row)
     assert all(int(N.gram[i][i]) % 2 == 0 for i in range(24))
     # determinant 1 is asserted during construction; cross-check the size
     assert len(N.basis) == 24
@@ -165,8 +177,8 @@ def test_lattice_even_unimodular(N):
 def test_lattice_roots(N):
     roots = N.roots()
     assert len(roots) == 120
-    assert all(vec_norm(r) == 2 for r in roots)
-    assert roots == tuple(v for v in N.vectors_of_norm_at_most(2) if vec_norm(v) == 2)
+    assert all(vec_dot(r, r) == 2 for r in roots)
+    assert roots == tuple(v for v in N.vectors_of_norm_at_most(2) if vec_dot(v, v) == 2)
 
 
 def det_fraction(M) -> Fraction:
@@ -206,15 +218,14 @@ def test_bareiss_matches_fraction_oracle(M):
 
 
 def test_lattice_membership_example(N):
-    lam_p = tuple(F(c) for c in (1, -1, 0, -1, 1))
-    v = tuple([lam_p] + [GLUE_REP] * 5)
+    v = tuple([LAMBDA_P] + [GLUE_REP] * 5)
     assert N.contains(v)
-    assert not N.contains(tuple([GLUE_REP] + [GLUE_REP] * 4 + [zero_block()]))
+    assert not N.contains(tuple([GLUE_REP] + [GLUE_REP] * 4 + [ZERO]))
 
 
 def test_minimum_norm_is_two(N):
     small = N.vectors_of_norm_at_most(F(6, 5))
-    assert small == [tuple(zero_block() for _ in range(6))]
+    assert small == [tuple(ZERO for _ in range(6))]
 
 
 # -- the norm <= 4 enumeration -------------------------------------------------------
@@ -239,7 +250,7 @@ def per_prefix_vectors(word, bound):
             out.append(tuple(acc))
             return
         budget = bound - used - tail_min[i + 1]
-        for b in a4_class_ball(word[i], zero_block(), budget):
+        for b in a4_class_ball(word[i], ZERO, budget):
             rec(i + 1, acc + [b], used + block_dot(b, b))
 
     rec(0, [], F(0))
@@ -311,15 +322,15 @@ def test_norm4_word_matches_per_prefix_oracle(N, norm4_by_word, word):
 
 def test_enumeration_builds_each_coset_ball_once(N, monkeypatch):
     calls = []
-    ball = lattice.a4_class_ball
+    ball = lattice._coset_ball
 
-    def counted(digit, center, max_norm):
+    def counted(digit, center5, max_norm):
         calls.append(digit)
-        return ball(digit, center, max_norm)
+        return ball(digit, center5, max_norm)
 
-    monkeypatch.setattr(lattice, "a4_class_ball", counted)
+    monkeypatch.setattr(lattice, "_coset_ball", counted)
     N.vectors_of_norm_at_most(4)
-    assert max(Counter(calls).values(), default=0) <= 1
+    assert Counter(calls) == Counter(range(5))
 
 
 def test_dropped_lattice_is_freed():
@@ -331,7 +342,7 @@ def test_dropped_lattice_is_freed():
 def test_tau0_isometry(N, h):
     for b in N.basis:
         assert N.contains(tau0(b))
-        assert vec_norm(tau0(b)) == vec_norm(b)
+        assert vec_dot(tau0(b), tau0(b)) == vec_dot(b, b)
     v = N.basis[7]
     w = v
     for _ in range(5):
@@ -350,6 +361,75 @@ def test_lattice_dump_format(N):
     assert len(lines) == 2 + 24 + 24
 
 
+def test_lattice_data_matches_golden(N):
+    # the basis, Gram matrix, roots and shifted minimal sets, pinned from the
+    # Fraction-block implementation
+    def row(blocks):
+        return "\t".join(f"{c.numerator}/{c.denominator}" for b in blocks for c in b)
+
+    lines = [N.dump(), "roots"] + [row(r) for r in N.roots()]
+    for eps, r in ((1, 1), (1, 2), (-1, 1), (-1, 2)):
+        lines.append(f"S {eps:+d} {r}")
+        lines += [row([b]) for b in enumerate_S(eps, r)]
+    assert "\n".join(lines) + "\n" == (DATA / "lattice.txt").read_text()
+
+
+# -- the integer kernel against the Fraction definitions ----------------------------
+
+# the glue code by definition: the Z/5-span of the generator rows
+GLUE_SPAN = frozenset(
+    tuple(sum(c * g[k] for c, g in zip(cs, GLUE_GENERATORS)) % 5 for k in range(6))
+    for cs in product(range(5), repeat=4)
+)
+
+
+def digit_by_definition(b):
+    """The g with b - g*GLUE_REP in A4 (integral with sum 0), or None."""
+    for g in range(5):
+        d = [c - g * x for c, x in zip(b, GLUE_REP)]
+        if all(x.denominator == 1 for x in d) and sum(d) == 0:
+            return g
+    return None
+
+
+def _coset_block(g):
+    """g*GLUE_REP plus a small vector of A4."""
+    return st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(
+        lambda a: tuple(g * x + y for x, y in zip(GLUE_REP, a + [-sum(a)]))
+    )
+
+
+_rational_block = st.lists(_rationals([1, 2, 5, 10], -2, 2), min_size=5, max_size=5).map(tuple)
+
+
+@st.composite
+def _lattice_vectors(draw):
+    """Six blocks over a glue word, often of the code; sometimes one block is
+    replaced by a rational block, usually outside A4*."""
+    if draw(st.booleans()):
+        word = draw(st.sampled_from(sorted(GLUE_SPAN)))
+    else:
+        word = draw(st.tuples(*[st.integers(0, 4)] * 6))
+    blocks = [draw(_coset_block(g)) for g in word]
+    if draw(st.booleans()):
+        blocks[draw(st.integers(0, 5))] = draw(_rational_block)
+    return tuple(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_vectors(), _lattice_vectors())
+def test_integer_kernel_matches_fraction_definitions(N, x, y):
+    assert dot(x, y) == vec_dot(x, y)
+    digits = [digit_by_definition(b) for b in x]
+    for b, g in zip(x, digits):
+        if g is None:
+            with pytest.raises(LatticeError):
+                a4_class_of(b)
+        else:
+            assert a4_class_of(b) == g
+    assert N.contains(x) == (None not in digits and tuple(digits) in GLUE_SPAN)
+
+
 # -- fixed-space projection -------------------------------------------------------
 
 
@@ -364,17 +444,16 @@ def test_projection_idempotent_and_self_adjoint(N):
 def test_projection_image_form(N):
     for v in N.basis:
         assert projected_form_ok(project_fixed(v))
-    lam_p = tuple(F(c) for c in (1, -1, 0, -1, 1))
-    fixed_vec = tuple([lam_p] + [GLUE_REP] * 5)
+    fixed_vec = tuple([LAMBDA_P] + [GLUE_REP] * 5)
     assert project_fixed(fixed_vec) == fixed_vec
 
 
 def test_projection_of_single_block_root(N):
     root = tuple(F(c) for c in A4_SIMPLE[0])
-    v = tuple([zero_block(), root] + [zero_block()] * 4)
+    v = tuple([ZERO, root] + [ZERO] * 4)
     p = project_fixed(v)
     fifth = tuple(x / 5 for x in root)
-    assert p == tuple([zero_block()] + [fifth] * 5)
+    assert p == tuple([ZERO] + [fifth] * 5)
 
 
 # -- shift vectors and twisted sectors ---------------------------------------------
@@ -383,7 +462,7 @@ def test_projection_of_single_block_root(N):
 def test_shift_vector_data(h):
     for r, delta in ((1, DELTA1), (2, DELTA2)):
         f = shift_vector(r)
-        assert vec_norm(f) == F(2, 5)
+        assert vec_dot(f, f) == F(2, 5)
         assert vec_dot(h, f) == 0
         assert f[0] == delta
 
@@ -445,8 +524,8 @@ def test_twisted_weight_one_total():
 
 
 def test_inner_h_data(N, h):
-    assert vec_norm(h) == 2
-    assert N.contains(vec_scale(2, h))
+    assert vec_dot(h, h) == dot(h, h) == 2
+    assert N.contains(scale(2, h))
     assert not N.contains(h)
 
 
@@ -457,13 +536,13 @@ def test_h_spectrum_half_integral(N, h):
     for eps in (1, -1):
         for r in (1, 2):
             for w in enumerate_S(eps, r):
-                v = tuple([w] + [zero_block()] * 5)
+                v = tuple([w] + [ZERO] * 5)
                 assert (2 * vec_dot(h, v)).denominator == 1
     # and strictly half-integrally somewhere, so the twist has order two
-    beta_vec = tuple([BETA[4]] + [zero_block()] * 5)
+    beta_vec = tuple([BETA[4]] + [ZERO] * 5)
     assert vec_dot(h, beta_vec).denominator == 2
     root_vec = tuple(
-        [zero_block(), tuple(F(c) for c in A4_SIMPLE[3])] + [zero_block()] * 4
+        [ZERO, tuple(F(c) for c in A4_SIMPLE[3])] + [ZERO] * 4
     )
     assert vec_dot(h, root_vec).denominator == 2
 
@@ -490,16 +569,15 @@ def test_fixed_shape_pairings(h):
     shape = fixed_shape_A45(h)
     assert shape == SemisimpleShape.parse("A3,5^2 U(1)^2")
     assert shape.dim == 32
-    lam_p = tuple(F(c) for c in (1, -1, 0, -1, 1))
     for i, alpha in enumerate(A4_SIMPLE, start=1):
         a = tuple(F(c) for c in alpha)
         assert block_dot(a, GLUE_REP) == (1 if i == 4 else 0)
     for i in (1, 2, 3, 4):
-        assert block_dot(BETA[i], lam_p) == (1 if i == 4 else 0)
+        assert block_dot(BETA[i], LAMBDA_P) == (1 if i == 4 else 0)
 
 
 def test_minus_h_not_a_spectrum_weight(h):
-    minus_h = vec_scale(-1, h)
+    minus_h = scale(-1, h)
     assert not projected_form_ok(minus_h)
     with pytest.raises(LatticeError):
         a4_class_of(minus_h[0])
