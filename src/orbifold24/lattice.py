@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import floor, isqrt
 from operator import mul
@@ -534,10 +535,14 @@ def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:
     d5 = _shift5(epsilon, r)
     center5 = [-5 * a - d for a, d in zip(h[0], d5)]  # 5 * -(h_0 + eps delta^r)
     mins = [_ball_min(g, center5, Fraction(4)) for g in range(5)]
-    best1 = min(m for m in mins if m is not None)
-    # diagonal part: 5 * |b/5 + h_tail|^2 = |b + 5 h_tail|^2 / 5 over b in A4
-    best2 = _ball_min(0, [-25 * c for c in h[1]], Fraction(20)) / 5
-    return best1 + best2
+    return min(m for m in mins if m is not None) + _diagonal_min(h[1])
+
+
+@lru_cache(maxsize=None)
+def _diagonal_min(tail: Block) -> Fraction:
+    """The diagonal part of the sector minimum, which depends only on h's tail:
+    min of 5 * |b/5 + tail|^2 = |b + 5 tail|^2 / 5 over b in A4."""
+    return _ball_min(0, [-25 * c for c in tail], Fraction(20)) / 5
 
 
 def fixed_shape_A45(h: LVec) -> SemisimpleShape:

@@ -30,7 +30,13 @@ On labels the kernels are short integer products:
 * the roots are the Weyl orbits of the dominant roots, walked on labels
   by Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): from
   an element with m_i > 0, step to s_i of it only when no label before i
-  goes negative, so each orbit element is reached exactly once.
+  goes negative, so each orbit element is reached exactly once;
+* the whole weight support of lambda (`weight_support`, the tests' oracle
+  for the closed forms) is a descent and an orbit walk: the dominant
+  weights below lambda are reached from lambda by subtracting positive
+  roots through dominant weights (J. Stembridge, "The partial order of
+  dominant weights", Adv. Math. 136, 1998), and each is expanded to its
+  Weyl orbit by Snow's walk.
 
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
 public functions (`pair`, `pair_with_roots`, `weight_from_fundamental`,
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 Vec = tuple[Fraction, ...]
 
@@ -446,32 +452,6 @@ def build_root_datum(t: SimpleType) -> RootDatum:
 # -- weight supports -------------------------------------------------------
 
 
-def _dominant_coefficient_states(d: RootDatum, lam_fund: tuple[int, ...]):
-    """All c >= 0 (integer, simple-root basis) with lam - c.alpha dominant.
-
-    The coefficients of lam in the simple-root basis bound c componentwise
-    because the inverse Cartan matrix has nonnegative entries.
-    """
-    n = d.rank
-    lam = d.weight_from_fundamental(lam_fund)
-    bounds = [int(x) for x in lam]  # lam is dominant: root-basis coords are >= 0
-    A = d.cartan
-    states = []
-
-    def rec(idx, c, m):
-        if idx == n:
-            if all(x >= 0 for x in m):
-                states.append(tuple(c))
-            return
-        for v in range(bounds[idx] + 1):
-            c[idx] = v
-            rec(idx + 1, c, [m[j] - v * A[j][idx] for j in range(n)])
-        c[idx] = 0
-
-    rec(0, [0] * n, list(lam_fund))
-    return states
-
-
 def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
     x = d.integral(lam)
     if any(m < 0 or m % x.den for m in x.labels):
@@ -483,33 +463,41 @@ def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
 def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     """The set of all weights of the irreducible module with highest weight lam.
 
-    This is the enumerator: the dominant weights lam - c.alpha (c >= 0)
-    closed under the simple reflections; multiplicities are never computed.
-    min_pairing and support_contains answer their questions in closed form
-    without it, and the tests use it as their oracle.
+    This is the enumerator, two integer walks on Dynkin labels that never
+    compute multiplicities.  The dominant weights: every dominant mu <= lam
+    is reached from lam by subtracting one positive root at a time through
+    dominant weights (J. Stembridge, "The partial order of dominant
+    weights", Adv. Math. 136, 1998), so subtracting the labels of each
+    positive root and keeping the dominant results finds them all.  Then
+    the Weyl orbit of each, by Snow's walk (`_orbit`), which reaches every
+    element once.  min_pairing and support_contains answer their questions
+    in closed form without it, and the tests use it as their oracle.
     """
-    lam_fund = _require_dominant_integral(d, lam)
-    lam = d.weight_from_fundamental(lam_fund)
-    n = d.rank
-    A = d.cartan
-    seen = set(_dominant_coefficient_states(d, lam_fund))
-    queue = [
-        (c, tuple(lam_fund[j] - sum(A[j][i] * c[i] for i in range(n)) for j in range(n)))
-        for c in seen
+    labels = _require_dominant_integral(d, lam)
+    N = d.fund_den
+    diag = [row[i] for i, row in enumerate(d.igram)]
+    # the labels of alpha are 2(alpha|alpha_j)/(alpha_j|alpha_j)
+    steps = [
+        tuple(2 * x // g for x, g in zip(row, diag))
+        for r, row in zip(d.iroots, d.root_rows)
+        if sum(r) > 0
     ]
-    while queue:
-        c, m = queue.pop()
-        for i in range(n):
-            if m[i]:
-                # sigma_i: mu -> mu - m_i alpha_i, i.e. c_i += m_i
-                c2 = list(c)
-                c2[i] += m[i]
-                c2 = tuple(c2)
-                if c2 not in seen:
-                    seen.add(c2)
-                    m2 = tuple(m[j] - m[i] * A[j][i] for j in range(n))
-                    queue.append((c2, m2))
-    return {tuple(lam[j] - c[j] for j in range(n)) for c in seen}
+    dominant, stack = {labels}, [labels]
+    while stack:
+        m = stack.pop()
+        for a in steps:
+            m2 = tuple(map(sub, m, a))
+            if min(m2) >= 0 and m2 not in dominant:
+                dominant.add(m2)
+                stack.append(m2)
+    # the orbit walk reads coordinates and labels on one scale, here N
+    points = [
+        w
+        for m in dominant
+        for w in d._orbit(IntWeight(N, tuple(d._label_coords(m)), tuple(N * x for x in m)))
+    ]
+    frac = {x: Fraction(x, N) for x in {x for w in points for x in w}}
+    return {tuple(map(frac.__getitem__, w)) for w in points}
 
 
 def label_pairing(d: RootDatum, labels, x: IntWeight) -> Fraction:

@@ -109,10 +109,12 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(
                 f"{source}: field 'lattice' must be true or false, not {lattice!r}"
             )
-        factors = [
-            (SimpleType.parse(tok.split()[0]), int(tok.split()[1]))
-            for tok in fields.get("factor", [])
-        ]
+        factors = []
+        for value in fields.get("factor", []):
+            toks = value.split()
+            if len(toks) != 2:
+                raise ScenarioError(f"{source}: a factor is a type and a level, not {value!r}")
+            factors.append((SimpleType.parse(toks[0]), int(toks[1])))
         algebra = ProductAlgebra(tuple(factors))
         h = HVector.from_fundamental(algebra, _parse_factor_lists(one("h")))
         sc = Scenario(
@@ -128,6 +130,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             assumptions=fields.get("assume", []),
             notes=fields.get("note", []),
         )
+        # table_weights sets the maximum itself, so a second maximum is ambiguous
+        if "table_max_weight" in fields and "table_weights" in fields:
+            raise ScenarioError(f"{source}: give table_max_weight or table_weights, not both")
         if "table_max_weight" in fields:
             sc.table_max_weight = Fraction(one("table_max_weight"))
         if "table_weights" in fields:
@@ -158,7 +163,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             )
     except ScenarioError:
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:  # e.g. Fraction('1/0')
         raise ScenarioError(f"{source}: {exc}") from exc
     return sc
 

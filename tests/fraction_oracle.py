@@ -7,6 +7,11 @@ breadth-first search with a `seen` set, and the fundamental weights solve
 a Fraction linear system in the Gram matrix.  It reads only `d.gram`, `d.rank` and `d.type`
 of a root datum, so it shares no arithmetic with the code it checks.
 
+The weight support is how the package enumerated it before the dominant
+descent: walk the whole box 0 <= c <= (root coordinates of lambda), keep
+the c with lambda - c.alpha dominant, and close under the simple
+reflections.  Its cost grows with the box, so it serves small boxes only.
+
 The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
 summed coordinate by coordinate in Fractions.
@@ -14,6 +19,7 @@ summed coordinate by coordinate in Fractions.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 
 def gram_row(d, u):
@@ -164,6 +170,75 @@ def certificate(d, coeffs, level, h):
         if tuple(coeffs) == tuple(level * (i == j) for i in range(d.rank)) and dom == lam:
             return "zero_with_witness", f"j={j + 1}"
     return "negative_violation", "zero without witness"
+
+
+# -- the weight support by the coefficient box ----------------------------------
+
+
+def cartan(d):
+    """a[i][j] = <alpha_j, alpha_i^vee> = 2(alpha_i|alpha_j)/(alpha_i|alpha_i)."""
+    return [[int(2 * g / row[i]) for g in row] for i, row in enumerate(d.gram)]
+
+
+def box_size(d, lam):
+    """The number of points c in the box 0 <= c <= (root coordinates of lam)."""
+    return prod(int(x) + 1 for x in lam)
+
+
+def dominant_coefficient_states(d, lam_fund):
+    """All c >= 0 (integer, simple-root basis) with lam - c.alpha dominant.
+
+    The coefficients of lam in the simple-root basis bound c componentwise
+    because the inverse Cartan matrix has nonnegative entries; the walk
+    visits the whole box and tests dominance only at its leaves.
+    """
+    n = d.rank
+    lam = weight_from_fundamental(d, lam_fund)
+    bounds = [int(x) for x in lam]  # lam is dominant: root-basis coords are >= 0
+    A = cartan(d)
+    states = []
+
+    def rec(idx, c, m):
+        if idx == n:
+            if all(x >= 0 for x in m):
+                states.append(tuple(c))
+            return
+        for v in range(bounds[idx] + 1):
+            c[idx] = v
+            rec(idx + 1, c, [m[j] - v * A[j][idx] for j in range(n)])
+        c[idx] = 0
+
+    rec(0, [0] * n, list(lam_fund))
+    return states
+
+
+def weight_support(d, lam):
+    """The weights of L(lam): the dominant states of the box, closed under the
+    simple reflections by a breadth-first search with a `seen` set."""
+    lam_fund = to_fundamental(d, lam)
+    assert all(x >= 0 and x.denominator == 1 for x in lam_fund), lam_fund
+    lam_fund = tuple(int(x) for x in lam_fund)
+    lam = weight_from_fundamental(d, lam_fund)
+    n = d.rank
+    A = cartan(d)
+    seen = set(dominant_coefficient_states(d, lam_fund))
+    queue = [
+        (c, tuple(lam_fund[j] - sum(A[j][i] * c[i] for i in range(n)) for j in range(n)))
+        for c in seen
+    ]
+    while queue:
+        c, m = queue.pop()
+        for i in range(n):
+            if m[i]:
+                # sigma_i: mu -> mu - m_i alpha_i, i.e. c_i += m_i
+                c2 = list(c)
+                c2[i] += m[i]
+                c2 = tuple(c2)
+                if c2 not in seen:
+                    seen.add(c2)
+                    m2 = tuple(m[j] - m[i] * A[j][i] for j in range(n))
+                    queue.append((c2, m2))
+    return {tuple(lam[j] - c[j] for j in range(n)) for c in seen}
 
 
 # -- the lattice's Fraction block arithmetic ----------------------------------

@@ -267,7 +267,7 @@ def test_production_path_enumerates_no_support(monkeypatch):
     def enumerate_support(*args):
         raise AssertionError("weight-support enumeration reached")
 
-    monkeypatch.setattr(rootsys, "_dominant_coefficient_states", enumerate_support)
+    monkeypatch.setattr(rootsys, "weight_support", enumerate_support)
     for sc in _bundled_scenarios():
         if sc.name not in ("M1", "M3"):
             continue

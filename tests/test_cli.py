@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbifold24.cli import _bundled_scenarios, main
 from orbifold24.scenarios import ScenarioError, parse_scenario
@@ -217,6 +219,31 @@ def test_misspelled_key_is_rejected(tmp_path):
     assert "table_max_wieght" in proc.stderr
 
 
+def test_factor_line_needs_exactly_a_type_and_a_level(tmp_path, capsys):
+    # an extra token would otherwise be dropped without a word
+    doctored = M1_TEXT.replace("factor: G2 1\n", "factor: G2 1 junk\n", 1)
+    assert doctored != M1_TEXT
+    with pytest.raises(ScenarioError, match="'G2 1 junk'"):
+        parse_scenario(doctored)
+    with pytest.raises(ScenarioError, match="a type and a level"):
+        parse_scenario(M1_TEXT.replace("factor: E6 3\n", "factor: E6\n"))
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "G2 1 junk" in capsys.readouterr().err
+
+
+def test_table_max_weight_and_table_weights_are_exclusive(tmp_path, capsys):
+    # table_weights sets the maximum, so a second one would be silently replaced
+    text = (SCENARIOS / "m4.scn").read_text()
+    assert "table_weights: 2 3 4\n" in text
+    doctored = text.replace("table_weights: 2 3 4\n", "table_weights: 2 3 4\ntable_max_weight: 9\n")
+    with pytest.raises(ScenarioError, match="not both"):
+        parse_scenario(doctored)
+    (tmp_path / "m4x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
 # h = Lambda_1/2 on E6 alone: the vacuum reaches twisted weight exactly 1/2,
 # so nothing proves that the half-graded part vanishes
 HALF_TEXT = """name: half
@@ -311,3 +338,61 @@ def test_mutated_scenario_never_passes_with_skipped_checks(path, scenario_report
             assert [c.name for c in rep.checks] == [c.name for c in base.checks]
         else:  # a failed check, not an internal error
             assert rep.status == "fail", (kind, key, rep.error)
+
+
+# -- hypothesis mutations of the values -------------------------------------------
+
+SCN_PATHS = sorted(SCENARIOS.glob("*.scn"))
+NON_NUMERIC = ["x", "1/0", "nan", "inf", "1//2", "half", "0x1", "--1", "1/2/3"]
+# value keys: a value is groups (';') of parts ('|') of tokens
+ARITY_KEYS = ("h", "base_weights", "factor")
+WEIGHT_KEYS = ("h", "base_weights", "table_weights", "table_max_weight")
+
+
+@st.composite
+def value_mutations(draw):
+    """(file name, key, mutated text): one value of a bundled scenario given
+    the wrong number of entries (h, base_weights, factor) or a non-numeric
+    weight (h, base_weights, table_weights, table_max_weight, a factor level)."""
+    path = draw(st.sampled_from(SCN_PATHS))
+    lines = path.read_text().splitlines(keepends=True)
+    keys = [line.partition(":")[0] for line in lines]
+    key = draw(st.sampled_from([k for k in ARITY_KEYS + WEIGHT_KEYS if k in keys]))
+    i = draw(st.sampled_from([j for j, k in enumerate(keys) if k == key]))
+    value = lines[i].partition(":")[2]
+    groups = [[part.split() for part in g.split("|")] for g in value.split(";")]
+    group = draw(st.sampled_from(groups))
+    toks = draw(st.sampled_from(group))
+    kinds = ["arity", "non-numeric"] if key in ARITY_KEYS else ["non-numeric"]
+    if draw(st.sampled_from(kinds)) == "non-numeric":
+        j = 1 if key == "factor" else draw(st.integers(0, len(toks) - 1))
+        toks[j] = draw(st.sampled_from(NON_NUMERIC))
+    elif key == "factor" or draw(st.booleans()):  # one entry more or fewer in a list
+        if draw(st.booleans()):
+            toks.pop(draw(st.integers(0, len(toks) - 1)))
+        else:
+            extra = draw(st.sampled_from(["0", "1/2", "1", "junk"]))
+            toks.insert(draw(st.integers(0, len(toks))), extra)
+    elif draw(st.booleans()) and len(group) > 1:  # one factor fewer
+        group.remove(toks)
+    else:  # one factor more
+        group.insert(draw(st.integers(0, len(group))), list(toks))
+    value = " ; ".join(" | ".join(" ".join(t) for t in g) for g in groups)
+    mutated = "".join(lines[:i] + [f"{key}: {value}\n"] + lines[i + 1 :])
+    return path.name, key, mutated
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_mutations())
+def test_mutated_values_are_rejected_or_fail(case):
+    # a malformed value is a parse error (exit 2) or a failed report: never an
+    # internal error, and never a pass
+    from orbifold24.scenarios import run_scenario
+
+    name, key, mutated = case
+    try:
+        sc = parse_scenario(mutated, name)
+    except ScenarioError:
+        return
+    rep = run_scenario(sc)
+    assert rep.status == "fail", (name, key, rep.error)

@@ -565,6 +565,24 @@ def test_twisted_sector_minimum(N, h):
             assert weight > F(1, 2)
 
 
+def test_sector_minima_build_the_diagonal_ball_once(h, monkeypatch):
+    # the diagonal part depends only on h, not on the sector (eps, r)
+    diagonal = [-25 * c for c in h[1]]
+    calls = []
+    ball = lattice._coset_ball
+
+    def counted(digit, center5, max_norm):
+        calls.append((digit, list(center5), max_norm))
+        return ball(digit, center5, max_norm)
+
+    monkeypatch.setattr(lattice, "_coset_ball", counted)
+    lattice._diagonal_min.cache_clear()
+    shifts = [twisted_sector_min_shift(h, eps, r) for eps in (1, -1) for r in (1, 2)]
+    assert shifts == [F(2, 5)] * 4
+    assert calls.count((0, diagonal, F(20))) == 1
+    assert len(calls) == 4 * 5 + 1
+
+
 def test_fixed_shape_pairings(h):
     shape = fixed_shape_A45(h)
     assert shape == SemisimpleShape.parse("A3,5^2 U(1)^2")

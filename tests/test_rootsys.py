@@ -247,6 +247,36 @@ def test_support_size_vs_dimension():
     assert len(weight_support(d, d.theta)) < weyl_dimension(d, d.theta)
 
 
+# the minuscule weights (Bourbaki numbering) of every type up to rank 12
+MINUSCULE = (
+    [(f"A{n}", j) for n in range(1, MAX_RANK + 1) for j in range(1, n + 1)]
+    + [(f"B{n}", n) for n in range(2, MAX_RANK + 1)]
+    + [(f"C{n}", 1) for n in range(2, MAX_RANK + 1)]
+    + [(f"D{n}", j) for n in range(3, MAX_RANK + 1) for j in (1, n - 1, n)]
+    + [("E6", 1), ("E6", 6), ("E7", 7)]
+)
+
+
+def test_support_size_is_dimension_on_every_minuscule_weight():
+    # every weight of a minuscule module has multiplicity one
+    assert len(MINUSCULE) == 133
+    for name, j in MINUSCULE:
+        d = build_root_datum(SimpleType.parse(name))
+        lam = d.fundamental_weights[j - 1]
+        assert len(weight_support(d, lam)) == weyl_dimension(d, lam), (name, j)
+
+
+def test_support_of_d12_with_a_large_box():
+    # Lambda_1 + Lambda_11 of D12: 26 624 weights in a box of 29 million points
+    d = build_root_datum(SimpleType.parse("D12"))
+    lam = wt(d, 1, *[0] * 9, 1, 0)
+    assert oracle.box_size(d, lam) > 29 * 10**6
+    sup = weight_support(d, lam)
+    assert len(sup) == 26624
+    # the dominant weights below lam are lam and Lambda_12 = lam - (e_1 - e_12)
+    assert lam in sup and d.fundamental_weights[11] in sup
+
+
 # -- minimum pairings ----------------------------------------------------------
 
 

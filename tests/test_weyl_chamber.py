@@ -4,6 +4,8 @@ For every simple type up to rank 12, a random dominant lambda with
 (theta|lambda) <= 2 and a random half-integral h, min_pairing and
 support_contains must agree with rootsys.weight_support, which enumerates
 the whole support and is kept as the oracle for exactly this purpose.
+weight_support itself (dominant descent and orbit walk) is checked against
+the box walk it replaced, tests/fraction_oracle.py, wherever the box is small.
 
 The integer label kernel under them (dominant conjugates, label pairings,
 conformal weights, twisted lowest weights and their certificates) is also
@@ -13,7 +15,8 @@ on every module label up to level 3, with no limit on the support.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +33,12 @@ from orbifold24.affine import (
 from orbifold24.rootsys import (
     MAX_RANK,
     SimpleType,
+    _to_integral,
     build_root_datum,
     min_pairing,
     support_contains,
     weight_support,
+    weyl_dimension,
 )
 
 F = Fraction
@@ -43,19 +48,30 @@ TYPES = (
     + [f"D{n}" for n in range(3, MAX_RANK + 1)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
-# The oracle walks the box 0 <= c <= (root coordinates of lambda); labels whose
-# box is larger are left out so that the file stays fast.
-MAX_BOX = 5000
+# weight_support builds every weight, and at rank 12 a level-2 support reaches
+# about 10^8 weights (C12, 2 Lambda_12).  A support has at most dim L(lambda)
+# weights, so labels of a larger dimension are left out; the size of the
+# box 0 <= c <= (root coordinates of lambda) no longer matters.
+MAX_DIM = 50000
 
 
 @lru_cache(maxsize=None)
 def small_labels(name):
     """Dominant lambda with (theta|lambda) <= 2, i.e. the level-2 labels."""
-    return [
-        m.weight
-        for m in enumerate_modules(SimpleType.parse(name), 2)
-        if prod(int(x) + 1 for x in m.weight) <= MAX_BOX
-    ]
+    t = SimpleType.parse(name)
+    d = build_root_datum(t)
+    return [m.weight for m in enumerate_modules(t, 2) if weyl_dimension(d, m.weight) <= MAX_DIM]
+
+
+@lru_cache(maxsize=16)
+def enumerated(d, lam):
+    """weight_support(d, lam), the same weights sorted, and the sorted weights
+    as integer vectors over one denominator (every weight lies in lam + Q);
+    sorting the integer vectors is sorting the weights, and much faster."""
+    support = weight_support(d, lam)
+    den = lcm(*(x.denominator for x in lam))
+    rows = sorted((tuple(x.numerator * (den // x.denominator) for x in mu), mu) for mu in support)
+    return support, [mu for _, mu in rows], den, [row for row, _ in rows]
 
 
 @st.composite
@@ -78,13 +94,14 @@ def is_dominant(d, v):
 @given(cases(), st.data())
 def test_closed_forms_match_enumeration(case, data):
     d, lam, h, mus = case
-    support = weight_support(d, lam)
+    support, ordered, den, scaled = enumerated(d, lam)
 
-    h_alpha = [d.pair(h, a) for a in d.simple_roots]
-    brute = min(sum(x * y for x, y in zip(mu, h_alpha)) for mu in support)
-    assert min_pairing(d, h, lam) == brute
+    h_den, h_alpha = _to_integral([d.pair(h, a) for a in d.simple_roots])
+    brute = min(sum(map(mul, mu, h_alpha)) for mu in scaled)
+    assert min_pairing(d, h, lam) == Fraction(brute, den * h_den)
 
-    inside = data.draw(st.lists(st.sampled_from(sorted(support)), max_size=4))
+    # draw indices: a strategy over the weights themselves would hash them all
+    inside = [ordered[i] for i in data.draw(st.lists(st.integers(0, len(ordered) - 1), max_size=4))]
     above = tuple(l + t for l, t in zip(lam, d.theta))
     queries = [lam, above] + mus + inside
     index = st.integers(0, d.rank - 1)
@@ -108,6 +125,28 @@ def test_dominant_conjugate_is_a_class_function(case):
         assert d.norm(dom) == d.norm(v)
         for i in range(d.rank):
             assert d.dominant_conjugate(reflect(d, v, i)) == dom
+
+
+# -- the enumerator against the box walk it replaced -----------------------------
+
+# the box walk visits every point of 0 <= c <= (root coordinates of lambda)
+MAX_BOX = 5000
+
+
+@lru_cache(maxsize=None)
+def box_labels(name):
+    """The labels at levels 1 and 2 whose box has at most MAX_BOX points."""
+    t = SimpleType.parse(name)
+    d = build_root_datum(t)
+    return [m.weight for m in enumerate_modules(t, 2) if oracle.box_size(d, m.weight) <= MAX_BOX]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TYPES), st.data())
+def test_weight_support_matches_box_walk(name, data):
+    d = build_root_datum(SimpleType.parse(name))
+    lam = data.draw(st.sampled_from(box_labels(name)))
+    assert weight_support(d, lam) == oracle.weight_support(d, lam)
 
 
 # -- the integer label kernel against the Fraction oracle ------------------------
