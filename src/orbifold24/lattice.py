@@ -517,14 +517,16 @@ def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | Non
 
     The blocks of alpha range independently over the cosets of its glue word,
     so the minimum for one word is the sum of the six per-block minima.
+    Equal blocks of h share their five coset-ball minima.
     """
     bound = Fraction(bound)
+    blocks = [tuple(b) for b in h]
     block_min = {
-        (i, g): _ball_min(g, [-5 * c for c in h[i]], bound) for i in range(6) for g in range(5)
+        (b, g): _ball_min(g, [-5 * c for c in b], bound) for b in set(blocks) for g in range(5)
     }
     totals = []
     for word in lattice.glue.words:
-        mins = [block_min[(i, g)] for i, g in enumerate(word)]
+        mins = [block_min[(b, g)] for b, g in zip(blocks, word)]
         if None not in mins:
             totals.append(sum(mins))
     return min((t for t in totals if t <= bound), default=None)

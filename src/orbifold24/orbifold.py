@@ -426,18 +426,47 @@ def _root_pairings(t: SimpleType):
     return P, [P[i][i] for i in range(len(P))]
 
 
+@lru_cache(maxsize=None)
+def _root_keys(t: SimpleType):
+    """Integer keys of the roots of a type, the key -> index map and the
+    indices of the positive roots, cached.
+
+    A root's key is its root coordinates read as the digits of a number in
+    balanced base 2m+1, m the largest absolute coordinate.  The key is linear
+    and one-to-one on roots, so the reflection s_b x = x - c b, with
+    c = 2(x|b)/(b|b), is the root whose key is key(x) - c * key(b).
+    """
+    roots = build_root_datum(t).iroots
+    base = 2 * max(abs(c) for r in roots for c in r) + 1
+    keys = []
+    for r in roots:
+        key = 0
+        for c in reversed(r):
+            key = key * base + c
+        keys.append(key)
+    positive = [i for i, r in enumerate(roots) if sum(r) > 0]
+    return keys, {key: i for i, key in enumerate(keys)}, positive
+
+
 def _find_gram_embedding(target: SimpleType, required_gram, long_only: bool = False) -> bool:
     """Backtracking search for roots of the target with a prescribed Gram matrix.
 
     The required Gram matrix is an integer matrix in the target's scale, so
-    its entries are compared directly with those of _root_pairings.
+    its entries are compared directly with those of _root_pairings.  Domains
+    are filtered forward after every placement and the next index is always
+    the one with the smallest domain.
 
-    Domains are filtered forward after every placement and the next index is
-    always the one with the smallest domain.  Any solution can be moved by
-    the Weyl group, which is transitive on roots of a given length, so the
-    very first placement ranges over a single representative.
+    Each node tries one root per orbit of W', the group generated by the
+    reflections in the roots orthogonal to every placed root (its positive
+    ones are `perp`), and after a candidate fails it marks the candidate's
+    whole W'-orbit as failed.  This is sound because such a reflection fixes
+    the placed roots and every pairing with them, so it maps each domain to
+    itself and completions to completions; by Steinberg's theorem (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12) W' is the whole pointwise
+    stabilizer of the placed roots, so no Weyl group element prunes more.
     """
     P, norms = _root_pairings(target)
+    keys, index, positive = _root_keys(target)
     long_norm = max(norms)
     k = len(required_gram)
     domains = []
@@ -450,39 +479,50 @@ def _find_gram_embedding(target: SimpleType, required_gram, long_only: bool = Fa
             return False
         domains.append(dom)
 
-    def rec(domains, unplaced, first):
+    def rec(domains, unplaced, perp):
         if not unplaced:
             return True
         i = min(unplaced, key=lambda j: len(domains[j]))
-        pool = domains[i][:1] if first else domains[i]
         rest = unplaced - {i}
-        for r in pool:
+        want = required_gram[i]
+        failed = set()
+        for r in domains[i]:
+            if r in failed:
+                continue
+            row = P[r]
             new_domains = list(domains)
-            ok = True
             for j in rest:
-                row = P[r]
-                want_row = required_gram[i][j]
-                nd = [s for s in domains[j] if row[s] == want_row]
+                nd = [s for s in domains[j] if row[s] == want[j]]
                 if not nd:
-                    ok = False
                     break
                 new_domains[j] = nd
-            if ok and rec(new_domains, rest, False):
-                return True
+            else:
+                if rec(new_domains, rest, [b for b in perp if row[b] == 0]):
+                    return True
+            failed.add(r)
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                xrow, xkey = P[x], keys[x]
+                for b in perp:
+                    if xrow[b]:
+                        y = index[xkey - 2 * xrow[b] // norms[b] * keys[b]]
+                        if y not in failed:
+                            failed.add(y)
+                            stack.append(y)
         return False
 
-    return rec(domains, frozenset(range(k)), True)
+    return rec(domains, frozenset(range(k)), positive)
 
 
-@lru_cache(maxsize=None)
-def _embedding_cached(target: SimpleType, parts_scaled, long_only: bool) -> bool:
-    """Whether the parts, each with its Gram matrix divided by its level
-    scaling xi, embed orthogonally in the target.
+def _required_gram(target: SimpleType, parts_scaled):
+    """The Gram matrix that the parts, each with its Gram matrix divided by
+    its level scaling xi, need as an orthogonal sum inside the target, or
+    None when it cannot be met.
 
-    The required Gram matrix is block diagonal and is built in the target's
-    integers: an entry g of a part's integer Gram becomes
-    g * scale(target) / (scale(part) * xi).  An entry that is not integral
-    matches no pair of target roots, so the answer is False.
+    The matrix is block diagonal and is built in the target's integers: an
+    entry g of a part's integer Gram becomes g * scale(target) / (scale(part) * xi).
+    An entry that is not integral matches no pair of target roots.
     """
     scale = build_root_datum(target).scale
     total = sum(t.rank for t, _ in parts_scaled)
@@ -495,10 +535,18 @@ def _embedding_cached(target: SimpleType, parts_scaled, long_only: bool) -> bool
             for j, g in enumerate(row):
                 q, rem = divmod(g * scale, div)
                 if rem:
-                    return False
+                    return None
                 G[off + i][off + j] = q
         off += t.rank
-    return _find_gram_embedding(target, G, long_only)
+    return G
+
+
+@lru_cache(maxsize=None)
+def _embedding_cached(target: SimpleType, parts_scaled, long_only: bool) -> bool:
+    """Whether the parts, each with its Gram matrix divided by its level
+    scaling xi, embed orthogonally in the target."""
+    G = _required_gram(target, parts_scaled)
+    return G is not None and _find_gram_embedding(target, G, long_only)
 
 
 def _embedding_query(target: SimpleType, parts, scalings, long_only: bool = False) -> bool:

@@ -583,6 +583,32 @@ def test_sector_minima_build_the_diagonal_ball_once(h, monkeypatch):
     assert len(calls) == 4 * 5 + 1
 
 
+def test_min_norm_shifted_builds_each_distinct_ball_once(N, h, monkeypatch):
+    # blocks 1-5 of h are equal, so only 2 blocks x 5 digits are distinct
+    assert len(set(h)) == 2
+    calls = []
+    ball = lattice._coset_ball
+
+    def counted(digit, center5, max_norm):
+        calls.append((digit, tuple(center5)))
+        return ball(digit, center5, max_norm)
+
+    monkeypatch.setattr(lattice, "_coset_ball", counted)
+    mn = min_norm_shifted(N, h, 4)
+    assert len(calls) == len(set(calls)) == 10
+    # the same minimum as one ball per (block, digit), shared by no block
+    monkeypatch.setattr(lattice, "_coset_ball", ball)
+    per_block = [
+        [lattice._ball_min(g, [-5 * c for c in b], 4) for g in range(5)] for b in h
+    ]
+    totals = [
+        sum(mins)
+        for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue.words)
+        if None not in mins
+    ]
+    assert mn == min(t for t in totals if t <= 4) == 2
+
+
 def test_fixed_shape_pairings(h):
     shape = fixed_shape_A45(h)
     assert shape == SemisimpleShape.parse("A3,5^2 U(1)^2")

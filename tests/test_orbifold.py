@@ -12,6 +12,7 @@ from orbifold24.orbifold import (
     SeedSubalgebra,
     SemisimpleShape,
     _cartan_permutation_match,
+    _embedding_query,
     _shape_sort_key,
     assemble_root_subsystem,
     classify_simple_system,
@@ -297,6 +298,27 @@ def test_embeds_classical_facts():
     assert embeds([T("D5"), T("A3")], T("E8"))
     assert embeds([T("E7"), T("A1")], T("E8"))
     assert embeds(T("D7"), T("E8"))
+    # Borel-de Siebenthal: the maximal-rank subsystems left by deleting a node
+    # of the extended Dynkin diagram, repeated within each part
+    assert embeds([T("A7"), T("A1")], T("E8"))
+    assert embeds([T("A5"), T("A2"), T("A1")], T("E8"))
+    assert embeds([T("D4"), T("D4")], T("E8"))
+    assert embeds([T("A2")] * 4, T("E8"))
+    assert embeds([T("A1")] * 8, T("E8"))
+    assert embeds([T("A5"), T("A2")], T("E7"))
+    assert embeds([T("A3"), T("A3"), T("A1")], T("E7"))
+    assert embeds([T("A1")] * 7, T("E7"))
+    assert embeds([T("A5"), T("A1")], T("E6"))
+    assert embeds([T("A2")] * 3, T("E6"))
+    assert embeds(T("B4"), T("F4"))
+    assert embeds([T("C3"), T("A1")], T("F4"))
+    # a short-root part, its Gram matrix divided by the squared length ratio
+    assert _embedding_query(T("F4"), (T("A2"), T("A2")), (1, 2))
+    assert _embedding_query(T("F4"), (T("A3"), T("A1")), (1, 2))
+    assert _embedding_query(T("G2"), (T("A1"), T("A1")), (1, 3))
+    # and the sums that no node deletion gives, so that E8 excludes them
+    assert not embeds([T("A6"), T("A2")], T("E8"))
+    assert not embeds([T("D7"), T("A1")], T("E8"))
 
 
 # -- identification -------------------------------------------------------------
