@@ -230,13 +230,6 @@ class HVector:
             total += k * build_root_datum(t).pair(h, h)
         return total
 
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in c) for c in self.components)
-
-
-def product_conformal_weight(m: ProductLabel) -> Fraction:
-    return sum((conformal_weight(f) for f in m.labels), Fraction(0))
-
 
 def integral_spectrum_table(
     a: ProductAlgebra, max_weight, weight_set=None

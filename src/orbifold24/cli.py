@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .affine import ProductAlgebra, conformal_weight, enumerate_modules, integral_spectrum_table
 from .rootsys import SimpleType
-from .qseries import DEFAULT_TRUNC
 from .scenarios import Scenario, ScenarioError, parse_scenario, run_scenario
 
 MODULE_TABLES = [
@@ -101,7 +100,7 @@ def _summary_table(scenarios, reports):
 
 def cmd_run(args) -> int:
     scenarios = _load_scenarios(args)
-    reports = [run_scenario(sc, trunc=args.trunc) for sc in scenarios]
+    reports = [run_scenario(sc) for sc in scenarios]
     if args.json:
         records = [r for rep in reports for r in rep.records()]
         print(json.dumps(records, indent=2))
@@ -153,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run scenario verifications")
     runp.add_argument("--dir", help="directory of .scn files (default: bundled)")
     runp.add_argument("--scenario", help="run a single scenario by name")
-    runp.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
-                      help="series truncation order in q^(1/2) units")
     runp.add_argument("--json", action="store_true", help="machine-readable report")
     runp.add_argument("-v", "--verbose", action="store_true", help="show passing checks")
     runp.set_defaults(func=cmd_run)

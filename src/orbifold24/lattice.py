@@ -268,7 +268,8 @@ class NiemeierLattice:
         if any(p % 25 for row in products for p in row):
             raise LatticeError("Gram matrix is not integral")
         self.gram = [[p // 25 for p in row] for row in products]
-        self._roots = tuple(self._enumerate(2, exact=True))
+        # an even lattice has no norm-1 vectors: the roots are the nonzero vectors of norm <= 2
+        self._roots = tuple(v for v in self._enumerate(2) if any(map(any, v)))
         self._check_invariants()
 
     # -- construction ------------------------------------------------------
@@ -313,17 +314,15 @@ class NiemeierLattice:
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
         """All lattice vectors of norm <= bound, glue word by glue word."""
-        return self._enumerate(bound, exact=False)
+        return self._enumerate(bound)
 
-    def _enumerate(self, bound, exact: bool) -> list[LVec]:
-        """The lattice vectors of norm <= bound, or of norm == bound if exact.
+    def _enumerate(self, bound) -> list[LVec]:
+        """The lattice vectors of norm <= bound.
 
         Each glue digit's coset ball is enumerated once, at the full bound,
         with every block's norm in units of 1/25.  The blocks under a budget
         are a slice of that sorted ball, so the recursion over the glue words
-        only adds integers, and vectors share their block objects.  The last
-        block's budget is what the norm leaves, so the exact vectors are the
-        ones whose last block uses all of it.
+        only adds integers, and vectors share their block objects.
         """
         limit = floor(25 * Fraction(bound))
         # around the zero center n = |m|^2, the block's norm in units of 1/25
@@ -352,10 +351,7 @@ class NiemeierLattice:
             def rec(i, prefix, used):
                 budget = limit - used - tail[i + 1]
                 if i == 5:
-                    out.extend(
-                        prefix + (b,) for b, n in fitting(word[5], budget)
-                        if not exact or n == budget
-                    )
+                    out.extend(prefix + (b,) for b, _ in fitting(word[5], budget))
                     return
                 for b, n in fitting(word[i], budget):
                     rec(i + 1, prefix + (b,), used + n)

@@ -106,6 +106,8 @@ class SemisimpleShape:
         for token in s.split():
             body, _, mult = token.partition("^")
             mult = int(mult) if mult else 1
+            if mult < 1:
+                raise OrbifoldError(f"multiplicity {mult} in {token!r} is below 1")
             if body == "U(1)":
                 center += mult
                 continue
@@ -448,7 +450,7 @@ def _root_keys(t: SimpleType):
     return keys, {key: i for i, key in enumerate(keys)}, positive
 
 
-def _find_gram_embedding(target: SimpleType, required_gram, long_only: bool = False) -> bool:
+def _find_gram_embedding(target: SimpleType, required_gram) -> bool:
     """Backtracking search for roots of the target with a prescribed Gram matrix.
 
     The required Gram matrix is an integer matrix in the target's scale, so
@@ -467,13 +469,10 @@ def _find_gram_embedding(target: SimpleType, required_gram, long_only: bool = Fa
     """
     P, norms = _root_pairings(target)
     keys, index, positive = _root_keys(target)
-    long_norm = max(norms)
     k = len(required_gram)
     domains = []
     for i in range(k):
         want = required_gram[i][i]
-        if long_only and want != long_norm:
-            return False
         dom = [j for j, norm in enumerate(norms) if norm == want]
         if not dom:
             return False
@@ -542,25 +541,25 @@ def _required_gram(target: SimpleType, parts_scaled):
 
 
 @lru_cache(maxsize=None)
-def _embedding_cached(target: SimpleType, parts_scaled, long_only: bool) -> bool:
+def _embedding_cached(target: SimpleType, parts_scaled) -> bool:
     """Whether the parts, each with its Gram matrix divided by its level
     scaling xi, embed orthogonally in the target."""
     G = _required_gram(target, parts_scaled)
-    return G is not None and _find_gram_embedding(target, G, long_only)
+    return G is not None and _find_gram_embedding(target, G)
 
 
-def _embedding_query(target: SimpleType, parts, scalings, long_only: bool = False) -> bool:
+def _embedding_query(target: SimpleType, parts, scalings) -> bool:
     key = tuple(sorted(zip(parts, scalings), key=lambda ps: (_shape_sort_key((ps[0], 1)), ps[1])))
-    return _embedding_cached(target, key, long_only)
+    return _embedding_cached(target, key)
 
 
-def embeds(x, y: SimpleType, long_only: bool = False) -> bool:
+def embeds(x, y: SimpleType) -> bool:
     """Whether a simple system of type x (or an orthogonal sum of types)
     exists inside the root set of y, norms matching exactly."""
     parts = tuple(x) if isinstance(x, (tuple, list)) else (x,)
     if sum(t.rank for t in parts) > y.rank:
         return False
-    return _embedding_query(y, parts, (1,) * len(parts), long_only)
+    return _embedding_query(y, parts, (1,) * len(parts))
 
 
 # -- identification of the new weight-one algebra ----------------------------

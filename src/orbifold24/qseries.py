@@ -16,9 +16,13 @@ from functools import lru_cache
 C24_2 = 276  # binomial(24, 2)
 C48_2 = 1128  # binomial(48, 2)
 DIM_CONSTANT = C24_2 + 24 * 2**12  # 98580, the weight-two constant
-# default truncation: twelve coefficients past the q^-1 leading term of the
-# hauptmodul, in q^(1/2)-numerator units
-DEFAULT_TRUNC = 22
+# The truncation of dimension_identities, in q^(1/2) units as hauptmodul
+# takes it.  The function reads Z at q^-1, q^0 and q^1, and Z(S tau) at
+# q^(-1/2) and q^0.  hauptmodul(T) is known for q^(n/2) with n < T - 2, and
+# Z = f + ... is known exactly as far as f is (f^-1 and f^-2 are known
+# further), so reading Z at q^1 (n = 2) needs T - 2 > 2.  Z(S tau) at depth
+# T is known for n < T + 1, so its reads at n = -1 and 0 ask for less.
+IDENTITIES_TRUNC = 5
 
 
 class QSeriesError(ValueError):
@@ -243,43 +247,22 @@ def eta24(scale, trunc: int) -> QSeries:
     return QSeries(2, coeffs, trunc)
 
 
-def _frozen(s: QSeries) -> tuple:
-    """The parts of s as an immutable tuple, safe to share from a cache."""
-    return s.denom, tuple(s.coeffs.items()), s.trunc
-
-
-@lru_cache(maxsize=None)
-def _hauptmodul_frozen(trunc: int) -> tuple:
-    window = trunc + 4  # room for the q^-1 shift
-    return _frozen(eta24(1, window) * eta24(2, window).inverse())
-
-
-@lru_cache(maxsize=None)
-def _hauptmodul_S_power_frozen(n: int, trunc: int) -> tuple:
-    window = trunc + 4 * abs(n)
-    base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
-    return _frozen(Fraction(2**12) ** n * base**n)
-
-
 def hauptmodul(trunc: int) -> QSeries:
     """The hauptmodul f = eta(tau)^24 / eta(2 tau)^24 = q^-1 - 24 + 276 q + ...
 
-    The coefficients are cached per truncation; each call returns a new
-    series, so a caller that changes it changes no later result.
+    Known for q^(n/2) with n < trunc - 2.
     """
-    denom, terms, t = _hauptmodul_frozen(trunc)
-    return QSeries(denom, dict(terms), t)
+    window = trunc + 4  # room for the q^-1 shift
+    return eta24(1, window) * eta24(2, window).inverse()
 
 
 def hauptmodul_S_power(n: int, trunc: int) -> QSeries:
-    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}.
-
-    Cached as hauptmodul is; each call returns a new series.
-    """
+    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}."""
     if n not in (1, -1, -2):
         raise QSeriesError("supported powers are 1, -1, -2")
-    denom, terms, t = _hauptmodul_S_power_frozen(n, trunc)
-    return QSeries(denom, dict(terms), t)
+    window = trunc + 4 * abs(n)
+    base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
+    return Fraction(2**12) ** n * base**n
 
 
 def t_transform(s: QSeries) -> QSeries:
@@ -301,7 +284,12 @@ class CharacterFit:
     series: QSeries
 
 
-def character_fit(dim_g1: int, dim_half: int, trunc: int = DEFAULT_TRUNC) -> CharacterFit:
+def _fitted_laurent(c0, c_minus1, power) -> QSeries:
+    """x + c0 + c_{-1} x^-1 + 2^23 x^-2, where power(n) is the series x^n."""
+    return power(1) + c0 + c_minus1 * power(-1) + Fraction(2**23) * power(-2)
+
+
+def character_fit(dim_g1: int, dim_half: int, trunc: int) -> CharacterFit:
     """Fit Z = f + c0 + c_{-1} f^-1 + 2^23 f^-2 from the two dimensions.
 
     The constant term pins c0 = dim_g1 + 24 and the q^(-1/2) coefficient of
@@ -313,25 +301,19 @@ def character_fit(dim_g1: int, dim_half: int, trunc: int = DEFAULT_TRUNC) -> Cha
     c_minus1 = Fraction(2**12) * (Fraction(dim_half, 2) + 24)
     f = hauptmodul(trunc)
     f_inv = f.inverse()
-    series = f + c0 + c_minus1 * f_inv + Fraction(2**23) * (f_inv ** 2)
+    powers = {1: f, -1: f_inv, -2: f_inv * f_inv}
+    series = _fitted_laurent(c0, c_minus1, powers.__getitem__)
     assert series[Fraction(-1)] == 1
     assert series[0] == dim_g1
     return CharacterFit(c0, c_minus1, series)
 
 
-def fitted_S_series(fit: CharacterFit, trunc: int = DEFAULT_TRUNC) -> QSeries:
+def fitted_S_series(fit: CharacterFit, trunc: int) -> QSeries:
     """The fitted character with f replaced by its S-transform expansions."""
-    return (
-        hauptmodul_S_power(1, trunc)
-        + fit.c0
-        + fit.c_minus1 * hauptmodul_S_power(-1, trunc)
-        + Fraction(2**23) * hauptmodul_S_power(-2, trunc)
-    )
+    return _fitted_laurent(fit.c0, fit.c_minus1, lambda n: hauptmodul_S_power(n, trunc))
 
 
-def dimension_identities(
-    dim_V1: int, dim_g1: int, dim_half: int, trunc: int = DEFAULT_TRUNC
-) -> tuple[int, int]:
+def dimension_identities(dim_V1: int, dim_g1: int, dim_half: int) -> tuple[int, int]:
     """Weight-one and weight-two dimension bookkeeping for the order-2 orbifold.
 
     Returns (dim of the new weight-one space, dim of the fixed-point
@@ -341,16 +323,16 @@ def dimension_identities(
         g2_dim  = 98580 + 2^11 * dim_half
 
     and the first is re-derived by expanding the three-term character sum
-    Z(tau) + Z(S tau) + Z(ST tau) with the fitted series and comparing the
-    constant term; disagreement raises.
+    Z(tau) + Z(S tau) + Z(ST tau) with the fitted series, at IDENTITIES_TRUNC,
+    and comparing the constant term; disagreement raises.
     """
     if min(dim_V1, dim_g1, dim_half) < 0:
         raise QSeriesError("dimensions must be nonnegative")
     closed = 3 * dim_g1 - dim_V1 + 24 * (1 - dim_half)
     g2_dim = DIM_CONSTANT + 2**11 * dim_half
 
-    fit = character_fit(dim_g1, dim_half, trunc)
-    s_series = fitted_S_series(fit, trunc)
+    fit = character_fit(dim_g1, dim_half, IDENTITIES_TRUNC)
+    s_series = fitted_S_series(fit, IDENTITIES_TRUNC)
     assert s_series[Fraction(-1, 2)] == Fraction(dim_half, 2)
     total = fit.series + s_series + t_transform(s_series)
     series_route = total[0] - dim_V1

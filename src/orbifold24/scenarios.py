@@ -35,7 +35,7 @@ from .orbifold import (
     twisted_sector_roots,
     verlinde_simple_current,
 )
-from .qseries import DEFAULT_TRUNC, dimension_identities
+from .qseries import dimension_identities
 from .rootsys import SimpleType, dominates
 
 
@@ -142,6 +142,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             sc.expect_table_counts = {}
             for tok in one("expect_table_counts").split():
                 w, _, n = tok.partition(":")
+                if Fraction(w) in sc.expect_table_counts:
+                    raise ScenarioError(f"{source}: expect_table_counts gives weight {w} twice")
                 sc.expect_table_counts[Fraction(w)] = int(n)
         if "base_weights" in fields:
             sc.base_weights = [
@@ -263,7 +265,7 @@ def derive_seeds(sc: Scenario):
     return shape, seeds, psi
 
 
-def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
+def run_scenario(sc: Scenario) -> Report:
     checks: list[CheckResult] = []
     add = lambda name, expected, actual: checks.append(
         CheckResult(name, str(expected), str(actual))
@@ -351,7 +353,7 @@ def run_scenario(sc: Scenario, trunc: int = DEFAULT_TRUNC) -> Report:
 
         # the dimension formula, closed form cross-checked against the series
         # route; the half-graded part is 0 only where a check above proved it
-        new_dim, _ = dimension_identities(a.dim, shape.dim, 0, trunc)
+        new_dim, _ = dimension_identities(a.dim, shape.dim, 0)
         add("dimension-formula", sc.expect_new_dim,
             new_dim if half_excluded else
             f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
@@ -434,7 +436,3 @@ def _lattice_checks(sc: Scenario):
     add("cartan-weight-exclusion", "-h is not a spectrum weight",
         "-h is not a spectrum weight" if not in_proj else "occurs")
     return checks, sectors_above_half
-
-
-def run_all(scenarios) -> list[Report]:
-    return [run_scenario(sc) for sc in scenarios]

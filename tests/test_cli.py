@@ -157,12 +157,34 @@ def test_stage_error_is_reported_apart_from_failures(monkeypatch, capsys):
     assert "identification" not in {r["check"] for r in records}
 
 
-def test_trunc_flag_accepted(tmp_path):
-    # a deeper truncation changes nothing: the identities are exact
-    doctored = M1_TEXT
-    (tmp_path / "m1.scn").write_text(doctored)
-    proc = run_cli("run", "--dir", str(tmp_path), "--trunc", "30")
-    assert proc.returncode == 0
+def test_trunc_is_not_an_option(capsys):
+    # the series depth follows from the coefficients the dimension formula reads
+    assert main(["run", "--trunc", "30"]) == 2
+    assert "unrecognized arguments: --trunc" in capsys.readouterr().err
+
+
+def test_repeated_table_weight_is_rejected(tmp_path, capsys):
+    # a dict would keep the last count, so the line's claim 2:5 would go unchecked
+    doctored = M1_TEXT.replace("expect_table_counts: 0:1 2:9 3:2", "expect_table_counts: 0:1 2:5 2:9 3:2")
+    assert doctored != M1_TEXT
+    with pytest.raises(ScenarioError, match="weight 2 twice"):
+        parse_scenario(doctored)
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "weight 2 twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixed", ["U(1)^-1", "U(1)^2 U(1)^-1", "A1,1^-2 U(1)", "U(1) A1,1^0"])
+def test_shape_multiplicity_below_one_is_rejected(fixed, tmp_path, capsys):
+    # each of these once printed as the true shape, so M2 passed
+    text = (SCENARIOS / "m2.scn").read_text()
+    doctored = text.replace("A1,3 U(1)\n", f"A1,3 {fixed}\n", 1)
+    assert doctored != text
+    with pytest.raises(ScenarioError, match="below 1"):
+        parse_scenario(doctored)
+    (tmp_path / "m2x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "below 1" in capsys.readouterr().err
 
 
 def test_parse_scenario_errors():

@@ -21,17 +21,14 @@ SMALL_TARGETS = [T(n) for n in (
 PART_TYPES = [t for t in SMALL_TARGETS if t.rank <= 4]
 
 
-def unpruned_gram_embedding(target, required_gram, long_only=False) -> bool:
+def unpruned_gram_embedding(target, required_gram) -> bool:
     """The search with only the first placement reduced by the Weyl group:
     every later node tries every root of its domain."""
     P, norms = _root_pairings(target)
-    long_norm = max(norms)
     k = len(required_gram)
     domains = []
     for i in range(k):
         want = required_gram[i][i]
-        if long_only and want != long_norm:
-            return False
         dom = [j for j, norm in enumerate(norms) if norm == want]
         if not dom:
             return False
@@ -59,9 +56,9 @@ def unpruned_gram_embedding(target, required_gram, long_only=False) -> bool:
     return rec(domains, frozenset(range(k)), True)
 
 
-def oracle_query(target, parts, scalings, long_only=False) -> bool:
+def oracle_query(target, parts, scalings) -> bool:
     G = _required_gram(target, tuple(zip(parts, scalings)))
-    return G is not None and unpruned_gram_embedding(target, G, long_only)
+    return G is not None and unpruned_gram_embedding(target, G)
 
 
 def parts_of_rank_at_most(n):
@@ -84,9 +81,7 @@ def test_pruned_search_matches_oracle_on_every_small_part(target):
         if sum(t.rank for t in parts) > target.rank:
             continue
         ones = (1,) * len(parts)
-        for long_only in (False, True):
-            want = oracle_query(target, parts, ones, long_only)
-            assert _embedding_query(target, parts, ones, long_only) is want, (parts, long_only)
+        assert _embedding_query(target, parts, ones) is oracle_query(target, parts, ones), parts
 
 
 @st.composite
@@ -97,16 +92,15 @@ def queries(draw, target):
         parts.append(part)
         left -= part.rank
     scalings = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=len(parts), max_size=len(parts)))
-    return tuple(parts), tuple(scalings), draw(st.booleans())
+    return tuple(parts), tuple(scalings)
 
 
 @pytest.mark.parametrize("target", SMALL_TARGETS, ids=str)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_pruned_search_matches_oracle_on_drawn_sums(target, data):
-    parts, scalings, long_only = data.draw(queries(target))
-    want = oracle_query(target, parts, scalings, long_only)
-    assert _embedding_query(target, parts, scalings, long_only) is want
+    parts, scalings = data.draw(queries(target))
+    assert _embedding_query(target, parts, scalings) is oracle_query(target, parts, scalings)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +121,5 @@ def test_pruned_search_matches_oracle_on_drawn_sums(target, data):
 def test_pruned_search_matches_oracle_on_level_scalings(target, parts, scalings):
     # the scaled queries that identify issues for seeds of a higher level
     y, xs = T(target), tuple(map(T, parts))
-    for long_only in (False, True):
-        want = oracle_query(y, xs, scalings, long_only)
-        assert _embedding_query(y, xs, scalings, long_only) is want
+    assert _embedding_query(y, xs, scalings) is oracle_query(y, xs, scalings)
 

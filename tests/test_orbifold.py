@@ -79,6 +79,13 @@ def test_shape_parse_format_roundtrip():
         assert SemisimpleShape.parse(str(shape)) == shape
 
 
+@pytest.mark.parametrize("text", ["U(1)^-1", "U(1)^0", "A1,1^-2 U(1)", "D7,3 A3,1^0"])
+def test_shape_parse_rejects_multiplicity_below_one(text):
+    # U(1)^-1 once parsed to center_dim -1 and printed as U(1)
+    with pytest.raises(OrbifoldError, match="below 1"):
+        SemisimpleShape.parse(text)
+
+
 def test_shape_dim_and_rank():
     s = SemisimpleShape.parse("D5,3 A1,1^2 A1,3^2 G2,1 U(1)")
     assert s.dim == 72 and s.rank == 12
@@ -264,10 +271,13 @@ def test_embeds_reflexivity():
 
 
 def test_embeds_long_only_restriction():
-    # C2 inside C3 needs short roots, so the long-only search must fail
+    # C2 inside C3 needs short roots, which norm matching allows
     assert embeds(T("C2"), T("C3"))
-    assert not embeds(T("C2"), T("C3"), long_only=True)
-    assert embeds(T("A1"), T("G2"), long_only=True)
+    # a part whose norms all equal the target's long norm lands on long roots:
+    # the long roots of C3 are orthogonal, so A2 fits only at the short norm
+    assert embeds(T("A1"), T("G2"))
+    assert not embeds(T("A2"), T("C3"))
+    assert _embedding_query(T("C3"), (T("A2"),), (2,))
 
 
 def test_embeds_rank_guard():
@@ -276,9 +286,7 @@ def test_embeds_rank_guard():
 
 def test_embeds_classical_facts():
     assert embeds(T("A2"), T("G2"))  # the long roots of G2
-    assert embeds(T("A2"), T("G2"), long_only=True)
     assert embeds(T("D4"), T("F4"))  # the long roots of F4
-    assert embeds(T("D4"), T("F4"), long_only=True)
     assert embeds(T("C2"), T("B3"))
     assert embeds(T("E6"), T("E7"))
     assert embeds(T("A7"), T("E7"))

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from orbifold24 import qseries
 from orbifold24.qseries import (
     C24_2,
     C48_2,
-    DEFAULT_TRUNC,
     DIM_CONSTANT,
+    IDENTITIES_TRUNC,
     QSeries,
     QSeriesError,
     character_fit,
@@ -136,17 +135,17 @@ def test_t_transform():
 
 
 def test_character_fit_examples():
-    fit = character_fit(88, 0)
+    fit = character_fit(88, 0, 22)
     assert fit.c0 == 112 and fit.c_minus1 == 24 * 2**12
     assert fit.series[0] == 88
-    assert character_fit(0, 0).series[0] == 0
-    assert character_fit(32, 0).series[0] == 32
+    assert character_fit(0, 0, 22).series[0] == 0
+    assert character_fit(32, 0, 22).series[0] == 32
     with pytest.raises(QSeriesError):
-        character_fit(-1, 0)
+        character_fit(-1, 0, 22)
 
 
 def test_character_fit_integer_coefficients():
-    fit = character_fit(72, 0)
+    fit = character_fit(72, 0, 22)
     assert all(c.denominator == 1 for c in fit.series.coeffs.values())
 
 
@@ -154,8 +153,8 @@ def test_fitted_s_series_half_coefficient():
     # q^(-1/2) coefficient of Z(S tau) is dim_half/2; the reconstructed
     # twisted character 2 Z(S tau) - Z has twice that
     for g1, half in [(72, 0), (88, 0), (10, 4)]:
-        fit = character_fit(g1, half)
-        s = fitted_S_series(fit)
+        fit = character_fit(g1, half, 22)
+        s = fitted_S_series(fit, 22)
         assert s[F(-1, 2)] == F(half, 2)
         assert 2 * s[F(-1, 2)] == half
         assert s[-1] == F(1, 2)
@@ -212,11 +211,11 @@ def test_truncation_propagates():
 
 
 def test_cached_hauptmodul_series_are_not_shared():
-    # the hauptmodul and its S-transform powers are cached; a caller that
-    # changes a returned series must not change any later result
+    # the eta products under the hauptmodul are cached; a caller that changes
+    # a returned series must not change any later result
     expected = dimension_identities(120, 48, 0)
-    builders = [lambda: hauptmodul(DEFAULT_TRUNC)] + [
-        lambda n=n: hauptmodul_S_power(n, DEFAULT_TRUNC) for n in (1, -1, -2)
+    builders = [lambda: hauptmodul(22)] + [
+        lambda n=n: hauptmodul_S_power(n, 22) for n in (1, -1, -2)
     ]
     for build in builders:
         first = build()
@@ -226,8 +225,22 @@ def test_cached_hauptmodul_series_are_not_shared():
         again = build()
         assert again is not first and again.coeffs == before
     assert dimension_identities(120, 48, 0) == expected
-    # after both runs the cache still holds what an uncached build gives
-    assert qseries._hauptmodul_frozen(DEFAULT_TRUNC) == qseries._hauptmodul_frozen.__wrapped__(DEFAULT_TRUNC)
-    for n in (1, -1, -2):
-        cached = qseries._hauptmodul_S_power_frozen(n, DEFAULT_TRUNC)
-        assert cached == qseries._hauptmodul_S_power_frozen.__wrapped__(n, DEFAULT_TRUNC)
+
+
+def test_identities_truncation_is_the_least_that_works():
+    # dimension_identities reads Z at q^-1, q^0, q^1 and Z(S tau) at q^(-1/2), q^0
+    def reads(trunc):
+        fit = character_fit(72, 0, trunc)
+        s = fitted_S_series(fit, trunc)
+        return (lambda: [fit.series[-1], fit.series[0], fit.series[1]],
+                lambda: [s[F(-1, 2)], s[0]])
+
+    z_deep, s_deep = reads(22)
+    z_reads, s_reads = reads(IDENTITIES_TRUNC)
+    assert z_reads() == z_deep() == [1, 72, DIM_CONSTANT]
+    assert s_reads() == s_deep()
+    # one step shallower Z at q^1 is unknown, while the S side still has its reads
+    z_short, s_short = reads(IDENTITIES_TRUNC - 1)
+    with pytest.raises(QSeriesError, match="coefficient at 1 is beyond truncation"):
+        z_short()
+    assert s_short() == s_deep()

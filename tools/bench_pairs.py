@@ -12,7 +12,9 @@ that a drift of the machine's speed falls on both sides alike.
 
 The record keeps, per workload: the seeds, every pair's metrics and
 `correct`/`failed` fields, and per metric the median and quartiles of
-each side and the number of pairs in which the change was better (lower).
+each side, the number of pairs in which the change was better (lower),
+and `within_bound`: whether the change's median is at most the parent's
+median times 1 + the metric's bound in BENCHMARK.json `end_to_end`.
 It also records the machine and the Python version.  Keys of an existing
 record that this run does not measure (other workloads, a hand-entered
 history of earlier changes) are kept, so one file can gather several runs.
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
+BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 SECONDS = 20
 
 
@@ -75,11 +78,13 @@ def summarize(pairs: list[dict]) -> dict:
     for m in METRICS:
         base = [p["base"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
+        base_q, change_q = quartiles(base), quartiles(change)
         out[m] = {
-            "base": quartiles(base),
-            "change": quartiles(change),
+            "base": base_q,
+            "change": change_q,
             "change_better": sum(c < b for b, c in zip(base, change)),
             "pairs": len(pairs),
+            "within_bound": change_q["median"] <= base_q["median"] * (1 + BOUNDS[m]),
         }
     return out
 
