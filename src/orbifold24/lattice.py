@@ -18,10 +18,11 @@ that way, and `dot`, `contains` and `a4_class_of` take them.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 from math import floor, isqrt
 from operator import mul
 
@@ -99,15 +100,6 @@ def _fives(b: Block) -> tuple[int, ...] | None:
     return tuple(x.numerator for x in m)
 
 
-def a4_roots() -> list[Block]:
-    out = set()
-    for pos, neg in permutations(range(5), 2):
-        v = [0] * 5
-        v[pos], v[neg] = 1, -1
-        out.add(tuple(Fraction(c) for c in v))
-    return sorted(out)
-
-
 def a4_class_of(b: Block) -> int:
     """Glue digit of an A4* block: m = 5b is integral with sum 0, and every m_i
     is the digit mod 5."""
@@ -164,20 +156,6 @@ def _ball_min(digit: int, center5, max_norm) -> Fraction | None:
     when it is empty."""
     s, ball = _coset_ball(digit, center5, max_norm)
     return Fraction(min(n for _, n in ball), s) if ball else None
-
-
-def a4_class_ball(digit: int, center: Block, max_norm) -> list[Block]:
-    """All v in the A4* coset of the digit with |v - center|^2 <= max_norm, sorted."""
-    return [_block(m) for m, _ in _coset_ball(digit, [5 * c for c in center], max_norm)[1]]
-
-
-def a4_class_min_vectors(digit: int) -> list[Block]:
-    """Minimal-norm vectors of an A4* coset (norms 0, 4/5, 6/5, 6/5, 4/5)."""
-    for bound in (Fraction(0), Fraction(4, 5), Fraction(6, 5)):
-        vs = a4_class_ball(digit, ZERO5, bound)
-        if vs:
-            return vs
-    raise LatticeError("empty coset ball")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -321,8 +299,10 @@ class NiemeierLattice:
 
         Each glue digit's coset ball is enumerated once, at the full bound,
         with every block's norm in units of 1/25.  The blocks under a budget
-        are a slice of that sorted ball, so the recursion over the glue words
-        only adds integers, and vectors share their block objects.
+        are a slice of that sorted ball, so the recursion over blocks 0-3 only
+        adds integers, and vectors share their block objects.  Blocks 4-5 come
+        from a list of (b4, b5) pairs, one per (digit4, digit5, budget), so
+        each vector is one tuple concatenation.
         """
         limit = floor(25 * Fraction(bound))
         # around the zero center n = |m|^2, the block's norm in units of 1/25
@@ -330,33 +310,43 @@ class NiemeierLattice:
             g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)[1]] for g in range(5)
         }
         min_norm = {g: min(n for _, n in ball) for g, ball in balls.items() if ball}
-        slices: dict[tuple[int, int], list] = {}
 
+        @lru_cache(maxsize=None)
         def fitting(g, budget):
-            key = (g, budget)
-            if key not in slices:
-                slices[key] = [(b, n) for b, n in balls[g] if n <= budget]
-            return slices[key]
+            return [(b, n) for b, n in balls[g] if n <= budget]
+
+        @lru_cache(maxsize=None)
+        def pairs(g4, g5, budget):
+            return [
+                (b4, b5)
+                for b4, n4 in fitting(g4, budget - min_norm[g5])
+                for b5, _ in fitting(g5, budget - n4)
+            ]
 
         out = []
-        for word in sorted(self.glue.words):
-            if any(g not in min_norm for g in word):
-                continue
-            tail = [0] * 7
-            for i in range(5, -1, -1):
-                tail[i] = tail[i + 1] + min_norm[word[i]]
-            if tail[0] > limit:
-                continue
+        # the output holds no reference cycles, so collecting during the build only rescans it
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for word in sorted(self.glue.words):
+                if any(g not in min_norm for g in word):
+                    continue
+                # tail[i]: the least norm blocks i..5 can take
+                tail = [*accumulate(min_norm[g] for g in word[::-1])][::-1] + [0]
+                if tail[0] > limit:
+                    continue
 
-            def rec(i, prefix, used):
-                budget = limit - used - tail[i + 1]
-                if i == 5:
-                    out.extend(prefix + (b,) for b, _ in fitting(word[5], budget))
-                    return
-                for b, n in fitting(word[i], budget):
-                    rec(i + 1, prefix + (b,), used + n)
+                def rec(i, prefix, used):
+                    if i == 4:
+                        out.extend(map(prefix.__add__, pairs(word[4], word[5], limit - used)))
+                        return
+                    for b, n in fitting(word[i], limit - used - tail[i + 1]):
+                        rec(i + 1, prefix + (b,), used + n)
 
-            rec(0, (), 0)
+                rec(0, (), 0)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return out
 
     def roots(self) -> tuple[LVec, ...]:

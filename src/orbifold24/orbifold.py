@@ -37,7 +37,7 @@ from math import lcm
 from operator import mul, sub
 
 from .affine import HVector, ProductAlgebra
-from .rootsys import RootSystemError, SimpleType, Vec, build_root_datum
+from .rootsys import MAX_RANK, RootSystemError, SimpleType, Vec, build_root_datum
 
 ProductWeight = tuple[Vec, ...]  # one component per ambient factor
 
@@ -570,7 +570,7 @@ def _candidate_ideals(rank_budget: int, dim_target: int, ratio: Fraction):
     the rank and dimension budget.  B2 and D3 are reported as C2 and A3."""
     out = []
     for letter in "ABCDEFG":
-        for rank in range(1, min(rank_budget, 12) + 1):
+        for rank in range(1, min(rank_budget, MAX_RANK) + 1):
             if (letter, rank) in (("B", 2), ("D", 3)):
                 continue
             try:
@@ -612,6 +612,9 @@ def identify(rank_budget: int, dim_target: int, seeds) -> list[SemisimpleShape]:
     """
     if dim_target <= 24:
         raise OrbifoldError("dimension target must exceed 24")
+    # no candidate ideal has rank above the cap, so a larger budget would miss shapes
+    if rank_budget > MAX_RANK:
+        raise OrbifoldError(f"rank {rank_budget} exceeds the identification cap {MAX_RANK}")
     ratio = Fraction(dim_target - 24, 24)
     seed_keys = [
         (s.type, s.level) if isinstance(s, SeedSubalgebra) else (s[0], s[1])

@@ -116,6 +116,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                 raise ScenarioError(f"{source}: a factor is a type and a level, not {value!r}")
             factors.append((SimpleType.parse(toks[0]), int(toks[1])))
         algebra = ProductAlgebra(tuple(factors))
+        # the lattice checks are made for the A4,5^2 algebra of the glued A4^6 lattice
+        if lattice.lower() == "true" and algebra != ProductAlgebra.of(("A4", 5), ("A4", 5)):
+            raise ScenarioError(f"{source}: lattice: true needs the algebra A4,5 A4,5, not {algebra}")
         h = HVector.from_fundamental(algebra, _parse_factor_lists(one("h")))
         sc = Scenario(
             name=one("name"),

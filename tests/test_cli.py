@@ -187,6 +187,31 @@ def test_shape_multiplicity_below_one_is_rejected(fixed, tmp_path, capsys):
     assert "below 1" in capsys.readouterr().err
 
 
+def test_lattice_checks_need_the_lattice_algebra(tmp_path, capsys):
+    # the lattice checks are made for A4,5^2; on another algebra they would
+    # pass without reading it
+    doctored = M1_TEXT + "lattice: true\n"
+    with pytest.raises(ScenarioError, match="not E6,3 G2,1 G2,1 G2,1"):
+        parse_scenario(doctored)
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "lattice: true needs the algebra A4,5 A4,5, not E6,3 G2,1 G2,1 G2,1" in capsys.readouterr().err
+
+
+def test_rank_above_the_identification_cap_is_an_error(tmp_path, capsys):
+    # one more factor takes M1 to rank 13, beyond the ideals identify enumerates
+    lines = [
+        line for line in M1_TEXT.splitlines(keepends=True)
+        if not line.startswith(("base_weights", "expect_twisted_seed"))
+    ]
+    doctored = "".join(lines).replace("factor: G2 1\nh:", "factor: G2 1\nfactor: A1 1\nh:")
+    doctored = doctored.replace("| 0 0\n", "| 0 0 | 0\n")
+    assert parse_scenario(doctored).algebra.rank == 13
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 3
+    assert "error: OrbifoldError: rank 13 exceeds the identification cap 12" in capsys.readouterr().out
+
+
 def test_parse_scenario_errors():
     with pytest.raises(ScenarioError):
         parse_scenario("factor: A1 1\n")  # missing required fields

@@ -2,7 +2,7 @@ import gc
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import ceil, floor, isqrt
 from pathlib import Path
 
@@ -21,10 +21,7 @@ from orbifold24.lattice import (
     LAMBDA5,
     LatticeError,
     NiemeierLattice,
-    a4_class_ball,
-    a4_class_min_vectors,
     a4_class_of,
-    a4_roots,
     build_glue_code,
     dot,
     enumerate_S,
@@ -91,6 +88,32 @@ def test_glue_code_cycle_invariance():
 
 
 # -- coset machinery -------------------------------------------------------------
+
+
+def a4_roots():
+    """The 20 roots e_i - e_j of A4, as Fraction blocks, sorted."""
+    out = []
+    for pos, neg in permutations(range(5), 2):
+        v = [F(0)] * 5
+        v[pos], v[neg] = F(1), F(-1)
+        out.append(tuple(v))
+    return sorted(out)
+
+
+def a4_class_ball(digit, center, max_norm):
+    """All v in the A4* coset of the digit with |v - center|^2 <= max_norm, sorted,
+    as Fraction blocks from the module's integer coset ball."""
+    ball = lattice._coset_ball(digit, [5 * c for c in center], max_norm)[1]
+    return [fifths(m) for m, _ in ball]
+
+
+def a4_class_min_vectors(digit):
+    """Minimal-norm vectors of an A4* coset (norms 0, 4/5, 6/5, 6/5, 4/5)."""
+    for bound in (0, F(4, 5), F(6, 5)):
+        vs = a4_class_ball(digit, ZERO, bound)
+        if vs:
+            return vs
+    raise AssertionError(f"empty coset ball for digit {digit}")
 
 
 def test_class_minimal_norms():
@@ -331,6 +354,60 @@ def test_enumeration_builds_each_coset_ball_once(N, monkeypatch):
     monkeypatch.setattr(lattice, "_coset_ball", counted)
     N.vectors_of_norm_at_most(4)
     assert Counter(calls) == Counter(range(5))
+
+
+def test_norm4_is_increasing_in_word_then_blocks(norm4):
+    # sorted glue words, then lexicographic in each coset ball's order (by 5v)
+    key_of = {}
+    for v in norm4:
+        for b in v:
+            if id(b) not in key_of:
+                key_of[id(b)] = (a4_class_of(b), tuple(int(5 * c) for c in b))
+    keys = []
+    for v in norm4:
+        parts = [key_of[id(b)] for b in v]
+        keys.append((tuple(g for g, _ in parts), tuple(m for _, m in parts)))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_norm4_blocks_are_shared_coset_ball_blocks(norm4):
+    # every block is one of the coset balls' objects, so id-keyed caches stay small
+    ball_total = sum(len(lattice._coset_ball(g, lattice.ZERO5, 4)[1]) for g in range(5))
+    assert ball_total == 191
+    assert len({id(b) for v in norm4 for b in v}) <= ball_total
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_callers_gc_state(N, monkeypatch, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(N.vectors_of_norm_at_most(2)) == 121
+        assert gc.isenabled() == enabled
+        # also when the build raises: a glue word one digit short
+        monkeypatch.setattr(N, "glue", lattice.GlueCode(frozenset({(0,) * 5})))
+        with pytest.raises(IndexError):
+            N.vectors_of_norm_at_most(2)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_enumeration_pauses_the_collector(N):
+    # at the parent of the pause, the norm <= 4 build ran hundreds of collections
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        N.vectors_of_norm_at_most(4)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 5, Counter(collections)
 
 
 def test_dropped_lattice_is_freed():

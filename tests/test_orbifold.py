@@ -28,7 +28,7 @@ from orbifold24.orbifold import (
     twisted_sector_roots,
     verlinde_simple_current,
 )
-from orbifold24.rootsys import RootSystemError, SimpleType, build_root_datum
+from orbifold24.rootsys import MAX_RANK, RootSystemError, SimpleType, build_root_datum
 
 F = Fraction
 T = SimpleType.parse
@@ -364,6 +364,14 @@ def test_identify_reports_failure_as_empty():
 def test_identify_rejects_small_dimension():
     with pytest.raises(OrbifoldError):
         identify(12, 24, [])
+
+
+@pytest.mark.parametrize("dim", [744, 1128])
+def test_identify_rejects_rank_above_the_cap(dim):
+    # at rank 24 these admit D16,1 E8,1 and D24,1, whose ideals exceed the cap;
+    # capped silently, they gave E8,1^3 alone and no shape at all
+    with pytest.raises(OrbifoldError, match=f"cap {MAX_RANK}"):
+        identify(24, dim, [])
 
 
 # -- the Verlinde check ----------------------------------------------------------
