@@ -299,10 +299,11 @@ class NiemeierLattice:
 
         Each glue digit's coset ball is enumerated once, at the full bound,
         with every block's norm in units of 1/25.  The blocks under a budget
-        are a slice of that sorted ball, so the recursion over blocks 0-3 only
-        adds integers, and vectors share their block objects.  Blocks 4-5 come
-        from a list of (b4, b5) pairs, one per (digit4, digit5, budget), so
-        each vector is one tuple concatenation.
+        are a slice of that sorted ball, so the four nested loops over blocks
+        0-3 only add integers, and vectors share their block objects.  Blocks
+        4-5 come from a list of (b4, b5) pairs, one per (digit4, digit5,
+        budget), so each vector is one tuple concatenation.  No closure here
+        refers to itself, so the call's caches are freed when it returns.
         """
         limit = floor(25 * Fraction(bound))
         # around the zero center n = |m|^2, the block's norm in units of 1/25
@@ -336,14 +337,14 @@ class NiemeierLattice:
                 if tail[0] > limit:
                     continue
 
-                def rec(i, prefix, used):
-                    if i == 4:
-                        out.extend(map(prefix.__add__, pairs(word[4], word[5], limit - used)))
-                        return
-                    for b, n in fitting(word[i], limit - used - tail[i + 1]):
-                        rec(i + 1, prefix + (b,), used + n)
-
-                rec(0, (), 0)
+                for b0, n0 in fitting(word[0], limit - tail[1]):
+                    for b1, n1 in fitting(word[1], limit - n0 - tail[2]):
+                        u1 = n0 + n1
+                        for b2, n2 in fitting(word[2], limit - u1 - tail[3]):
+                            u2 = u1 + n2
+                            for b3, n3 in fitting(word[3], limit - u2 - tail[4]):
+                                pairs45 = pairs(word[4], word[5], limit - u2 - n3)
+                                out.extend(map((b0, b1, b2, b3).__add__, pairs45))
         finally:
             if gc_was_enabled:
                 gc.enable()

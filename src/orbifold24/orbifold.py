@@ -25,7 +25,8 @@ tuples of Fractions are only the boundary: the SeedSubalgebra values are
 built from them after classification.  The plain form goes through
 RootDatum.pair, which runs in integers.  The embedding search compares root
 pairings of its target as entries of one cached integer matrix,
-scale * (r|s).
+scale * (r|s), built row by row by linearity along the root poset; the
+parts of a query need only their integer Gram matrices.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, neg, sub
 
 from .affine import HVector, ProductAlgebra
-from .rootsys import MAX_RANK, RootSystemError, SimpleType, Vec, build_root_datum
+from .rootsys import MAX_RANK, RootSystemError, SimpleType, Vec, build_root_datum, scaled_gram
 
 ProductWeight = tuple[Vec, ...]  # one component per ambient factor
 
@@ -60,13 +61,6 @@ def plain_pairing(a: ProductAlgebra, x: ProductWeight, y: ProductWeight) -> Frac
     return sum(
         (d.pair(xi, yi) for d, xi, yi in zip(a.data, x, y)), Fraction(0)
     )
-
-
-def invariant_pairing(a: ProductAlgebra, x: ProductWeight, y: ProductWeight) -> Fraction:
-    total = Fraction(0)
-    for (_, k), d, xi, yi in zip(a.factors, a.data, x, y):
-        total += d.pair(xi, yi) / k
-    return total
 
 
 def negate(x: ProductWeight) -> ProductWeight:
@@ -139,10 +133,6 @@ class SeedSubalgebra:
     simple_roots: tuple[ProductWeight, ...]
     roots: tuple[ProductWeight, ...]
     long_norm_ambient: Fraction  # plain ambient norm of the seed's long roots
-
-    @property
-    def long_in_ambient(self) -> bool:
-        return self.long_norm_ambient == 2
 
 
 # -- component classification ------------------------------------------------
@@ -422,10 +412,31 @@ def seeds_meeting(a: ProductAlgebra, seeds, roots) -> list[SeedSubalgebra]:
 
 @lru_cache(maxsize=None)
 def _root_pairings(t: SimpleType):
-    """scale * (r|s) for all pairs of roots of a type, and the scaled norms, cached."""
+    """scale * (r|s) for all pairs of roots of a type, and the scaled norms, cached.
+
+    Built by linearity, one C-level pass per row.  The row of alpha_i is
+    column i of root_rows.  A positive root r of height above one is
+    r' + alpha_i for a positive root r' of height one less (Humphreys, Lie
+    Algebras, 10.2), so walking by height, row(r) = row(r') + row(alpha_i),
+    with r' found by its key.  iroots is sorted and closed under negation,
+    so root n-1-j is minus root j, and so is its row.
+    """
     d = build_root_datum(t)
-    P = [[sum(map(mul, r, row)) for row in d.root_rows] for r in d.iroots]
-    return P, [P[i][i] for i in range(len(P))]
+    keys, index, positive = _root_keys(t)
+    n = len(d.iroots)
+    P = [None] * n
+    simple = {}  # i -> the index of alpha_i
+    for j in sorted(positive, key=lambda j: sum(d.iroots[j])):
+        r = d.iroots[j]
+        if sum(r) == 1:
+            simple[r.index(1)] = j
+            P[j] = [row[r.index(1)] for row in d.root_rows]
+        else:
+            # r - alpha_i has balanced digits when r_i > 0, so a key match is that root
+            s = next(s for i, s in simple.items() if r[i] and keys[j] - keys[s] in index)
+            P[j] = list(map(add, P[index[keys[j] - keys[s]]], P[s]))
+        P[n - 1 - j] = list(map(neg, P[j]))
+    return P, [P[i][i] for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -523,14 +534,14 @@ def _required_gram(target: SimpleType, parts_scaled):
     entry g of a part's integer Gram becomes g * scale(target) / (scale(part) * xi).
     An entry that is not integral matches no pair of target roots.
     """
-    scale = build_root_datum(target).scale
+    scale = scaled_gram(target)[0]
     total = sum(t.rank for t, _ in parts_scaled)
     G = [[0] * total for _ in range(total)]
     off = 0
     for t, xi in parts_scaled:
-        d = build_root_datum(t)
-        div = d.scale * xi
-        for i, row in enumerate(d.igram):
+        part_scale, igram = scaled_gram(t)
+        div = part_scale * xi
+        for i, row in enumerate(igram):
             for j, g in enumerate(row):
                 q, rem = divmod(g * scale, div)
                 if rem:

@@ -226,6 +226,15 @@ def _gram_matrix(t: SimpleType) -> list[list[Fraction]]:
     return G
 
 
+@lru_cache(maxsize=None)
+def scaled_gram(t: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, scale * gram) of a type, cached: scale is the lcm of the Gram
+    denominators, so the second is the integer Gram matrix igram."""
+    gram = _gram_matrix(t)
+    scale = lcm(*(g.denominator for row in gram for g in row))
+    return scale, tuple(tuple(int(g * scale) for g in row) for row in gram)
+
+
 class RootDatum:
     """A simple root system with exact pairings, roots and weight data.
 
@@ -254,8 +263,8 @@ class RootDatum:
         self.rank = n
         self.gram = _gram_matrix(t)
         self.norms = [self.gram[i][i] for i in range(n)]
-        self.scale = lcm(*(g.denominator for row in self.gram for g in row))
-        self.igram = [[int(g * self.scale) for g in row] for row in self.gram]
+        self.scale, igram = scaled_gram(t)
+        self.igram = [list(row) for row in igram]
         assert all(2 * g % row[i] == 0 for i, row in enumerate(self.igram) for g in row)
         self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(self.igram)]
         # column i of the Cartan matrix (the labels of alpha_i), its non-zero entries
@@ -391,10 +400,6 @@ class RootDatum:
         den, c = _to_integral(coeffs)
         den *= self.fund_den
         return tuple(Fraction(x, den) for x in self._label_coords(c))
-
-    def weight_to_fundamental(self, v: Vec) -> Vec:
-        self._require_rank(v)
-        return tuple(self.coroot_pairing(v, i) for i in range(self.rank))
 
     def _dominant(self, x: IntWeight) -> IntWeight:
         w, m = list(x.coords), list(x.labels)

@@ -15,6 +15,10 @@ reflections.  Its cost grows with the box, so it serves small boxes only.
 The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
 summed coordinate by coordinate in Fractions.
+
+The product-algebra forms between them are read only by the tests: the
+invariant form of a product algebra on Fraction product weights, and
+whether a seed subalgebra's long roots are long in the ambient algebra.
 """
 
 from fractions import Fraction
@@ -170,6 +174,22 @@ def certificate(d, coeffs, level, h):
         if tuple(coeffs) == tuple(level * (i == j) for i in range(d.rank)) and dom == lam:
             return "zero_with_witness", f"j={j + 1}"
     return "negative_violation", "zero without witness"
+
+
+# -- product-algebra forms --------------------------------------------------------
+
+
+def invariant_pairing(a, x, y):
+    """(x|y) under the invariant form of the product algebra a: the sum over
+    the factors of (x_i|y_i) / k_i, k_i the level of factor i.  Each (x_i|y_i)
+    is RootDatum.pair, whose integer kernel test_integer_kernel checks."""
+    return sum((d.pair(xi, yi) / k for (_, k), d, xi, yi in zip(a.factors, a.data, x, y)),
+               Fraction(0))
+
+
+def long_in_ambient(seed):
+    """Whether the long roots of a seed subalgebra have plain ambient norm 2."""
+    return seed.long_norm_ambient == 2
 
 
 # -- the weight support by the coefficient box ----------------------------------

@@ -287,7 +287,7 @@ def test_production_path_uses_only_the_integer_kernel(monkeypatch):
     def boundary(*args):
         raise AssertionError("Fraction boundary helper reached")
 
-    for name in ("coroot_pairing", "weight_to_fundamental", "dominant_conjugate"):
+    for name in ("coroot_pairing", "dominant_conjugate"):
         monkeypatch.setattr(RootDatum, name, boundary)
     for name in ("roots", "positive_roots", "simple_roots", "fundamental_weights", "rho", "theta"):
         monkeypatch.setattr(RootDatum, name, property(boundary))

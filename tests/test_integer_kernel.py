@@ -7,11 +7,17 @@ them is checked here against the rational computation it replaced.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from orbifold24.affine import enumerate_modules
-from orbifold24.orbifold import _embedding_query, _root_pairings
+from orbifold24.orbifold import (
+    _embedding_cached,
+    _embedding_query,
+    _required_gram,
+    _root_pairings,
+)
 from orbifold24.rootsys import (
     MAX_RANK,
     RootSystemError,
@@ -30,8 +36,35 @@ TYPES = (
 )
 SCALE = {"A": 1, "B": 1, "D": 1, "E": 1, "C": 2, "F": 2, "G": 3}  # C2 = B2 has scale 1
 # the Fraction oracle pairs every root pair only up to rank 8 (the full D12
-# matrix would cost ~18 s); the rank-12 types are checked on sample rows
+# matrix would cost ~18 s); the rank-12 types are checked on sample rows,
+# and in full against the dense integer build
 FULL_MATRIX_RANK = 8
+
+
+def dense_root_pairings(d):
+    """The pairing matrix by one integer dot product per entry, as it was
+    built before the walk along the root poset."""
+    return [[sum(map(mul, r, row)) for row in d.root_rows] for r in d.iroots]
+
+
+def required_gram_from_root_data(target, parts_scaled):
+    """_required_gram as it read each part's scale and integer Gram matrix
+    from the part's whole root datum."""
+    scale = build_root_datum(target).scale
+    total = sum(t.rank for t, _ in parts_scaled)
+    G = [[0] * total for _ in range(total)]
+    off = 0
+    for t, xi in parts_scaled:
+        d = build_root_datum(t)
+        div = d.scale * xi
+        for i, row in enumerate(d.igram):
+            for j, g in enumerate(row):
+                q, rem = divmod(g * scale, div)
+                if rem:
+                    return None
+                G[off + i][off + j] = q
+        off += t.rank
+    return G
 
 
 def sample_rows(n):
@@ -100,6 +133,47 @@ def test_root_pairings_match_fraction_oracle(name):
         for i in sample_rows(n):
             row = gram_row(d, roots[i])
             assert P[i] == [d.scale * dot(row, s) for s in int_roots]
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_root_pairings_match_dense_build(name):
+    d = build_root_datum(T(name))
+    n = len(d.iroots)
+    # the negative of root j sits at n-1-j, which the build relies on
+    assert all(d.iroots[n - 1 - j] == tuple(-x for x in d.iroots[j]) for j in range(n))
+    P, norms = _root_pairings(d.type)
+    assert P == dense_root_pairings(d)
+    assert norms == [P[i][i] for i in range(n)]
+
+
+# one target per scale: 1, 2 and 3
+GRAM_TARGETS = [T(n) for n in ("D12", "C12", "F4", "G2")]
+GRAM_PARTS = [T(n) for n in TYPES if T(n).rank <= 8]
+
+
+@pytest.mark.parametrize("target", GRAM_TARGETS, ids=str)
+def test_required_gram_matches_root_data_form(target):
+    for part in GRAM_PARTS:
+        for xi in (1, 2, 3):
+            key = ((part, xi),)
+            assert _required_gram(target, key) == required_gram_from_root_data(target, key), key
+    for key in [
+        ((T("A2"), 1), (T("A2"), 2)),
+        ((T("D4"), 2), (T("A1"), 1), (T("G2"), 1)),
+        ((T("B3"), 1), (T("C3"), 2)),
+    ]:
+        assert _required_gram(target, key) == required_gram_from_root_data(target, key), key
+
+
+def test_query_builds_no_root_datum_for_its_parts():
+    build_root_datum.cache_clear()
+    target = build_root_datum(T("D12")).type
+    _root_pairings(target)
+    before = build_root_datum.cache_info().currsize
+    # the unwrapped query, so that an answer cached by another test cannot hide a build
+    assert _embedding_cached.__wrapped__(target, ((T("A5"), 1), (T("A5"), 1)))
+    assert not _embedding_cached.__wrapped__(target, ((T("E7"), 1),))
+    assert build_root_datum.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(

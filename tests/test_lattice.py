@@ -2,6 +2,7 @@ import gc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import ceil, floor, isqrt
 from pathlib import Path
@@ -408,6 +409,28 @@ def test_enumeration_pauses_the_collector(N):
     finally:
         gc.callbacks.remove(count)
     assert len(collections) <= 5, Counter(collections)
+
+
+def test_enumeration_leaves_no_cache_cycles():
+    # each call's fitting and pairs caches must go with the call, without
+    # waiting for a cyclic collection
+    wrapper = type(lru_cache(maxsize=None)(abs))
+
+    def leftover_caches():
+        return [
+            o.__qualname__ for o in gc.get_objects()
+            if isinstance(o, wrapper) and o.__qualname__.startswith("NiemeierLattice._enumerate.")
+        ]
+
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(NiemeierLattice().vectors_of_norm_at_most(2)) == 121
+        assert leftover_caches() == []
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_dropped_lattice_is_freed():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import reflect
+from fraction_oracle import invariant_pairing, long_in_ambient, reflect
 from orbifold24 import orbifold
 from orbifold24.affine import HVector, ProductAlgebra
 from orbifold24.orbifold import (
@@ -20,7 +20,6 @@ from orbifold24.orbifold import (
     factor_root,
     fixed_subalgebra,
     identify,
-    invariant_pairing,
     level_transfer,
     negate,
     plain_pairing,
@@ -166,8 +165,8 @@ def test_seed_long_in_ambient_flags():
     a, h = SCENARIOS["M1"]
     _, seeds = fixed_subalgebra(a, h)
     by_key = {(str(s.type), s.level): s for s in seeds}
-    assert by_key[("A1", 1)].long_in_ambient
-    assert not by_key[("A1", 3)].long_in_ambient
+    assert long_in_ambient(by_key[("A1", 1)])
+    assert not long_in_ambient(by_key[("A1", 3)])
     assert by_key[("A1", 3)].long_norm_ambient == F(2, 3)
 
 

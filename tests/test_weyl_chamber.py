@@ -87,7 +87,7 @@ def cases(draw):
 
 
 def is_dominant(d, v):
-    return all(x >= 0 for x in d.weight_to_fundamental(v))
+    return all(x >= 0 for x in oracle.to_fundamental(d, v))
 
 
 @settings(max_examples=100, deadline=None)

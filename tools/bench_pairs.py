@@ -18,6 +18,8 @@ median times 1 + the metric's bound in BENCHMARK.json `end_to_end`.
 It also records the machine and the Python version.  Keys of an existing
 record that this run does not measure (other workloads, a hand-entered
 history of earlier changes) are kept, so one file can gather several runs.
+Measuring a workload again moves its earlier entry, oldest first, into the
+new entry's `earlier` list, so no run is lost.
 """
 
 from __future__ import annotations
@@ -125,13 +127,18 @@ def main(argv=None) -> int:
     record["machine"] = machine()
     record["command"] = ("python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {SECONDS} --trace 0")
-    record.setdefault("workloads", {})[args.workload] = {
+    workloads = record.setdefault("workloads", {})
+    entry = {
         "base": args.base,
         "change": "working tree",
         "seeds": [p["seed"] for p in pairs],
         "pairs": pairs,
         "summary": summarize(pairs),
     }
+    if args.workload in workloads:
+        previous = workloads[args.workload]
+        entry["earlier"] = previous.pop("earlier", []) + [previous]
+    workloads[args.workload] = entry
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
