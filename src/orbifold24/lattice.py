@@ -123,7 +123,8 @@ def _coset_ball(digit: int, center5, max_norm) -> tuple[int, list]:
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         return s, []
-    limit = floor(s * max_norm)  # n is an integer, so n <= s*max_norm iff n <= limit
+    # n is an integer, so n <= s*max_norm iff n <= limit
+    limit = s * max_norm.numerator // max_norm.denominator
     r = isqrt(limit)
 
     def coord_range(c):
@@ -503,20 +504,28 @@ def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | Non
     """Exact min of |alpha + h|^2 over lattice vectors, within the given bound.
 
     The blocks of alpha range independently over the cosets of its glue word,
-    so the minimum for one word is the sum of the six per-block minima.
-    Equal blocks of h share their five coset-ball minima.
+    so the minimum for one word is the sum of the six per-block minima.  With
+    h = w/den, every coset-ball minimum is an integer on the one scale
+    s = 25 den^2, so each word's sum is an integer sum; an empty ball counts
+    as just above the bound.  Equal blocks of h share their five minima.
     """
     bound = Fraction(bound)
-    blocks = [tuple(b) for b in h]
-    block_min = {
-        (b, g): _ball_min(g, [-5 * c for c in b], bound) for b in set(blocks) for g in range(5)
-    }
-    totals = []
-    for word in lattice.glue.words:
-        mins = [block_min[(b, g)] for b, g in zip(blocks, word)]
-        if None not in mins:
-            totals.append(sum(mins))
-    return min((t for t in totals if t <= bound), default=None)
+    den, w = _to_integral([c for b in h for c in b])
+    s = 25 * den * den
+    limit = s * bound.numerator // bound.denominator
+    index: dict = {}
+    ids = [index.setdefault(w[5 * i : 5 * i + 5], len(index)) for i in range(6)]
+    mins = []
+    for key in index:
+        row = []
+        for g in range(5):
+            sb, ball = _coset_ball(g, [Fraction(-5 * x, den) for x in key], bound)
+            # sb = 25 D^2 with D | den, so s // sb is exact
+            row.append(min(n for _, n in ball) * (s // sb) if ball else limit + 1)
+        mins.append(row)
+    totals = (sum(mins[i][g] for i, g in zip(ids, word)) for word in lattice.glue.words)
+    best = min((t for t in totals if t <= limit), default=None)
+    return None if best is None else Fraction(best, s)
 
 
 def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:

@@ -177,22 +177,24 @@ def _cartan_permutation_match(C, target) -> bool:
     return rec(0)
 
 
+def _cartan_matrix(gram) -> list[list[int]]:
+    """The Cartan integers 2 G_ij / G_ii of the Gram matrix G of a simple system."""
+    quotients = [[divmod(2 * g, row[i]) for g in row] for i, row in enumerate(gram)]
+    if any(rem for row in quotients for _, rem in row):
+        raise OrbifoldError("not a crystallographic simple system")
+    return [[a for a, _ in row] for row in quotients]
+
+
 def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
     """Identify the simple type with the given root count from the integer
     Gram matrix of a simple system.
 
     The Cartan integers are scale invariant, so the Gram matrix may carry
     any overall positive scaling.  Only the types with num_roots roots are
-    compared, so no other root datum is built.
+    compared, each through its cached integer Gram matrix, so no root datum
+    is built.
     """
-    C = []
-    for i, row in enumerate(simple_gram):
-        C.append([])
-        for g in row:
-            a, rem = divmod(2 * g, row[i])
-            if rem:
-                raise OrbifoldError("not a crystallographic simple system")
-            C[-1].append(a)
+    C = _cartan_matrix(simple_gram)
     n = len(C)
     # A before D and C before B, so the coincidences D3=A3 and B2=C2 get
     # their canonical names
@@ -201,7 +203,9 @@ def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
             t = SimpleType(letter, n)
         except RootSystemError:
             continue
-        if t.num_roots == num_roots and _cartan_permutation_match(C, build_root_datum(t).cartan):
+        if t.num_roots == num_roots and _cartan_permutation_match(
+            C, _cartan_matrix(scaled_gram(t)[1])
+        ):
             return t
     raise OrbifoldError(f"Cartan matrix {C} matches no simple type with {num_roots} roots")
 
@@ -697,32 +701,31 @@ def verlinde_simple_current(a: int):
 
     For a = 1 or -1 the 4x4 S-matrix squares to the identity; the Verlinde
     sum must produce nonnegative integer fusion coefficients with
-    N_{P,P}^Q nonzero only at the vacuum, where it is 1.
+    N_{P,P}^Q nonzero only at the vacuum, where it is 1.  The check runs on
+    T = 2S, whose entries are +-1: T^2 = 4I, and as 1/S_0t = 2 T_0t,
+    N_pq^r = sum_t T_pt T_qt T_tr T_0t / 4.
     """
     if a not in (1, -1):
         raise OrbifoldError("the S-matrix parameter must be +1 or -1")
-    half = Fraction(1, 2)
-    S = [
-        [half, half, half, half],
-        [half, half, -half, -half],
-        [half, -half, a * half, -a * half],
-        [half, -half, -a * half, a * half],
-    ]
+    T = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, a, -a], [1, -1, -a, a]]
     n = 4
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    S2 = [[sum(S[i][k] * S[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    if S2 != ident:
+    cols = list(zip(*T))
+    if any(sum(map(mul, T[i], cols[j])) != 4 * (i == j) for i in range(n) for j in range(n)):
         raise OrbifoldError("S-matrix does not square to the identity")
-    N = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    N = [[[0] * n for _ in range(n)] for _ in range(n)]
     for p in range(n):
         for q in range(n):
+            # the t-th factor T_pt T_qt T_0t, shared by every r
+            w = [x * y * z for x, y, z in zip(T[p], T[q], T[0])]
             for r in range(n):
-                val = sum(S[p][t] * S[q][t] * S[t][r] / S[0][t] for t in range(n))
-                if val.denominator != 1 or val < 0:
+                total = sum(map(mul, w, cols[r]))
+                val, rem = divmod(total, 4)
+                if rem or val < 0:
                     raise OrbifoldError(
-                        f"fusion coefficient N_{p},{q}^{r} = {val} is not a nonnegative integer"
+                        f"fusion coefficient N_{p},{q}^{r} = {Fraction(total, 4)} "
+                        "is not a nonnegative integer"
                     )
-                N[p][q][r] = int(val)
+                N[p][q][r] = val
     for p in range(n):
         for r in range(n):
             expected = 1 if r == 0 else 0

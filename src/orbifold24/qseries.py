@@ -4,7 +4,10 @@ The public series of the character analysis all live in exponents from
 (1/2)Z, so D = 2 throughout that layer; the arithmetic itself works for any
 fixed denominator.  A series knows its truncation bound T: coefficients at
 exponent n/D are stored only for n < T and arithmetic propagates the
-smallest valid bound.
+smallest valid bound.  The coefficients are integers over one common
+denominator, and every series the package inverts (the eta quotients and
+the hauptmodul) has leading coefficient 1, so the whole layer runs in
+integers: the S-powers only add the scalar 2^(12n).
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
 C24_2 = 276  # binomial(24, 2)
 C48_2 = 1128  # binomial(48, 2)
@@ -21,7 +26,7 @@ DIM_CONSTANT = C24_2 + 24 * 2**12  # 98580, the weight-two constant
 # q^(-1/2) and q^0.  hauptmodul(T) is known for q^(n/2) with n < T - 2, and
 # Z = f + ... is known exactly as far as f is (f^-1 and f^-2 are known
 # further), so reading Z at q^1 (n = 2) needs T - 2 > 2.  Z(S tau) at depth
-# T is known for n < T + 1, so its reads at n = -1 and 0 ask for less.
+# T is known for n < T, so its reads at n = -1 and 0 ask for less.
 IDENTITIES_TRUNC = 5
 
 
@@ -30,52 +35,65 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """A truncated series sum_n c_n q^(n/denom), exact rational c_n."""
+    """A truncated series sum_n (nums[n] / den) q^(n/denom).
 
-    __slots__ = ("denom", "coeffs", "trunc")
+    The coefficients are integer numerators over one common positive
+    denominator den, kept in lowest terms; every operation runs on the
+    integers.  Exact Fraction values come out of __getitem__ and `coeffs`.
+    """
 
-    def __init__(self, denom: int, coeffs: dict, trunc: int):
-        self.denom = denom
-        self.trunc = trunc
-        self.coeffs = {n: Fraction(c) for n, c in coeffs.items() if c and n < trunc}
+    __slots__ = ("denom", "nums", "den", "trunc")
+
+    def __init__(self, denom: int, coeffs: dict, trunc: int, den: int = 1):
+        """sum_n (coeffs[n] / den) q^(n/denom) for n < trunc, from int or
+        Fraction coefficients and a positive integer den."""
+        scale = lcm(*(c.denominator for c in coeffs.values()))
+        nums = {
+            n: c.numerator * (scale // c.denominator) for n, c in coeffs.items() if c and n < trunc
+        }
+        if (g := gcd(den * scale, *nums.values())) > 1:
+            nums = {n: c // g for n, c in nums.items()}
+        self.denom, self.nums, self.den, self.trunc = denom, nums, den * scale // g, trunc
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The exact coefficients {n: nums[n]/den}, as a new dict of Fractions."""
+        return {n: Fraction(c, self.den) for n, c in self.nums.items()}
+
     def __getitem__(self, exponent) -> Fraction:
         """Coefficient at rational exponent; raises beyond the truncation."""
-        e = Fraction(exponent) * self.denom
-        if e.denominator != 1:
+        e = Fraction(exponent)
+        n, rem = divmod(e.numerator * self.denom, e.denominator)
+        if rem:
             return Fraction(0)
-        n = int(e)
         if n >= self.trunc:
             raise QSeriesError(f"coefficient at {exponent} is beyond truncation")
-        return self.coeffs.get(n, Fraction(0))
+        return Fraction(self.nums.get(n, 0), self.den)
 
     def valuation(self) -> int:
         """Lowest stored exponent numerator (trunc bound if identically zero)."""
-        return min(self.coeffs) if self.coeffs else self.trunc
+        return min(self.nums) if self.nums else self.trunc
 
     def __eq__(self, other):
         """Mathematical equality of the known parts, denominator-agnostic."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        from math import lcm
-
         d = lcm(self.denom, other.denom)
         a, b = d // self.denom, d // other.denom
         t = min(self.trunc * a, other.trunc * b)
-        left = {n * a: c for n, c in self.coeffs.items() if n * a < t}
-        right = {n * b: c for n, c in other.coeffs.items() if n * b < t}
+        left = {n * a: c * other.den for n, c in self.nums.items() if n * a < t}
+        right = {n * b: c * self.den for n, c in other.nums.items() if n * b < t}
         return left == right
 
     def __hash__(self):
         raise TypeError("QSeries is unhashable")
 
     def __repr__(self):
-        terms = []
-        for n in sorted(self.coeffs)[:6]:
-            terms.append(f"{self.coeffs[n]}*q^({n}/{self.denom})")
-        tail = " + ..." if len(self.coeffs) > 6 else ""
+        coeffs = self.coeffs
+        terms = [f"{coeffs[n]}*q^({n}/{self.denom})" for n in sorted(coeffs)[:6]]
+        tail = " + ..." if len(coeffs) > 6 else ""
         return f"QSeries({' + '.join(terms) or '0'}{tail}; trunc {self.trunc}/{self.denom})"
 
     # -- ring operations ---------------------------------------------------
@@ -88,20 +106,19 @@ class QSeries:
         if isinstance(other, (int, Fraction)):
             other = constant(other, self.denom, self.trunc)
         self._check(other)
-        t = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c
-        return QSeries(self.denom, out, t)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {n: c * a for n, c in self.nums.items()}
+        for n, c in other.nums.items():
+            out[n] = out.get(n, 0) + c * b
+        return QSeries(self.denom, out, min(self.trunc, other.trunc), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.denom, {n: -c for n, c in self.coeffs.items()}, self.trunc)
+        return QSeries(self.denom, {n: -c for n, c in self.nums.items()}, self.trunc, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = constant(other, self.denom, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -109,40 +126,39 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QSeries(
-                self.denom, {n: c * other for n, c in self.coeffs.items()}, self.trunc
-            )
+            nums = {n: x * other.numerator for n, x in self.nums.items()}
+            return QSeries(self.denom, nums, self.trunc, self.den * other.denominator)
         self._check(other)
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out: dict[int, Fraction] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
+        out: dict[int, int] = {}
+        for n1, c1 in self.nums.items():
+            for n2, c2 in other.nums.items():
                 n = n1 + n2
                 if n < t:
-                    out[n] = out.get(n, Fraction(0)) + c1 * c2
-        return QSeries(self.denom, out, t)
+                    out[n] = out.get(n, 0) + c1 * c2
+        return QSeries(self.denom, out, t, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
-        if not self.coeffs:
+        """Multiplicative inverse over Z: needs an integer series whose
+        leading coefficient is 1 or -1."""
+        if not self.nums:
             raise QSeriesError("cannot invert the zero series")
         v = self.valuation()
-        lead = self.coeffs[v]
+        lead = self.nums[v]
+        if self.den != 1 or lead not in (1, -1):
+            raise QSeriesError(
+                f"cannot invert over Z: leading coefficient {self.coeffs[v]}, "
+                f"coefficient denominator {self.den}"
+            )
         n_terms = self.trunc - v  # known coefficients of self past the leading one
-        # self = lead q^v (1 + x); invert the unit part by recursion
-        inv: dict[int, Fraction] = {0: 1 / lead}
+        # self = lead q^v (1 + x); with lead = 1/lead the recursion stays in Z
+        a = [self.nums.get(v + k, 0) for k in range(n_terms)]
+        inv = [lead]
         for n in range(1, n_terms):
-            s = Fraction(0)
-            for m, c in self.coeffs.items():
-                k = m - v
-                if 0 < k <= n and (n - k) in inv:
-                    s += c * inv[n - k]
-            val = -s / lead
-            if val:
-                inv[n] = val
-        return QSeries(self.denom, {n - v: c for n, c in inv.items()}, n_terms - v)
+            inv.append(-lead * sum(map(mul, a[1 : n + 1], reversed(inv))))
+        return QSeries(self.denom, {k - v: c for k, c in enumerate(inv)}, n_terms - v)
 
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
@@ -153,43 +169,16 @@ class QSeries:
             out = out * base
         return out
 
-    def rescale_exponents(self, num: int, den: int = 1) -> "QSeries":
-        """Substitute q -> q^(num/den), adjusting the exponent denominator."""
-        d = self.denom * den
-        g = _gcd_all([d] + [n * num for n in self.coeffs] + [self.trunc * num])
-        return QSeries(
-            d // g,
-            {n * num // g: c for n, c in self.coeffs.items()},
-            self.trunc * num // g,
-        )
-
     def dump(self) -> str:
         """One line per coefficient: 'n/D<TAB>p/q', sorted by exponent."""
-        lines = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            lines.append(f"{n}/{self.denom}\t{c.numerator}/{c.denominator}")
-        return "\n".join(lines)
-
-
-def _gcd_all(values):
-    from math import gcd
-
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g or 1
+        coeffs = self.coeffs
+        return "\n".join(
+            f"{n}/{self.denom}\t{coeffs[n].numerator}/{coeffs[n].denominator}" for n in sorted(coeffs)
+        )
 
 
 def constant(c, denom: int, trunc: int) -> QSeries:
-    return QSeries(denom, {0: Fraction(c)}, trunc)
-
-
-def monomial(c, exponent, denom: int, trunc: int) -> QSeries:
-    e = Fraction(exponent) * denom
-    if e.denominator != 1:
-        raise QSeriesError(f"exponent {exponent} not representable over denominator {denom}")
-    return QSeries(denom, {int(e): Fraction(c)}, trunc)
+    return QSeries(denom, {0: c}, trunc)
 
 
 # -- eta powers and the hauptmodul ------------------------------------------
@@ -237,13 +226,9 @@ def eta24(scale, trunc: int) -> QSeries:
     if trunc < 1:
         raise QSeriesError("truncation must be positive")
     # exponents are scale*(1 + j) for j >= 0 in units of q^(1/2): step = 2*scale
-    step = int(2 * scale)
+    step = 2 * scale.numerator // scale.denominator
     n_terms = trunc // step + 1
-    coeffs = {}
-    for j, c in enumerate(_euler_product_pow24(n_terms)):
-        n = step * (1 + j)
-        if c and n < trunc:
-            coeffs[n] = Fraction(c)
+    coeffs = {step * (1 + j): c for j, c in enumerate(_euler_product_pow24(n_terms))}
     return QSeries(2, coeffs, trunc)
 
 
@@ -257,19 +242,24 @@ def hauptmodul(trunc: int) -> QSeries:
 
 
 def hauptmodul_S_power(n: int, trunc: int) -> QSeries:
-    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}."""
+    """f(S tau)^n = 2^(12n) (eta(tau)^24 / eta(tau/2)^24)^n, for n in {1, -1, -2}.
+
+    Known for q^(m/2) with m < trunc (further for n = 1 and -1).
+    """
     if n not in (1, -1, -2):
         raise QSeriesError("supported powers are 1, -1, -2")
-    window = trunc + 4 * abs(n)
+    # the quotient is known below window - 1, its inverse below window - 3 and
+    # the inverse's square below window - 4
+    window = trunc + 4
     base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
-    return Fraction(2**12) ** n * base**n
+    return base**n * Fraction(2**12) ** n
 
 
 def t_transform(s: QSeries) -> QSeries:
     """Shift tau -> tau+1: the coefficient at q^(n/2) picks up (-1)^n."""
     if s.denom != 2:
         raise QSeriesError("t_transform requires exponent denominator 2")
-    return QSeries(2, {n: (-c if n % 2 else c) for n, c in s.coeffs.items()}, s.trunc)
+    return QSeries(2, {n: (-c if n % 2 else c) for n, c in s.nums.items()}, s.trunc, s.den)
 
 
 # -- the character fit and the dimension formula -----------------------------
@@ -286,19 +276,19 @@ class CharacterFit:
 
 def _fitted_laurent(c0, c_minus1, power) -> QSeries:
     """x + c0 + c_{-1} x^-1 + 2^23 x^-2, where power(n) is the series x^n."""
-    return power(1) + c0 + c_minus1 * power(-1) + Fraction(2**23) * power(-2)
+    return power(1) + c0 + power(-1) * c_minus1 + power(-2) * 2**23
 
 
 def character_fit(dim_g1: int, dim_half: int, trunc: int) -> CharacterFit:
     """Fit Z = f + c0 + c_{-1} f^-1 + 2^23 f^-2 from the two dimensions.
 
     The constant term pins c0 = dim_g1 + 24 and the q^(-1/2) coefficient of
-    the S-transform pins c_{-1} = 2^12 (dim_half/2 + 24).
+    the S-transform pins c_{-1} = 2^12 (dim_half/2 + 24) = 2^11 (dim_half + 48).
     """
     if dim_g1 < 0 or dim_half < 0:
         raise QSeriesError("dimensions must be nonnegative")
     c0 = Fraction(dim_g1 + 24)
-    c_minus1 = Fraction(2**12) * (Fraction(dim_half, 2) + 24)
+    c_minus1 = Fraction(2**11 * (dim_half + 48))
     f = hauptmodul(trunc)
     f_inv = f.inverse()
     powers = {1: f, -1: f_inv, -2: f_inv * f_inv}
@@ -334,8 +324,8 @@ def dimension_identities(dim_V1: int, dim_g1: int, dim_half: int) -> tuple[int, 
     fit = character_fit(dim_g1, dim_half, IDENTITIES_TRUNC)
     s_series = fitted_S_series(fit, IDENTITIES_TRUNC)
     assert s_series[Fraction(-1, 2)] == Fraction(dim_half, 2)
-    total = fit.series + s_series + t_transform(s_series)
-    series_route = total[0] - dim_V1
+    total = fit.series + s_series + t_transform(s_series) - dim_V1
+    series_route = total[0]
     if series_route != closed:
         raise QSeriesError(
             f"dimension formula mismatch: closed form {closed}, series route {series_route}"

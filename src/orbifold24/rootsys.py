@@ -360,10 +360,6 @@ class RootDatum:
     def norm(self, v: Vec) -> Fraction:
         return self.pair(v, v)
 
-    def coroot_pairing(self, v: Vec, i: int) -> Fraction:
-        """<v, alpha_i^vee> = 2(v|alpha_i)/(alpha_i|alpha_i)."""
-        return sum((a * x for a, x in zip(self.cartan[i], v) if a and x), Fraction(0))
-
     def scaled_row(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """w.igram for an integer vector w."""
         self._require_rank(w)

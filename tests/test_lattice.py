@@ -8,7 +8,7 @@ from math import ceil, floor, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import block_add, block_dot, vec_dot
@@ -656,6 +656,35 @@ def test_min_norm_shifted(N, h):
     assert min_norm_shifted(N, h, 1) is None
 
 
+def fraction_min_norm_shifted(N, h, bound):
+    """The minimum as a Fraction sum of the six per-block coset-ball minima
+    of each glue word, as min_norm_shifted computed it before its integer sums."""
+    per_block = [[lattice._ball_min(g, [-5 * c for c in b], bound) for g in range(5)] for b in h]
+    totals = [
+        sum(mins, F(0))
+        for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue.words)
+        if None not in mins
+    ]
+    return min((t for t in totals if t <= bound), default=None)
+
+
+# a block in (1/10)Z^5 with coordinate sum 0
+_tenths_block = st.lists(st.integers(-10, 10), min_size=4, max_size=4).map(
+    lambda xs: tuple(F(x, 10) for x in xs + [-sum(xs)])
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_tenths_block, min_size=6, max_size=6).map(tuple), st.integers(1, 6))
+@example(inner_h(), 1)  # no glue word fits under the bound
+@example(inner_h(), 2)
+@example(((F(1, 2), F(-1, 2), 0, 0, 0),) * 6, 1)
+def test_min_norm_shifted_matches_fraction_sum(N, shift, bound):
+    got = min_norm_shifted(N, shift, bound)
+    assert got == fraction_min_norm_shifted(N, shift, bound)
+    assert got is None or 0 <= got <= bound
+
+
 def test_twisted_sector_minimum(N, h):
     for eps in (1, -1):
         for r in (1, 2):
@@ -698,15 +727,7 @@ def test_min_norm_shifted_builds_each_distinct_ball_once(N, h, monkeypatch):
     assert len(calls) == len(set(calls)) == 10
     # the same minimum as one ball per (block, digit), shared by no block
     monkeypatch.setattr(lattice, "_coset_ball", ball)
-    per_block = [
-        [lattice._ball_min(g, [-5 * c for c in b], 4) for g in range(5)] for b in h
-    ]
-    totals = [
-        sum(mins)
-        for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue.words)
-        if None not in mins
-    ]
-    assert mn == min(t for t in totals if t <= 4) == 2
+    assert mn == fraction_min_norm_shifted(N, h, 4) == 2
 
 
 def test_fixed_shape_pairings(h):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle
 from fraction_oracle import invariant_pairing, long_in_ambient, reflect
 from orbifold24 import orbifold
 from orbifold24.affine import HVector, ProductAlgebra
@@ -390,6 +391,12 @@ def test_verlinde_simple_current(a):
         assert N[0][q][q] == 1
 
 
+@pytest.mark.parametrize("a", [1, -1])
+def test_verlinde_matches_fraction_oracle(a):
+    # the integer sum over T = 2S against the Fraction sum over S, uncached
+    assert verlinde_simple_current.__wrapped__(a) == fraction_oracle.verlinde_simple_current(a)
+
+
 def test_verlinde_rejects_bad_parameter():
     with pytest.raises(OrbifoldError):
         verlinde_simple_current(2)
@@ -641,17 +648,44 @@ def test_assemble_matches_oracle_on_m1_twisted_data():
 
 
 def test_fixed_subalgebra_builds_only_root_data_it_can_match(monkeypatch):
-    # a candidate type whose root count differs from the component's cannot
-    # match, so its root datum must not be built
-    built = []
-    real = orbifold.build_root_datum
-    monkeypatch.setattr(orbifold, "build_root_datum", lambda t: built.append(t) or real(t))
+    # classification reads each candidate's Cartan matrix from its integer
+    # Gram matrix, so it builds no root datum; and a candidate type whose root
+    # count differs from the component's cannot match, so its Gram matrix
+    # must not be read either
+    built, read = [], []
+    real_datum, real_gram = orbifold.build_root_datum, orbifold.scaled_gram
+    monkeypatch.setattr(orbifold, "build_root_datum", lambda t: built.append(t) or real_datum(t))
+    monkeypatch.setattr(orbifold, "scaled_gram", lambda t: read.append(t) or real_gram(t))
     counts = set()
     for name in ("M2", "M4"):
         _, seeds = fixed_subalgebra(*SCENARIOS[name])
         counts |= {len(s.roots) for s in seeds}
-    assert built
-    assert [t for t in built if t.num_roots not in counts] == []
+    assert built == []
+    assert read
+    assert [t for t in read if t.num_roots not in counts] == []
+
+
+def test_classify_simple_system_builds_no_root_datum(monkeypatch):
+    # every type up to rank 12, its simple roots listed in reverse, is named
+    # from its Gram matrix alone; D3 reads as A3 and B2 as C2
+    grams = {}
+    for letter in "ABCDEFG":
+        for n in range(1, 13):
+            try:
+                t = SimpleType(letter, n)
+            except RootSystemError:
+                continue
+            grams[t] = build_root_datum(t).gram
+    assert len(grams) == 49
+
+    def refuse(t):
+        raise AssertionError(f"root datum of {t} built")
+
+    monkeypatch.setattr(orbifold, "build_root_datum", refuse)
+    canonical = {T("D3"): T("A3"), T("B2"): T("C2")}
+    for t, G in grams.items():
+        reverse = [row[::-1] for row in G[::-1]]
+        assert classify_simple_system(reverse, t.num_roots) == canonical.get(t, t)
 
 
 def test_classify_simple_system_rejects_non_crystallographic_gram():

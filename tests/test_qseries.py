@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_oracle as oracle
+from fraction_oracle import rescale_exponents
 from orbifold24.qseries import (
     C24_2,
     C48_2,
@@ -16,11 +18,17 @@ from orbifold24.qseries import (
     fitted_S_series,
     hauptmodul,
     hauptmodul_S_power,
-    monomial,
     t_transform,
 )
 
 F = Fraction
+
+
+def monomial(c, exponent, denom, trunc):
+    """The series c q^exponent, exponent a multiple of 1/denom."""
+    e = F(exponent) * denom
+    assert e.denominator == 1, (exponent, denom)
+    return QSeries(denom, {int(e): F(c)}, trunc)
 
 
 def naive_eta24_coeffs(n_terms):
@@ -61,8 +69,8 @@ def test_eta24_leading_terms():
 
 def test_eta24_substitution_consistency():
     s1 = eta24(1, 16)
-    assert eta24(2, 16) == s1.rescale_exponents(2)
-    assert eta24(F(1, 2), 8) == s1.rescale_exponents(1, 2)
+    assert eta24(2, 16) == rescale_exponents(s1, 2)
+    assert eta24(F(1, 2), 8) == rescale_exponents(s1, 1, 2)
 
 
 def test_eta24_rejects_bad_scale():
@@ -116,7 +124,7 @@ def test_s_transform_identities_to_twelve_terms():
 
 def test_s_transform_is_exponent_substitution():
     # f(S tau)^n = 2^(12n) (f with q -> q^(1/2))^(-n)
-    f_sub = hauptmodul(26).rescale_exponents(1, 2)
+    f_sub = rescale_exponents(hauptmodul(26), 1, 2)
     for n in (1, -1, -2):
         lhs = hauptmodul_S_power(n, 10)
         rhs = F(2**12) ** n * f_sub ** (-n)
@@ -222,6 +230,7 @@ def test_cached_hauptmodul_series_are_not_shared():
         before = dict(first.coeffs)
         assert before
         first.coeffs.clear()
+        first.nums.clear()
         again = build()
         assert again is not first and again.coeffs == before
     assert dimension_identities(120, 48, 0) == expected
@@ -244,3 +253,62 @@ def test_identities_truncation_is_the_least_that_works():
     with pytest.raises(QSeriesError, match="coefficient at 1 is beyond truncation"):
         z_short()
     assert s_short() == s_deep()
+
+
+def test_s_series_window_covers_the_reads():
+    # f(S tau)^-2 expands over the same window as the other powers; at the
+    # identities' depth it and the fitted S-series still know q^(-1/2) and q^0
+    deep = fitted_S_series(character_fit(72, 0, 22), 22)
+    s = fitted_S_series(character_fit(72, 0, IDENTITIES_TRUNC), IDENTITIES_TRUNC)
+    fs2 = hauptmodul_S_power(-2, IDENTITIES_TRUNC)
+    assert fs2.trunc == s.trunc == IDENTITIES_TRUNC
+    assert [fs2[F(-1, 2)], fs2[0]] == [F(-48, 2**24), F(1128, 2**24)]
+    assert [s[F(-1, 2)], s[0]] == [deep[F(-1, 2)], deep[0]]
+
+
+def known(s, trunc):
+    """The exact coefficients of s below trunc."""
+    assert s.trunc >= trunc
+    return {n: c for n, c in s.coeffs.items() if n < trunc}
+
+
+def test_series_match_fraction_oracle():
+    depth = 22
+    f = hauptmodul(depth)
+    assert f.trunc == depth - 2
+    assert known(f, f.trunc) == known(oracle.hauptmodul(depth), f.trunc)
+    for n in (1, -1, -2):
+        fs = hauptmodul_S_power(n, depth)
+        assert known(fs, depth) == known(oracle.hauptmodul_S_power(n, depth), depth)
+    for g1, half in [(72, 0), (88, 0), (10, 4), (0, 0), (3, 7)]:
+        fit = character_fit(g1, half, depth)
+        c0, c_minus1, series = oracle.character_fit(g1, half, depth)
+        assert (fit.c0, fit.c_minus1) == (c0, c_minus1)
+        assert fit.series.trunc == series.trunc
+        assert fit.series.coeffs == series.coeffs
+
+
+def test_series_are_integers_over_one_denominator():
+    fs1 = hauptmodul_S_power(-1, 10)
+    assert fs1.den == 2**12 and all(isinstance(c, int) for c in fs1.nums.values())
+    # the exact view reads through the denominator, so an integrality check can fail
+    assert any(c.denominator != 1 for c in fs1.coeffs.values())
+    assert fs1.coeffs == {n: F(c, 2**12) for n, c in fs1.nums.items()}
+    # lowest terms: the denominator cancels where the numerators allow
+    assert (fs1 * 2**12).den == 1 and (constant(F(6, 4), 2, 3) * 2).den == 1
+
+
+@pytest.mark.parametrize("series", [
+    constant(2, 2, 4),  # leading coefficient 2
+    QSeries(2, {-1: F(-3), 0: F(1)}, 6),  # leading coefficient -3
+    QSeries(2, {0: F(1), 1: F(1, 2)}, 6),  # unit lead, a non-integer coefficient
+])
+def test_inverse_needs_a_unit_integer_series(series):
+    with pytest.raises(QSeriesError, match="cannot invert over Z"):
+        series.inverse()
+
+
+def test_inverse_of_minus_one_lead():
+    s = QSeries(2, {1: F(-1), 2: F(5), 4: F(-7)}, 12)
+    one = s * s.inverse()
+    assert one.coeffs == {0: 1} and one.trunc == s.trunc - 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle as oracle
-from fraction_oracle import reflect
+from fraction_oracle import coroot_pairing, reflect
 from orbifold24.rootsys import (
     MAX_RANK,
     RootDatum,
@@ -53,7 +53,7 @@ def test_datum_invariants(name):
     # fundamental weight duality: 2(Lambda_j|alpha_i)/(alpha_i|alpha_i) = delta_ij
     for j, w in enumerate(d.fundamental_weights):
         for i in range(d.rank):
-            assert d.coroot_pairing(w, i) == (1 if i == j else 0)
+            assert coroot_pairing(d, w, i) == (1 if i == j else 0)
     root_set = set(d.roots)
     for r in d.roots:
         assert tuple(-x for x in r) in root_set
@@ -131,7 +131,7 @@ def string_bfs_support(d, lam):
     while queue:
         mu = queue.pop()
         for i in range(d.rank):
-            m = d.coroot_pairing(mu, i)
+            m = coroot_pairing(d, mu, i)
             if m > 0:
                 alpha = d.simple_roots[i]
                 for k in range(1, int(m) + 1):

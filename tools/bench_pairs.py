@@ -13,8 +13,11 @@ that a drift of the machine's speed falls on both sides alike.
 The record keeps, per workload: the seeds, every pair's metrics and
 `correct`/`failed` fields, and per metric the median and quartiles of
 each side, the number of pairs in which the change was better (lower),
-and `within_bound`: whether the change's median is at most the parent's
-median times 1 + the metric's bound in BENCHMARK.json `end_to_end`.
+`within_bound`: whether the change's median is at most the parent's
+median times 1 + the metric's bound in BENCHMARK.json `end_to_end`, and
+`gain`: whether the change was better in at least nine tenths of the pairs
+(a tie counts for neither side) and its median is below the parent's by
+more than the parent's interquartile range.
 It also records the machine and the Python version.  Keys of an existing
 record that this run does not measure (other workloads, a hand-entered
 history of earlier changes) are kept, so one file can gather several runs.
@@ -81,12 +84,15 @@ def summarize(pairs: list[dict]) -> dict:
         base = [p["base"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
         base_q, change_q = quartiles(base), quartiles(change)
+        better = sum(c < b for b, c in zip(base, change))
         out[m] = {
             "base": base_q,
             "change": change_q,
-            "change_better": sum(c < b for b, c in zip(base, change)),
+            "change_better": better,
             "pairs": len(pairs),
             "within_bound": change_q["median"] <= base_q["median"] * (1 + BOUNDS[m]),
+            "gain": 10 * better >= 9 * len(pairs)
+            and base_q["median"] - change_q["median"] > base_q["q3"] - base_q["q1"],
         }
     return out
 
