@@ -70,6 +70,8 @@ def _bundled_scenarios() -> list[Scenario]:
 
 
 def _dir_scenarios(directory: str) -> list[Scenario]:
+    if not Path(directory).is_dir():
+        raise ScenarioError(f"no scenario directory {directory!r}")
     out = []
     for path in sorted(Path(directory).glob("*.scn")):
         out.append(parse_scenario(path.read_text(), str(path)))

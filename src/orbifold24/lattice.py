@@ -6,10 +6,10 @@ basis, the Gram matrix, membership and every bounded enumeration work on
 these integers, and the product of two of them is 25 times the product of
 the blocks.  The glue code lives in (Z/5)^6; digit g glues by the coset of
 g*(1,1,1,1,-4)/5, so every coordinate of m is the digit mod 5.  The order-5
-isometry cycles the last five blocks, and the twist analysis (shift vectors,
-twisted weight-one spaces, the norm bound for the inner automorphism)
-reduces to bounded enumerations over the A4* cosets, on m and on squared
-distances scaled to integers.
+isometry cycles the last five blocks.  The twist analysis works on m and on
+squared distances scaled to integers: the shift vectors and twisted weight-one
+spaces enumerate A4* coset balls around integral centers, and the norm bounds
+for the inner twist take coset minima around rational ones in closed form.
 
 A vector crosses the module boundary as a tuple of Fraction blocks: the
 basis, the roots, the enumerated vectors and sets, h and the shifts come out
@@ -109,54 +109,62 @@ def a4_class_of(b: Block) -> int:
     return m[0] % 5
 
 
-def _coset_ball(digit: int, center5, max_norm) -> tuple[int, list]:
-    """The A4* coset ball of the digit around a center c, in integers.
+def _coset_ball(digit: int, center5, max_norm) -> list:
+    """The A4* coset ball of the digit around a center c with 5c integral.
 
-    The center is given as 5c.  Returns (s, ball), with s = 25*D^2 for D the
-    lcm of the denominators of 5c.  The ball lists the pairs (m, n), sorted by
-    m, where m = 5v runs over the integer vectors with m_i = digit mod 5 and
-    sum(m) = 0, and n = s*|v - c|^2 = sum (D*m_i - D*5c_i)^2 is at most
-    s*max_norm.  At an integral 5c, D = 1 and n = |m - 5c|^2.
+    The center is given as the integer vector 5c.  The ball lists the pairs
+    (m, n), sorted by m, where m = 5v runs over the integer vectors with
+    m_i = digit mod 5 and sum(m) = 0, and n = |m - 5c|^2 = 25|v - c|^2 is at
+    most 25*max_norm.
     """
-    den, cs = _to_integral(center5)
-    s = 25 * den * den
     max_norm = Fraction(max_norm)
     if max_norm < 0:
-        return s, []
-    # n is an integer, so n <= s*max_norm iff n <= limit
-    limit = s * max_norm.numerator // max_norm.denominator
+        return []
+    # n is an integer, so n <= 25*max_norm iff n <= limit
+    limit = 25 * max_norm.numerator // max_norm.denominator
     r = isqrt(limit)
-
-    def coord_range(c):
-        # |D*m - c| <= r, with m = digit mod 5
-        lo, hi = -((r - c) // den), (c + r) // den
-        return range(lo + (digit - lo) % 5, hi + 1, 5)
-
-    ranges = [coord_range(c) for c in cs[:4]]
+    # |m - c| <= r, with m = digit mod 5
+    ranges = [range(c - r + (digit - c + r) % 5, c + r + 1, 5) for c in center5[:4]]
     ball = []
 
     def rec(i, ms, used):
         if i == 4:
             m = -sum(ms)  # = digit mod 5, as each of the four others is
-            n = used + (den * m - cs[4]) ** 2
+            n = used + (m - center5[4]) ** 2
             if n <= limit:
                 ball.append((tuple(ms) + (m,), n))
             return
         for m in ranges[i]:
-            n = used + (den * m - cs[i]) ** 2
+            n = used + (m - center5[i]) ** 2
             if n <= limit:
                 rec(i + 1, ms + [m], n)
 
     rec(0, [], 0)
     ball.sort()
-    return s, ball
+    return ball
 
 
-def _ball_min(digit: int, center5, max_norm) -> Fraction | None:
-    """Min of |v - c|^2 over the coset ball around c (given as 5c), or None
-    when it is empty."""
-    s, ball = _coset_ball(digit, center5, max_norm)
-    return Fraction(min(n for _, n in ball), s) if ball else None
+def _coset_min(digit: int, cs, den: int) -> int:
+    """Min of 25 den^2 |v - c|^2 = sum (den*m_i - cs_i)^2 over the A4* coset
+    of the digit, with m = 5v and 5c = cs/den for an integer vector cs.
+
+    Each m_i = digit mod 5 is first taken nearest to cs_i/den on its own; then
+    sum(m) = 0 is restored one step of 5 at a time on the coordinate whose cost
+    rises least.  Each coordinate's cost is convex, so this greedy fix is exact
+    (Conway-Sloane, SPLAG, ch. 20, section 2, decoding A_n).
+    """
+    step = 5 * den
+    half = step // 2
+    e = [(den * digit - c + half) % step - half for c in cs]
+    # sum(m) = (sum(e) + sum(cs)) / den; the gap is a multiple of step
+    gap = (-sum(cs) - sum(e)) // step
+    for _ in range(gap):
+        i = e.index(min(e))
+        e[i] += step
+    for _ in range(-gap):
+        i = e.index(max(e))
+        e[i] -= step
+    return sum(x * x for x in e)
 
 
 @dataclass(frozen=True)
@@ -309,7 +317,7 @@ class NiemeierLattice:
         limit = floor(25 * Fraction(bound))
         # around the zero center n = |m|^2, the block's norm in units of 1/25
         balls = {
-            g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)[1]] for g in range(5)
+            g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)] for g in range(5)
         }
         min_norm = {g: min(n for _, n in ball) for g, ball in balls.items() if ball}
 
@@ -437,7 +445,7 @@ def enumerate_S(epsilon: int, r: int) -> list[Block]:
     found = []
     per_coset = {}
     for g in range(5):
-        ball = _coset_ball(g, ZERO5, Fraction(8, 5))[1]
+        ball = _coset_ball(g, ZERO5, Fraction(8, 5))
         shifted = [tuple(x + d for x, d in zip(m, d5)) for m, _ in ball]
         sols = [_block(s) for s in shifted if sum(x * x for x in s) == 10]  # 25 * 2/5
         per_coset[g] = sols
@@ -475,12 +483,12 @@ def twisted_weight_one(epsilon: int, r: int):
     needs = [(l, 250 * (1 - TWIST_GROUND_WEIGHT - l)) for l in grid]
     # the diagonal block contributes |b|^2/5, so |b|^2 <= 5*budget; around the
     # zero center the ball's n is |b'|^2
-    b_norms = [n for _, n in _coset_ball(0, ZERO5, 5 * budget)[1]]
+    b_norms = [n for _, n in _coset_ball(0, ZERO5, 5 * budget)]
     solutions = []
     for g in range(5):
         # the ball at the largest need (l = 0) holds the a of every smaller one;
         # around -delta its n is |a'|^2
-        for m, n in _coset_ball(g, tuple(-d for d in d5), budget)[1]:
+        for m, n in _coset_ball(g, tuple(-d for d in d5), budget):
             an = tuple(x + d for x, d in zip(m, d5))
             for l, need in needs:
                 solutions.extend((l, an, nb) for nb in b_norms if 5 * n + nb == need)
@@ -501,46 +509,37 @@ def inner_h() -> LVec:
 
 
 def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | None:
-    """Exact min of |alpha + h|^2 over lattice vectors, within the given bound.
+    """Exact min of |alpha + h|^2 over lattice vectors, or None when it is
+    above the given bound.
 
     The blocks of alpha range independently over the cosets of its glue word,
-    so the minimum for one word is the sum of the six per-block minima.  With
-    h = w/den, every coset-ball minimum is an integer on the one scale
-    s = 25 den^2, so each word's sum is an integer sum; an empty ball counts
-    as just above the bound.  Equal blocks of h share their five minima.
+    so the minimum for one word is the sum of the six per-block coset minima.
+    With h = w/den, every coset minimum is an integer on the one scale
+    s = 25 den^2, so each word's sum is an integer sum.
     """
-    bound = Fraction(bound)
     den, w = _to_integral([c for b in h for c in b])
     s = 25 * den * den
-    limit = s * bound.numerator // bound.denominator
-    index: dict = {}
-    ids = [index.setdefault(w[5 * i : 5 * i + 5], len(index)) for i in range(6)]
-    mins = []
-    for key in index:
-        row = []
-        for g in range(5):
-            sb, ball = _coset_ball(g, [Fraction(-5 * x, den) for x in key], bound)
-            # sb = 25 D^2 with D | den, so s // sb is exact
-            row.append(min(n for _, n in ball) * (s // sb) if ball else limit + 1)
-        mins.append(row)
-    totals = (sum(mins[i][g] for i, g in zip(ids, word)) for word in lattice.glue.words)
-    best = min((t for t in totals if t <= limit), default=None)
-    return None if best is None else Fraction(best, s)
+    centers = [[-5 * x for x in w[5 * i : 5 * i + 5]] for i in range(6)]  # den * 5c, c = -h_i
+    mins = [[_coset_min(g, cs, den) for g in range(5)] for cs in centers]
+    totals = (sum(mins[i][g] for i, g in enumerate(word)) for word in lattice.glue.words)
+    best = Fraction(min(totals), s)
+    return best if best <= Fraction(bound) else None
 
 
 def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:
-    """Exact min of |h + eps f^r + x|^2 over the projected lattice."""
+    """Exact min of |h + eps f^r + x|^2 over x = (a, b/5, ..., b/5) in the
+    projected lattice: the least coset minimum of a around -(h_0 + eps delta^r)
+    plus the min of |b + 5 h_1|^2 / 5 over b in A4.  The tail of h must be one
+    block repeated, so h must be fixed by the block cycle.
+    """
+    if tau0(h) != h:
+        raise LatticeError("h is not fixed by the block cycle")
     d5 = _shift5(epsilon, r)
-    center5 = [-5 * a - d for a, d in zip(h[0], d5)]  # 5 * -(h_0 + eps delta^r)
-    mins = [_ball_min(g, center5, Fraction(4)) for g in range(5)]
-    return min(m for m in mins if m is not None) + _diagonal_min(h[1])
-
-
-@lru_cache(maxsize=None)
-def _diagonal_min(tail: Block) -> Fraction:
-    """The diagonal part of the sector minimum, which depends only on h's tail:
-    min of 5 * |b/5 + tail|^2 = |b + 5 tail|^2 / 5 over b in A4."""
-    return _ball_min(0, [-25 * c for c in tail], Fraction(20)) / 5
+    den, cs = _to_integral([-5 * a - d for a, d in zip(h[0], d5)])  # 5 * -(h_0 + eps delta^r)
+    head = min(_coset_min(g, cs, den) for g in range(5))
+    tden, tail = _to_integral(h[1])
+    diagonal = _coset_min(0, [-25 * x for x in tail], tden)
+    return Fraction(head, 25 * den * den) + Fraction(diagonal, 125 * tden * tden)
 
 
 def fixed_shape_A45(h: LVec) -> SemisimpleShape:

@@ -169,13 +169,6 @@ class QSeries:
             out = out * base
         return out
 
-    def dump(self) -> str:
-        """One line per coefficient: 'n/D<TAB>p/q', sorted by exponent."""
-        coeffs = self.coeffs
-        return "\n".join(
-            f"{n}/{self.denom}\t{coeffs[n].numerator}/{coeffs[n].denominator}" for n in sorted(coeffs)
-        )
-
 
 def constant(c, denom: int, trunc: int) -> QSeries:
     return QSeries(denom, {0: c}, trunc)

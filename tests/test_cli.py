@@ -96,6 +96,15 @@ def test_empty_directory_runs_clean(tmp_path):
     assert "0/0" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["run", "list"])
+def test_missing_directory_is_rejected(tmp_path, command):
+    # a misspelled path must not pass as an empty run
+    proc = run_cli(command, "--dir", str(tmp_path / "missing"))
+    assert proc.returncode == 2
+    assert "missing" in proc.stderr
+    assert "scenarios pass" not in proc.stdout
+
+
 def test_corrupted_scenario_file(tmp_path):
     (tmp_path / "bad.scn").write_text("name M-broken\nfactor: Z9 1\n")
     proc = run_cli("run", "--dir", str(tmp_path))

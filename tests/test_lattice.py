@@ -39,6 +39,7 @@ from orbifold24.lattice import (
     twisted_weight_one,
 )
 from orbifold24.orbifold import SemisimpleShape
+from orbifold24.rootsys import _to_integral
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -101,10 +102,60 @@ def a4_roots():
     return sorted(out)
 
 
+def oracle_coset_ball(digit, center5, max_norm):
+    """The A4* coset ball of the digit around a rational center c, in integers.
+
+    The slow oracle for `lattice._coset_ball` (integral centers only) and
+    `lattice._coset_min`.  The center is given as 5c.  Returns (s, ball), with
+    s = 25*D^2 for D the lcm of the denominators of 5c.  The ball lists the
+    pairs (m, n), sorted by m, where m = 5v runs over the integer vectors with
+    m_i = digit mod 5 and sum(m) = 0, and n = s*|v - c|^2 = sum (D*m_i -
+    D*5c_i)^2 is at most s*max_norm.
+    """
+    den, cs = _to_integral([F(c) for c in center5])
+    s = 25 * den * den
+    max_norm = F(max_norm)
+    if max_norm < 0:
+        return s, []
+    limit = s * max_norm.numerator // max_norm.denominator
+    r = isqrt(limit)
+
+    def coord_range(c):
+        # |D*m - c| <= r, with m = digit mod 5
+        lo, hi = -((r - c) // den), (c + r) // den
+        return range(lo + (digit - lo) % 5, hi + 1, 5)
+
+    ranges = [coord_range(c) for c in cs[:4]]
+    ball = []
+
+    def rec(i, ms, used):
+        if i == 4:
+            m = -sum(ms)
+            n = used + (den * m - cs[4]) ** 2
+            if n <= limit:
+                ball.append((tuple(ms) + (m,), n))
+            return
+        for m in ranges[i]:
+            n = used + (den * m - cs[i]) ** 2
+            if n <= limit:
+                rec(i + 1, ms + [m], n)
+
+    rec(0, [], 0)
+    ball.sort()
+    return s, ball
+
+
+def oracle_ball_min(digit, center5, max_norm):
+    """Min of |v - c|^2 over the oracle's coset ball around c (given as 5c), or
+    None when the ball is empty."""
+    s, ball = oracle_coset_ball(digit, center5, max_norm)
+    return F(min(n for _, n in ball), s) if ball else None
+
+
 def a4_class_ball(digit, center, max_norm):
     """All v in the A4* coset of the digit with |v - center|^2 <= max_norm, sorted,
-    as Fraction blocks from the module's integer coset ball."""
-    ball = lattice._coset_ball(digit, [5 * c for c in center], max_norm)[1]
+    as Fraction blocks from the oracle's integer coset ball."""
+    ball = oracle_coset_ball(digit, [5 * c for c in center], max_norm)[1]
     return [fifths(m) for m, _ in ball]
 
 
@@ -170,9 +221,17 @@ def _centers(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4), _centers(), _rationals([1, 3, 5, 15], -1, 6))
+@example(1, GLUE_REP, 2)
+@example(2, tuple(-c for c in DELTA2), F(8, 5))
 def test_class_ball_matches_brute_force(digit, center, max_norm):
     got = a4_class_ball(digit, center, max_norm)
     assert got == brute_force_ball(digit, center, max_norm)
+    center5 = [5 * c for c in center]
+    if all(F(c).denominator == 1 for c in center5):
+        # the module's ball, for integral 5c, is the oracle's with s = 25
+        assert lattice._coset_ball(digit, [int(c) for c in center5], max_norm) == (
+            oracle_coset_ball(digit, center5, max_norm)[1]
+        )
     if max_norm < 0:
         assert got == []
     # a bound a hair under the farthest distance drops exactly the farthest vectors
@@ -186,6 +245,21 @@ def test_class_ball_negative_bound_is_empty():
     for g in range(5):
         assert a4_class_ball(g, ZERO, F(-1, 15)) == []
         assert a4_class_ball(g, GLUE_REP, -1) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), _centers())
+@example(0, ZERO)
+@example(3, (F(1, 2), F(1, 3), F(-1, 5), F(3), F(-7, 10)))
+def test_coset_min_matches_oracle(digit, center):
+    # |v - c|^2 splits into the distance to the hyperplane, (sum c)^2/5, and a
+    # distance within it, at most the squared covering radius 6/5 of A4
+    # (SPLAG, ch. 4, section 6.1); so the oracle's ball at their sum is never empty
+    center5 = [5 * c for c in center]
+    den, cs = _to_integral(center5)
+    want = oracle_ball_min(digit, center5, sum(center) ** 2 / 5 + F(6, 5))
+    assert want is not None
+    assert F(lattice._coset_min(digit, cs, den), 25 * den * den) == want
 
 
 # -- the lattice -----------------------------------------------------------------
@@ -373,7 +447,7 @@ def test_norm4_is_increasing_in_word_then_blocks(norm4):
 
 def test_norm4_blocks_are_shared_coset_ball_blocks(norm4):
     # every block is one of the coset balls' objects, so id-keyed caches stay small
-    ball_total = sum(len(lattice._coset_ball(g, lattice.ZERO5, 4)[1]) for g in range(5))
+    ball_total = sum(len(lattice._coset_ball(g, lattice.ZERO5, 4)) for g in range(5))
     assert ball_total == 191
     assert len({id(b) for v in norm4 for b in v}) <= ball_total
 
@@ -659,7 +733,7 @@ def test_min_norm_shifted(N, h):
 def fraction_min_norm_shifted(N, h, bound):
     """The minimum as a Fraction sum of the six per-block coset-ball minima
     of each glue word, as min_norm_shifted computed it before its integer sums."""
-    per_block = [[lattice._ball_min(g, [-5 * c for c in b], bound) for g in range(5)] for b in h]
+    per_block = [[oracle_ball_min(g, [-5 * c for c in b], bound) for g in range(5)] for b in h]
     totals = [
         sum(mins, F(0))
         for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue.words)
@@ -694,40 +768,14 @@ def test_twisted_sector_minimum(N, h):
             assert weight > F(1, 2)
 
 
-def test_sector_minima_build_the_diagonal_ball_once(h, monkeypatch):
-    # the diagonal part depends only on h, not on the sector (eps, r)
-    diagonal = [-25 * c for c in h[1]]
-    calls = []
-    ball = lattice._coset_ball
-
-    def counted(digit, center5, max_norm):
-        calls.append((digit, list(center5), max_norm))
-        return ball(digit, center5, max_norm)
-
-    monkeypatch.setattr(lattice, "_coset_ball", counted)
-    lattice._diagonal_min.cache_clear()
-    shifts = [twisted_sector_min_shift(h, eps, r) for eps in (1, -1) for r in (1, 2)]
-    assert shifts == [F(2, 5)] * 4
-    assert calls.count((0, diagonal, F(20))) == 1
-    assert len(calls) == 4 * 5 + 1
-
-
-def test_min_norm_shifted_builds_each_distinct_ball_once(N, h, monkeypatch):
-    # blocks 1-5 of h are equal, so only 2 blocks x 5 digits are distinct
-    assert len(set(h)) == 2
-    calls = []
-    ball = lattice._coset_ball
-
-    def counted(digit, center5, max_norm):
-        calls.append((digit, tuple(center5)))
-        return ball(digit, center5, max_norm)
-
-    monkeypatch.setattr(lattice, "_coset_ball", counted)
-    mn = min_norm_shifted(N, h, 4)
-    assert len(calls) == len(set(calls)) == 10
-    # the same minimum as one ball per (block, digit), shared by no block
-    monkeypatch.setattr(lattice, "_coset_ball", ball)
-    assert mn == fraction_min_norm_shifted(N, h, 4) == 2
+def test_twisted_sector_minimum_rejects_a_non_invariant_h(h):
+    # only h[1] of the five cycled blocks is read, so the others must equal it
+    doctored = h[:2] + ((F(1, 2), F(-1, 2), F(0), F(0), F(0)),) + h[3:]
+    assert tau0(doctored) != doctored
+    for eps in (1, -1):
+        for r in (1, 2):
+            with pytest.raises(LatticeError, match="block cycle"):
+                twisted_sector_min_shift(doctored, eps, r)
 
 
 def test_fixed_shape_pairings(h):

@@ -194,11 +194,6 @@ def test_dimension_identities_nonzero_half():
     assert g2 == 98580 + 2**12
 
 
-def test_series_dump_format():
-    s = monomial(F(-3, 2), -1, 2, 4) + monomial(7, F(1, 2), 2, 4)
-    assert s.dump() == "-2/2\t-3/2\n1/2\t7/1"
-
-
 def test_inverse_requires_nonzero():
     with pytest.raises(QSeriesError):
         constant(0, 2, 4).inverse()
