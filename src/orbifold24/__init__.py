@@ -22,7 +22,6 @@ from .orbifold import (
     embeds,
     fixed_subalgebra,
     identify,
-    level_transfer,
     twisted_sector_roots,
     verlinde_simple_current,
 )

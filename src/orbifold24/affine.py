@@ -103,9 +103,8 @@ def conformal_weight(m: AffineLabel) -> Fraction:
 def _twist(d: RootDatum, h: Vec) -> tuple[IntWeight, Fraction, bool]:
     """What every module of one factor shares under the twist by h:
     dom(-h), (h|h), and whether (h|alpha) >= -1 on every root."""
-    x = d.integral(h)
-    floor = -x.den * d.scale
-    above = all(sum(map(mul, x.coords, row)) >= floor for row in d.root_rows)
+    q, pairings = d.root_pairings(h)
+    above = all(p >= -q for p in pairings)
     return d.dominant_int(tuple(-v for v in h)), d.pair(h, h), above
 
 
@@ -270,7 +269,8 @@ def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
 def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
     """(h|lambda) in Z/2 for all listed highest weights and (h|alpha) in Z/2 for all roots."""
     for d, comp in zip(a.data, h.components):
-        if any((2 * v).denominator != 1 for v in d.pair_with_roots(comp)):
+        q, pairings = d.root_pairings(comp)
+        if any(2 * p % q for p in pairings):
             return False
     hs = [d.integral(comp) for d, comp in zip(a.data, h.components)]
     for m in labels:

@@ -19,7 +19,6 @@ that way, and `dot`, `contains` and `a4_class_of` take them.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -167,31 +166,9 @@ def _coset_min(digit: int, cs, den: int) -> int:
     return sum(x * x for x in e)
 
 
-@dataclass(frozen=True)
-class GlueCode:
-    words: frozenset
-
-    @property
-    def rank(self) -> int:
-        rows = [list(w) for w in sorted(self.words)]
-        r = 0
-        for col in range(6):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col] % 5), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], -1, 5)
-            rows[r] = [(x * inv) % 5 for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] % 5:
-                    f = rows[i][col]
-                    rows[i] = [(a - f * b) % 5 for a, b in zip(rows[i], rows[r])]
-            r += 1
-        return r
-
-
-def build_glue_code() -> GlueCode:
-    """Additive closure of the generator rows over Z/5; must have order 125."""
+def build_glue_code() -> frozenset:
+    """The glue words: the additive closure of the generator rows over Z/5,
+    which must have order 125."""
     words = {(0,) * 6}
     frontier = [(0,) * 6]
     while frontier:
@@ -203,7 +180,7 @@ def build_glue_code() -> GlueCode:
                 frontier.append(nw)
     if len(words) != 125:
         raise LatticeError(f"glue code closure has order {len(words)}, expected 125")
-    return GlueCode(frozenset(words))
+    return frozenset(words)
 
 
 def tau0(v: LVec) -> LVec:
@@ -246,7 +223,7 @@ class NiemeierLattice:
 
     def __init__(self):
         self.glue = build_glue_code()
-        if not all(tuple(w[0:1] + w[2:6] + w[1:2]) in self.glue.words for w in self.glue.words):
+        if not all(tuple(w[0:1] + w[2:6] + w[1:2]) in self.glue for w in self.glue):
             raise LatticeError("glue code is not invariant under the block cycle")
         flat = self._build_basis()
         self.basis = [tuple(_block(x[5 * i : 5 * i + 5]) for i in range(6)) for x in flat]
@@ -297,7 +274,7 @@ class NiemeierLattice:
             word = tuple(a4_class_of(b) for b in v)
         except LatticeError:
             return False
-        return word in self.glue.words
+        return word in self.glue
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
         """All lattice vectors of norm <= bound, glue word by glue word."""
@@ -338,7 +315,7 @@ class NiemeierLattice:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for word in sorted(self.glue.words):
+            for word in sorted(self.glue):
                 if any(g not in min_norm for g in word):
                     continue
                 # tail[i]: the least norm blocks i..5 can take
@@ -521,7 +498,7 @@ def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | Non
     s = 25 * den * den
     centers = [[-5 * x for x in w[5 * i : 5 * i + 5]] for i in range(6)]  # den * 5c, c = -h_i
     mins = [[_coset_min(g, cs, den) for g in range(5)] for cs in centers]
-    totals = (sum(mins[i][g] for i, g in enumerate(word)) for word in lattice.glue.words)
+    totals = (sum(mins[i][g] for i, g in enumerate(word)) for word in lattice.glue)
     best = Fraction(min(totals), s)
     return best if best <= Fraction(bound) else None
 

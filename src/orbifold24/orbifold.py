@@ -1,11 +1,21 @@
 """Fixed-point subalgebras, twisted-sector roots and Lie algebra identification.
 
-Root and weight functionals on a product algebra are stored per factor in
-that factor's simple-root basis.  Two bilinear forms matter:
+A product weight, a root or weight of a product algebra, is one flat tuple
+of integers: the root coordinates of every factor, concatenated, times the
+algebra's grid denominator D = 2 lcm(fund_den of each factor).  Roots and
+integral weights lie on this grid, and so does the h of every order-2 inner
+twist: (h|alpha_i) in Z/2 and |alpha_i|^2 in {2, 1, 2/3} put its Dynkin
+labels in Z/2.  `product_weight` converts per-factor Vecs once, at the
+boundary, and rejects a weight off the grid.  Flattening keeps the
+lexicographic order of the per-factor tuples, so seeds and simple roots
+come out in the order of their coordinates.
 
-* the plain normalized form, summed over factors -- this is what the inner
+Two bilinear forms matter:
+
+* the plain normalized form of each factor -- this is what the inner
   automorphism sees: a weight vector of weight lambda picks up the phase
-  exp(-2 pi i (h|lambda));
+  exp(-2 pi i (h|lambda)).  (h|alpha) on every root of a factor comes from
+  one integer kernel, RootDatum.root_pairings;
 * the invariant form of the ambient algebra, which on root functionals is
   sum_i (.|.)_i / k_i.  A root subsystem spanned by Cartan weight vectors
   has long roots of invariant norm 2/k where k is its level, so levels are
@@ -17,16 +27,13 @@ Root sets are split, reduced to a simple system and classified as integer
 vectors under an integer form that is a positive multiple of the invariant
 form.  fixed_subalgebra works factor by factor, on the integer roots
 `iroots` and rows `root_rows` of each RootDatum, whose form is
-scale * k * (invariant); roots of different factors are orthogonal.
-assemble_root_subsystem and seeds_meeting flatten each product weight once
-onto one common denominator D, under the block-diagonal form with blocks
-igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i.  ProductWeight
-tuples of Fractions are only the boundary: the SeedSubalgebra values are
-built from them after classification.  The plain form goes through
-RootDatum.pair, which runs in integers.  The embedding search compares root
-pairings of its target as entries of one cached integer matrix,
-scale * (r|s), built row by row by linearity along the root poset; the
-parts of a query need only their integer Gram matrices.
+scale * k * (invariant); roots of different factors are orthogonal.  On the
+grid the invariant form is (x|y) = x.G.y / (L D^2), G block diagonal with
+blocks igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i; this is
+the form of assemble_root_subsystem and seeds_meeting.  The embedding search
+compares root pairings of its target as entries of one cached integer
+matrix, scale * (r|s), built row by row by linearity along the root poset;
+the parts of a query need only their integer Gram matrices.
 """
 
 from __future__ import annotations
@@ -40,31 +47,57 @@ from operator import add, mul, neg, sub
 from .affine import HVector, ProductAlgebra
 from .rootsys import MAX_RANK, RootSystemError, SimpleType, Vec, build_root_datum, scaled_gram
 
-ProductWeight = tuple[Vec, ...]  # one component per ambient factor
+ProductWeight = tuple[int, ...]  # D times the concatenated root coordinates of the factors
 
 
 class OrbifoldError(ValueError):
     pass
 
 
-# -- product-space linear algebra -------------------------------------------
+# -- product weights on the grid ------------------------------------------------
 
 
-def factor_root(a: ProductAlgebra, i: int, alpha: Vec) -> ProductWeight:
-    return tuple(
-        alpha if j == i else tuple(Fraction(0) for _ in range(t.rank))
-        for j, (t, _) in enumerate(a.factors)
-    )
+@lru_cache(maxsize=None)
+def _grid(a: ProductAlgebra) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """(D, G, den) of a product algebra, cached: the grid denominator, and
+    the invariant form on the grid, (x|y) = x.G.y / den."""
+    data = a.data
+    D = 2 * lcm(*(d.fund_den for d in data))
+    L = lcm(*(d.scale * k for (_, k), d in zip(a.factors, data)))
+    G, off = [[0] * a.rank for _ in range(a.rank)], 0
+    for (_, k), d in zip(a.factors, data):
+        m = L // (d.scale * k)
+        for i, row in enumerate(d.igram):
+            G[off + i][off : off + d.rank] = [m * g for g in row]
+        off += d.rank
+    return D, tuple(map(tuple, G)), L * D * D
 
 
-def plain_pairing(a: ProductAlgebra, x: ProductWeight, y: ProductWeight) -> Fraction:
-    return sum(
-        (d.pair(xi, yi) for d, xi, yi in zip(a.data, x, y)), Fraction(0)
-    )
+def _rows(a: ProductAlgebra, vecs) -> list[tuple[int, ...]]:
+    """v.G for each product weight v (G is symmetric)."""
+    G = _grid(a)[1]
+    return [tuple(sum(map(mul, v, col)) for col in G) for v in vecs]
+
+
+def product_weight(a: ProductAlgebra, components: tuple[Vec, ...]) -> ProductWeight:
+    """The product weight with one Vec of root coordinates per factor.
+
+    Raises OrbifoldError when a coordinate is not a multiple of 1/D."""
+    if [len(c) for c in components] != [t.rank for t, _ in a.factors]:
+        raise OrbifoldError(f"{a} needs one weight of the factor's rank per factor")
+    D = _grid(a)[0]
+    out = []
+    for comp in components:
+        for c in comp:
+            q, rem = divmod(D, c.denominator)
+            if rem:
+                raise OrbifoldError(f"coordinate {c} of a weight is off the grid 1/{D} of {a}")
+            out.append(c.numerator * q)
+    return tuple(out)
 
 
 def negate(x: ProductWeight) -> ProductWeight:
-    return tuple(tuple(-c for c in comp) for comp in x)
+    return tuple(map(neg, x))
 
 
 # -- shapes and seeds --------------------------------------------------------
@@ -126,13 +159,13 @@ class SemisimpleShape:
 
 @dataclass(frozen=True)
 class SeedSubalgebra:
-    """A simple root subsystem spanned by ambient Cartan weight vectors."""
+    """A simple root subsystem spanned by ambient Cartan weight vectors; its
+    roots are product weights on the ambient algebra's grid."""
 
     type: SimpleType
     level: int
     simple_roots: tuple[ProductWeight, ...]
     roots: tuple[ProductWeight, ...]
-    long_norm_ambient: Fraction  # plain ambient norm of the seed's long roots
 
 
 # -- component classification ------------------------------------------------
@@ -259,7 +292,7 @@ def _classify(vecs, rows, den: int):
     """Type, level and simple-root indices of one indecomposable root set.
 
     The level is 2 / (invariant norm of a long root) = 2 den / (largest
-    scaled norm), which is returned last.
+    scaled norm).
     """
     simple = _simple_indices(vecs)
     gram = [[sum(map(mul, vecs[i], rows[j])) for j in simple] for i in simple]
@@ -270,31 +303,7 @@ def _classify(vecs, rows, den: int):
         raise OrbifoldError(
             f"component of type {t} has non-integral level {Fraction(2 * den, long_norm)}"
         )
-    return t, level, simple, long_norm
-
-
-def _integer_form(a: ProductAlgebra, weights):
-    """Flatten product weights onto one integer form.
-
-    Every weight is flattened and multiplied by D, the lcm of all the
-    denominators.  The form is block diagonal: factor i's igram times
-    L / (scale_i k_i), with L the lcm of the scale_i k_i, so the invariant
-    form is (x|y) = (Dx).row(Dy) / (L D^2).  Returns the vectors, their
-    rows and L D^2.
-    """
-    D = lcm(*(c.denominator for w in weights for comp in w for c in comp))
-    L = lcm(*(d.scale * k for (_, k), d in zip(a.factors, a.data)))
-    mults = [L // (d.scale * k) for (_, k), d in zip(a.factors, a.data)]
-    vecs, rows = [], []
-    for w in weights:
-        v, row = [], []
-        for d, m, comp in zip(a.data, mults, w):
-            x = [c.numerator * (D // c.denominator) for c in comp]
-            v.extend(x)
-            row.extend(m * y for y in d.scaled_row(x))
-        vecs.append(tuple(v))
-        rows.append(tuple(row))
-    return vecs, rows, L * D * D
+    return t, level, simple
 
 
 # -- the fixed-point subalgebra ----------------------------------------------
@@ -309,60 +318,41 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
     Roots of different factors are orthogonal, so each factor is split on
     its own integer roots and rows, at the form scale * k_i * (invariant).
     """
-    seeds = []
-    for i, ((t, k), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
-        fixed = []
-        for j, val in enumerate(d.pair_with_roots(comp)):
-            if (2 * val).denominator != 1:
-                raise OrbifoldError(
-                    f"(h|alpha) = {val} is not half-integral on factor {t}"
-                )
-            if val.denominator == 1:
-                fixed.append(j)
+    D = _grid(a)[0]
+    seeds, off = [], 0
+    for (t, k), d, comp in zip(a.factors, a.data, h.components):
+        q, pairings = d.root_pairings(comp)
+        bad = next((p for p in pairings if 2 * p % q), None)
+        if bad is not None:
+            raise OrbifoldError(
+                f"(h|alpha) = {Fraction(bad, q)} is not half-integral on factor {t}"
+            )
+        fixed = [j for j, p in enumerate(pairings) if p % q == 0]
         vecs = [d.iroots[j] for j in fixed]
         rows = [d.root_rows[j] for j in fixed]
+        before, after = (0,) * off, (0,) * (a.rank - off - t.rank)
         for part in _split(vecs, rows):
-            ty, level, simple, long_norm = _classify(
+            ty, level, simple = _classify(
                 [vecs[p] for p in part], [rows[p] for p in part], d.scale * k
             )
-            roots = [factor_root(a, i, tuple(map(Fraction, d.iroots[fixed[p]]))) for p in part]
-            seeds.append(SeedSubalgebra(
-                ty, level, tuple(roots[s] for s in simple), tuple(roots),
-                Fraction(long_norm, d.scale),
-            ))
+            roots = [before + tuple(D * c for c in vecs[p]) + after for p in part]
+            seeds.append(SeedSubalgebra(ty, level, tuple(roots[s] for s in simple), tuple(roots)))
+        off += t.rank
     seeds.sort(key=lambda s: (_shape_sort_key((s.type, s.level)), s.simple_roots))
     center = a.rank - sum(s.type.rank for s in seeds)
     shape = SemisimpleShape(tuple((s.type, s.level) for s in seeds), center)
     return shape, seeds
 
 
-def level_transfer(long_norm_ambient: Fraction, ambient_level: int) -> int:
-    """Level of a subsystem whose long roots have the given ambient norm.
-
-    Norm 2 keeps the ambient level; short ambient roots scale it by the
-    squared-length ratio (2 for B/C/F ambient, 3 for G2).
-    """
-    level = 2 * Fraction(ambient_level) / Fraction(long_norm_ambient)
-    if level.denominator != 1 or level < 1:
-        raise OrbifoldError(
-            f"inconsistent norms: ambient norm {long_norm_ambient} at level {ambient_level}"
-        )
-    return int(level)
-
-
 # -- twisted sector ----------------------------------------------------------
 
 
 def twisted_sector_roots(a: ProductAlgebra, h: HVector, base_weights) -> list[ProductWeight]:
-    """Weights mu + k h (factorwise) of twisted-sector vectors of weight one."""
-    out = []
-    for mu in base_weights:
-        shifted = tuple(
-            tuple(m + k * hc for m, hc in zip(mu_i, h_i))
-            for (_, k), mu_i, h_i in zip(a.factors, mu, h.components)
-        )
-        out.append(shifted)
-    return out
+    """Weights mu + k h (factorwise) of twisted-sector vectors of weight one,
+    for base weights mu given as one Vec per factor."""
+    levels = [k for t, k in a.factors for _ in range(t.rank)]
+    kh = tuple(map(mul, levels, product_weight(a, h.components)))
+    return [tuple(map(add, product_weight(a, mu), kh)) for mu in base_weights]
 
 
 def assemble_root_subsystem(a: ProductAlgebra, fixed_roots, twisted_roots) -> SeedSubalgebra:
@@ -373,42 +363,33 @@ def assemble_root_subsystem(a: ProductAlgebra, fixed_roots, twisted_roots) -> Se
     report the violating pair.
     """
     roots = sorted(set(fixed_roots) | set(twisted_roots))
-    vecs, rows, den = _integer_form(a, roots)
-    index = set(vecs)
-    for r, v in zip(roots, vecs):
-        if tuple(-x for x in v) not in index:
+    rows = _rows(a, roots)
+    index = set(roots)
+    for r in roots:
+        if negate(r) not in index:
             raise OrbifoldError(f"root set not closed under negation at {r}")
-    for r, v, row in zip(roots, vecs, rows):
-        nr = sum(map(mul, v, row))
-        for s, w in zip(roots, vecs):
-            c, rem = divmod(2 * sum(map(mul, w, row)), nr)
+    for r, row in zip(roots, rows):
+        nr = sum(map(mul, r, row))
+        for s in roots:
+            c, rem = divmod(2 * sum(map(mul, s, row)), nr)
             if rem:
                 raise OrbifoldError(f"non-crystallographic pair {r}, {s}")
-            if c and tuple(y - c * x for y, x in zip(w, v)) not in index:
+            if c and tuple(y - c * x for y, x in zip(s, r)) not in index:
                 raise OrbifoldError(
                     f"not a root system: reflection of {s} in {r} escapes the set"
                 )
-    parts = _split(vecs, rows)
+    parts = _split(roots, rows)
     if len(parts) != 1:
         raise OrbifoldError(f"assembled set splits into {len(parts)} components")
-    t, level, simple, _ = _classify(vecs, rows, den)
-    long_plain = max(plain_pairing(a, r, r) for r in roots)
-    return SeedSubalgebra(t, level, tuple(roots[i] for i in simple), tuple(roots), long_plain)
+    t, level, simple = _classify(roots, rows, _grid(a)[2])
+    return SeedSubalgebra(t, level, tuple(roots[i] for i in simple), tuple(roots))
 
 
 def seeds_meeting(a: ProductAlgebra, seeds, roots) -> list[SeedSubalgebra]:
     """The seeds with a root that pairs non-trivially, under the invariant
     form, with one of the given roots."""
-    own = [r for s in seeds for r in s.roots]
-    vecs, rows, _ = _integer_form(a, own + list(roots))
-    others = rows[len(own):]
-    out, start = [], 0
-    for s in seeds:
-        end = start + len(s.roots)
-        if any(sum(map(mul, v, row)) for v in vecs[start:end] for row in others):
-            out.append(s)
-        start = end
-    return out
+    rows = _rows(a, roots)
+    return [s for s in seeds if any(sum(map(mul, v, row)) for v in s.roots for row in rows)]
 
 
 # -- sub-root-system embeddings ----------------------------------------------

@@ -39,10 +39,12 @@ On labels the kernels are short integer products:
   Weyl orbit by Snow's walk.
 
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
-public functions (`pair`, `pair_with_roots`, `weight_from_fundamental`,
-`dominant_conjugate`, `min_pairing`, `support_contains`,
-`weight_support`, `weyl_dimension`) take and give Vecs and convert once,
-and the `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
+public functions (`pair`, `weight_from_fundamental`, `dominant_conjugate`,
+`min_pairing`, `support_contains`, `weight_support`, `weyl_dimension`)
+take and give Vecs and convert once; `root_pairings` takes a Vec and
+gives (v|alpha) on every root as integers over one denominator, which is
+how every caller tests (h|alpha) for integrality or a bound.  The
+`Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
 `fundamental_weights`, `rho` and `theta` are derived on each access.
 
 Simple-root numbering follows the Bourbaki tables, which is also the
@@ -365,12 +367,12 @@ class RootDatum:
         self._require_rank(w)
         return tuple(sum(map(mul, w, col)) for col in self.igram)
 
-    def pair_with_roots(self, v: Vec) -> list[Fraction]:
-        """(v|alpha) for every root alpha, in the order of iroots."""
+    def root_pairings(self, v: Vec) -> tuple[int, list[int]]:
+        """(q, [p_j]) with (v|alpha_j) = p_j / q for every root alpha_j, in the
+        order of iroots; q > 0 is the denominator of v times scale."""
         self._require_rank(v)
         den, w = _to_integral(v)
-        den *= self.scale
-        return [Fraction(sum(map(mul, w, row)), den) for row in self.root_rows]
+        return den * self.scale, [sum(map(mul, w, row)) for row in self.root_rows]
 
     # -- weights -----------------------------------------------------------
 

@@ -149,10 +149,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                     raise ScenarioError(f"{source}: expect_table_counts gives weight {w} twice")
                 sc.expect_table_counts[Fraction(w)] = int(n)
         if "base_weights" in fields:
-            sc.base_weights = [
-                HVector.from_fundamental(algebra, _parse_factor_lists(g)).components
-                for g in one("base_weights").split(";")
-            ]
+            groups = [_parse_factor_lists(g) for g in one("base_weights").split(";")]
+            # weights of untwisted modules are integral: whole Dynkin labels
+            if any(c.denominator != 1 for g in groups for part in g for c in part):
+                raise ScenarioError(f"{source}: base_weights must have integer labels")
+            sc.base_weights = [HVector.from_fundamental(algebra, g).components for g in groups]
         if "expect_twisted_seed" in fields:
             t, k, n = one("expect_twisted_seed").split()
             sc.expect_twisted_seed = (SimpleType.parse(t), int(k), int(n))
@@ -279,19 +280,20 @@ def run_scenario(sc: Scenario) -> Report:
         # whether a check proves that no twisted module reaches weight 1/2
         half_excluded = False
 
-        # order 2: all root pairings are half-integral, at least one strictly
-        pairings = [
-            v for d, comp in zip(a.data, h.components) for v in d.pair_with_roots(comp)
-        ]
-        half_integral = all((2 * v).denominator == 1 for v in pairings)
-        strict = any(v.denominator == 2 for v in pairings)
+        # order 2: all root pairings (h|alpha) = p/q are half-integral, at least one strictly
+        pairings = []
+        for d, comp in zip(a.data, h.components):
+            q, ps = d.root_pairings(comp)
+            pairings.extend((p, q) for p in ps)
+        half_integral = all(2 * p % q == 0 for p, q in pairings)
+        strict = any(2 * p % q == 0 and p % q for p, q in pairings)
         add("order-two-pairings", "half-integral with a strict value",
             "half-integral with a strict value" if half_integral and strict else
             f"half-integral={half_integral}, strict={strict}")
 
         # assumption for the twisted lowest-weight theory: (h|alpha) >= -1
         add("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
-            "(h|alpha) >= -1 on all roots" if all(v >= -1 for v in pairings)
+            "(h|alpha) >= -1 on all roots" if all(p >= -q for p, q in pairings)
             else "violated")
 
         add("h-norm", sc.expect_h_norm, h.norm_invariant())
@@ -388,9 +390,8 @@ def _lattice_checks(sc: Scenario):
     add = lambda name, expected, actual: checks.append(
         CheckResult(name, str(expected), str(actual))
     )
-    code = lat.build_glue_code()
-    add("glue-code-order", 125, len(code.words))
     N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
+    add("glue-code-order", 125, len(N.glue))
     add("lattice-roots", 120, len(N.roots()))
     h = lat.inner_h()
     add("lattice-h-norm", sc.expect_h_norm, lat.dot(h, h))

@@ -16,9 +16,12 @@ The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
 summed coordinate by coordinate in Fractions.
 
-The product-algebra forms between them are read only by the tests: the
-invariant form of a product algebra on Fraction product weights, and
-whether a seed subalgebra's long roots are long in the ambient algebra.
+The product-algebra forms between them act on Fraction product weights,
+one Vec of root coordinates per factor: the invariant and the plain form
+of a product algebra, and the level transfer rule, which reads a
+subsystem's level from the plain ambient norm of its long roots.  That is
+a second route to each seed's level, apart from the invariant norm the
+package classifies by.
 
 The q-series, the hauptmodul, its S-powers and the character fit at the
 end are how the package computed them before its integer series: a
@@ -196,9 +199,26 @@ def invariant_pairing(a, x, y):
                Fraction(0))
 
 
-def long_in_ambient(seed):
-    """Whether the long roots of a seed subalgebra have plain ambient norm 2."""
-    return seed.long_norm_ambient == 2
+def plain_pairing(a, x, y):
+    """(x|y) under the plain normalized form, summed over the factors."""
+    return sum((pair(d, xi, yi) for d, xi, yi in zip(a.data, x, y)), Fraction(0))
+
+
+def long_norm_ambient(a, roots):
+    """The plain ambient norm of the long roots of a root subsystem."""
+    return max(plain_pairing(a, r, r) for r in roots)
+
+
+def level_transfer(long_norm, ambient_level):
+    """Level of a subsystem whose long roots have the given plain ambient norm.
+
+    Norm 2 keeps the ambient level; short ambient roots scale it by the
+    squared-length ratio (2 for B/C/F ambient, 3 for G2).
+    """
+    level = 2 * Fraction(ambient_level) / Fraction(long_norm)
+    if level.denominator != 1 or level < 1:
+        raise ValueError(f"inconsistent norms: ambient norm {long_norm} at level {ambient_level}")
+    return int(level)
 
 
 # -- the weight support by the coefficient box ----------------------------------

@@ -266,6 +266,18 @@ def test_base_weights_factor_count_checked():
         parse_scenario(text)
 
 
+def test_base_weights_must_be_integral(tmp_path, capsys):
+    # weights of untwisted modules have whole labels; a 1/2 label used to run
+    # to an internal error (exit 3) whose text spelled out Fraction weights
+    doctored = M1_TEXT.replace("base_weights: 0 0 0 0 0 0 |", "base_weights: 1/2 0 0 0 0 0 |", 1)
+    assert doctored != M1_TEXT
+    with pytest.raises(ScenarioError, match="base_weights must have integer labels"):
+        parse_scenario(doctored)
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert "base_weights must have integer labels" in capsys.readouterr().err
+
+
 def test_misspelled_key_is_rejected(tmp_path):
     # a typo in an optional key must not turn into a PASS that skips checks
     doctored = M1_TEXT.replace("table_max_weight:", "table_max_wieght:")

@@ -4,8 +4,9 @@ Every Gram matrix becomes integral once scaled by the lcm of its
 denominators, and every root has integer coordinates, so root pairings, the
 embedding search and the Weyl dimension formula run in integers.  Each of
 them is checked here against the rational computation it replaced.  The
-dimension-formula series, the Verlinde check and the shifted-norm minimum
-run in integers too, which the last test holds them to.
+dimension-formula series, the Verlinde check, the shifted-norm minimum and
+the fixed-point and twisted-subsystem path of scenario M1 run in integers
+too, which the last tests hold them to.
 """
 
 from fractions import Fraction
@@ -14,13 +15,19 @@ from operator import mul
 import pytest
 
 import fraction_oracle as oracle
-from orbifold24.affine import enumerate_modules
+from orbifold24.affine import HVector, ProductAlgebra, enumerate_modules
 from orbifold24.lattice import NiemeierLattice, inner_h, min_norm_shifted
 from orbifold24.orbifold import (
+    SemisimpleShape,
     _embedding_cached,
     _embedding_query,
     _required_gram,
     _root_pairings,
+    assemble_root_subsystem,
+    fixed_subalgebra,
+    negate,
+    seeds_meeting,
+    twisted_sector_roots,
     verlinde_simple_current,
 )
 from orbifold24.qseries import dimension_identities
@@ -29,6 +36,7 @@ from orbifold24.rootsys import (
     RootSystemError,
     SimpleType,
     build_root_datum,
+    scaled_gram,
     weyl_dimension,
 )
 
@@ -98,8 +106,10 @@ def test_kernel_is_the_scaled_gram(name):
     v = tuple(x / 2 + y / 3 for x, y in zip(d.rho, d.fundamental_weights[0]))
     u = tuple(x / 5 - y for x, y in zip(d.theta, d.fundamental_weights[-1]))
     row = gram_row(d, v)
-    got = d.pair_with_roots(v)
-    assert got == [dot(row, a) for a in d.iroots]
+    q, pairings = d.root_pairings(v)
+    assert q > 0 and all(isinstance(p, int) for p in pairings)
+    got = [F(p, q) for p in pairings]
+    assert got == [oracle.pair(d, v, a) for a in d.roots]
     assert all(got[i] == d.pair(v, d.roots[i]) for i in sample_rows(len(got)))
     assert d.pair(v, u) == d.pair(u, v) == dot(row, u)
     assert d.pair(v, v) == dot(row, v)
@@ -112,7 +122,7 @@ def test_kernel_rejects_wrong_arity(name):
     short, long = (F(1),) * (d.rank - 1), (F(1),) * (d.rank + 1)
     for bad in (short, long):
         with pytest.raises(RootSystemError):
-            d.pair_with_roots(bad)
+            d.root_pairings(bad)
         with pytest.raises(RootSystemError):
             d.scaled_row(tuple(map(int, bad)))
         with pytest.raises(RootSystemError):
@@ -227,19 +237,50 @@ def test_coroot_pairing_stays_a_fraction():
             assert c == 2 * dot(gram_row(d, v), d.simple_roots[i]) / d.norms[i]
 
 
-def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(monkeypatch):
-    # Fractions may be built and compared at the boundary, but never added,
-    # multiplied or divided: each of these three kernels runs in integers
-    N, h = NiemeierLattice(), inner_h()
+def refuse_fraction_arithmetic(monkeypatch):
+    """Make every Fraction +, -, * and / raise, reflected forms included.
+    Fractions may still be built, compared and hashed."""
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic reached")
 
-    for name in ("__add__", "__mul__", "__truediv__"):
-        monkeypatch.setattr(Fraction, name, refuse)
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+
+
+def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(monkeypatch):
+    # Fractions may be built and compared at the boundary, but never added,
+    # multiplied or divided: each of these three kernels runs in integers
+    N, h = NiemeierLattice(), inner_h()
+    refuse_fraction_arithmetic(monkeypatch)
     assert dimension_identities(120, 72, 0) == (120, 98580)
     assert dimension_identities(24, 24, 2) == (24, 98580 + 2**12)
     for a in (1, -1):
         assert verlinde_simple_current.__wrapped__(a)[2][2] == (1, 0, 0, 0)
     assert min_norm_shifted(N, h, 4) == 2
     assert min_norm_shifted(N, h, 1) is None
+
+
+def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(monkeypatch):
+    # scenario M1's merge of the twisted roots with the fixed A1,1^2 into an
+    # A3,1 runs on integer product weights, from h's root pairings onwards
+    a = ProductAlgebra.of(("E6", 3), ("G2", 1), ("G2", 1), ("G2", 1))
+    h = HVector.from_fundamental(a, [[F(1, 2), 0, 0, 0, 0, F(-1, 2)], [0, F(1, 2)], [0, F(1, 2)], [0, 0]])
+    bases = [
+        HVector.from_fundamental(a, [[0] * 6, g1, g2, [0, 0]]).components
+        for g1 in ([0, 0], [0, -1]) for g2 in ([0, 0], [0, -1])
+    ]
+    for t in TYPES:  # classification reads the Gram matrices of candidate types
+        scaled_gram(T(t))
+    refuse_fraction_arithmetic(monkeypatch)
+    shape, seeds = fixed_subalgebra(a, h)
+    assert shape == SemisimpleShape.parse("D5,3 A1,1^2 A1,3^2 G2,1 U(1)")
+    tw = twisted_sector_roots(a, h, bases)
+    tw = tw + [negate(t) for t in tw]
+    joined = seeds_meeting(a, seeds, tw)
+    assert [(str(s.type), s.level) for s in joined] == [("A1", 1), ("A1", 1)]
+    psi = assemble_root_subsystem(a, [r for s in joined for r in s.roots], tw)
+    assert (str(psi.type), psi.level, len(psi.roots)) == ("A3", 1, 12)
+    for s in seeds + [psi]:
+        assert all(type(x) is int for r in s.roots for x in r)

@@ -70,23 +70,42 @@ def h():
 # -- glue code -------------------------------------------------------------------
 
 
+def rank_mod_5(words):
+    """The rank over Z/5 of a set of words, by Gauss-Jordan elimination."""
+    rows = [list(w) for w in sorted(words)]
+    r = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] % 5), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, 5)
+        rows[r] = [(x * inv) % 5 for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % 5:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % 5 for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def test_glue_code_order_and_rank():
     code = build_glue_code()
-    assert len(code.words) == 125
-    assert code.rank == 3  # the four generator rows are dependent mod 5
+    assert isinstance(code, frozenset) and len(code) == 125
+    assert rank_mod_5(code) == 3  # the four generator rows are dependent mod 5
 
 
 def test_glue_code_membership():
     code = build_glue_code()
-    assert (1, 0, 1, 4, 4, 1) in code.words
-    assert (0,) * 6 in code.words
-    assert (0, 1, 1, 1, 1, 1) in code.words
+    assert (1, 0, 1, 4, 4, 1) in code
+    assert (0,) * 6 in code
+    assert (0, 1, 1, 1, 1, 1) in code
 
 
 def test_glue_code_cycle_invariance():
     code = build_glue_code()
-    for w in code.words:
-        assert (w[0], w[5], w[1], w[2], w[3], w[4]) in code.words
+    for w in code:
+        assert (w[0], w[5], w[1], w[2], w[3], w[4]) in code
 
 
 # -- coset machinery -------------------------------------------------------------
@@ -405,7 +424,7 @@ def test_norm4_counts_and_symmetry(norm4):
 
 
 def test_enumeration_matches_per_prefix_oracle(N):
-    oracle = [v for w in sorted(N.glue.words) for v in per_prefix_vectors(w, 2)]
+    oracle = [v for w in sorted(N.glue) for v in per_prefix_vectors(w, 2)]
     assert N.vectors_of_norm_at_most(2) == oracle
 
 
@@ -413,7 +432,7 @@ def test_enumeration_matches_per_prefix_oracle(N):
     "word", [(0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 1, 4, 4, 1), (0, 0, 1, 2, 3, 4)]
 )
 def test_norm4_word_matches_per_prefix_oracle(N, norm4_by_word, word):
-    assert word in N.glue.words
+    assert word in N.glue
     got = norm4_by_word[word]
     assert got and got == per_prefix_vectors(word, 4)
 
@@ -460,7 +479,7 @@ def test_enumeration_restores_the_callers_gc_state(N, monkeypatch, enabled):
         assert len(N.vectors_of_norm_at_most(2)) == 121
         assert gc.isenabled() == enabled
         # also when the build raises: a glue word one digit short
-        monkeypatch.setattr(N, "glue", lattice.GlueCode(frozenset({(0,) * 5})))
+        monkeypatch.setattr(N, "glue", frozenset({(0,) * 5}))
         with pytest.raises(IndexError):
             N.vectors_of_norm_at_most(2)
         assert gc.isenabled() == enabled
@@ -736,7 +755,7 @@ def fraction_min_norm_shifted(N, h, bound):
     per_block = [[oracle_ball_min(g, [-5 * c for c in b], bound) for g in range(5)] for b in h]
     totals = [
         sum(mins, F(0))
-        for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue.words)
+        for mins in ([per_block[i][g] for i, g in enumerate(w)] for w in N.glue)
         if None not in mins
     ]
     return min((t for t in totals if t <= bound), default=None)

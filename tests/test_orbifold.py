@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
-from fraction_oracle import invariant_pairing, long_in_ambient, reflect
+from fraction_oracle import invariant_pairing, level_transfer, long_norm_ambient, reflect
 from orbifold24 import orbifold
 from orbifold24.affine import HVector, ProductAlgebra
 from orbifold24.orbifold import (
@@ -18,12 +19,10 @@ from orbifold24.orbifold import (
     assemble_root_subsystem,
     classify_simple_system,
     embeds,
-    factor_root,
     fixed_subalgebra,
     identify,
-    level_transfer,
     negate,
-    plain_pairing,
+    product_weight,
     seeds_meeting,
     twisted_sector_roots,
     verlinde_simple_current,
@@ -73,6 +72,19 @@ FIXED_EXPECT = {
 H_NORMS = {"M1": 2, "M2": 2, "M3": 3, "M4": 3, "M5": 2}
 
 
+def at_factor(a, i, alpha):
+    """The Fraction product weight, one Vec per factor, with alpha in factor i
+    and zero elsewhere."""
+    return tuple(
+        tuple(alpha) if j == i else (F(0),) * t.rank for j, (t, _) in enumerate(a.factors)
+    )
+
+
+def flat(a, weights):
+    """Fraction product weights on the grid, as the package keeps them."""
+    return tuple(product_weight(a, w) for w in weights)
+
+
 def test_shape_parse_format_roundtrip():
     for text in ["D7,3 A3,1 G2,1", "A1,1^2 D6,5", "A4,6 A1,6 A1,2 U(1)^2", "U(1)"]:
         shape = SemisimpleShape.parse(text)
@@ -114,17 +126,15 @@ def test_m1_fixed_root_sets_match_stated_description():
     # factor 4: the whole G2
     a, h = SCENARIOS["M1"]
     _, seeds = fixed_subalgebra(a, h)
-    by_factor = {i: set() for i in range(4)}
-    for s in seeds:
-        for r in s.roots:
-            i = next(j for j, comp in enumerate(r) if any(comp))
-            by_factor[i].add(r[i])
     e6, g2 = a.data[0], a.data[1]
-    assert by_factor[0] == {r for r in e6.roots if r[0] == r[5]}
     small = {g2.theta, tuple(-x for x in g2.theta),
              g2.simple_roots[0], tuple(-x for x in g2.simple_roots[0])}
-    assert by_factor[1] == small and by_factor[2] == small
-    assert by_factor[3] == set(g2.roots)
+    want = (
+        [at_factor(a, 0, r) for r in e6.roots if r[0] == r[5]]
+        + [at_factor(a, i, r) for i in (1, 2) for r in small]
+        + [at_factor(a, 3, r) for r in g2.roots]
+    )
+    assert {r for s in seeds for r in s.roots} == set(flat(a, want))
 
 
 def test_m2_fixed_root_set_matches_stated_description():
@@ -134,8 +144,7 @@ def test_m2_fixed_root_set_matches_stated_description():
     _, seeds = fixed_subalgebra(a, h)
     d6 = next(s for s in seeds if str(s.type) == "D6")
     d7 = a.data[0]
-    got = {r[0] for r in d6.roots}
-    assert got == {r for r in d7.roots if r[5] == r[6]}
+    assert set(d6.roots) == set(flat(a, [at_factor(a, 0, r) for r in d7.roots if r[5] == r[6]]))
 
 
 def test_fixed_subalgebra_trivial_h():
@@ -162,20 +171,31 @@ def test_fixed_subalgebra_rejects_non_half_integral():
         fixed_subalgebra(a, h)
 
 
+def test_product_weight_rejects_off_grid_weight():
+    # the grid of A2 is 1/6 (D = 2 fund_den); a label 1/3 gives root coordinates in 1/9
+    a = ProductAlgebra.of(("A2", 1))
+    d = a.data[0]
+    assert product_weight(a, (d.weight_from_fundamental([F(1, 2), 0]),)) == (2, 1)
+    with pytest.raises(OrbifoldError, match="off the grid 1/6"):
+        product_weight(a, (d.weight_from_fundamental([F(1, 3), 0]),))
+    with pytest.raises(OrbifoldError, match="one weight of the factor's rank"):
+        product_weight(a, ((F(1), F(0), F(0)),))
+
+
 def test_seed_long_in_ambient_flags():
+    # the A1,1 seeds sit on long G2 roots and the A1,3 seeds on short ones
     a, h = SCENARIOS["M1"]
-    _, seeds = fixed_subalgebra(a, h)
+    _, seeds = oracle_fixed_subalgebra(a, h)
     by_key = {(str(s.type), s.level): s for s in seeds}
-    assert long_in_ambient(by_key[("A1", 1)])
-    assert not long_in_ambient(by_key[("A1", 3)])
-    assert by_key[("A1", 3)].long_norm_ambient == F(2, 3)
+    assert long_norm_ambient(a, by_key[("A1", 1)].roots) == 2
+    assert long_norm_ambient(a, by_key[("A1", 3)].roots) == F(2, 3)
 
 
 def test_level_transfer():
     assert level_transfer(F(2), 1) == 1
     assert level_transfer(F(2, 3), 1) == 3  # short root inside G2 at level 1
     assert level_transfer(F(1), 3) == 6  # short roots inside C5 at level 3
-    with pytest.raises(OrbifoldError):
+    with pytest.raises(ValueError):
         level_transfer(F(3), 1)
 
 
@@ -202,14 +222,15 @@ def test_twisted_sector_roots_match_known_weights():
     a, h, bases, pw = m1_twisted_data()
     tw = twisted_sector_roots(a, h, bases)
     z2 = [0, 0]
-    assert tw[0] == pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(1, 2)], [0, F(1, 2)], z2)
-    assert tw[1] == pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(-1, 2)], [0, F(1, 2)], z2)
+    assert tw[0] == product_weight(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(1, 2)], [0, F(1, 2)], z2))
+    assert tw[1] == product_weight(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(-1, 2)], [0, F(1, 2)], z2))
+    assert all(type(x) is int for w in tw for x in w)
 
 
 def test_twisted_sector_roots_identity_at_zero_h():
     a, _, bases, _ = m1_twisted_data()
     h0 = HVector.from_fundamental(a, [[0] * 6, [0, 0], [0, 0], [0, 0]])
-    assert twisted_sector_roots(a, h0, bases) == bases
+    assert twisted_sector_roots(a, h0, bases) == list(flat(a, bases))
 
 
 def test_assemble_twisted_subsystem():
@@ -220,20 +241,19 @@ def test_assemble_twisted_subsystem():
     fixed = [r for s in seeds if (str(s.type), s.level) == ("A1", 1) for r in s.roots]
     psi = assemble_root_subsystem(a, fixed, tw)
     assert str(psi.type) == "A3" and psi.level == 1 and len(psi.roots) == 12
-    simple = set(psi.simple_roots)
     z6, z2 = [0] * 6, [0, 0]
-    expected = {
+    expected = [
         pw(z6, [0, 1], z2, z2),
         pw(z6, z2, [0, 1], z2),
         pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(-1, 2)], [0, F(-1, 2)], z2),
-    }
-    assert simple == expected
+    ]
+    assert set(psi.simple_roots) == set(flat(a, expected))
 
 
 def test_assemble_single_pair_is_a1():
     a, h = SCENARIOS["M1"]
     d = a.data[1]
-    r = factor_root(a, 1, d.theta)
+    r = product_weight(a, at_factor(a, 1, d.theta))
     seed = assemble_root_subsystem(a, [r, negate(r)], [])
     assert str(seed.type) == "A1" and seed.level == 1
 
@@ -423,29 +443,44 @@ def test_identify_empty_when_no_multiset_fits():
 def test_invariant_pairing_reads_levels():
     a, h = SCENARIOS["M1"]
     _, seeds = fixed_subalgebra(a, h)
-    for s in seeds:
-        long_norm = max(invariant_pairing(a, r, r) for r in s.roots)
-        assert long_norm == F(2, s.level)
+    _, want = oracle_fixed_subalgebra(a, h)
+    for s, w in zip(seeds, want, strict=True):
+        assert s.roots == flat(a, w.roots)
+        assert max(invariant_pairing(a, r, r) for r in w.roots) == F(2, s.level)
+
+
+def transferred_level(a, w):
+    """The level of an oracle seed by the level transfer rule: every fixed
+    component lives in one factor, and its long roots' plain norm there
+    scales that factor's level."""
+    factor = next(i for i, comp in enumerate(w.simple_roots[0]) if any(comp))
+    return level_transfer(long_norm_ambient(a, w.roots), a.factors[factor][1])
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_level_transfer_matches_component_levels(name):
-    # every fixed component lives in one factor; the level transfer rule
-    # applied to its ambient norm must reproduce the classified level
-    a, h = SCENARIOS[name]
-    _, seeds = fixed_subalgebra(a, h)
-    for s in seeds:
-        first = s.simple_roots[0]
-        factor = next(i for i, comp in enumerate(first) if any(comp))
-        ambient_level = a.factors[factor][1]
-        assert level_transfer(s.long_norm_ambient, ambient_level) == s.level
+    # the level transfer rule applied to each component's ambient norm must
+    # reproduce the classified level, which check_against_oracle asserts
+    check_against_oracle(*SCENARIOS[name])
 
 
 # -- the Fraction oracle for the integer root-set path ---------------------------
 #
 # The component split, the simple-system extraction and the classification
-# on Fraction product weights under invariant_pairing: the oracle for the
-# integer path of fixed_subalgebra and assemble_root_subsystem.
+# on Fraction product weights (one Vec per factor) under invariant_pairing:
+# the oracle for the integer path of fixed_subalgebra and
+# assemble_root_subsystem.  Its seeds are compared with the package's
+# through product_weight.
+
+OracleSeed = namedtuple("OracleSeed", "type level simple_roots roots")
+
+
+def flat_seed(a, w):
+    return SeedSubalgebra(w.type, w.level, flat(a, w.simple_roots), flat(a, w.roots))
+
+
+def oracle_negate(x):
+    return tuple(tuple(-c for c in comp) for comp in x)
 
 
 def oracle_classify_simple_system(simple_gram):
@@ -466,7 +501,7 @@ def oracle_classify_simple_system(simple_gram):
 
 def oracle_extract_simple_system(roots):
     root_set = set(roots)
-    if root_set != {negate(r) for r in root_set}:
+    if root_set != {oracle_negate(r) for r in root_set}:
         raise OrbifoldError("root set is not closed under negation")
     flat = {r: tuple(c for comp in r for c in comp) for r in roots}
     positive = [r for r in roots if flat[r] > tuple(-c for c in flat[r])]
@@ -493,8 +528,7 @@ def oracle_classify_component(a, roots):
     level = 2 / max(form(r, r) for r in roots)
     if level.denominator != 1 or level < 1:
         raise OrbifoldError(f"component of type {t} has non-integral level {level}")
-    long_plain = max(plain_pairing(a, r, r) for r in roots)
-    return SeedSubalgebra(t, int(level), tuple(simple), tuple(sorted(roots)), long_plain)
+    return OracleSeed(t, int(level), tuple(simple), tuple(sorted(roots)))
 
 
 def oracle_components(a, roots):
@@ -522,11 +556,13 @@ def oracle_components(a, roots):
 def oracle_fixed_subalgebra(a, h):
     fixed = []
     for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
-        for alpha, val in zip(d.roots, d.pair_with_roots(comp)):
+        row = fraction_oracle.gram_row(d, comp)
+        for alpha in d.roots:
+            val = sum((x * y for x, y in zip(row, alpha)), F(0))
             if (2 * val).denominator != 1:
                 raise OrbifoldError(f"(h|alpha) = {val} is not half-integral on factor {t}")
             if val.denominator == 1:
-                fixed.append(factor_root(a, i, alpha))
+                fixed.append(at_factor(a, i, alpha))
     seeds = [oracle_classify_component(a, comp) for comp in oracle_components(a, fixed)]
     seeds.sort(key=lambda s: (_shape_sort_key((s.type, s.level)), s.simple_roots))
     center = a.rank - sum(s.type.rank for s in seeds)
@@ -537,7 +573,7 @@ def oracle_assemble(a, fixed_roots, twisted_roots):
     roots = sorted(set(fixed_roots) | set(twisted_roots))
     root_set = set(roots)
     for r in roots:
-        if negate(r) not in root_set:
+        if oracle_negate(r) not in root_set:
             raise OrbifoldError(f"root set not closed under negation at {r}")
     for r in roots:
         nr = invariant_pairing(a, r, r)
@@ -551,6 +587,18 @@ def oracle_assemble(a, fixed_roots, twisted_roots):
     if len(oracle_components(a, roots)) != 1:
         raise OrbifoldError("assembled set splits")
     return oracle_classify_component(a, roots)
+
+
+def oracle_twisted_roots(a, h, bases):
+    """The weights mu + k h, factor by factor in Fractions, and their negatives."""
+    tw = [
+        tuple(
+            tuple(m + k * x for m, x in zip(mu_i, h_i))
+            for (_, k), mu_i, h_i in zip(a.factors, mu, h.components)
+        )
+        for mu in bases
+    ]
+    return tw + [oracle_negate(t) for t in tw]
 
 
 # -- the integer path against the oracle -------------------------------------------
@@ -596,11 +644,8 @@ def check_against_oracle(a, h):
     shape, seeds = fixed_subalgebra(a, h)
     want_shape, want_seeds = oracle_fixed_subalgebra(a, h)
     assert shape == want_shape
-    assert [(s.type, s.level) for s in seeds] == [(s.type, s.level) for s in want_seeds]
-    for s, w in zip(seeds, want_seeds):
-        assert s.simple_roots == w.simple_roots
-        assert s.roots == w.roots
-        assert s.long_norm_ambient == w.long_norm_ambient
+    assert seeds == [flat_seed(a, w) for w in want_seeds]
+    assert [s.level for s in seeds] == [transferred_level(a, w) for w in want_seeds]
     return seeds
 
 
@@ -631,18 +676,27 @@ def test_fixed_subalgebra_matches_oracle_on_products(case):
 
 def test_assemble_matches_oracle_on_m1_twisted_data():
     a, h, bases, _ = m1_twisted_data()
-    _, seeds = fixed_subalgebra(a, h)
+    seeds = check_against_oracle(a, h)
+    want_seeds = oracle_fixed_subalgebra(a, h)[1]
     tw = twisted_sector_roots(a, h, bases)
     tw = tw + [negate(t) for t in tw]
-    joined = [
-        s for s in seeds if any(invariant_pairing(a, r, t) != 0 for r in s.roots for t in tw)
+    want_tw = oracle_twisted_roots(a, h, bases)
+    assert tw == list(flat(a, want_tw))
+    want_joined = [
+        w for w in want_seeds
+        if any(invariant_pairing(a, r, t) != 0 for r in w.roots for t in want_tw)
     ]
-    assert seeds_meeting(a, seeds, tw) == joined
-    fixed = [r for s in joined for r in s.roots]
-    assert assemble_root_subsystem(a, fixed, tw) == oracle_assemble(a, fixed, tw)
-    for broken in ([fixed, tw[:4]], [fixed[2:], tw]):
+    assert seeds_meeting(a, seeds, tw) == [flat_seed(a, w) for w in want_joined]
+    want_fixed = [r for w in want_joined for r in w.roots]
+    fixed = list(flat(a, want_fixed))
+    want = flat_seed(a, oracle_assemble(a, want_fixed, want_tw))
+    assert assemble_root_subsystem(a, fixed, tw) == want
+    for broken, want_broken in (
+        ([fixed, tw[:4]], [want_fixed, want_tw[:4]]),
+        ([fixed[2:], tw], [want_fixed[2:], want_tw]),
+    ):
         with pytest.raises(OrbifoldError):
-            oracle_assemble(a, *broken)
+            oracle_assemble(a, *want_broken)
         with pytest.raises(OrbifoldError):
             assemble_root_subsystem(a, *broken)
 
