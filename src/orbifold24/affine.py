@@ -7,20 +7,24 @@ element h it shifts to
 
     conformal_weight + min{(h|mu) : mu in the weight support of lambda} + k(h|h)/2.
 
-Everything per module runs on its labels in integers: the conformal weight
-through the fundamental-weight pairings of the root datum, the minimum as
--(lambda|dom(-h)), with dom(-h) computed once per (root datum, h).
-
-Product algebras (tensor products of simple affine factors) carry one label
-and one h-component per factor; all quantities add over the factors.
+Everything runs in integers.  Each (type, level) has one conformal-weight
+denominator, 2 fund_gram_den (k + h_vee); each label carries its numerator,
+and each module list is built once.  h is cleared of denominators once, in
+its HVector, and per (factor, h) the twist cache holds dom(-h) and one
+denominator for every module's twisted lowest weight; the minimum is
+-(lambda|dom(-h)), a dot product with the labels.  Product algebras carry
+one label and one h-component per factor, and the factors' numerators add
+on the lcm of their denominators, so a product label's weight is integral
+when one residue vanishes.  A Fraction is made only for a return value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from operator import mul
 
 from .rootsys import (
@@ -41,17 +45,19 @@ class AffineLabel:
     type: SimpleType
     level: int
     coeffs: tuple[int, ...]
+    weight_num: int = field(init=False, repr=False, compare=False)  # over _weight_den
 
     def __post_init__(self):
         if self.level < 1:
             raise RootSystemError("level must be a positive integer")
-        d = self.datum
-        if len(self.coeffs) != d.rank or any(not isinstance(c, int) or c < 0 for c in self.coeffs):
-            raise RootSystemError(f"bad weight coefficients {self.coeffs} for {self.type}")
-        if sum(map(mul, d.comarks, self.coeffs)) > self.level:
-            raise RootSystemError(
-                f"{self.type} weight {self.coeffs} not admissible at level {self.level}"
-            )
+        d, c = self.datum, self.coeffs
+        if len(c) != d.rank or any(not isinstance(x, int) or x < 0 for x in c):
+            raise RootSystemError(f"bad weight coefficients {c} for {self.type}")
+        if sum(map(mul, d.comarks, c)) > self.level:
+            raise RootSystemError(f"{self.type} weight {c} not admissible at level {self.level}")
+        # rho has every label 1: N (lambda+2rho|lambda) = sum_ij (c_i + 2) F_ij c_j
+        num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
+        object.__setattr__(self, "weight_num", num)
 
     @property
     def datum(self) -> RootDatum:
@@ -65,8 +71,19 @@ class AffineLabel:
         return f"{self.type},{self.level}:({','.join(map(str, self.coeffs))})"
 
 
-def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:
-    """All module labels of X_{n,k}, ordered lexicographically by coefficients."""
+def _weight_den(d: RootDatum, k: int) -> int:
+    """The conformal-weight denominator of X_{n,k}, 2 N (k + h_vee)."""
+    return 2 * d.fund_gram_den * (k + d.dual_coxeter)
+
+
+def _sum_on_lcm(parts) -> tuple[int, int]:
+    """(n, D) with n / D the sum of the fractions n_i / q_i given as pairs, D the lcm of the q_i."""
+    D = lcm(*(q for _, q in parts))
+    return sum(n * (D // q) for n, q in parts), D
+
+
+@lru_cache(maxsize=None)
+def _modules(t: SimpleType, k: int) -> tuple[AffineLabel, ...]:
     if k < 1:
         raise RootSystemError("level must be a positive integer")
     d = build_root_datum(t)
@@ -82,30 +99,35 @@ def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:
             rec(idx + 1, budget - c * marks[idx], acc + [c])
 
     rec(0, k, [])
-    labels.sort(key=lambda m: m.coeffs)
-    return labels
+    return tuple(labels)
+
+
+def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:
+    """All module labels of X_{n,k}, ordered lexicographically by coefficients."""
+    return list(_modules(t, k))
 
 
 def conformal_weight(m: AffineLabel) -> Fraction:
-    """Lowest L(0)-weight of the module: (lambda+2rho|lambda)/(2(k+h_vee)).
-
-    rho has every label 1, so on labels c this is
-    sum_ij (c_i + 2) F_ij c_j / (N 2(k+h_vee)) with F / N the pairings of
-    the fundamental weights.
-    """
-    d = m.datum
-    c = m.coeffs
-    num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
-    return Fraction(num, d.fund_gram_den * 2 * (m.level + d.dual_coxeter))
+    """Lowest L(0)-weight of the module: (lambda+2rho|lambda)/(2(k+h_vee))."""
+    return Fraction(m.weight_num, _weight_den(m.datum, m.level))
 
 
 @lru_cache(maxsize=1024)
-def _twist(d: RootDatum, h: Vec) -> tuple[IntWeight, Fraction, bool]:
-    """What every module of one factor shares under the twist by h:
-    dom(-h), (h|h), and whether (h|alpha) >= -1 on every root."""
-    q, pairings = d.root_pairings(h)
-    above = all(p >= -q for p in pairings)
-    return d.dominant_int(tuple(-v for v in h)), d.pair(h, h), above
+def _twist(d: RootDatum, k: int, x: IntWeight) -> tuple[int, int, int, int, IntWeight]:
+    """(D, a, b, k hh, dom(-h)) for X_{n,k} under h = x.  As hh = scale den^2 (h|h), k(h|h)/2 and
+    (lambda|dom(-h)) lie on Dh = 2 scale den^2; with D = lcm(Dc, Dh), a = D / Dc and b = D / Dh a
+    twisted lowest weight is (a weight_num + b (k hh - den label_pairing(lambda, dom(-h)))) / D."""
+    Dc, Dh = _weight_den(d, k), 2 * d.scale * x.den**2
+    D = lcm(Dc, Dh)
+    hh = sum(map(mul, d.scaled_row(x.coords), x.coords))
+    return D, D // Dc, D // Dh, k * hh, d.dominant_int(x.times(-1))
+
+
+def _lowest(m: AffineLabel, x: IntWeight) -> tuple[int, int]:
+    """(n, D): the twisted lowest weight of m under h = x is n / D, D fixed by (type, level, h)."""
+    d = m.datum
+    D, a, b, khh, neg_dom = _twist(d, m.level, x)
+    return a * m.weight_num + b * (khh - x.den * label_pairing(d, m.coeffs, neg_dom)), D
 
 
 def twisted_lowest(m: AffineLabel, h: Vec) -> Fraction:
@@ -113,9 +135,7 @@ def twisted_lowest(m: AffineLabel, h: Vec) -> Fraction:
 
     The minimum of (h|mu) over the support is -(lambda|dom(-h)).
     """
-    d = m.datum
-    neg_dom, hh, _ = _twist(d, tuple(h))
-    return conformal_weight(m) - label_pairing(d, m.coeffs, neg_dom) + m.level * hh / 2
+    return Fraction(*_lowest(m, m.datum.integral(h)))
 
 
 @dataclass(frozen=True)
@@ -134,25 +154,30 @@ def twisted_positivity_certificate(m: AffineLabel, h: Vec) -> TwistClassificatio
     the untwisted vacuum.  A violated assumption is reported as its own
     outcome rather than silently classified.
     """
+    return _certificate(m, m.datum.integral(h))
+
+
+def module_certificates(a: ProductAlgebra, h: HVector) -> list:
+    """(module, certificate) for every module of every factor of a, under its part of h."""
+    return [(m, _certificate(m, x)) for (t, k), x in zip(a.factors, h.ints) for m in _modules(t, k)]
+
+
+def _certificate(m: AffineLabel, x: IntWeight) -> TwistClassification:
     d = m.datum
-    neg_dom, _, above = _twist(d, tuple(h))
-    if not above:
+    neg_dom = _twist(d, m.level, x)[4]
+    # the largest (-h|alpha) over the roots is (dom(-h)|theta), as theta - alpha is in Q+
+    if sum(map(mul, d.comarks, neg_dom.labels)) > neg_dom.den:
         return TwistClassification("precondition_violated")
-    val = twisted_lowest(m, h)
-    if val > 0:
-        return TwistClassification("positive", val)
-    if val < 0:
-        return TwistClassification("negative_violation", val)
-    if all(c == 0 for c in m.coeffs) and all(x == 0 for x in h):
+    n, D = _lowest(m, x)
+    val = Fraction(n, D)
+    if n:
+        return TwistClassification("positive" if n > 0 else "negative_violation", val)
+    if not any(m.coeffs) and not any(x.coords):
         return TwistClassification("zero_with_witness", val, "vacuum")
-    # dom(-k h) = k dom(-h); compare its labels with lambda
-    k = m.level
-    for j in range(d.rank):
-        lam_j = tuple(k if i == j else 0 for i in range(d.rank))
-        if m.coeffs == lam_j and all(
-            k * x == neg_dom.den * c for x, c in zip(neg_dom.labels, m.coeffs)
-        ):
-            return TwistClassification("zero_with_witness", val, f"j={j + 1}")
+    # lambda = k Lambda_j with dom(-k h) = k dom(-h) equal to lambda
+    k, c = m.level, m.coeffs
+    if k in c and sum(c) == k and all(k * y == neg_dom.den * v for y, v in zip(neg_dom.labels, c)):
+        return TwistClassification("zero_with_witness", val, f"j={c.index(k) + 1}")
     return TwistClassification("negative_violation", val, "zero without witness")
 
 
@@ -203,10 +228,15 @@ class ProductLabel:
 
 @dataclass(frozen=True)
 class HVector:
-    """One Cartan component per factor, in each factor's simple-root basis."""
+    """One Cartan component per factor, in each factor's simple-root basis, and as an IntWeight."""
 
     algebra: ProductAlgebra
     components: tuple[Vec, ...]
+    ints: tuple[IntWeight, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ints = tuple(d.integral(c) for d, c in zip(self.algebra.data, self.components))
+        object.__setattr__(self, "ints", ints)
 
     @staticmethod
     def from_fundamental(algebra: ProductAlgebra, coeff_lists) -> "HVector":
@@ -223,47 +253,42 @@ class HVector:
         return HVector(algebra, tuple(comps))
 
     def norm_invariant(self) -> Fraction:
-        """<h|h> = sum_i k_i (h_i|h_i)."""
-        total = Fraction(0)
-        for (t, k), h in zip(self.algebra.factors, self.components):
-            total += k * build_root_datum(t).pair(h, h)
-        return total
+        """<h|h> = sum_i k_i (h_i|h_i), where scale den^2 (h_i|h_i) is an integer."""
+        a = self.algebra
+        return Fraction(*_sum_on_lcm([(k * sum(map(mul, d.scaled_row(x.coords), x.coords)),
+                                       d.scale * x.den**2)
+                                      for (_, k), d, x in zip(a.factors, a.data, self.ints)]))
 
 
 def integral_spectrum_table(
     a: ProductAlgebra, max_weight, weight_set=None
-) -> list[tuple[ProductLabel, Fraction]]:
+) -> list[tuple[ProductLabel, int]]:
     """All product labels with integral total conformal weight.
 
     By default every nonnegative integer weight <= max_weight is kept; a
     table that is keyed differently (weights in a given set) can pass
     weight_set explicitly.  Output is ordered by (weight, coefficients).
     """
-    max_weight = Fraction(max_weight)
     if max_weight < 0:
         raise RootSystemError("max_weight must be nonnegative")
-    per_factor = []
-    for t, k in a.factors:
-        mods = enumerate_modules(t, k)
-        per_factor.append([(m, conformal_weight(m)) for m in mods])
+    # the weights add as numerators on D, the lcm of the conformal denominators
+    dens = [_weight_den(d, k) for d, (_, k) in zip(a.data, a.factors)]
+    D = lcm(*dens)
+    per_factor = [[(m, m.weight_num * (D // q)) for m in enumerate_modules(t, k)]
+                  for (t, k), q in zip(a.factors, dens)]
     table = []
     for combo in product(*per_factor):
-        total = sum((w for _, w in combo), Fraction(0))
-        if total.denominator != 1 or total > max_weight:
+        w, rem = divmod(sum(n for _, n in combo), D)
+        if rem or w > max_weight or weight_set is not None and w not in weight_set:
             continue
-        if weight_set is not None and total not in weight_set:
-            continue
-        table.append((ProductLabel(a, tuple(m for m, _ in combo)), total))
+        table.append((ProductLabel(a, tuple(m for m, _ in combo)), w))
     table.sort(key=lambda rec: (rec[1], rec[0].coeffs))
     return table
 
 
 def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
     """Lowest twisted L(0)-weight of a product label: factorwise sum."""
-    total = Fraction(0)
-    for label, comp in zip(m.labels, h.components):
-        total += twisted_lowest(label, comp)
-    return total
+    return Fraction(*_sum_on_lcm([_lowest(label, x) for label, x in zip(m.labels, h.ints)]))
 
 
 def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
@@ -272,11 +297,11 @@ def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
         q, pairings = d.root_pairings(comp)
         if any(2 * p % q for p in pairings):
             return False
-    hs = [d.integral(comp) for d, comp in zip(a.data, h.components)]
+    # 2(h|lambda) = sum over the factors of label_pairing / (scale den)
+    data = a.data
     for m in labels:
-        val = Fraction(0)
-        for label, x in zip(m.labels, hs):
-            val += label_pairing(label.datum, label.coeffs, x)
-        if (2 * val).denominator != 1:
+        n, D = _sum_on_lcm([(label_pairing(d, label.coeffs, x), d.scale * x.den)
+                            for d, label, x in zip(data, m.labels, h.ints)])
+        if n % D:
             return False
     return True

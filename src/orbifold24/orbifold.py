@@ -575,9 +575,9 @@ def _candidate_ideals(rank_budget: int, dim_target: int, ratio: Fraction):
                 continue
             if t.dim > dim_target:
                 continue
-            level = Fraction(t.dual_coxeter) / ratio
-            if level.denominator == 1 and level >= 1:
-                out.append((t, int(level)))
+            level, rem = divmod(t.dual_coxeter * ratio.denominator, ratio.numerator)
+            if not rem and level >= 1:
+                out.append((t, level))
     out.sort(key=lambda c: (-c[0].dim, _shape_sort_key(c)))
     return out
 

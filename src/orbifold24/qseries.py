@@ -286,8 +286,8 @@ def character_fit(dim_g1: int, dim_half: int, trunc: int) -> CharacterFit:
     f_inv = f.inverse()
     powers = {1: f, -1: f_inv, -2: f_inv * f_inv}
     series = _fitted_laurent(c0, c_minus1, powers.__getitem__)
-    assert series[Fraction(-1)] == 1
-    assert series[0] == dim_g1
+    if series[Fraction(-1)] != 1 or series[0] != dim_g1:
+        raise QSeriesError(f"the fitted character does not begin q^-1 + {dim_g1}")
     return CharacterFit(c0, c_minus1, series)
 
 
@@ -316,7 +316,8 @@ def dimension_identities(dim_V1: int, dim_g1: int, dim_half: int) -> tuple[int, 
 
     fit = character_fit(dim_g1, dim_half, IDENTITIES_TRUNC)
     s_series = fitted_S_series(fit, IDENTITIES_TRUNC)
-    assert s_series[Fraction(-1, 2)] == Fraction(dim_half, 2)
+    if s_series[Fraction(-1, 2)] != Fraction(dim_half, 2):
+        raise QSeriesError(f"the S-transform's q^-1/2 coefficient is not {dim_half}/2")
     total = fit.series + s_series + t_transform(s_series) - dim_V1
     series_route = total[0]
     if series_route != closed:
@@ -324,5 +325,6 @@ def dimension_identities(dim_V1: int, dim_g1: int, dim_half: int) -> tuple[int, 
             f"dimension formula mismatch: closed form {closed}, series route {series_route}"
         )
     # the fitted series also knows the weight-two coefficient
-    assert fit.series[1] == g2_dim
+    if fit.series[1] != g2_dim:
+        raise QSeriesError(f"the fitted weight-two coefficient is not {g2_dim}")
     return int(closed), int(g2_dim)

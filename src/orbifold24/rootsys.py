@@ -41,7 +41,8 @@ On labels the kernels are short integer products:
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
 public functions (`pair`, `weight_from_fundamental`, `dominant_conjugate`,
 `min_pairing`, `support_contains`, `weight_support`, `weyl_dimension`)
-take and give Vecs and convert once; `root_pairings` takes a Vec and
+take and give Vecs and convert once, through `integral`, to the
+`IntWeight` that `dominant_int` and `label_pairing` act on; `root_pairings` takes a Vec and
 gives (v|alpha) on every root as integers over one denominator, which is
 how every caller tests (h|alpha) for integrality or a bound.  The
 `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
@@ -60,6 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, sub
+from typing import NamedTuple
 
 Vec = tuple[Fraction, ...]
 
@@ -96,14 +98,17 @@ def _to_integral(v) -> tuple[int, tuple[int, ...]]:
     return D, tuple(x.numerator * (D // x.denominator) for x in v)
 
 
-class IntWeight:
+class IntWeight(NamedTuple):
     """A weight x in integers: den > 0, den * (root coordinates of x) and
-    den * (Dynkin labels of x)."""
+    den * (Dynkin labels of x).  It is hashable, so it can key a cache."""
 
-    __slots__ = ("den", "coords", "labels")
+    den: int
+    coords: tuple[int, ...]
+    labels: tuple[int, ...]
 
-    def __init__(self, den: int, coords: tuple[int, ...], labels: tuple[int, ...]):
-        self.den, self.coords, self.labels = den, coords, labels
+    def times(self, c: int) -> "IntWeight":
+        return IntWeight(self.den, tuple(c * v for v in self.coords),
+                         tuple(c * v for v in self.labels))
 
 
 def _bareiss_inverse(M: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -267,7 +272,8 @@ class RootDatum:
         self.norms = [self.gram[i][i] for i in range(n)]
         self.scale, igram = scaled_gram(t)
         self.igram = [list(row) for row in igram]
-        assert all(2 * g % row[i] == 0 for i, row in enumerate(self.igram) for g in row)
+        if any(2 * g % row[i] for i, row in enumerate(self.igram) for g in row):
+            raise RootSystemError(f"{t}: the Cartan matrix is not integral")
         self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(self.igram)]
         # column i of the Cartan matrix (the labels of alpha_i), its non-zero entries
         self._columns = [
@@ -286,7 +292,8 @@ class RootDatum:
         g = gcd(N, *(x for row in F for x in row))
         self.fund_gram_den = N // g
         self.fund_gram = [[x // g for x in row] for row in F]
-        assert all(F[i][j] == F[j][i] for i in range(n) for j in range(i))
+        if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
+            raise RootSystemError(f"{t}: the fundamental weights' Gram matrix is not symmetric")
 
         # every root is W-conjugate to the dominant root of its length
         by_length = {self.igram[i][i]: i for i in range(n)}
@@ -294,7 +301,7 @@ class RootDatum:
         for norm in sorted(by_length):
             i = by_length[norm]
             unit = tuple(int(j == i) for j in range(n))
-            top = self._dominant(IntWeight(1, unit, tuple(row[i] for row in self.cartan)))
+            top = self.dominant_int(IntWeight(1, unit, tuple(r[i] for r in self.cartan)))
             roots.extend(self._orbit(top))
         if len(roots) != t.num_roots:
             raise RootSystemError(f"{t}: generated {len(roots)} roots, expected {t.num_roots}")
@@ -304,7 +311,8 @@ class RootDatum:
             x * self.igram[j][j] // (2 * self.scale) for j, x in enumerate(theta)
         )
         # h_vee = 1 + (rho|theta), and (rho|theta) is the sum of the comarks
-        assert 1 + sum(self.comarks) == t.dual_coxeter
+        if 1 + sum(self.comarks) != t.dual_coxeter:
+            raise RootSystemError(f"{t}: 1 + (rho|theta) is not the dual Coxeter number")
         self.dual_coxeter = t.dual_coxeter
 
         self.root_rows = [self.scaled_row(r) for r in self.iroots]
@@ -399,7 +407,13 @@ class RootDatum:
         den *= self.fund_den
         return tuple(Fraction(x, den) for x in self._label_coords(c))
 
-    def _dominant(self, x: IntWeight) -> IntWeight:
+    def dominant_int(self, x: IntWeight) -> IntWeight:
+        """The dominant weight in the Weyl orbit of x.
+
+        Reflects in any simple root with a negative label until none is
+        left; each step raises x by a positive multiple of a simple root,
+        so the walk ends at the unique dominant point of the orbit.
+        """
         w, m = list(x.coords), list(x.labels)
         while (i := next((i for i, c in enumerate(m) if c < 0), None)) is not None:
             c = m[i]
@@ -408,17 +422,8 @@ class RootDatum:
                 m[j] -= c * a
         return IntWeight(x.den, tuple(w), tuple(m))
 
-    def dominant_int(self, v: Vec) -> IntWeight:
-        """The dominant weight in the Weyl orbit of v.
-
-        Reflects in any simple root with a negative label until none is
-        left; each step raises v by a positive multiple of a simple root,
-        so the walk ends at the unique dominant point of the orbit.
-        """
-        return self._dominant(self.integral(v))
-
     def dominant_conjugate(self, v: Vec) -> Vec:
-        x = self.dominant_int(v)
+        x = self.dominant_int(self.integral(v))
         return tuple(Fraction(c, x.den) for c in x.coords)
 
     def _orbit(self, top: IntWeight) -> list[tuple[int, ...]]:
@@ -503,12 +508,11 @@ def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     return {tuple(map(frac.__getitem__, w)) for w in points}
 
 
-def label_pairing(d: RootDatum, labels, x: IntWeight) -> Fraction:
-    """(lambda|x) for lambda given by its labels: (lambda|alpha_j) is
-    lambda_j (alpha_j|alpha_j)/2, so this is one integer dot product with
+def label_pairing(d: RootDatum, labels, x: IntWeight) -> int:
+    """2 scale x.den (lambda|x), for lambda given by its labels: (lambda|alpha_j)
+    is lambda_j (alpha_j|alpha_j)/2, so this is one integer dot product with
     the root coordinates of x."""
-    num = sum(c * w * d.igram[j][j] for j, (c, w) in enumerate(zip(labels, x.coords)) if c)
-    return Fraction(num, 2 * d.scale * x.den)
+    return sum(c * w * d.igram[j][j] for j, (c, w) in enumerate(zip(labels, x.coords)) if c)
 
 
 def dominates(d: RootDatum, labels, x: IntWeight) -> bool:
@@ -532,7 +536,7 @@ def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
     W moves an integral weight only by roots and keeps a non-integral one
     non-integral, so one test of lam - dom(mu) answers both.
     """
-    return dominates(d, _require_dominant_integral(d, lam), d.dominant_int(mu))
+    return dominates(d, _require_dominant_integral(d, lam), d.dominant_int(d.integral(mu)))
 
 
 def weyl_dimension(d: RootDatum, lam: Vec) -> int:
@@ -547,7 +551,8 @@ def weyl_dimension(d: RootDatum, lam: Vec) -> int:
     for c in d.positive_coroots:
         num *= sum(map(mul, c, labels))
         den *= sum(c)
-    assert num % den == 0
+    if num % den:
+        raise RootSystemError(f"{d.type}: the Weyl dimension of {lam} is not an integer")
     return num // den
 
 
@@ -559,4 +564,5 @@ def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
     the dominant conjugate of x.
     """
     labels = _require_dominant_integral(d, lam)
-    return -label_pairing(d, labels, d.dominant_int(tuple(-x for x in h)))
+    x = d.dominant_int(d.integral(h).times(-1))
+    return Fraction(-label_pairing(d, labels, x), 2 * d.scale * x.den)

@@ -18,11 +18,10 @@ from .affine import (
     HVector,
     ProductAlgebra,
     ProductLabel,
-    enumerate_modules,
     integral_spectrum_table,
+    module_certificates,
     product_twisted_lowest,
     spectrum_half_integral,
-    twisted_positivity_certificate,
 )
 from .orbifold import (
     OrbifoldError,
@@ -301,7 +300,7 @@ def run_scenario(sc: Scenario) -> Report:
         # integral-weight module table
         if sc.table_max_weight is not None:
             table = integral_spectrum_table(a, sc.table_max_weight, sc.table_weights)
-            counts: dict[Fraction, int] = {}
+            counts: dict[int, int] = {}
             for _, w in table:
                 counts[w] = counts.get(w, 0) + 1
             fmt = lambda cs: " ".join(f"{w}:{n}" for w, n in sorted(cs.items()))
@@ -312,16 +311,13 @@ def run_scenario(sc: Scenario) -> Report:
             add("spectrum-half-integral", True, spectrum_half_integral(a, h, labels))
 
             # no module may reach twisted weight 1/2, so the half-graded part is 0
-            lows = sorted(product_twisted_lowest(lbl, h) for lbl in labels)
-            half_excluded = lows[0] > Fraction(1, 2)
+            low = min(product_twisted_lowest(lbl, h) for lbl in labels)
+            half_excluded = low > Fraction(1, 2)
             add("twisted-weights-exclude-half", "minimum > 1/2",
-                "minimum > 1/2" if half_excluded else f"minimum {lows[0]}")
+                "minimum > 1/2" if half_excluded else f"minimum {low}")
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
-            doms = [
-                d.dominant_int(tuple(-k * x for x in comp))
-                for d, (_, k), comp in zip(a.data, a.factors, h.components)
-            ]
+            doms = [d.dominant_int(x.times(-k)) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
             occurs = any(
                 all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
                 for lbl in labels
@@ -330,12 +326,8 @@ def run_scenario(sc: Scenario) -> Report:
                 "-k.h is not a module weight" if not occurs else "occurs in some module")
 
         # twisted lowest weights of every module of every factor are >= 0
-        bad = []
-        for d, comp, (t, k) in zip(a.data, h.components, a.factors):
-            for m in enumerate_modules(t, k):
-                cert = twisted_positivity_certificate(m, comp)
-                if cert.kind not in ("positive", "zero_with_witness"):
-                    bad.append((str(m), cert.kind))
+        bad = [(str(m), c.kind) for m, c in module_certificates(a, h)
+               if c.kind not in ("positive", "zero_with_witness")]
         add("twisted-nonnegativity", "all factor modules nonnegative",
             "all factor modules nonnegative" if not bad else f"violations: {bad[:3]}")
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,20 @@ def golden():
         return (DATA / f"{name}.tbl").read_text()
 
     return load
+
+
+@pytest.fixture
+def refuse_fraction_arithmetic(monkeypatch):
+    """A function that, once called, makes every Fraction +, -, * and /
+    raise for the rest of the test, reflected forms included.  Fractions
+    may still be built, compared and hashed."""
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic reached")
+
+    def start():
+        for op in ("add", "sub", "mul", "truediv"):
+            for name in (f"__{op}__", f"__r{op}__"):
+                monkeypatch.setattr(Fraction, name, refuse)
+
+    return start

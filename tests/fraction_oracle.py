@@ -16,6 +16,12 @@ The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
 summed coordinate by coordinate in Fractions.
 
+The affine product sums, right after the kernel, are how the package
+summed over product labels before its integer numerators: one Fraction
+weight per factor, added per label, and a label's weight integral when the
+sum's denominator is 1.  <h|h>, twisted lowest weights and (h|lambda) are
+summed over the factors the same way.
+
 The product-algebra forms between them act on Fraction product weights,
 one Vec of root coordinates per factor: the invariant and the plain form
 of a product algebra, and the level transfer rule, which reads a
@@ -35,6 +41,7 @@ constructor, so it serves the package's QSeries and this one alike.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, prod
 
 
@@ -126,7 +133,7 @@ def datum(t):
 def weight_from_fundamental(d, coeffs):
     fund = datum(d.type)[1]
     return tuple(
-        sum((Fraction(c) * w[i] for c, w in zip(coeffs, fund)), Fraction(0))
+        sum((Fraction(c) * w[i] for c, w in zip(coeffs, fund) if c), Fraction(0))
         for i in range(d.rank)
     )
 
@@ -148,8 +155,17 @@ def dominant_conjugate(d, v):
     return tuple(v)
 
 
+@lru_cache(maxsize=None)
+def _twist(d, h):
+    """dom(-h), (h|h) and whether (h|alpha) >= -1 on every root, for a tuple h;
+    every module of a factor shares them, so they are kept per (datum, h)."""
+    row = gram_row(d, h)
+    above = all(sum(a * b for a, b in zip(row, r)) >= -1 for r in datum(d.type)[0])
+    return dominant_conjugate(d, [-x for x in h]), pair(d, h, h), above
+
+
 def min_pairing(d, h, lam):
-    return -pair(d, lam, dominant_conjugate(d, [-x for x in h]))
+    return -pair(d, lam, _twist(d, tuple(h))[0])
 
 
 def support_contains(d, lam, mu):
@@ -157,6 +173,7 @@ def support_contains(d, lam, mu):
     return all(x.denominator == 1 and x >= 0 for x in diff)
 
 
+@lru_cache(maxsize=None)  # lam is a tuple; a module's weight is asked for under every h
 def conformal_weight(d, lam, level):
     rho = datum(d.type)[2]
     lam2rho = tuple(a + 2 * b for a, b in zip(lam, rho))
@@ -164,14 +181,12 @@ def conformal_weight(d, lam, level):
 
 
 def twisted_lowest(d, lam, level, h):
-    return conformal_weight(d, lam, level) + min_pairing(d, h, lam) + level * pair(d, h, h) / 2
+    return conformal_weight(d, lam, level) + min_pairing(d, h, lam) + level * _twist(d, tuple(h))[1] / 2
 
 
 def certificate(d, coeffs, level, h):
     """(kind, witness) of the twisted-positivity classification."""
-    roots = datum(d.type)[0]
-    row = gram_row(d, h)
-    if any(sum(a * b for a, b in zip(row, r)) < -1 for r in roots):
+    if not _twist(d, tuple(h))[2]:
         return "precondition_violated", None
     lam = weight_from_fundamental(d, coeffs)
     val = twisted_lowest(d, lam, level, h)
@@ -186,6 +201,53 @@ def certificate(d, coeffs, level, h):
         if tuple(coeffs) == tuple(level * (i == j) for i in range(d.rank)) and dom == lam:
             return "zero_with_witness", f"j={j + 1}"
     return "negative_violation", "zero without witness"
+
+
+# -- affine product algebras ------------------------------------------------------
+
+
+def integral_spectrum_table(a, max_weight, weight_set=None):
+    """(coefficients, weight) of every product label whose conformal weight, a
+    Fraction sum over the factors, is an integer <= max_weight (and in
+    weight_set, when one is given), ordered by (weight, coefficients)."""
+    from orbifold24.affine import enumerate_modules
+
+    per_factor = [
+        [(m.coeffs, conformal_weight(d, weight_from_fundamental(d, m.coeffs), k))
+         for m in enumerate_modules(t, k)]
+        for (t, k), d in zip(a.factors, a.data)
+    ]
+    table = []
+    for combo in product(*per_factor):
+        total = sum((w for _, w in combo), Fraction(0))
+        if total.denominator == 1 and total <= max_weight and (weight_set is None or total in weight_set):
+            table.append((tuple(c for c, _ in combo), total))
+    return sorted(table, key=lambda rec: (rec[1], rec[0]))
+
+
+def norm_invariant(a, h):
+    """<h|h> = sum_i k_i (h_i|h_i) over the components of an HVector."""
+    return sum((k * pair(d, x, x) for (_, k), d, x in zip(a.factors, a.data, h.components)),
+               Fraction(0))
+
+
+def product_twisted_lowest(a, coeffs, h):
+    """The factorwise sum of twisted lowest weights of a product label."""
+    return sum((twisted_lowest(d, weight_from_fundamental(d, c), k, x)
+                for (_, k), d, c, x in zip(a.factors, a.data, coeffs, h.components)), Fraction(0))
+
+
+def spectrum_half_integral(a, h, coeff_lists):
+    """(h|alpha) in Z/2 on every root, and (h|lambda) in Z/2 for every product label."""
+    for d, x in zip(a.data, h.components):
+        row = gram_row(d, x)
+        if any((2 * sum(p * c for p, c in zip(row, r))).denominator != 1 for r in datum(d.type)[0]):
+            return False
+    return all(
+        (2 * sum((pair(d, weight_from_fundamental(d, c), x)
+                  for d, c, x in zip(a.data, coeffs, h.components)), Fraction(0))).denominator == 1
+        for coeffs in coeff_lists
+    )
 
 
 # -- product-algebra forms --------------------------------------------------------

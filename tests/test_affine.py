@@ -6,14 +6,17 @@ from orbifold24.affine import (
     AffineLabel,
     HVector,
     ProductAlgebra,
+    ProductLabel,
     conformal_weight,
     enumerate_modules,
     integral_spectrum_table,
+    module_certificates,
     product_twisted_lowest,
     spectrum_half_integral,
     twisted_lowest,
     twisted_positivity_certificate,
 )
+import fraction_oracle as oracle
 from orbifold24 import affine, rootsys
 from orbifold24.cli import _bundled_scenarios, module_table_text, product_table_text
 from orbifold24.scenarios import run_scenario
@@ -192,6 +195,46 @@ def test_spectrum_half_integral_detects_failure():
     h = HVector.from_fundamental(a1, [[F(1, 3)]])
     labels = [lbl for lbl, _ in integral_spectrum_table(a1, 0)]
     assert not spectrum_half_integral(a1, h, labels)
+
+
+ALGEBRA_SCENARIOS = [sc for sc in _bundled_scenarios() if not sc.lattice]
+
+
+@pytest.mark.parametrize("sc", ALGEBRA_SCENARIOS, ids=lambda sc: sc.name)
+def test_product_sums_match_fraction_oracle(sc):
+    # the integer numerators on one lcm against Fraction sums over the factors,
+    # on each bundled algebra, with a maximum weight and with a set of weights;
+    # and the certificates of every factor module, as run_scenario reads them
+    a, h, top = sc.algebra, sc.h, sc.table_max_weight
+    for max_weight, weights in ((top, None), (top, frozenset({F(2), top})), (F(5, 2), None)):
+        table = integral_spectrum_table(a, max_weight, weights)
+        assert [(lbl.coeffs, w) for lbl, w in table] == oracle.integral_spectrum_table(
+            a, max_weight, weights)
+    labels = [lbl for lbl, _ in integral_spectrum_table(a, top, sc.table_weights)]
+    # h, and h/2, which leaves the half-integral grading
+    for g in (h, HVector(a, tuple(tuple(x / 2 for x in c) for c in h.components))):
+        assert g.norm_invariant() == oracle.norm_invariant(a, g)
+        assert [product_twisted_lowest(lbl, g) for lbl in labels] == [
+            oracle.product_twisted_lowest(a, lbl.coeffs, g) for lbl in labels]
+        assert spectrum_half_integral(a, g, labels) == oracle.spectrum_half_integral(
+            a, g, [lbl.coeffs for lbl in labels])
+        certs = module_certificates(a, g)
+        assert certs == [(m, twisted_positivity_certificate(m, comp))
+                         for (t, k), comp in zip(a.factors, g.components)
+                         for m in enumerate_modules(t, k)]
+        assert [(c.kind, c.witness) for _, c in certs] == [
+            oracle.certificate(m.datum, m.coeffs, m.level, comp)
+            for (t, k), comp in zip(a.factors, g.components) for m in enumerate_modules(t, k)]
+
+
+def test_half_integral_labels_are_checked_past_the_roots():
+    # h = Lambda_1/2 of A1 pairs to 1/2 with the root but to 1/4 with Lambda_1
+    a = ProductAlgebra.of(("A1", 1), ("A1", 1))
+    h = HVector.from_fundamental(a, [[F(1, 2)], [0]])
+    for coeffs in ([(0,), (0,)], [(0,), (1,)], [(1,), (0,)]):
+        lbl = ProductLabel(a, tuple(AffineLabel(t, k, c) for (t, k), c in zip(a.factors, coeffs)))
+        assert spectrum_half_integral(a, h, [lbl]) == oracle.spectrum_half_integral(a, h, [coeffs])
+    assert not spectrum_half_integral(a, h, [lbl])
 
 
 # -- twisted positivity certificates --------------------------------------------

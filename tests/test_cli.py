@@ -166,6 +166,24 @@ def test_stage_error_is_reported_apart_from_failures(monkeypatch, capsys):
     assert "identification" not in {r["check"] for r in records}
 
 
+def test_failed_verification_step_is_not_a_pass_under_optimization():
+    # under python -O, where assert statements are stripped, a verification
+    # step that fails must still stop the run: here the weight-two
+    # coefficient of the fitted character disagrees with the closed form
+    code = (
+        "import sys\n"
+        "from orbifold24 import qseries\n"
+        "from orbifold24.cli import main\n"
+        "qseries.DIM_CONSTANT += 1\n"
+        "sys.exit(main(['run']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "PASS" not in proc.stdout
+    assert "QSeriesError: the fitted weight-two coefficient is not" in proc.stdout
+    assert "0/5 scenarios pass" in proc.stdout
+
+
 def test_trunc_is_not_an_option(capsys):
     # the series depth follows from the coefficients the dimension formula reads
     assert main(["run", "--trunc", "30"]) == 2

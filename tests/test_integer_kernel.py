@@ -15,7 +15,9 @@ from operator import mul
 import pytest
 
 import fraction_oracle as oracle
+from orbifold24 import affine, orbifold, qseries
 from orbifold24.affine import HVector, ProductAlgebra, enumerate_modules
+from orbifold24.cli import _bundled_scenarios
 from orbifold24.lattice import NiemeierLattice, inner_h, min_norm_shifted
 from orbifold24.orbifold import (
     SemisimpleShape,
@@ -31,6 +33,7 @@ from orbifold24.orbifold import (
     verlinde_simple_current,
 )
 from orbifold24.qseries import dimension_identities
+from orbifold24.scenarios import run_scenario
 from orbifold24.rootsys import (
     MAX_RANK,
     RootSystemError,
@@ -237,23 +240,11 @@ def test_coroot_pairing_stays_a_fraction():
             assert c == 2 * dot(gram_row(d, v), d.simple_roots[i]) / d.norms[i]
 
 
-def refuse_fraction_arithmetic(monkeypatch):
-    """Make every Fraction +, -, * and / raise, reflected forms included.
-    Fractions may still be built, compared and hashed."""
-
-    def refuse(*args):
-        raise AssertionError("Fraction arithmetic reached")
-
-    for op in ("add", "sub", "mul", "truediv"):
-        for name in (f"__{op}__", f"__r{op}__"):
-            monkeypatch.setattr(Fraction, name, refuse)
-
-
-def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(monkeypatch):
+def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(refuse_fraction_arithmetic):
     # Fractions may be built and compared at the boundary, but never added,
     # multiplied or divided: each of these three kernels runs in integers
     N, h = NiemeierLattice(), inner_h()
-    refuse_fraction_arithmetic(monkeypatch)
+    refuse_fraction_arithmetic()
     assert dimension_identities(120, 72, 0) == (120, 98580)
     assert dimension_identities(24, 24, 2) == (24, 98580 + 2**12)
     for a in (1, -1):
@@ -262,7 +253,7 @@ def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(monkeypat
     assert min_norm_shifted(N, h, 1) is None
 
 
-def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(monkeypatch):
+def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(refuse_fraction_arithmetic):
     # scenario M1's merge of the twisted roots with the fixed A1,1^2 into an
     # A3,1 runs on integer product weights, from h's root pairings onwards
     a = ProductAlgebra.of(("E6", 3), ("G2", 1), ("G2", 1), ("G2", 1))
@@ -273,7 +264,7 @@ def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(monkeypatc
     ]
     for t in TYPES:  # classification reads the Gram matrices of candidate types
         scaled_gram(T(t))
-    refuse_fraction_arithmetic(monkeypatch)
+    refuse_fraction_arithmetic()
     shape, seeds = fixed_subalgebra(a, h)
     assert shape == SemisimpleShape.parse("D5,3 A1,1^2 A1,3^2 G2,1 U(1)")
     tw = twisted_sector_roots(a, h, bases)
@@ -284,3 +275,22 @@ def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(monkeypatc
     assert (str(psi.type), psi.level, len(psi.roots)) == ("A3", 1, 12)
     for s in seeds + [psi]:
         assert all(type(x) is int for r in s.roots for x in r)
+
+
+def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic, scenario_reports):
+    # with only the root data warm, the whole of run_scenario on M1-M4 runs in
+    # integers: module tables, twisted lowest weights, certificates, h-norm,
+    # fixed points, identification; Fractions are only built for the report
+    # text.  M5's lattice stage still adds Fraction blocks, so it stays out.
+    scenarios = [sc for sc in _bundled_scenarios() if not sc.lattice]
+    assert [sc.name for sc in scenarios] == ["M1", "M2", "M3", "M4"]
+    for t in TYPES:  # identify reaches candidate types up to the rank cap
+        build_root_datum(T(t))
+        scaled_gram(T(t))
+    for cache in (affine._modules, affine._twist, orbifold._grid, orbifold._root_pairings,
+                  orbifold._root_keys, orbifold._embedding_cached,
+                  orbifold.verlinde_simple_current, qseries._euler_product_pow24):
+        cache.cache_clear()
+    refuse_fraction_arithmetic()
+    for sc in scenarios:
+        assert run_scenario(sc).records() == scenario_reports[sc.name].records()

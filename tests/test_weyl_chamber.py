@@ -204,6 +204,42 @@ def test_label_kernel_matches_fraction_oracle(case):
         assert support_contains(d, lam, mu) == oracle.support_contains(d, lam, mu), mu
 
 
+@st.composite
+def order_two_h(draw, d):
+    """An h with Dynkin labels in Z/2, drawn as in label_cases: free labels
+    in [-1, 1], or -Lambda_j or -Lambda_j/2; then perhaps one reflection."""
+    if draw(st.booleans()):
+        halves = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+        h_labels = draw(st.lists(halves, min_size=d.rank, max_size=d.rank))
+    else:
+        j, s = draw(st.integers(0, d.rank - 1)), draw(st.sampled_from([1, 2]))
+        h_labels = [F(-1, s) if i == j else 0 for i in range(d.rank)]
+    h = oracle.weight_from_fundamental(d, h_labels)
+    return draw(st.sampled_from([h, reflect(d, h, draw(st.integers(0, d.rank - 1)))]))
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_every_module_up_to_rank_8_matches_fraction_oracle(data):
+    # every module of every (type, level) with rank <= 8 and level <= 3, one
+    # random h per type: the integer conformal weight, twisted lowest weight
+    # and certificate equal the Fraction kernel's
+    for name in TYPES:
+        d = build_root_datum(SimpleType.parse(name))
+        if d.rank > 8:
+            continue
+        h = data.draw(order_two_h(d), label=name)
+        for k in (1, 2, 3):
+            for m in enumerate_modules(d.type, k):
+                lam = oracle.weight_from_fundamental(d, m.coeffs)
+                assert conformal_weight(m) == oracle.conformal_weight(d, lam, k)
+                value = oracle.twisted_lowest(d, lam, k, h)
+                assert twisted_lowest(m, h) == value
+                cert = twisted_positivity_certificate(m, h)
+                assert (cert.kind, cert.witness) == oracle.certificate(d, m.coeffs, k, h)
+                assert cert.value == (None if cert.kind == "precondition_violated" else value)
+
+
 def test_zero_weight_witnesses_match_fraction_oracle():
     # lambda = k Lambda_j and h = -Lambda_j over every admissible (type, j, k):
     # the certificates, witnesses included, equal the oracle's, and witnesses occur
