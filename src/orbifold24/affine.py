@@ -45,12 +45,14 @@ class AffineLabel:
     type: SimpleType
     level: int
     coeffs: tuple[int, ...]
+    datum: RootDatum = field(init=False, repr=False, compare=False)
     weight_num: int = field(init=False, repr=False, compare=False)  # over _weight_den
 
     def __post_init__(self):
         if self.level < 1:
             raise RootSystemError("level must be a positive integer")
-        d, c = self.datum, self.coeffs
+        d, c = build_root_datum(self.type), self.coeffs
+        object.__setattr__(self, "datum", d)
         if len(c) != d.rank or any(not isinstance(x, int) or x < 0 for x in c):
             raise RootSystemError(f"bad weight coefficients {c} for {self.type}")
         if sum(map(mul, d.comarks, c)) > self.level:
@@ -58,10 +60,6 @@ class AffineLabel:
         # rho has every label 1: N (lambda+2rho|lambda) = sum_ij (c_i + 2) F_ij c_j
         num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
         object.__setattr__(self, "weight_num", num)
-
-    @property
-    def datum(self) -> RootDatum:
-        return build_root_datum(self.type)
 
     @property
     def weight(self) -> Vec:

@@ -1,19 +1,22 @@
 """The rank-24 even unimodular lattice glued from six A4 blocks mod 5.
 
-Vectors are 6-tuples of blocks in the standard sum-zero model of A4.  Inside
-this module a block v of A4* is the integer vector m = 5v: the tables, the
-basis, the Gram matrix, membership and every bounded enumeration work on
-these integers, and the product of two of them is 25 times the product of
-the blocks.  The glue code lives in (Z/5)^6; digit g glues by the coset of
-g*(1,1,1,1,-4)/5, so every coordinate of m is the digit mod 5.  The order-5
-isometry cycles the last five blocks.  The twist analysis works on m and on
-squared distances scaled to integers: the shift vectors and twisted weight-one
-spaces enumerate A4* coset balls around integral centers, and the norm bounds
-for the inner twist take coset minima around rational ones in closed form.
+A vector is six blocks in the standard sum-zero model of A4, and a block v
+of A4* is the integer vector m = 5v.  A lattice vector is the flat tuple of
+its 30 integers: the tables, the basis, the Gram matrix, membership,
+`tau0` and every bounded enumeration work on these, and `dot` of two of
+them is 25 times their product.  The glue code lives in (Z/5)^6; digit g
+glues by the coset of g*(1,1,1,1,-4)/5, so every coordinate of m is the
+digit mod 5.  The order-5 isometry cycles the last five blocks.
 
-A vector crosses the module boundary as a tuple of Fraction blocks: the
-basis, the roots, the enumerated vectors and sets, h and the shifts come out
-that way, and `dot`, `contains` and `a4_class_of` take them.
+The inner twist's h is the integer vector 10h (`H_DEN`), integral for every
+order-2 h on A4; it is also 2h as a lattice vector.  The shifts of the
+order-5 twist are `DELTA5`.  The norm bounds for h take coset minima around
+its rational centers in closed form, as integer squared distances in one
+unit, and a Fraction is made once, for the value returned.
+
+Fraction blocks are made, by `_block`, only for the vectors that leave as
+sets: the vectors of bounded norm and the roots, the shifted minimal sets
+and the twisted weight-one weights.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import gc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import floor, isqrt
+from math import isqrt
 from operator import mul
 
 from .orbifold import SemisimpleShape
-from .rootsys import SimpleType, _to_integral
+from .rootsys import SimpleType
 
 Block = tuple[Fraction, ...]
 LVec = tuple[Block, ...]
@@ -58,6 +61,8 @@ GLUE5 = (1, 1, 1, 1, -4)
 LAMBDA5 = (5, -5, 0, -5, 5)
 # shift vectors of the order-5 twist, both of norm 2/5
 DELTA5 = {1: (2, 1, 0, -1, -2), 2: (-1, 2, 0, -2, 1)}
+# h is given as the integer vector H_DEN * h, which is also 5(2h)
+H_DEN = 10
 
 BETA5 = {
     0: (-2, 2, 1, 0, -1),
@@ -73,17 +78,10 @@ TWIST_GROUND_WEIGHT = Fraction(4, 5)  # conformal weight of the order-5 twisted 
 OSCILLATOR_GRID_STEP = Fraction(1, 15)
 
 
-def dot(x: LVec, y: LVec) -> Fraction:
-    """(x|y) of two vectors of rational blocks, from one integer product."""
-    dx, wx = _to_integral([c for b in x for c in b])
-    dy, wy = _to_integral([c for b in y for c in b])
-    return Fraction(sum(map(mul, wx, wy)), dx * dy)
-
-
-def scale(c, x: LVec) -> LVec:
-    """The vector c*x."""
-    c = Fraction(c)
-    return tuple(tuple(c * a for a in b) for b in x)
+def dot(x, y) -> int:
+    """The integer product of two integer vectors: 25 (x|y) for two lattice
+    vectors given as 5x and 5y, H_DEN^2 (h|h) for h given as H_DEN h."""
+    return sum(map(mul, x, y))
 
 
 def _block(m) -> Block:
@@ -91,20 +89,22 @@ def _block(m) -> Block:
     return tuple(Fraction(x, 5) for x in m)
 
 
-def _fives(b: Block) -> tuple[int, ...] | None:
-    """The integer vector 5b, or None when 5b is not integral."""
-    m = [5 * c for c in b]
-    if any(x.denominator != 1 for x in m):
-        return None
-    return tuple(x.numerator for x in m)
+def _blocks(v):
+    """The six blocks of a flat integer vector."""
+    return (v[i : i + 5] for i in range(0, 30, 5))
 
 
-def a4_class_of(b: Block) -> int:
-    """Glue digit of an A4* block: m = 5b is integral with sum 0, and every m_i
-    is the digit mod 5."""
-    m = _fives(b)
-    if m is None or sum(m) != 0 or len({x % 5 for x in m}) != 1:
-        raise LatticeError(f"{b} is not in the dual of the A4 block")
+def _limit(bound) -> int:
+    """floor(25 * bound), the largest n = 25|v|^2 within a rational bound."""
+    bound = Fraction(bound)
+    return 25 * bound.numerator // bound.denominator
+
+
+def a4_class_of(m) -> int:
+    """Glue digit of the A4* block m/5: m has sum 0, and every m_i is the
+    digit mod 5."""
+    if sum(m) != 0 or len({x % 5 for x in m}) != 1:
+        raise LatticeError(f"{m}/5 is not in the dual of the A4 block")
     return m[0] % 5
 
 
@@ -116,11 +116,10 @@ def _coset_ball(digit: int, center5, max_norm) -> list:
     m_i = digit mod 5 and sum(m) = 0, and n = |m - 5c|^2 = 25|v - c|^2 is at
     most 25*max_norm.
     """
-    max_norm = Fraction(max_norm)
-    if max_norm < 0:
-        return []
     # n is an integer, so n <= 25*max_norm iff n <= limit
-    limit = 25 * max_norm.numerator // max_norm.denominator
+    limit = _limit(max_norm)
+    if limit < 0:
+        return []
     r = isqrt(limit)
     # |m - c| <= r, with m = digit mod 5
     ranges = [range(c - r + (digit - c + r) % 5, c + r + 1, 5) for c in center5[:4]]
@@ -183,9 +182,9 @@ def build_glue_code() -> frozenset:
     return frozenset(words)
 
 
-def tau0(v: LVec) -> LVec:
-    """The order-5 isometry: cycle the last five blocks."""
-    return (v[0], v[5], v[1], v[2], v[3], v[4])
+def tau0(v):
+    """The order-5 isometry: cycle the last five blocks of a flat vector."""
+    return v[:5] + v[25:] + v[5:25]
 
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -225,9 +224,8 @@ class NiemeierLattice:
         self.glue = build_glue_code()
         if not all(tuple(w[0:1] + w[2:6] + w[1:2]) in self.glue for w in self.glue):
             raise LatticeError("glue code is not invariant under the block cycle")
-        flat = self._build_basis()
-        self.basis = [tuple(_block(x[5 * i : 5 * i + 5]) for i in range(6)) for x in flat]
-        products = [[sum(map(mul, x, y)) for y in flat] for x in flat]
+        self.basis = self._build_basis()
+        products = [[dot(x, y) for y in self.basis] for x in self.basis]
         # each product of 5v vectors is 25 times an entry of the Gram matrix
         if any(p % 25 for row in products for p in row):
             raise LatticeError("Gram matrix is not integral")
@@ -238,7 +236,7 @@ class NiemeierLattice:
 
     # -- construction ------------------------------------------------------
 
-    def _build_basis(self) -> list[list[int]]:
+    def _build_basis(self) -> list[tuple[int, ...]]:
         """A basis as flat integer vectors 5v, from the Hermite normal form of
         the generators in simple-root coordinates (per block, the partial sums
         of the first four coordinates of 5v)."""
@@ -253,7 +251,7 @@ class NiemeierLattice:
             raise LatticeError(f"lattice generators span rank {len(hnf)}, expected 24")
         # partial sums (c0, c1, c2, c3) give back the block (c0, c1-c0, c2-c1, c3-c2, -c3)
         blocks = [[row[4 * i : 4 * i + 4] for i in range(6)] for row in hnf]
-        return [[b - a for c in cs for a, b in zip([0] + c, c + [0])] for cs in blocks]
+        return [tuple(b - a for c in cs for a, b in zip([0] + c, c + [0])) for cs in blocks]
 
     def _check_invariants(self):
         if any(self.gram[i][i] % 2 for i in range(24)):
@@ -269,9 +267,10 @@ class NiemeierLattice:
 
     # -- membership and enumeration ----------------------------------------
 
-    def contains(self, v: LVec) -> bool:
+    def contains(self, v) -> bool:
+        """Whether the flat integer vector v = 5x gives a lattice vector x."""
         try:
-            word = tuple(a4_class_of(b) for b in v)
+            word = tuple(map(a4_class_of, _blocks(v)))
         except LatticeError:
             return False
         return word in self.glue
@@ -291,7 +290,7 @@ class NiemeierLattice:
         budget), so each vector is one tuple concatenation.  No closure here
         refers to itself, so the call's caches are freed when it returns.
         """
-        limit = floor(25 * Fraction(bound))
+        limit = _limit(bound)
         # around the zero center n = |m|^2, the block's norm in units of 1/25
         balls = {
             g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)] for g in range(5)
@@ -341,9 +340,9 @@ class NiemeierLattice:
 
     def dump(self) -> str:
         lines = ["basis"]
-        for b in self.basis:
-            flat = [c for blk in b for c in blk]
-            lines.append("\t".join(f"{c.numerator}/{c.denominator}" for c in flat))
+        for row in self.basis:
+            # each coordinate is m/5 in lowest terms: 5 is prime
+            lines.append("\t".join(f"{m // 5}/1" if m % 5 == 0 else f"{m}/5" for m in row))
         lines.append("gram")
         for row in self.gram:
             lines.append("\t".join(map(str, row)))
@@ -377,23 +376,20 @@ def _det_bareiss(M: list[list[int]]) -> int:
 # -- the fixed-space projection ----------------------------------------------
 
 
-def project_fixed(v: LVec) -> LVec:
-    """Orthogonal projection onto the fixed space of the block cycle."""
-    den, w = _to_integral([c for b in v[1:] for c in b])
-    avg = tuple(Fraction(sum(w[k::5]), 5 * den) for k in range(5))
-    return (v[0],) + (avg,) * 5
+def in_projected_lattice(x) -> bool:
+    """Whether x = (a, b/5, ..., b/5) with a in A4* and b in A4, the form of
+    the projected lattice that the twisted sectors range over.
 
-
-def projected_form_ok(p: LVec) -> bool:
-    """Whether p = (a, b/5, ..., b/5) with a in A4* and b in A4."""
+    x is given as h is, by the integer vector H_DEN x = (2(5a), 2b, ..., 2b):
+    it must be even, 5a an A4* block and b of sum 0.
+    """
+    if tau0(x) != x or any(c % 2 for c in x):
+        return False
     try:
-        a4_class_of(p[0])
+        a4_class_of([c // 2 for c in x[:5]])
     except LatticeError:
         return False
-    if any(p[i] != p[1] for i in range(2, 6)):
-        return False
-    b = _fives(p[1])
-    return b is not None and sum(b) == 0
+    return sum(x[5:10]) == 0
 
 
 # -- twist shifts and twisted weight-one data --------------------------------
@@ -404,12 +400,6 @@ def _shift5(epsilon: int, r: int) -> tuple[int, ...]:
     if epsilon not in (1, -1) or r not in (1, 2):
         raise LatticeError("epsilon must be +-1 and r in {1, 2}")
     return tuple(epsilon * c for c in DELTA5[r])
-
-
-def shift_vector(r: int) -> LVec:
-    if r not in (1, 2):
-        raise LatticeError("shift index must be 1 or 2")
-    return (_block(DELTA5[r]),) + (_block(ZERO5),) * 5
 
 
 def enumerate_S(epsilon: int, r: int) -> list[Block]:
@@ -478,60 +468,66 @@ def twisted_weight_one(epsilon: int, r: int):
 # -- the inner automorphism of the extended algebra ---------------------------
 
 
-def inner_h() -> LVec:
-    """h = (Lambda', Lambda, ..., Lambda)/2, so that 2h lies in the lattice."""
-    return tuple(
-        tuple(Fraction(c, 10) for c in (LAMBDA5 if i == 0 else GLUE5)) for i in range(6)
-    )
+def inner_h() -> tuple[int, ...]:
+    """h = (Lambda', Lambda, ..., Lambda)/2, as the integer vector H_DEN h;
+    2h lies in the lattice."""
+    return LAMBDA5 + GLUE5 * 5
 
 
-def min_norm_shifted(lattice: NiemeierLattice, h: LVec, bound) -> Fraction | None:
+# 5h = (H_DEN h) / DEN5, so the coset minima around h's centers are integers
+# on the one unit 1 / (25 DEN5^2)
+DEN5 = H_DEN // 5
+
+
+def min_norm_shifted(lattice: NiemeierLattice, h, bound) -> Fraction | None:
     """Exact min of |alpha + h|^2 over lattice vectors, or None when it is
-    above the given bound.
+    above the given bound; h is given as H_DEN h.
 
     The blocks of alpha range independently over the cosets of its glue word,
     so the minimum for one word is the sum of the six per-block coset minima.
-    With h = w/den, every coset minimum is an integer on the one scale
-    s = 25 den^2, so each word's sum is an integer sum.
+    Around the center c = -h_i, 5c = cs/DEN5 with cs = -H_DEN h_i, so every
+    coset minimum, and each word's sum, is an integer in units of
+    1 / (25 DEN5^2).
     """
-    den, w = _to_integral([c for b in h for c in b])
-    s = 25 * den * den
-    centers = [[-5 * x for x in w[5 * i : 5 * i + 5]] for i in range(6)]  # den * 5c, c = -h_i
-    mins = [[_coset_min(g, cs, den) for g in range(5)] for cs in centers]
+    mins = [[_coset_min(g, [-x for x in w], DEN5) for g in range(5)] for w in _blocks(h)]
     totals = (sum(mins[i][g] for i, g in enumerate(word)) for word in lattice.glue)
-    best = Fraction(min(totals), s)
+    best = Fraction(min(totals), 25 * DEN5 * DEN5)
     return best if best <= Fraction(bound) else None
 
 
-def twisted_sector_min_shift(h: LVec, epsilon: int, r: int) -> Fraction:
+def twisted_sector_min_shift(h, epsilon: int, r: int) -> Fraction:
     """Exact min of |h + eps f^r + x|^2 over x = (a, b/5, ..., b/5) in the
     projected lattice: the least coset minimum of a around -(h_0 + eps delta^r)
-    plus the min of |b + 5 h_1|^2 / 5 over b in A4.  The tail of h must be one
-    block repeated, so h must be fixed by the block cycle.
+    plus the min of |b + 5 h_1|^2 / 5 over b in A4.  h is given as H_DEN h,
+    and its tail must be one block repeated, so h must be fixed by the block
+    cycle.
     """
     if tau0(h) != h:
         raise LatticeError("h is not fixed by the block cycle")
     d5 = _shift5(epsilon, r)
-    den, cs = _to_integral([-5 * a - d for a, d in zip(h[0], d5)])  # 5 * -(h_0 + eps delta^r)
-    head = min(_coset_min(g, cs, den) for g in range(5))
-    tden, tail = _to_integral(h[1])
-    diagonal = _coset_min(0, [-25 * x for x in tail], tden)
-    return Fraction(head, 25 * den * den) + Fraction(diagonal, 125 * tden * tden)
+    # 5 * -(h_0 + eps delta^r) = cs/DEN5: the minimum in units of 1 / (25 DEN5^2)
+    cs = [-x - DEN5 * d for x, d in zip(h[:5], d5)]
+    head = min(_coset_min(g, cs, DEN5) for g in range(5))
+    # with m = 5b, 25 DEN5^2 |b + 5 h_1|^2 = |DEN5 m + 5 H_DEN h_1|^2, and the /5
+    # puts it in units of 1 / (125 DEN5^2)
+    diagonal = _coset_min(0, [-5 * x for x in h[5:10]], DEN5)
+    return Fraction(5 * head + diagonal, 125 * DEN5 * DEN5)
 
 
-def fixed_shape_A45(h: LVec) -> SemisimpleShape:
+def fixed_shape_A45(h) -> SemisimpleShape:
     """Fixed-point shape of the inner automorphism on the extended algebra.
 
     Verifies the pairing pattern (alpha_i|Lambda) = (beta_i|Lambda') =
-    delta_{i,4}; dropping the fourth node of each A4 leaves A3 x A3 at
-    level 5 with a two-dimensional center.
+    delta_{i,4} of 2h = (Lambda', Lambda, ..., Lambda), given as H_DEN h;
+    dropping the fourth node of each A4 leaves A3 x A3 at level 5 with a
+    two-dimensional center.
     """
     for i, alpha in enumerate(A4_SIMPLE, start=1):
-        got = Fraction(sum(map(mul, alpha, GLUE5)), 5)
+        got = Fraction(dot(alpha, h[5:10]), 5)
         if got != (1 if i == 4 else 0):
             raise LatticeError(f"(alpha_{i}|Lambda) = {got}, expected {int(i == 4)}")
     for i in (1, 2, 3, 4):
-        got = Fraction(sum(map(mul, BETA5[i], LAMBDA5)), 25)
+        got = Fraction(dot(BETA5[i], h[:5]), 25)
         if got != (1 if i == 4 else 0):
             raise LatticeError(f"(beta_{i}|Lambda') = {got}, expected {int(i == 4)}")
     a3 = SimpleType.parse("A3")

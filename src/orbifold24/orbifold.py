@@ -602,9 +602,9 @@ def identify(rank_budget: int, dim_target: int, seeds) -> list[SemisimpleShape]:
     """All semisimple shapes consistent with the dimension, the rank, the
     ratio constraint h_vee/level = (dim-24)/24 and the seed subalgebras.
 
-    Seeds are (type, level) pairs (SeedSubalgebra instances are accepted);
-    each seed must embed in some ideal, with both level-transfer branches
-    tried, and seeds sharing an ideal must embed as an orthogonal sum.
+    Seeds are (type, level) pairs; each seed must embed in some ideal, with
+    both level-transfer branches tried, and seeds sharing an ideal must embed
+    as an orthogonal sum.
     """
     if dim_target <= 24:
         raise OrbifoldError("dimension target must exceed 24")
@@ -612,10 +612,7 @@ def identify(rank_budget: int, dim_target: int, seeds) -> list[SemisimpleShape]:
     if rank_budget > MAX_RANK:
         raise OrbifoldError(f"rank {rank_budget} exceeds the identification cap {MAX_RANK}")
     ratio = Fraction(dim_target - 24, 24)
-    seed_keys = [
-        (s.type, s.level) if isinstance(s, SeedSubalgebra) else (s[0], s[1])
-        for s in seeds
-    ]
+    seed_keys = [(t, k) for t, k in seeds]
     candidates = _candidate_ideals(rank_budget, dim_target, ratio)
 
     multisets: list[tuple] = []

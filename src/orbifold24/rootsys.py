@@ -39,12 +39,16 @@ On labels the kernels are short integer products:
   Weyl orbit by Snow's walk.
 
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
-public functions (`pair`, `weight_from_fundamental`, `dominant_conjugate`,
+public functions (`weight_from_fundamental`, `dominant_conjugate`,
 `min_pairing`, `support_contains`, `weight_support`, `weyl_dimension`)
 take and give Vecs and convert once, through `integral`, to the
 `IntWeight` that `dominant_int` and `label_pairing` act on; `root_pairings` takes a Vec and
 gives (v|alpha) on every root as integers over one denominator, which is
-how every caller tests (h|alpha) for integrality or a bound.  The
+how every caller tests (h|alpha) for integrality or a bound.  No Fraction
+form pairs two Vecs: weights are paired in integers (`label_pairing`,
+`scaled_row`), and the tests keep the Fraction form as their oracle.
+`affine.HVector` clears each component of h to an `IntWeight` once, when
+it is made, and the affine stages read those integers.  The
 `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
 `fundamental_weights`, `rho` and `theta` are derived on each access.
 
@@ -359,16 +363,6 @@ class RootDatum:
     def _require_rank(self, v) -> None:
         if len(v) != self.rank:
             raise RootSystemError(f"{self.type}: {len(v)} coordinates given, rank is {self.rank}")
-
-    def pair(self, u: Vec, v: Vec) -> Fraction:
-        """(u|v) under the normalized invariant form, computed in integers."""
-        self._require_rank(v)
-        du, wu = _to_integral(u)
-        dv, wv = _to_integral(v)
-        return Fraction(sum(map(mul, self.scaled_row(wu), wv)), du * dv * self.scale)
-
-    def norm(self, v: Vec) -> Fraction:
-        return self.pair(v, v)
 
     def scaled_row(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """w.igram for an integer vector w."""

@@ -385,19 +385,20 @@ def _lattice_checks(sc: Scenario):
     N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
     add("glue-code-order", 125, len(N.glue))
     add("lattice-roots", 120, len(N.roots()))
-    h = lat.inner_h()
-    add("lattice-h-norm", sc.expect_h_norm, lat.dot(h, h))
+    h = lat.inner_h()  # H_DEN h, which is also 2h as a lattice vector
+    add("lattice-h-norm", sc.expect_h_norm, Fraction(lat.dot(h, h), lat.H_DEN**2))
     add("lattice-h-membership", "2h in the lattice",
-        "2h in the lattice" if N.contains(lat.scale(2, h)) else "missing")
+        "2h in the lattice" if N.contains(h) else "missing")
     adds = []
     for eps in (1, -1):
         for r in (1, 2):
-            f = lat.shift_vector(r)
+            # the shift f^r is (delta^r, 0, ..., 0), with 5 delta^r = DELTA5[r]
+            d = lat.DELTA5[r]
             S = lat.enumerate_S(eps, r)
             cnt, weights = lat.twisted_weight_one(eps, r)
-            adds.append(
-                (eps, r, lat.dot(f, f), lat.dot(h, f), len(S), cnt, sorted(S) == weights)
-            )
+            adds.append((eps, r, Fraction(lat.dot(d, d), 25),
+                         Fraction(lat.dot(h[:5], d), 5 * lat.H_DEN), len(S), cnt,
+                         sorted(S) == weights))
     add("shift-vectors", "norm 2/5, orthogonal to h, all four sectors",
         "norm 2/5, orthogonal to h, all four sectors"
         if all(n == Fraction(2, 5) and p == 0 for _, _, n, p, _, _, _ in adds)
@@ -427,8 +428,7 @@ def _lattice_checks(sc: Scenario):
     shape = lat.fixed_shape_A45(h)
     add("lattice-fixed-shape", sc.expect_fixed, shape)
     # the distinguished weight -h is absent from both untwisted and twisted spectra
-    minus_h = lat.scale(-1, h)
-    in_proj = lat.projected_form_ok(lat.project_fixed(minus_h)) and lat.projected_form_ok(minus_h)
     add("cartan-weight-exclusion", "-h is not a spectrum weight",
-        "-h is not a spectrum weight" if not in_proj else "occurs")
+        "-h is not a spectrum weight" if not lat.in_projected_lattice(tuple(-x for x in h))
+        else "occurs")
     return checks, sectors_above_half

@@ -14,7 +14,9 @@ reflections.  Its cost grows with the box, so it serves small boxes only.
 
 The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
-summed coordinate by coordinate in Fractions.
+summed coordinate by coordinate in Fractions.  The projection onto the
+fixed space of the block cycle and the test for its image are kept there
+too, as the Fraction route to the package's one integer predicate.
 
 The affine product sums, right after the kernel, are how the package
 summed over product labels before its integer numerators: one Fraction
@@ -256,8 +258,8 @@ def spectrum_half_integral(a, h, coeff_lists):
 def invariant_pairing(a, x, y):
     """(x|y) under the invariant form of the product algebra a: the sum over
     the factors of (x_i|y_i) / k_i, k_i the level of factor i.  Each (x_i|y_i)
-    is RootDatum.pair, whose integer kernel test_integer_kernel checks."""
-    return sum((d.pair(xi, yi) / k for (_, k), d, xi, yi in zip(a.factors, a.data, x, y)),
+    is `pair` above, through the Fraction Gram matrix."""
+    return sum((pair(d, xi, yi) / k for (_, k), d, xi, yi in zip(a.factors, a.data, x, y)),
                Fraction(0))
 
 
@@ -365,6 +367,33 @@ def block_dot(x, y):
 
 def vec_dot(x, y):
     return sum((block_dot(a, b) for a, b in zip(x, y)), Fraction(0))
+
+
+def lattice_blocks(v, den=5):
+    """The six Fraction blocks of a flat integer vector v = den * x."""
+    return tuple(tuple(Fraction(c, den) for c in v[i : i + 5]) for i in range(0, 30, 5))
+
+
+def project_fixed(v):
+    """Orthogonal projection onto the fixed space of the block cycle: the
+    first block stays, and the other five are replaced by their average."""
+    avg = tuple(sum(col, Fraction(0)) / 5 for col in zip(*v[1:]))
+    return (v[0],) + (avg,) * 5
+
+
+def in_a4_dual(b):
+    """Whether the block b lies in A4*: 5b integral with sum 0, and every 5b_i
+    the same mod 5."""
+    m = [5 * c for c in b]
+    return (all(x.denominator == 1 for x in m) and sum(m) == 0
+            and len({x.numerator % 5 for x in m}) == 1)
+
+
+def projected_form_ok(p):
+    """Whether p = (a, b/5, ..., b/5) with a in A4* and b in A4."""
+    b = [5 * c for c in p[1]]
+    return (in_a4_dual(p[0]) and all(p[i] == p[1] for i in range(2, 6))
+            and all(x.denominator == 1 for x in b) and sum(b) == 0)
 
 
 # -- the Fraction q-series -------------------------------------------------------

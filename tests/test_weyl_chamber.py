@@ -96,7 +96,7 @@ def test_closed_forms_match_enumeration(case, data):
     d, lam, h, mus = case
     support, ordered, den, scaled = enumerated(d, lam)
 
-    h_den, h_alpha = _to_integral([d.pair(h, a) for a in d.simple_roots])
+    h_den, h_alpha = _to_integral([oracle.pair(d, h, a) for a in d.simple_roots])
     brute = min(sum(map(mul, mu, h_alpha)) for mu in scaled)
     assert min_pairing(d, h, lam) == Fraction(brute, den * h_den)
 
@@ -122,7 +122,7 @@ def test_dominant_conjugate_is_a_class_function(case):
         dom = d.dominant_conjugate(v)
         assert is_dominant(d, v) == (dom == v)
         assert is_dominant(d, dom)
-        assert d.norm(dom) == d.norm(v)
+        assert oracle.pair(d, dom, dom) == oracle.pair(d, v, v)
         for i in range(d.rank):
             assert d.dominant_conjugate(reflect(d, v, i)) == dom
 
