@@ -9,13 +9,14 @@ element h it shifts to
 
 Everything runs in integers.  Each (type, level) has one conformal-weight
 denominator, 2 fund_gram_den (k + h_vee); each label carries its numerator,
-and each module list is built once.  h is cleared of denominators once, in
-its HVector, and per (factor, h) the twist cache holds dom(-h) and one
-denominator for every module's twisted lowest weight; the minimum is
--(lambda|dom(-h)), a dot product with the labels.  Product algebras carry
-one label and one h-component per factor, and the factors' numerators add
-on the lcm of their denominators, so a product label's weight is integral
-when one residue vanishes.  A Fraction is made only for a return value.
+and each module list is built once.  An HVector is h's only form: one
+IntWeight per factor, made from its Dynkin labels, and the factor's root
+pairings (h|alpha), made with it.  Per (factor, h) the twist cache holds
+dom(-h) and one denominator for every module's twisted lowest weight; the
+minimum is -(lambda|dom(-h)), a dot product with the labels.  The factors'
+numerators add on the lcm of their denominators, so a product label's
+weight is integral when one residue vanishes.  A Fraction is made only for
+a return value.
 """
 
 from __future__ import annotations
@@ -199,6 +200,14 @@ class ProductAlgebra:
     def data(self) -> list[RootDatum]:
         return [build_root_datum(t) for t, _ in self.factors]
 
+    def int_weights(self, coeff_lists) -> tuple[IntWeight, ...]:
+        """One IntWeight per factor, from one list of (rational) Dynkin labels per factor."""
+        if len(coeff_lists) != len(self.factors):
+            raise RootSystemError(
+                f"{self} needs one coefficient list per factor, got {len(coeff_lists)}"
+            )
+        return tuple(d.from_fundamental(c) for d, c in zip(self.data, coeff_lists))
+
     @property
     def rank(self) -> int:
         return sum(t.rank for t, _ in self.factors)
@@ -226,29 +235,21 @@ class ProductLabel:
 
 @dataclass(frozen=True)
 class HVector:
-    """One Cartan component per factor, in each factor's simple-root basis, and as an IntWeight."""
+    """h in integers: one IntWeight per factor, in the factor's simple-root basis,
+    and each factor's root pairings (q, [p_j]), (h|alpha_j) = p_j / q, computed
+    once when the HVector is made."""
 
     algebra: ProductAlgebra
-    components: tuple[Vec, ...]
-    ints: tuple[IntWeight, ...] = field(init=False, repr=False, compare=False)
+    ints: tuple[IntWeight, ...]
+    pairings: tuple[tuple[int, list[int]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ints = tuple(d.integral(c) for d, c in zip(self.algebra.data, self.components))
-        object.__setattr__(self, "ints", ints)
+        pairings = tuple(d.root_pairings(x) for d, x in zip(self.algebra.data, self.ints))
+        object.__setattr__(self, "pairings", pairings)
 
     @staticmethod
     def from_fundamental(algebra: ProductAlgebra, coeff_lists) -> "HVector":
-        if len(coeff_lists) != len(algebra.factors):
-            raise RootSystemError(
-                f"{algebra} needs one coefficient list per factor, got {len(coeff_lists)}"
-            )
-        comps = []
-        for (t, _), coeffs in zip(algebra.factors, coeff_lists):
-            d = build_root_datum(t)
-            if len(coeffs) != d.rank:
-                raise RootSystemError(f"{t} needs {d.rank} coefficients, got {len(coeffs)}")
-            comps.append(d.weight_from_fundamental([Fraction(c) for c in coeffs]))
-        return HVector(algebra, tuple(comps))
+        return HVector(algebra, algebra.int_weights(coeff_lists))
 
     def norm_invariant(self) -> Fraction:
         """<h|h> = sum_i k_i (h_i|h_i), where scale den^2 (h_i|h_i) is an integer."""
@@ -291,10 +292,8 @@ def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
 
 def spectrum_half_integral(a: ProductAlgebra, h: HVector, labels) -> bool:
     """(h|lambda) in Z/2 for all listed highest weights and (h|alpha) in Z/2 for all roots."""
-    for d, comp in zip(a.data, h.components):
-        q, pairings = d.root_pairings(comp)
-        if any(2 * p % q for p in pairings):
-            return False
+    if any(2 * p % q for q, pairings in h.pairings for p in pairings):
+        return False
     # 2(h|lambda) = sum over the factors of label_pairing / (scale den)
     data = a.data
     for m in labels:

@@ -5,17 +5,17 @@ of integers: the root coordinates of every factor, concatenated, times the
 algebra's grid denominator D = 2 lcm(fund_den of each factor).  Roots and
 integral weights lie on this grid, and so does the h of every order-2 inner
 twist: (h|alpha_i) in Z/2 and |alpha_i|^2 in {2, 1, 2/3} put its Dynkin
-labels in Z/2.  `product_weight` converts per-factor Vecs once, at the
-boundary, and rejects a weight off the grid.  Flattening keeps the
-lexicographic order of the per-factor tuples, so seeds and simple roots
-come out in the order of their coordinates.
+labels in Z/2.  `product_weight` scales one IntWeight per factor onto the
+grid and rejects a weight off it.  Flattening keeps the lexicographic
+order of the per-factor tuples, so seeds and simple roots come out in the
+order of their coordinates.
 
 Two bilinear forms matter:
 
 * the plain normalized form of each factor -- this is what the inner
   automorphism sees: a weight vector of weight lambda picks up the phase
-  exp(-2 pi i (h|lambda)).  (h|alpha) on every root of a factor comes from
-  one integer kernel, RootDatum.root_pairings;
+  exp(-2 pi i (h|lambda)).  (h|alpha) on every root of a factor is read
+  from HVector.pairings, made once per factor by RootDatum.root_pairings;
 * the invariant form of the ambient algebra, which on root functionals is
   sum_i (.|.)_i / k_i.  A root subsystem spanned by Cartan weight vectors
   has long roots of invariant norm 2/k where k is its level, so levels are
@@ -45,7 +45,7 @@ from math import lcm
 from operator import add, mul, neg, sub
 
 from .affine import HVector, ProductAlgebra
-from .rootsys import MAX_RANK, RootSystemError, SimpleType, Vec, build_root_datum, scaled_gram
+from .rootsys import IntWeight, MAX_RANK, RootSystemError, SimpleType, build_root_datum, scaled_gram
 
 ProductWeight = tuple[int, ...]  # D times the concatenated root coordinates of the factors
 
@@ -79,21 +79,16 @@ def _rows(a: ProductAlgebra, vecs) -> list[tuple[int, ...]]:
     return [tuple(sum(map(mul, v, col)) for col in G) for v in vecs]
 
 
-def product_weight(a: ProductAlgebra, components: tuple[Vec, ...]) -> ProductWeight:
-    """The product weight with one Vec of root coordinates per factor.
+def product_weight(a: ProductAlgebra, xs: tuple[IntWeight, ...]) -> ProductWeight:
+    """The product weight with one IntWeight per factor.
 
-    Raises OrbifoldError when a coordinate is not a multiple of 1/D."""
-    if [len(c) for c in components] != [t.rank for t, _ in a.factors]:
+    Raises OrbifoldError when a weight is not on the grid 1/D."""
+    if [len(x.coords) for x in xs] != [t.rank for t, _ in a.factors]:
         raise OrbifoldError(f"{a} needs one weight of the factor's rank per factor")
     D = _grid(a)[0]
-    out = []
-    for comp in components:
-        for c in comp:
-            q, rem = divmod(D, c.denominator)
-            if rem:
-                raise OrbifoldError(f"coordinate {c} of a weight is off the grid 1/{D} of {a}")
-            out.append(c.numerator * q)
-    return tuple(out)
+    if any(D % x.den for x in xs):
+        raise OrbifoldError(f"a weight is off the grid 1/{D} of {a}")
+    return tuple(D // x.den * c for x in xs for c in x.coords)
 
 
 def negate(x: ProductWeight) -> ProductWeight:
@@ -320,8 +315,7 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
     """
     D = _grid(a)[0]
     seeds, off = [], 0
-    for (t, k), d, comp in zip(a.factors, a.data, h.components):
-        q, pairings = d.root_pairings(comp)
+    for (t, k), d, (q, pairings) in zip(a.factors, a.data, h.pairings):
         bad = next((p for p in pairings if 2 * p % q), None)
         if bad is not None:
             raise OrbifoldError(
@@ -349,9 +343,9 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
 
 def twisted_sector_roots(a: ProductAlgebra, h: HVector, base_weights) -> list[ProductWeight]:
     """Weights mu + k h (factorwise) of twisted-sector vectors of weight one,
-    for base weights mu given as one Vec per factor."""
+    for base weights mu given as one IntWeight per factor."""
     levels = [k for t, k in a.factors for _ in range(t.rank)]
-    kh = tuple(map(mul, levels, product_weight(a, h.components)))
+    kh = tuple(map(mul, levels, product_weight(a, h.ints)))
     return [tuple(map(add, product_weight(a, mu), kh)) for mu in base_weights]
 
 

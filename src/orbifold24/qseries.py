@@ -1,13 +1,12 @@
-"""Truncated Laurent series in q^(1/D) with exact rational coefficients.
+"""Truncated Laurent series in q^(1/2) with exact rational coefficients.
 
-The public series of the character analysis all live in exponents from
-(1/2)Z, so D = 2 throughout that layer; the arithmetic itself works for any
-fixed denominator.  A series knows its truncation bound T: coefficients at
-exponent n/D are stored only for n < T and arithmetic propagates the
-smallest valid bound.  The coefficients are integers over one common
-denominator, and every series the package inverts (the eta quotients and
-the hauptmodul) has leading coefficient 1, so the whole layer runs in
-integers: the S-powers only add the scalar 2^(12n).
+Every series of the character analysis lives in exponents from (1/2)Z, so
+a series is indexed by n for the exponent n/2.  A series knows its
+truncation bound T: coefficients are stored only for n < T and arithmetic
+propagates the smallest valid bound.  The coefficients are integers over
+one common denominator, and every series the package inverts (the eta
+quotients and the hauptmodul) has leading coefficient 1, so the whole
+layer runs in integers: the S-powers only add the scalar 2^(12n).
 """
 
 from __future__ import annotations
@@ -35,17 +34,17 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """A truncated series sum_n (nums[n] / den) q^(n/denom).
+    """A truncated series sum_n (nums[n] / den) q^(n/2).
 
     The coefficients are integer numerators over one common positive
     denominator den, kept in lowest terms; every operation runs on the
     integers.  Exact Fraction values come out of __getitem__ and `coeffs`.
     """
 
-    __slots__ = ("denom", "nums", "den", "trunc")
+    __slots__ = ("nums", "den", "trunc")
 
-    def __init__(self, denom: int, coeffs: dict, trunc: int, den: int = 1):
-        """sum_n (coeffs[n] / den) q^(n/denom) for n < trunc, from int or
+    def __init__(self, coeffs: dict, trunc: int, den: int = 1):
+        """sum_n (coeffs[n] / den) q^(n/2) for n < trunc, from int or
         Fraction coefficients and a positive integer den."""
         scale = lcm(*(c.denominator for c in coeffs.values()))
         nums = {
@@ -53,7 +52,7 @@ class QSeries:
         }
         if (g := gcd(den * scale, *nums.values())) > 1:
             nums = {n: c // g for n, c in nums.items()}
-        self.denom, self.nums, self.den, self.trunc = denom, nums, den * scale // g, trunc
+        self.nums, self.den, self.trunc = nums, den * scale // g, trunc
 
     # -- basics ------------------------------------------------------------
 
@@ -65,7 +64,7 @@ class QSeries:
     def __getitem__(self, exponent) -> Fraction:
         """Coefficient at rational exponent; raises beyond the truncation."""
         e = Fraction(exponent)
-        n, rem = divmod(e.numerator * self.denom, e.denominator)
+        n, rem = divmod(e.numerator * 2, e.denominator)
         if rem:
             return Fraction(0)
         if n >= self.trunc:
@@ -77,14 +76,12 @@ class QSeries:
         return min(self.nums) if self.nums else self.trunc
 
     def __eq__(self, other):
-        """Mathematical equality of the known parts, denominator-agnostic."""
+        """Mathematical equality of the known parts."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        d = lcm(self.denom, other.denom)
-        a, b = d // self.denom, d // other.denom
-        t = min(self.trunc * a, other.trunc * b)
-        left = {n * a: c * other.den for n, c in self.nums.items() if n * a < t}
-        right = {n * b: c * self.den for n, c in other.nums.items() if n * b < t}
+        t = min(self.trunc, other.trunc)
+        left = {n: c * other.den for n, c in self.nums.items() if n < t}
+        right = {n: c * self.den for n, c in other.nums.items() if n < t}
         return left == right
 
     def __hash__(self):
@@ -92,31 +89,26 @@ class QSeries:
 
     def __repr__(self):
         coeffs = self.coeffs
-        terms = [f"{coeffs[n]}*q^({n}/{self.denom})" for n in sorted(coeffs)[:6]]
+        terms = [f"{coeffs[n]}*q^({n}/2)" for n in sorted(coeffs)[:6]]
         tail = " + ..." if len(coeffs) > 6 else ""
-        return f"QSeries({' + '.join(terms) or '0'}{tail}; trunc {self.trunc}/{self.denom})"
+        return f"QSeries({' + '.join(terms) or '0'}{tail}; trunc {self.trunc}/2)"
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
-        if self.denom != other.denom:
-            raise QSeriesError("exponent denominators differ")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = constant(other, self.denom, self.trunc)
-        self._check(other)
+            other = constant(other, self.trunc)
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         out = {n: c * a for n, c in self.nums.items()}
         for n, c in other.nums.items():
             out[n] = out.get(n, 0) + c * b
-        return QSeries(self.denom, out, min(self.trunc, other.trunc), den)
+        return QSeries(out, min(self.trunc, other.trunc), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.denom, {n: -c for n, c in self.nums.items()}, self.trunc, self.den)
+        return QSeries({n: -c for n, c in self.nums.items()}, self.trunc, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,8 +119,7 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             nums = {n: x * other.numerator for n, x in self.nums.items()}
-            return QSeries(self.denom, nums, self.trunc, self.den * other.denominator)
-        self._check(other)
+            return QSeries(nums, self.trunc, self.den * other.denominator)
         t = min(self.trunc + other.valuation(), other.trunc + self.valuation())
         out: dict[int, int] = {}
         for n1, c1 in self.nums.items():
@@ -136,7 +127,7 @@ class QSeries:
                 n = n1 + n2
                 if n < t:
                     out[n] = out.get(n, 0) + c1 * c2
-        return QSeries(self.denom, out, t, self.den * other.den)
+        return QSeries(out, t, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -158,11 +149,11 @@ class QSeries:
         inv = [lead]
         for n in range(1, n_terms):
             inv.append(-lead * sum(map(mul, a[1 : n + 1], reversed(inv))))
-        return QSeries(self.denom, {k - v: c for k, c in enumerate(inv)}, n_terms - v)
+        return QSeries({k - v: c for k, c in enumerate(inv)}, n_terms - v)
 
     def __pow__(self, e: int) -> "QSeries":
         if e == 0:
-            return constant(1, self.denom, self.trunc - self.valuation())
+            return constant(1, self.trunc - self.valuation())
         base = self if e > 0 else self.inverse()
         out = base
         for _ in range(abs(e) - 1):
@@ -170,8 +161,8 @@ class QSeries:
         return out
 
 
-def constant(c, denom: int, trunc: int) -> QSeries:
-    return QSeries(denom, {0: c}, trunc)
+def constant(c, trunc: int) -> QSeries:
+    return QSeries({0: c}, trunc)
 
 
 # -- eta powers and the hauptmodul ------------------------------------------
@@ -222,7 +213,7 @@ def eta24(scale, trunc: int) -> QSeries:
     step = 2 * scale.numerator // scale.denominator
     n_terms = trunc // step + 1
     coeffs = {step * (1 + j): c for j, c in enumerate(_euler_product_pow24(n_terms))}
-    return QSeries(2, coeffs, trunc)
+    return QSeries(coeffs, trunc)
 
 
 def hauptmodul(trunc: int) -> QSeries:
@@ -250,9 +241,7 @@ def hauptmodul_S_power(n: int, trunc: int) -> QSeries:
 
 def t_transform(s: QSeries) -> QSeries:
     """Shift tau -> tau+1: the coefficient at q^(n/2) picks up (-1)^n."""
-    if s.denom != 2:
-        raise QSeriesError("t_transform requires exponent denominator 2")
-    return QSeries(2, {n: (-c if n % 2 else c) for n, c in s.nums.items()}, s.trunc, s.den)
+    return QSeries({n: (-c if n % 2 else c) for n, c in s.nums.items()}, s.trunc, s.den)
 
 
 # -- the character fit and the dimension formula -----------------------------

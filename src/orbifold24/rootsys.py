@@ -42,13 +42,13 @@ On labels the kernels are short integer products:
 public functions (`weight_from_fundamental`, `dominant_conjugate`,
 `min_pairing`, `support_contains`, `weight_support`, `weyl_dimension`)
 take and give Vecs and convert once, through `integral`, to the
-`IntWeight` that `dominant_int` and `label_pairing` act on; `root_pairings` takes a Vec and
-gives (v|alpha) on every root as integers over one denominator, which is
-how every caller tests (h|alpha) for integrality or a bound.  No Fraction
-form pairs two Vecs: weights are paired in integers (`label_pairing`,
-`scaled_row`), and the tests keep the Fraction form as their oracle.
-`affine.HVector` clears each component of h to an `IntWeight` once, when
-it is made, and the affine stages read those integers.  The
+`IntWeight` that `dominant_int` and `label_pairing` act on.  `from_fundamental`
+makes an IntWeight from Dynkin labels; `root_pairings` takes one and gives
+(x|alpha) on every root as integers over one denominator, which is how
+(h|alpha) is tested for integrality or a bound: `affine.HVector` calls it
+once per factor when it is made.  No Fraction form pairs two Vecs: weights
+are paired in integers (`label_pairing`, `scaled_row`), and the tests keep
+the Fraction form as their oracle.  The
 `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
 `fundamental_weights`, `rho` and `theta` are derived on each access.
 
@@ -369,12 +369,11 @@ class RootDatum:
         self._require_rank(w)
         return tuple(sum(map(mul, w, col)) for col in self.igram)
 
-    def root_pairings(self, v: Vec) -> tuple[int, list[int]]:
-        """(q, [p_j]) with (v|alpha_j) = p_j / q for every root alpha_j, in the
-        order of iroots; q > 0 is the denominator of v times scale."""
-        self._require_rank(v)
-        den, w = _to_integral(v)
-        return den * self.scale, [sum(map(mul, w, row)) for row in self.root_rows]
+    def root_pairings(self, x: IntWeight) -> tuple[int, list[int]]:
+        """(q, [p_j]) with (x|alpha_j) = p_j / q for every root alpha_j, in the
+        order of iroots; q = x.den * scale."""
+        self._require_rank(x.coords)
+        return x.den * self.scale, [sum(map(mul, x.coords, row)) for row in self.root_rows]
 
     # -- weights -----------------------------------------------------------
 
@@ -394,12 +393,19 @@ class RootDatum:
                     out[i] += c * x
         return out
 
-    def weight_from_fundamental(self, coeffs) -> Vec:
-        """The Vec of the weight with the given (rational) Dynkin labels."""
+    def from_fundamental(self, coeffs) -> IntWeight:
+        """The IntWeight of the weight with the given (rational) Dynkin labels."""
         self._require_rank(coeffs)
         den, c = _to_integral(coeffs)
-        den *= self.fund_den
-        return tuple(Fraction(x, den) for x in self._label_coords(c))
+        w = self._label_coords(c)
+        g = gcd(den * self.fund_den, *w)
+        return IntWeight(den * self.fund_den // g, tuple(x // g for x in w),
+                         tuple(x * self.fund_den // g for x in c))
+
+    def weight_from_fundamental(self, coeffs) -> Vec:
+        """The Vec of the weight with the given (rational) Dynkin labels."""
+        x = self.from_fundamental(coeffs)
+        return tuple(Fraction(c, x.den) for c in x.coords)
 
     def dominant_int(self, x: IntWeight) -> IntWeight:
         """The dominant weight in the Weyl orbit of x.

@@ -70,12 +70,8 @@ _KNOWN_FIELDS = frozenset({
 })
 
 
-def _parse_coeff_list(text: str):
-    return [Fraction(tok) for tok in text.split()]
-
-
 def _parse_factor_lists(text: str):
-    return [_parse_coeff_list(part) for part in text.split("|")]
+    return [[Fraction(tok) for tok in part.split()] for part in text.split("|")]
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -100,6 +96,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(f"{source}: missing required field '{key}'")
         if len(vals) != 1:
             raise ScenarioError(f"{source}: field '{key}' given more than once")
+        # an empty name, say, would report as "scenario : PASS"
+        if not vals[0]:
+            raise ScenarioError(f"{source}: field '{key}' is empty")
         return vals[0]
 
     try:
@@ -140,6 +139,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if "table_weights" in fields:
             sc.table_weights = frozenset(Fraction(t) for t in one("table_weights").split())
             sc.table_max_weight = max(sc.table_weights)
+        # a negative weight would be dropped from the table, or fail mid-run
+        if any(w < 0 for w in sc.table_weights or [sc.table_max_weight or 0]):
+            raise ScenarioError(f"{source}: table weights must be nonnegative")
         if "expect_table_counts" in fields:
             sc.expect_table_counts = {}
             for tok in one("expect_table_counts").split():
@@ -152,7 +154,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             # weights of untwisted modules are integral: whole Dynkin labels
             if any(c.denominator != 1 for g in groups for part in g for c in part):
                 raise ScenarioError(f"{source}: base_weights must have integer labels")
-            sc.base_weights = [HVector.from_fundamental(algebra, g).components for g in groups]
+            sc.base_weights = [algebra.int_weights(g) for g in groups]
         if "expect_twisted_seed" in fields:
             t, k, n = one("expect_twisted_seed").split()
             sc.expect_twisted_seed = (SimpleType.parse(t), int(k), int(n))
@@ -280,10 +282,7 @@ def run_scenario(sc: Scenario) -> Report:
         half_excluded = False
 
         # order 2: all root pairings (h|alpha) = p/q are half-integral, at least one strictly
-        pairings = []
-        for d, comp in zip(a.data, h.components):
-            q, ps = d.root_pairings(comp)
-            pairings.extend((p, q) for p in ps)
+        pairings = [(p, q) for q, ps in h.pairings for p in ps]
         half_integral = all(2 * p % q == 0 for p, q in pairings)
         strict = any(2 * p % q == 0 and p % q for p, q in pairings)
         add("order-two-pairings", "half-integral with a strict value",

@@ -37,14 +37,14 @@ coefficient is a Fraction in a dict, and an inverse divides by the leading
 coefficient term by term.  Its eta powers multiply out the product factor
 by factor rather than through the pentagonal numbers, so they share no
 expansion with the package.  The Verlinde check there sums Fraction
-S-matrix entries.  rescale_exponents substitutes q -> q^(num/den) through the public
-constructor, so it serves the package's QSeries and this one alike.
+S-matrix entries.  rescale_exponents substitutes q -> q^(num/den) in a
+series of the package, through its public constructor.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 
 def gram_row(d, u):
@@ -227,27 +227,33 @@ def integral_spectrum_table(a, max_weight, weight_set=None):
     return sorted(table, key=lambda rec: (rec[1], rec[0]))
 
 
+def h_components(h):
+    """The Fraction root coordinates of each factor's component of an HVector,
+    read from its integer form."""
+    return tuple(tuple(Fraction(c, x.den) for c in x.coords) for x in h.ints)
+
+
 def norm_invariant(a, h):
     """<h|h> = sum_i k_i (h_i|h_i) over the components of an HVector."""
-    return sum((k * pair(d, x, x) for (_, k), d, x in zip(a.factors, a.data, h.components)),
+    return sum((k * pair(d, x, x) for (_, k), d, x in zip(a.factors, a.data, h_components(h))),
                Fraction(0))
 
 
 def product_twisted_lowest(a, coeffs, h):
     """The factorwise sum of twisted lowest weights of a product label."""
     return sum((twisted_lowest(d, weight_from_fundamental(d, c), k, x)
-                for (_, k), d, c, x in zip(a.factors, a.data, coeffs, h.components)), Fraction(0))
+                for (_, k), d, c, x in zip(a.factors, a.data, coeffs, h_components(h))), Fraction(0))
 
 
 def spectrum_half_integral(a, h, coeff_lists):
     """(h|alpha) in Z/2 on every root, and (h|lambda) in Z/2 for every product label."""
-    for d, x in zip(a.data, h.components):
+    for d, x in zip(a.data, h_components(h)):
         row = gram_row(d, x)
         if any((2 * sum(p * c for p, c in zip(row, r))).denominator != 1 for r in datum(d.type)[0]):
             return False
     return all(
         (2 * sum((pair(d, weight_from_fundamental(d, c), x)
-                  for d, c, x in zip(a.data, coeffs, h.components)), Fraction(0))).denominator == 1
+                  for d, c, x in zip(a.data, coeffs, h_components(h))), Fraction(0))).denominator == 1
         for coeffs in coeff_lists
     )
 
@@ -485,10 +491,13 @@ def character_fit(dim_g1, dim_half, trunc):
 
 
 def rescale_exponents(s, num, den=1):
-    """s with q -> q^(num/den), over the least exponent denominator."""
-    d = s.denom * den
-    g = gcd(d, s.trunc * num, *(n * num for n in s.coeffs))
-    return type(s)(d // g, {n * num // g: c for n, c in s.coeffs.items()}, s.trunc * num // g)
+    """The package's series s in q^(1/2) with q -> q^(num/den), again in q^(1/2).
+
+    The coefficient at n/2 moves to n num / (2 den), which must stay in
+    (1/2)Z; s is known below trunc/2, so the image is known below
+    trunc num / (2 den), that is for n' < ceil(trunc num / den)."""
+    assert all(n * num % den == 0 for n in s.nums), (num, den)
+    return type(s)({n * num // den: c for n, c in s.coeffs.items()}, -(-s.trunc * num // den))
 
 
 # -- the Fraction Verlinde check -------------------------------------------------

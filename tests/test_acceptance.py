@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from fraction_oracle import (
     block_add,
+    h_components,
     lattice_blocks,
     project_fixed,
     reflect,
@@ -266,7 +267,7 @@ def test_criterion_11_property_suites():
         # twisted lowest weights nonnegative across all modules of each scenario
         for name, factors, hlists, *_ in SCENARIO_DATA:
             a, h = scenario_h(factors, hlists)
-            for (t, k), comp in zip(a.factors, h.components):
+            for (t, k), comp in zip(a.factors, h_components(h)):
                 for m in enumerate_modules(t, k):
                     cert = twisted_positivity_certificate(m, comp)
                     assert cert.kind in ("positive", "zero_with_witness"), (name, m)

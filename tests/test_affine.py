@@ -212,7 +212,8 @@ def test_product_sums_match_fraction_oracle(sc):
             a, max_weight, weights)
     labels = [lbl for lbl, _ in integral_spectrum_table(a, top, sc.table_weights)]
     # h, and h/2, which leaves the half-integral grading
-    for g in (h, HVector(a, tuple(tuple(x / 2 for x in c) for c in h.components))):
+    halves = tuple(d.integral(tuple(x / 2 for x in c)) for d, c in zip(a.data, oracle.h_components(h)))
+    for g in (h, HVector(a, halves)):
         assert g.norm_invariant() == oracle.norm_invariant(a, g)
         assert [product_twisted_lowest(lbl, g) for lbl in labels] == [
             oracle.product_twisted_lowest(a, lbl.coeffs, g) for lbl in labels]
@@ -220,11 +221,12 @@ def test_product_sums_match_fraction_oracle(sc):
             a, g, [lbl.coeffs for lbl in labels])
         certs = module_certificates(a, g)
         assert certs == [(m, twisted_positivity_certificate(m, comp))
-                         for (t, k), comp in zip(a.factors, g.components)
+                         for (t, k), comp in zip(a.factors, oracle.h_components(g))
                          for m in enumerate_modules(t, k)]
         assert [(c.kind, c.witness) for _, c in certs] == [
             oracle.certificate(m.datum, m.coeffs, m.level, comp)
-            for (t, k), comp in zip(a.factors, g.components) for m in enumerate_modules(t, k)]
+            for (t, k), comp in zip(a.factors, oracle.h_components(g))
+            for m in enumerate_modules(t, k)]
 
 
 def test_half_integral_labels_are_checked_past_the_roots():
@@ -314,7 +316,7 @@ def test_production_path_enumerates_no_support(monkeypatch):
     for sc in _bundled_scenarios():
         if sc.name not in ("M1", "M3"):
             continue
-        for (t, k), h in zip(sc.algebra.factors, sc.h.components):
+        for (t, k), h in zip(sc.algebra.factors, oracle.h_components(sc.h)):
             d = RootDatum(t)
             minus_kh = tuple(-k * x for x in h)
             for m in enumerate_modules(t, k):

@@ -201,6 +201,24 @@ def test_repeated_table_weight_is_rejected(tmp_path, capsys):
     assert "weight 2 twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    # a negative maximum used to end the run with an internal error (exit 3)
+    ("table_max_weight: 3", "table_max_weight: -1", "table weights must be nonnegative"),
+    # a negative entry used to be dropped from the table without a word
+    ("table_max_weight: 3", "table_weights: -1 2 3", "table weights must be nonnegative"),
+    # an empty name used to report as "scenario : PASS"
+    ("name: M1", "name:", "field 'name' is empty"),
+])
+def test_malformed_table_or_name_is_rejected(old, new, message, tmp_path, capsys):
+    doctored = M1_TEXT.replace(old, new, 1)
+    assert doctored != M1_TEXT
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(doctored)
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fixed", ["U(1)^-1", "U(1)^2 U(1)^-1", "A1,1^-2 U(1)", "U(1) A1,1^0"])
 def test_shape_multiplicity_below_one_is_rejected(fixed, tmp_path, capsys):
     # each of these once printed as the true shape, so M2 passed

@@ -11,6 +11,7 @@ too, which the last tests hold them to.
 
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -42,9 +43,11 @@ from orbifold24.orbifold import (
     verlinde_simple_current,
 )
 from orbifold24.qseries import dimension_identities
-from orbifold24.scenarios import run_scenario
+from orbifold24.scenarios import parse_scenario, run_scenario
 from orbifold24.rootsys import (
+    IntWeight,
     MAX_RANK,
+    RootDatum,
     RootSystemError,
     SimpleType,
     build_root_datum,
@@ -118,7 +121,7 @@ def test_kernel_is_the_scaled_gram(name):
     v = tuple(x / 2 + y / 3 for x, y in zip(d.rho, d.fundamental_weights[0]))
     u = tuple(x / 5 - y for x, y in zip(d.theta, d.fundamental_weights[-1]))
     row = gram_row(d, v)
-    q, pairings = d.root_pairings(v)
+    q, pairings = d.root_pairings(d.integral(v))
     assert q > 0 and all(isinstance(p, int) for p in pairings)
     got = [F(p, q) for p in pairings]
     assert got == [oracle.pair(d, v, a) for a in d.roots]
@@ -136,13 +139,15 @@ def test_kernel_rejects_wrong_arity(name):
     short, long = (F(1),) * (d.rank - 1), (F(1),) * (d.rank + 1)
     for bad in (short, long):
         with pytest.raises(RootSystemError):
-            d.root_pairings(bad)
+            d.root_pairings(IntWeight(1, tuple(map(int, bad)), tuple(map(int, bad))))
         with pytest.raises(RootSystemError):
             d.scaled_row(tuple(map(int, bad)))
         with pytest.raises(RootSystemError):
             d.integral(bad)
         with pytest.raises(RootSystemError):
             d.weight_from_fundamental(bad)
+        with pytest.raises(RootSystemError):
+            d.from_fundamental(bad)
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -270,7 +275,7 @@ def test_fixed_points_and_twisted_subsystem_do_no_fraction_arithmetic(refuse_fra
     a = ProductAlgebra.of(("E6", 3), ("G2", 1), ("G2", 1), ("G2", 1))
     h = HVector.from_fundamental(a, [[F(1, 2), 0, 0, 0, 0, F(-1, 2)], [0, F(1, 2)], [0, F(1, 2)], [0, 0]])
     bases = [
-        HVector.from_fundamental(a, [[0] * 6, g1, g2, [0, 0]]).components
+        a.int_weights([[0] * 6, g1, g2, [0, 0]])
         for g1 in ([0, 0], [0, -1]) for g2 in ([0, 0], [0, -1])
     ]
     for t in TYPES:  # classification reads the Gram matrices of candidate types
@@ -328,3 +333,25 @@ def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic,
     refuse_fraction_arithmetic()
     for sc in scenarios:
         assert run_scenario(sc).records() == scenario_reports[sc.name].records()
+
+
+def test_root_pairings_are_computed_once_per_factor(monkeypatch):
+    # h's pairings are made with its HVector, and every stage of run_scenario
+    # reads them there; M1's base weights are integer weights, not HVectors,
+    # so they add no call
+    calls = []
+    root_pairings = RootDatum.root_pairings
+
+    def counted(self, x):
+        calls.append(self.type)
+        return root_pairings(self, x)
+
+    monkeypatch.setattr(RootDatum, "root_pairings", counted)
+    paths = sorted((Path(__file__).parents[1] / "src" / "orbifold24" / "scenarios").glob("*.scn"))
+    assert [p.stem for p in paths] == ["m1", "m2", "m3", "m4", "m5"]
+    for path in paths:
+        calls.clear()
+        sc = parse_scenario(path.read_text(), path.name)
+        assert run_scenario(sc).passed
+        assert calls == [t for t, _ in sc.algebra.factors], sc.name
+        assert (sc.base_weights is not None) == (sc.name == "M1")

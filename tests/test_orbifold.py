@@ -27,7 +27,7 @@ from orbifold24.orbifold import (
     twisted_sector_roots,
     verlinde_simple_current,
 )
-from orbifold24.rootsys import MAX_RANK, RootSystemError, SimpleType, build_root_datum
+from orbifold24.rootsys import IntWeight, MAX_RANK, RootSystemError, SimpleType, build_root_datum
 
 F = Fraction
 T = SimpleType.parse
@@ -80,9 +80,15 @@ def at_factor(a, i, alpha):
     )
 
 
+def ints(a, w):
+    """A Fraction product weight, one Vec per factor, as one IntWeight per
+    factor, the form product_weight and twisted_sector_roots take."""
+    return tuple(d.integral(c) for d, c in zip(a.data, w))
+
+
 def flat(a, weights):
     """Fraction product weights on the grid, as the package keeps them."""
-    return tuple(product_weight(a, w) for w in weights)
+    return tuple(product_weight(a, ints(a, w)) for w in weights)
 
 
 def test_shape_parse_format_roundtrip():
@@ -175,11 +181,11 @@ def test_product_weight_rejects_off_grid_weight():
     # the grid of A2 is 1/6 (D = 2 fund_den); a label 1/3 gives root coordinates in 1/9
     a = ProductAlgebra.of(("A2", 1))
     d = a.data[0]
-    assert product_weight(a, (d.weight_from_fundamental([F(1, 2), 0]),)) == (2, 1)
+    assert product_weight(a, (d.from_fundamental([F(1, 2), 0]),)) == (2, 1)
     with pytest.raises(OrbifoldError, match="off the grid 1/6"):
-        product_weight(a, (d.weight_from_fundamental([F(1, 3), 0]),))
+        product_weight(a, (d.from_fundamental([F(1, 3), 0]),))
     with pytest.raises(OrbifoldError, match="one weight of the factor's rank"):
-        product_weight(a, ((F(1), F(0), F(0)),))
+        product_weight(a, (IntWeight(1, (1, 0, 0), (2, -1, 0)),))
 
 
 def test_seed_long_in_ambient_flags():
@@ -220,23 +226,25 @@ def m1_twisted_data():
 
 def test_twisted_sector_roots_match_known_weights():
     a, h, bases, pw = m1_twisted_data()
-    tw = twisted_sector_roots(a, h, bases)
+    tw = twisted_sector_roots(a, h, [ints(a, b) for b in bases])
     z2 = [0, 0]
-    assert tw[0] == product_weight(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(1, 2)], [0, F(1, 2)], z2))
-    assert tw[1] == product_weight(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(-1, 2)], [0, F(1, 2)], z2))
+    assert tw[0] == product_weight(
+        a, ints(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(1, 2)], [0, F(1, 2)], z2)))
+    assert tw[1] == product_weight(
+        a, ints(a, pw([F(3, 2), 0, 0, 0, 0, F(-3, 2)], [0, F(-1, 2)], [0, F(1, 2)], z2)))
     assert all(type(x) is int for w in tw for x in w)
 
 
 def test_twisted_sector_roots_identity_at_zero_h():
     a, _, bases, _ = m1_twisted_data()
     h0 = HVector.from_fundamental(a, [[0] * 6, [0, 0], [0, 0], [0, 0]])
-    assert twisted_sector_roots(a, h0, bases) == list(flat(a, bases))
+    assert twisted_sector_roots(a, h0, [ints(a, b) for b in bases]) == list(flat(a, bases))
 
 
 def test_assemble_twisted_subsystem():
     a, h, bases, pw = m1_twisted_data()
     _, seeds = fixed_subalgebra(a, h)
-    tw = twisted_sector_roots(a, h, bases)
+    tw = twisted_sector_roots(a, h, [ints(a, b) for b in bases])
     tw = tw + [negate(t) for t in tw]
     fixed = [r for s in seeds if (str(s.type), s.level) == ("A1", 1) for r in s.roots]
     psi = assemble_root_subsystem(a, fixed, tw)
@@ -253,7 +261,7 @@ def test_assemble_twisted_subsystem():
 def test_assemble_single_pair_is_a1():
     a, h = SCENARIOS["M1"]
     d = a.data[1]
-    r = product_weight(a, at_factor(a, 1, d.theta))
+    r = product_weight(a, ints(a, at_factor(a, 1, d.theta)))
     seed = assemble_root_subsystem(a, [r, negate(r)], [])
     assert str(seed.type) == "A1" and seed.level == 1
 
@@ -261,7 +269,7 @@ def test_assemble_single_pair_is_a1():
 def test_assemble_rejects_broken_sets():
     a, h, bases, _ = m1_twisted_data()
     _, seeds = fixed_subalgebra(a, h)
-    tw = twisted_sector_roots(a, h, bases)
+    tw = twisted_sector_roots(a, h, [ints(a, b) for b in bases])
     fixed = [r for s in seeds if (str(s.type), s.level) == ("A1", 1) for r in s.roots]
     with pytest.raises(OrbifoldError):
         # twisted roots without their negatives
@@ -555,7 +563,7 @@ def oracle_components(a, roots):
 
 def oracle_fixed_subalgebra(a, h):
     fixed = []
-    for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, h.components)):
+    for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, fraction_oracle.h_components(h))):
         row = fraction_oracle.gram_row(d, comp)
         for alpha in d.roots:
             val = sum((x * y for x, y in zip(row, alpha)), F(0))
@@ -594,7 +602,7 @@ def oracle_twisted_roots(a, h, bases):
     tw = [
         tuple(
             tuple(m + k * x for m, x in zip(mu_i, h_i))
-            for (_, k), mu_i, h_i in zip(a.factors, mu, h.components)
+            for (_, k), mu_i, h_i in zip(a.factors, mu, fraction_oracle.h_components(h))
         )
         for mu in bases
     ]
@@ -637,7 +645,7 @@ def twisted_algebras(draw, names, factors):
     types = [SimpleType.parse(draw(st.sampled_from(names))) for _ in range(factors)]
     levels = draw(st.permutations([1, 2, 3]))[:factors] if factors > 1 else [draw(st.integers(1, 3))]
     a = ProductAlgebra(tuple(zip(types, levels)))
-    return a, HVector(a, tuple(draw(twist(t)) for t in types))
+    return a, HVector(a, tuple(d.integral(draw(twist(t))) for d, t in zip(a.data, types)))
 
 
 def check_against_oracle(a, h):
@@ -678,7 +686,7 @@ def test_assemble_matches_oracle_on_m1_twisted_data():
     a, h, bases, _ = m1_twisted_data()
     seeds = check_against_oracle(a, h)
     want_seeds = oracle_fixed_subalgebra(a, h)[1]
-    tw = twisted_sector_roots(a, h, bases)
+    tw = twisted_sector_roots(a, h, [ints(a, b) for b in bases])
     tw = tw + [negate(t) for t in tw]
     want_tw = oracle_twisted_roots(a, h, bases)
     assert tw == list(flat(a, want_tw))

@@ -24,11 +24,11 @@ from orbifold24.qseries import (
 F = Fraction
 
 
-def monomial(c, exponent, denom, trunc):
-    """The series c q^exponent, exponent a multiple of 1/denom."""
-    e = F(exponent) * denom
-    assert e.denominator == 1, (exponent, denom)
-    return QSeries(denom, {int(e): F(c)}, trunc)
+def monomial(c, exponent, trunc):
+    """The series c q^exponent, exponent a multiple of 1/2."""
+    e = F(exponent) * 2
+    assert e.denominator == 1, exponent
+    return QSeries({int(e): F(c)}, trunc)
 
 
 def naive_eta24_coeffs(n_terms):
@@ -132,14 +132,12 @@ def test_s_transform_is_exponent_substitution():
 
 
 def test_t_transform():
-    s = monomial(1, F(1, 2), 2, 10) + monomial(5, -1, 2, 10)
+    s = monomial(1, F(1, 2), 10) + monomial(5, -1, 10)
     t = t_transform(s)
     assert t[F(1, 2)] == -1 and t[-1] == 5
     fs = hauptmodul_S_power(1, 10)
     ts = t_transform(fs)
     assert ts[F(1, 2)] == -(2**12) and ts[1] == 24 * 2**12
-    with pytest.raises(QSeriesError):
-        t_transform(QSeries(3, {0: F(1)}, 5))
 
 
 def test_character_fit_examples():
@@ -196,17 +194,12 @@ def test_dimension_identities_nonzero_half():
 
 def test_inverse_requires_nonzero():
     with pytest.raises(QSeriesError):
-        constant(0, 2, 4).inverse()
-
-
-def test_mixed_denominators_rejected():
-    with pytest.raises(QSeriesError):
-        QSeries(2, {0: F(1)}, 4) + QSeries(3, {0: F(1)}, 4)
+        constant(0, 4).inverse()
 
 
 def test_truncation_propagates():
-    a = QSeries(2, {0: F(1), 1: F(2)}, 4)
-    b = QSeries(2, {0: F(1)}, 2)
+    a = QSeries({0: F(1), 1: F(2)}, 4)
+    b = QSeries({0: F(1)}, 2)
     assert (a + b).trunc == 2
     assert (a * b).trunc == 2
     with pytest.raises(QSeriesError):
@@ -290,13 +283,13 @@ def test_series_are_integers_over_one_denominator():
     assert any(c.denominator != 1 for c in fs1.coeffs.values())
     assert fs1.coeffs == {n: F(c, 2**12) for n, c in fs1.nums.items()}
     # lowest terms: the denominator cancels where the numerators allow
-    assert (fs1 * 2**12).den == 1 and (constant(F(6, 4), 2, 3) * 2).den == 1
+    assert (fs1 * 2**12).den == 1 and (constant(F(6, 4), 3) * 2).den == 1
 
 
 @pytest.mark.parametrize("series", [
-    constant(2, 2, 4),  # leading coefficient 2
-    QSeries(2, {-1: F(-3), 0: F(1)}, 6),  # leading coefficient -3
-    QSeries(2, {0: F(1), 1: F(1, 2)}, 6),  # unit lead, a non-integer coefficient
+    constant(2, 4),  # leading coefficient 2
+    QSeries({-1: F(-3), 0: F(1)}, 6),  # leading coefficient -3
+    QSeries({0: F(1), 1: F(1, 2)}, 6),  # unit lead, a non-integer coefficient
 ])
 def test_inverse_needs_a_unit_integer_series(series):
     with pytest.raises(QSeriesError, match="cannot invert over Z"):
@@ -304,6 +297,6 @@ def test_inverse_needs_a_unit_integer_series(series):
 
 
 def test_inverse_of_minus_one_lead():
-    s = QSeries(2, {1: F(-1), 2: F(5), 4: F(-7)}, 12)
+    s = QSeries({1: F(-1), 2: F(5), 4: F(-7)}, 12)
     one = s * s.inverse()
     assert one.coeffs == {0: 1} and one.trunc == s.trunc - 1
