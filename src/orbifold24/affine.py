@@ -36,6 +36,7 @@ from .rootsys import (
     Vec,
     build_root_datum,
     label_pairing,
+    neg_dominant,
 )
 
 
@@ -61,10 +62,6 @@ class AffineLabel:
         # rho has every label 1: N (lambda+2rho|lambda) = sum_ij (c_i + 2) F_ij c_j
         num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
         object.__setattr__(self, "weight_num", num)
-
-    @property
-    def weight(self) -> Vec:
-        return self.datum.weight_from_fundamental(self.coeffs)
 
     def __str__(self):
         return f"{self.type},{self.level}:({','.join(map(str, self.coeffs))})"
@@ -119,7 +116,7 @@ def _twist(d: RootDatum, k: int, x: IntWeight) -> tuple[int, int, int, int, IntW
     Dc, Dh = _weight_den(d, k), 2 * d.scale * x.den**2
     D = lcm(Dc, Dh)
     hh = sum(map(mul, d.scaled_row(x.coords), x.coords))
-    return D, D // Dc, D // Dh, k * hh, d.dominant_int(x.times(-1))
+    return D, D // Dc, D // Dh, k * hh, neg_dominant(d, x)
 
 
 def _lowest(m: AffineLabel, x: IntWeight) -> tuple[int, int]:

@@ -23,7 +23,9 @@ On labels the kernels are short integer products:
   matrix);
 * (lambda|x) = sum_j lambda_j x_j (alpha_j|alpha_j)/2 for lambda given by
   its labels and x by its root coordinates (`label_pairing`), which gives
-  min_pairing = -(lambda|dom(-h));
+  min_pairing = -(lambda|dom(-h)); `neg_dominant` keeps dom(-h) per
+  (datum, h) in one fixed-size cache, which min_pairing and affine's twist
+  cache both read, so a repeated h is walked once;
 * lambda - x in Q+ is read off the root coordinates of lambda, the
   integer combination of the fundamental weights (`dominates`), which
   gives support_contains;
@@ -36,11 +38,15 @@ On labels the kernels are short integer products:
   weights below lambda are reached from lambda by subtracting positive
   roots through dominant weights (J. Stembridge, "The partial order of
   dominant weights", Adv. Math. 136, 1998), and each is expanded to its
-  Weyl orbit by Snow's walk.
+  Weyl orbit by Snow's walk.  The orbits are kept in one fixed-size
+  cache keyed by (datum, dominant labels), each as a frozenset of Vecs,
+  and a support is a new set, the union of its orbit sets, which copies
+  their stored hashes: an orbit that is still cached is neither walked
+  nor hashed again, and the supports that contain it share its tuples.
 
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
-public functions (`weight_from_fundamental`, `dominant_conjugate`,
-`min_pairing`, `support_contains`, `weight_support`, `weyl_dimension`)
+public functions (`weight_from_fundamental`, `min_pairing`,
+`support_contains`, `weight_support`, `weyl_dimension`)
 take and give Vecs and convert once, through `integral`, to the
 `IntWeight` that `dominant_int` and `label_pairing` act on.  `from_fundamental`
 makes an IntWeight from Dynkin labels; `root_pairings` takes one and gives
@@ -422,10 +428,6 @@ class RootDatum:
                 m[j] -= c * a
         return IntWeight(x.den, tuple(w), tuple(m))
 
-    def dominant_conjugate(self, v: Vec) -> Vec:
-        x = self.dominant_int(self.integral(v))
-        return tuple(Fraction(c, x.den) for c in x.coords)
-
     def _orbit(self, top: IntWeight) -> list[tuple[int, ...]]:
         """Root coordinates (times den) of the Weyl orbit of a dominant weight.
 
@@ -468,6 +470,23 @@ def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
     return tuple(m // x.den for m in x.labels)
 
 
+# how many Weyl orbits weight_support keeps, the latest asked
+ORBIT_CACHE = 64
+
+
+@lru_cache(maxsize=ORBIT_CACHE)
+def _orbit_vecs(d: RootDatum, labels: tuple[int, ...]) -> frozenset[Vec]:
+    """The Weyl orbit of the dominant weight with the given integer labels,
+    as Vecs, walked once by Snow's rule (`_orbit`) and kept while it is
+    among the ORBIT_CACHE latest asked.  Every coordinate is an integer
+    over fund_den, and each value gets one Fraction object."""
+    N = d.fund_den
+    # the orbit walk reads coordinates and labels on one scale, here N
+    points = d._orbit(IntWeight(N, tuple(d._label_coords(labels)), tuple(N * x for x in labels)))
+    frac = {x: Fraction(x, N) for x in {x for w in points for x in w}}
+    return frozenset(tuple(map(frac.__getitem__, w)) for w in points)
+
+
 def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     """The set of all weights of the irreducible module with highest weight lam.
 
@@ -477,12 +496,14 @@ def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     dominant weights (J. Stembridge, "The partial order of dominant
     weights", Adv. Math. 136, 1998), so subtracting the labels of each
     positive root and keeping the dominant results finds them all.  Then
-    the Weyl orbit of each, by Snow's walk (`_orbit`), which reaches every
-    element once.  min_pairing and support_contains answer their questions
-    in closed form without it, and the tests use it as their oracle.
+    the Weyl orbit of each (`_orbit_vecs`), which Snow's walk builds and
+    hashes once while it stays in the orbit cache.  The result is a new
+    set, the union of the shared orbit sets, which copies their stored
+    hashes; changing it changes no later result.  min_pairing and
+    support_contains answer their questions in closed form without it, and
+    the tests use it as their oracle.
     """
     labels = _require_dominant_integral(d, lam)
-    N = d.fund_den
     diag = [row[i] for i, row in enumerate(d.igram)]
     # the labels of alpha are 2(alpha|alpha_j)/(alpha_j|alpha_j)
     steps = [
@@ -498,14 +519,7 @@ def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
             if min(m2) >= 0 and m2 not in dominant:
                 dominant.add(m2)
                 stack.append(m2)
-    # the orbit walk reads coordinates and labels on one scale, here N
-    points = [
-        w
-        for m in dominant
-        for w in d._orbit(IntWeight(N, tuple(d._label_coords(m)), tuple(N * x for x in m)))
-    ]
-    frac = {x: Fraction(x, N) for x in {x for w in points for x in w}}
-    return {tuple(map(frac.__getitem__, w)) for w in points}
+    return set().union(*(_orbit_vecs(d, m) for m in dominant))
 
 
 def label_pairing(d: RootDatum, labels, x: IntWeight) -> int:
@@ -556,6 +570,13 @@ def weyl_dimension(d: RootDatum, lam: Vec) -> int:
     return num // den
 
 
+@lru_cache(maxsize=1024)
+def neg_dominant(d: RootDatum, x: IntWeight) -> IntWeight:
+    """dom(-x), the one walk per (datum, h) that min_pairing and the twisted
+    lowest weights of every module read."""
+    return d.dominant_int(x.times(-1))
+
+
 def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
     """min of (h|mu) over the weight support of lam.
 
@@ -564,5 +585,5 @@ def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
     the dominant conjugate of x.
     """
     labels = _require_dominant_integral(d, lam)
-    x = d.dominant_int(d.integral(h).times(-1))
+    x = neg_dominant(d, d.integral(h))
     return Fraction(-label_pairing(d, labels, x), 2 * d.scale * x.den)

@@ -35,7 +35,7 @@ from .orbifold import (
     verlinde_simple_current,
 )
 from .qseries import dimension_identities
-from .rootsys import SimpleType, dominates
+from .rootsys import SimpleType, dominates, neg_dominant
 
 
 class ScenarioError(ValueError):
@@ -68,6 +68,17 @@ _KNOWN_FIELDS = frozenset({
     "expect_shape", "lattice", "assume", "note", "table_max_weight", "table_weights",
     "expect_table_counts", "base_weights", "expect_twisted_seed",
 })
+
+
+def _order_two_fault(a: ProductAlgebra, h: HVector) -> str | None:
+    """Why h is not of order 2, or None: every root pairing (h|alpha) = p/q
+    must be half-integral, and at least one not an integer."""
+    for (t, _), (q, ps) in zip(a.factors, h.pairings):
+        if p := next((p for p in ps if 2 * p % q), None):
+            return f"(h|alpha) = {Fraction(p, q)} on a root of {t}"
+    if not any(p % q for q, ps in h.pairings for p in ps):
+        return "(h|alpha) is an integer on every root"
+    return None
 
 
 def _parse_factor_lists(text: str):
@@ -118,6 +129,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if lattice.lower() == "true" and algebra != ProductAlgebra.of(("A4", 5), ("A4", 5)):
             raise ScenarioError(f"{source}: lattice: true needs the algebra A4,5 A4,5, not {algebra}")
         h = HVector.from_fundamental(algebra, _parse_factor_lists(one("h")))
+        # every stage is made for an order-2 h
+        if fault := _order_two_fault(algebra, h):
+            raise ScenarioError(f"{source}: h is not of order 2: {fault}")
         sc = Scenario(
             name=one("name"),
             algebra=algebra,
@@ -281,17 +295,13 @@ def run_scenario(sc: Scenario) -> Report:
         # whether a check proves that no twisted module reaches weight 1/2
         half_excluded = False
 
-        # order 2: all root pairings (h|alpha) = p/q are half-integral, at least one strictly
-        pairings = [(p, q) for q, ps in h.pairings for p in ps]
-        half_integral = all(2 * p % q == 0 for p, q in pairings)
-        strict = any(2 * p % q == 0 and p % q for p, q in pairings)
+        # order 2: all root pairings (h|alpha) are half-integral, at least one strictly
         add("order-two-pairings", "half-integral with a strict value",
-            "half-integral with a strict value" if half_integral and strict else
-            f"half-integral={half_integral}, strict={strict}")
+            _order_two_fault(a, h) or "half-integral with a strict value")
 
         # assumption for the twisted lowest-weight theory: (h|alpha) >= -1
         add("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
-            "(h|alpha) >= -1 on all roots" if all(p >= -q for p, q in pairings)
+            "(h|alpha) >= -1 on all roots" if all(p >= -q for q, ps in h.pairings for p in ps)
             else "violated")
 
         add("h-norm", sc.expect_h_norm, h.norm_invariant())
@@ -316,7 +326,7 @@ def run_scenario(sc: Scenario) -> Report:
                 "minimum > 1/2" if half_excluded else f"minimum {low}")
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
-            doms = [d.dominant_int(x.times(-k)) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
+            doms = [neg_dominant(d, x).times(k) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
             occurs = any(
                 all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
                 for lbl in labels

@@ -12,6 +12,13 @@ descent: walk the whole box 0 <= c <= (root coordinates of lambda), keep
 the c with lambda - c.alpha dominant, and close under the simple
 reflections.  Its cost grows with the box, so it serves small boxes only.
 
+Beside it is how the package enumerated the support before it kept
+orbits in a cache: per call, the dominant descent of lambda and the
+Weyl orbit of each dominant weight below it, all built and hashed afresh
+(`descent_support`).  The package-route helpers there give a module's
+weight and a dominant conjugate as Vecs, for tests that compare the
+integer kernel with this one.
+
 The block sums at the end are how the A4^6 lattice computed before its
 integer 5v model: a vector is a tuple of Fraction blocks, and products are
 summed coordinate by coordinate in Fractions.  The projection onto the
@@ -358,6 +365,51 @@ def weight_support(d, lam):
                     m2 = tuple(m[j] - m[i] * A[j][i] for j in range(n))
                     queue.append((c2, m2))
     return {tuple(lam[j] - c[j] for j in range(n)) for c in seen}
+
+
+# -- the weight support by a per-call descent, and the package-route helpers -------
+
+
+def descent_support(d, lam):
+    """The weights of L(lam), as the package enumerated them on every call:
+    the dominant weights below lam by subtracting positive roots through
+    dominant weights, then the Weyl orbit of each by Snow's walk."""
+    from orbifold24.rootsys import IntWeight, _require_dominant_integral
+
+    labels = _require_dominant_integral(d, lam)
+    N = d.fund_den
+    diag = [row[i] for i, row in enumerate(d.igram)]
+    steps = [
+        tuple(2 * x // g for x, g in zip(row, diag))
+        for r, row in zip(d.iroots, d.root_rows)
+        if sum(r) > 0
+    ]
+    dominant, stack = {labels}, [labels]
+    while stack:
+        m = stack.pop()
+        for a in steps:
+            m2 = tuple(x - y for x, y in zip(m, a))
+            if min(m2) >= 0 and m2 not in dominant:
+                dominant.add(m2)
+                stack.append(m2)
+    points = [
+        w
+        for m in dominant
+        for w in d._orbit(IntWeight(N, tuple(d._label_coords(m)), tuple(N * x for x in m)))
+    ]
+    return {tuple(Fraction(x, N) for x in w) for w in points}
+
+
+def label_weight(m):
+    """The highest weight of an affine module label, as a Vec, through the
+    package's integer conversion."""
+    return m.datum.weight_from_fundamental(m.coeffs)
+
+
+def kernel_dominant_conjugate(d, v):
+    """The dominant conjugate of a Vec by the package's integer label walk."""
+    x = d.dominant_int(d.integral(v))
+    return tuple(Fraction(c, x.den) for c in x.coords)
 
 
 # -- the lattice's Fraction block arithmetic ----------------------------------

@@ -322,21 +322,21 @@ def test_production_path_enumerates_no_support(monkeypatch):
             for m in enumerate_modules(t, k):
                 twisted_lowest(m, h)
                 twisted_positivity_certificate(m, h)
-                support_contains(d, m.weight, minus_kh)
+                support_contains(d, oracle.label_weight(m), minus_kh)
 
 
 def test_production_path_uses_only_the_integer_kernel(monkeypatch):
-    # the Fraction label conversions and the Fraction accessors of the root
-    # datum are boundary helpers: parsing and running all five bundled
-    # scenarios, with fresh root data and twist caches, reaches none of them
+    # the Fraction accessors of the root datum are boundary helpers: parsing
+    # and running all five bundled scenarios, with fresh root data and twist
+    # caches, reaches none of them
     def boundary(*args):
         raise AssertionError("Fraction boundary helper reached")
 
-    monkeypatch.setattr(RootDatum, "dominant_conjugate", boundary)
     for name in ("roots", "positive_roots", "simple_roots", "fundamental_weights", "rho", "theta"):
         monkeypatch.setattr(RootDatum, name, property(boundary))
     rootsys.build_root_datum.cache_clear()
     affine._twist.cache_clear()
+    rootsys.neg_dominant.cache_clear()
     try:
         for sc in _bundled_scenarios():
             rep = run_scenario(sc)
@@ -345,6 +345,7 @@ def test_production_path_uses_only_the_integer_kernel(monkeypatch):
         # root data built under the patch are dropped with it
         rootsys.build_root_datum.cache_clear()
         affine._twist.cache_clear()
+        rootsys.neg_dominant.cache_clear()
 
 
 # -- loud failures ------------------------------------------------------------------

@@ -292,6 +292,28 @@ def test_scenario_h_length_mismatch():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("scn,h,message", [
+    # (h|alpha) = 1/3 on a root of E6; this used to run to an internal error
+    # in the fixed-point stage (status ERROR, exit 3)
+    ("m1.scn", "h: 1/3 0 0 0 0 -1/3 | 0 1/2 | 0 1/2 | 0 0", "(h|alpha) = -1/3 on a root of E6"),
+    ("m5.scn", "h: 0 0 0 1/3 | 0 0 0 1/2", "(h|alpha) = -1/3 on a root of A4"),
+    # every pairing integral: h is of order 1
+    ("m1.scn", "h: 1 0 0 0 0 0 | 0 0 | 0 0 | 0 0", "is an integer on every root"),
+    ("m1.scn", "h: 0 0 0 0 0 0 | 0 0 | 0 0 | 0 0", "is an integer on every root"),
+])
+def test_h_not_of_order_two_is_an_input_error(tmp_path, capsys, scn, h, message):
+    text = (SCENARIOS / scn).read_text()
+    doctored = "".join(h + "\n" if line.startswith("h:") else line
+                       for line in text.splitlines(keepends=True))
+    assert doctored != text
+    with pytest.raises(ScenarioError, match="h is not of order 2"):
+        parse_scenario(doctored)
+    (tmp_path / scn).write_text(doctored)
+    assert main(["run", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "h is not of order 2" in err and message in err
+
+
 def test_base_weights_factor_count_checked():
     text = M1_TEXT.replace(
         "base_weights: 0 0 0 0 0 0 | 0 0 | 0 0 | 0 0 ;",

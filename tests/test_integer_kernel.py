@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fraction_oracle as oracle
-from orbifold24 import affine, orbifold, qseries
+from orbifold24 import affine, orbifold, qseries, rootsys
 from orbifold24.affine import HVector, ProductAlgebra, enumerate_modules
 from orbifold24.cli import _bundled_scenarios
 from orbifold24.lattice import (
@@ -239,7 +239,7 @@ def test_weyl_dimension_matches_fraction_product(name):
     for a in positive:
         den *= dot(gram_row(d, d.rho), a)
     for m in enumerate_modules(d.type, 2):
-        lam = m.weight
+        lam = oracle.label_weight(m)
         row = gram_row(d, [x + y for x, y in zip(lam, d.rho)])
         num = F(1)
         for a in positive:
@@ -326,8 +326,8 @@ def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic,
     for t in TYPES:  # identify reaches candidate types up to the rank cap
         build_root_datum(T(t))
         scaled_gram(T(t))
-    for cache in (affine._modules, affine._twist, orbifold._grid, orbifold._root_pairings,
-                  orbifold._root_keys, orbifold._embedding_cached,
+    for cache in (affine._modules, affine._twist, rootsys.neg_dominant, orbifold._grid,
+                  orbifold._root_pairings, orbifold._root_keys, orbifold._embedding_cached,
                   orbifold.verlinde_simple_current, qseries._euler_product_pow24):
         cache.cache_clear()
     refuse_fraction_arithmetic()

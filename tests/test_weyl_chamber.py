@@ -18,11 +18,13 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from fraction_oracle import reflect
+from orbifold24 import affine
 from orbifold24.affine import (
     AffineLabel,
     conformal_weight,
@@ -32,10 +34,12 @@ from orbifold24.affine import (
 )
 from orbifold24.rootsys import (
     MAX_RANK,
+    RootDatum,
     SimpleType,
     _to_integral,
     build_root_datum,
     min_pairing,
+    neg_dominant,
     support_contains,
     weight_support,
     weyl_dimension,
@@ -60,7 +64,8 @@ def small_labels(name):
     """Dominant lambda with (theta|lambda) <= 2, i.e. the level-2 labels."""
     t = SimpleType.parse(name)
     d = build_root_datum(t)
-    return [m.weight for m in enumerate_modules(t, 2) if weyl_dimension(d, m.weight) <= MAX_DIM]
+    weights = map(oracle.label_weight, enumerate_modules(t, 2))
+    return [lam for lam in weights if weyl_dimension(d, lam) <= MAX_DIM]
 
 
 @lru_cache(maxsize=16)
@@ -119,12 +124,12 @@ def test_closed_forms_match_enumeration(case, data):
 def test_dominant_conjugate_is_a_class_function(case):
     d, lam, h, mus = case
     for v in [h, lam] + mus:
-        dom = d.dominant_conjugate(v)
+        dom = oracle.kernel_dominant_conjugate(d, v)
         assert is_dominant(d, v) == (dom == v)
         assert is_dominant(d, dom)
         assert oracle.pair(d, dom, dom) == oracle.pair(d, v, v)
         for i in range(d.rank):
-            assert d.dominant_conjugate(reflect(d, v, i)) == dom
+            assert oracle.kernel_dominant_conjugate(d, reflect(d, v, i)) == dom
 
 
 # -- the enumerator against the box walk it replaced -----------------------------
@@ -138,7 +143,8 @@ def box_labels(name):
     """The labels at levels 1 and 2 whose box has at most MAX_BOX points."""
     t = SimpleType.parse(name)
     d = build_root_datum(t)
-    return [m.weight for m in enumerate_modules(t, 2) if oracle.box_size(d, m.weight) <= MAX_BOX]
+    weights = map(oracle.label_weight, enumerate_modules(t, 2))
+    return [lam for lam in weights if oracle.box_size(d, lam) <= MAX_BOX]
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,6 +153,73 @@ def test_weight_support_matches_box_walk(name, data):
     d = build_root_datum(SimpleType.parse(name))
     lam = data.draw(st.sampled_from(box_labels(name)))
     assert weight_support(d, lam) == oracle.weight_support(d, lam)
+
+
+# -- the shared orbits against the per-call enumerator ----------------------------
+
+# the per-call enumerator builds and hashes every weight again, and all labels
+# within MAX_DIM hold about 1.7 million weights (over a minute); the labels of
+# dimension <= SHARED_MAX_DIM still cover every type, 454 labels in all
+SHARED_MAX_DIM = 1000
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_shared_orbits_match_per_call_enumerator(name):
+    # levels 1 and 2, in two query orders, each on a fresh datum, which no
+    # cached orbit is keyed by; an orbit may be cached from an earlier query
+    # in one order and not in the other, or evicted in between
+    t = SimpleType.parse(name)
+    weights = map(oracle.label_weight, enumerate_modules(t, 2))
+    labels = [lam for lam in weights if weyl_dimension(build_root_datum(t), lam) <= SHARED_MAX_DIM]
+    expected = {lam: oracle.descent_support(build_root_datum(t), lam) for lam in labels}
+    for order in (labels, labels[::-1]):
+        d = RootDatum(t)
+        for lam in order:
+            assert weight_support(d, lam) == expected[lam], lam
+
+
+def test_returned_supports_are_fresh_sets_over_shared_weights():
+    d = RootDatum(SimpleType.parse("D5"))
+    lam = d.weight_from_fundamental([1, 0, 1, 0, 0])
+    first = weight_support(d, lam)
+    want = oracle.descent_support(d, lam)
+    assert first == want
+    first.clear()
+    second = weight_support(d, lam)
+    assert second == want and second is not first
+    second.add(lam)
+    second.discard(d.weight_from_fundamental([0, 0, 0, 1, 1]))
+    assert weight_support(d, lam) == want
+    # a support below lam is a union of orbits lam's support holds: the same tuples
+    theta = d.weight_from_fundamental([0, 1, 0, 0, 0])
+    objects = {id(mu) for mu in weight_support(d, lam)}
+    assert all(id(mu) in objects for mu in weight_support(d, theta))
+
+
+def test_repeated_h_makes_one_dominant_walk(monkeypatch):
+    # min_pairing and twisted_lowest read dom(-h) from one cache: three h,
+    # each asked on every module of E6,2 by both, cost one walk each
+    calls = []
+    dominant_int = RootDatum.dominant_int
+
+    def counted(self, x):
+        calls.append(x)
+        return dominant_int(self, x)
+
+    monkeypatch.setattr(RootDatum, "dominant_int", counted)
+    neg_dominant.cache_clear()
+    affine._twist.cache_clear()
+    t = SimpleType.parse("E6")
+    d = build_root_datum(t)
+    hs = [d.weight_from_fundamental(c) for c in
+          ([F(1, 2), 0, 0, 0, 0, F(-1, 2)], [0, F(-1, 2), 0, 0, 0, 0], [0, 0, 0, F(1, 2), 0, 0])]
+    for h in hs:
+        for _ in range(2):
+            for m in enumerate_modules(t, 2):
+                lam = oracle.label_weight(m)
+                assert min_pairing(d, h, lam) == oracle.min_pairing(d, h, lam)
+                assert twisted_lowest(m, h) == oracle.twisted_lowest(d, lam, 2, h)
+    assert len(calls) == len(hs)
 
 
 # -- the integer label kernel against the Fraction oracle ------------------------
@@ -188,8 +261,8 @@ def test_label_kernel_matches_fraction_oracle(case):
     d, m, h, data = case
     k = m.level
     lam = oracle.weight_from_fundamental(d, m.coeffs)
-    assert m.weight == lam
-    assert d.dominant_conjugate(h) == oracle.dominant_conjugate(d, h)
+    assert oracle.label_weight(m) == lam
+    assert oracle.kernel_dominant_conjugate(d, h) == oracle.dominant_conjugate(d, h)
     assert min_pairing(d, h, lam) == oracle.min_pairing(d, h, lam)
     assert conformal_weight(m) == oracle.conformal_weight(d, lam, k)
     assert twisted_lowest(m, h) == oracle.twisted_lowest(d, lam, k, h)
