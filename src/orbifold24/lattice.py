@@ -16,7 +16,12 @@ unit, and a Fraction is made once, for the value returned.
 
 Fraction blocks are made, by `_block`, only for the vectors that leave as
 sets: the vectors of bounded norm and the roots, the shifted minimal sets
-and the twisted weight-one weights.
+and the twisted weight-one weights.  The twisted weight-one search and the
+twist anomaly run in integers too.
+
+The module is block arithmetic only: it imports no other module of the
+package, so loading it builds no root system.  The fixed-point shape of the
+inner twist, which names Lie types, is `scenarios.fixed_shape_A45`.
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 from operator import mul
-
-from .orbifold import SemisimpleShape
-from .rootsys import SimpleType
 
 Block = tuple[Fraction, ...]
 LVec = tuple[Block, ...]
@@ -71,11 +73,6 @@ BETA5 = {
     3: (-1, -2, 2, 1, 0),
     4: (1, 0, -1, -2, 2),
 }
-
-TWIST_GROUND_WEIGHT = Fraction(4, 5)  # conformal weight of the order-5 twisted ground state
-# weight grid of the twisted free-boson factor; the union of the 1/3 and 1/5
-# grids is used, which can only enlarge the solution search
-OSCILLATOR_GRID_STEP = Fraction(1, 15)
 
 
 def dot(x, y) -> int:
@@ -423,44 +420,37 @@ def enumerate_S(epsilon: int, r: int) -> list[Block]:
 
 
 def twist_anomaly(order: int, multiplicities) -> Fraction:
-    """Conformal weight of the twisted ground state: (1/4) sum m_j (j/n)(1-j/n)."""
+    """Conformal weight of the twisted ground state: (1/4) sum m_j (j/n)(1-j/n),
+    summed in integers as sum m_j j(n - j) over 4n^2."""
     n = order
-    total = Fraction(0)
-    for j, m in enumerate(multiplicities, start=1):
-        total += Fraction(m) * Fraction(j, n) * (1 - Fraction(j, n))
-    return total / 4
+    total = sum(m * j * (n - j) for j, m in enumerate(multiplicities, start=1))
+    return Fraction(total, 4 * n * n)
 
 
 def twisted_weight_one(epsilon: int, r: int):
     """Solutions of l + |x + eps f^r|^2/2 + 4/5 = 1 over the projected lattice.
 
     x runs over (a, b/5, ..., b/5) with a in A4*, b in A4, and l over the
-    oscillator grid; only l = 0, b = 0 survive and the five weights are the
-    shifted minimal vectors.
+    oscillator grid l = j/15 of the twisted free-boson factor (the union of
+    the 1/3 and 1/5 grids, which can only enlarge the search), where 4/5 is
+    the weight of the twisted ground state, so l <= 1/5 and j = 0..3.  With
+    a' = 5(a + delta) and b' = 5b the equation is 3(5|a'|^2 + |b'|^2) =
+    150 - 50j, in integers.  Only j = 0, b = 0 survive and the five weights
+    are the shifted minimal vectors.
     """
     d5 = _shift5(epsilon, r)
-    budget = 2 * (1 - TWIST_GROUND_WEIGHT)  # |x + eps f|^2 <= 2/5 at l = 0
-    grid = []
-    l = Fraction(0)
-    while l <= 1 - TWIST_GROUND_WEIGHT:
-        grid.append(l)
-        l += OSCILLATOR_GRID_STEP
-    # |a + delta|^2 + |b|^2/5 = need = 2(1 - 4/5 - l), times 125 with a' = 5(a + delta)
-    # and b' = 5b: 5|a'|^2 + |b'|^2 = 125*need
-    needs = [(l, 250 * (1 - TWIST_GROUND_WEIGHT - l)) for l in grid]
-    # the diagonal block contributes |b|^2/5, so |b|^2 <= 5*budget; around the
-    # zero center the ball's n is |b'|^2
-    b_norms = [n for _, n in _coset_ball(0, ZERO5, 5 * budget)]
+    # j = 0 bounds both: |a'|^2 <= 10 (|a + delta|^2 <= 2/5) and |b'|^2 <= 50
+    # (|b|^2 <= 2); around the zero center the b ball's n is |b'|^2
+    b_norms = [n for _, n in _coset_ball(0, ZERO5, 2)]
     solutions = []
     for g in range(5):
-        # the ball at the largest need (l = 0) holds the a of every smaller one;
-        # around -delta its n is |a'|^2
-        for m, n in _coset_ball(g, tuple(-d for d in d5), budget):
+        # around -delta the a ball's n is |a'|^2
+        for m, n in _coset_ball(g, tuple(-d for d in d5), Fraction(2, 5)):
             an = tuple(x + d for x, d in zip(m, d5))
-            for l, need in needs:
-                solutions.extend((l, an, nb) for nb in b_norms if 5 * n + nb == need)
-    weights = sorted(_block(an) for l, an, nb in solutions)
-    if any(l != 0 or nb != 0 for l, an, nb in solutions):
+            for j in range(4):
+                solutions.extend((j, an, nb) for nb in b_norms if 3 * (5 * n + nb) == 150 - 50 * j)
+    weights = sorted(_block(an) for j, an, nb in solutions)
+    if any(j != 0 or nb != 0 for j, an, nb in solutions):
         raise LatticeError("unexpected oscillator or diagonal contribution at weight one")
     return len(solutions), weights
 
@@ -512,23 +502,3 @@ def twisted_sector_min_shift(h, epsilon: int, r: int) -> Fraction:
     # puts it in units of 1 / (125 DEN5^2)
     diagonal = _coset_min(0, [-5 * x for x in h[5:10]], DEN5)
     return Fraction(5 * head + diagonal, 125 * DEN5 * DEN5)
-
-
-def fixed_shape_A45(h) -> SemisimpleShape:
-    """Fixed-point shape of the inner automorphism on the extended algebra.
-
-    Verifies the pairing pattern (alpha_i|Lambda) = (beta_i|Lambda') =
-    delta_{i,4} of 2h = (Lambda', Lambda, ..., Lambda), given as H_DEN h;
-    dropping the fourth node of each A4 leaves A3 x A3 at level 5 with a
-    two-dimensional center.
-    """
-    for i, alpha in enumerate(A4_SIMPLE, start=1):
-        got = Fraction(dot(alpha, h[5:10]), 5)
-        if got != (1 if i == 4 else 0):
-            raise LatticeError(f"(alpha_{i}|Lambda) = {got}, expected {int(i == 4)}")
-    for i in (1, 2, 3, 4):
-        got = Fraction(dot(BETA5[i], h[:5]), 25)
-        if got != (1 if i == 4 else 0):
-            raise LatticeError(f"(beta_{i}|Lambda') = {got}, expected {int(i == 4)}")
-    a3 = SimpleType.parse("A3")
-    return SemisimpleShape(((a3, 5), (a3, 5)), center_dim=2)

@@ -23,14 +23,15 @@ Two bilinear forms matter:
   level transfer rules: a subsystem built on short ambient roots has its
   level multiplied by the squared-length ratio (2 for B/C/F, 3 for G).
 
-Root sets are split, reduced to a simple system and classified as integer
-vectors under an integer form that is a positive multiple of the invariant
-form.  fixed_subalgebra works factor by factor, on the integer roots
-`iroots` and rows `root_rows` of each RootDatum, whose form is
-scale * k * (invariant); roots of different factors are orthogonal.  On the
-grid the invariant form is (x|y) = x.G.y / (L D^2), G block diagonal with
-blocks igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i; this is
-the form of assemble_root_subsystem and seeds_meeting.  The embedding search
+Root sets are reduced to a simple system, split into components through
+their simple roots and classified as integer vectors under an integer form
+that is a positive multiple of the invariant form.  fixed_subalgebra works
+factor by factor, on the integer roots `iroots` and rows `root_rows` of
+each RootDatum, whose form is scale * k * (invariant); roots of different
+factors are orthogonal.  On the grid the invariant form is
+(x|y) = x.G.y / (L D^2), G block diagonal with blocks
+igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i; this is the
+form of assemble_root_subsystem and seeds_meeting.  The embedding search
 compares root pairings of its target as entries of one cached integer
 matrix, scale * (r|s), built row by row by linearity along the root poset;
 the parts of a query need only their integer Gram matrices.
@@ -42,10 +43,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
+from typing import TYPE_CHECKING
 
-from .affine import HVector, ProductAlgebra
 from .rootsys import IntWeight, MAX_RANK, RootSystemError, SimpleType, build_root_datum, scaled_gram
+
+if TYPE_CHECKING:  # named in annotations only, so loading orbifold leaves affine unloaded
+    from .affine import HVector, ProductAlgebra
 
 ProductWeight = tuple[int, ...]  # D times the concatenated root coordinates of the factors
 
@@ -245,60 +249,81 @@ def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
 # invariant form: (x|y) = x.row(y) / den.
 
 
-def _split(vecs, rows) -> list[list[int]]:
-    """Indices of the indecomposable components of a root set, each list
-    increasing; i and j are joined when vecs[i].rows[j] is non-zero."""
-    parent = list(range(len(vecs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, v in enumerate(vecs):
-        for j in range(i + 1, len(vecs)):
-            if sum(map(mul, v, rows[j])):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(len(vecs)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _simple_indices(vecs) -> list[int]:
     """Indices of the simple roots of a root set, in increasing order of the
     vectors: the positive roots (first non-zero coordinate positive, the
     order induced by a generic linear functional) that are not a difference
-    of two positive roots."""
-    zero = (0,) * len(vecs[0])
-    positive = [i for i, v in enumerate(vecs) if v > zero]
-    pos_set = {vecs[i] for i in positive}
-    simple = [
-        i for i in positive
-        if not any(tuple(map(sub, vecs[i], vecs[j])) in pos_set for j in positive)
+    of two positive roots.
+
+    The test runs on integer keys: a vector's coordinates, first coordinate
+    most significant, read as the digits of a number in balanced base
+    4m + 1, m the largest absolute coordinate.  The difference of two roots
+    has digits of absolute value at most 2m, so it too has a unique key; a
+    key is positive exactly when its vector is, and keys order as vectors do.
+    """
+    base = 4 * max(abs(c) for v in vecs for c in v) + 1
+    keys = []
+    for v in vecs:
+        key = 0
+        for c in v:
+            key = key * base + c
+        keys.append(key)
+    positive = {key: i for i, key in enumerate(keys) if key > 0}
+    return [
+        i for key, i in sorted(positive.items())
+        if not any(key - p in positive for p in positive)
     ]
-    return sorted(simple, key=vecs.__getitem__)
 
 
-def _classify(vecs, rows, den: int):
-    """Type, level and simple-root indices of one indecomposable root set.
+def _split(vecs, rows) -> list[tuple[list[int], list[int]]]:
+    """The indecomposable components of a root set, as (root indices, simple
+    root indices): the roots in increasing order of index, the simple roots
+    in increasing order of their vectors.
+
+    Two simple roots are joined when their pairing vecs[i].rows[j] is
+    non-zero.  Each root goes to the component of the first simple root it
+    pairs with: a root pairs non-trivially with some simple root of its own
+    component and with none of another component's.
+    """
+    if not vecs:
+        return []
+    simple = _simple_indices(vecs)
+    label: dict[int, int] = {}  # simple root -> the first simple root of its component
+    for s in simple:
+        if s in label:
+            continue
+        label[s] = s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in simple:
+                if y not in label and sum(map(mul, vecs[x], rows[y])):
+                    label[y] = s
+                    stack.append(y)
+    parts = {s: ([], []) for s in simple if label[s] == s}
+    for s in simple:
+        parts[label[s]][1].append(s)
+    for i, row in enumerate(rows):
+        parts[label[next(s for s in simple if sum(map(mul, vecs[s], row)))]][0].append(i)
+    return list(parts.values())
+
+
+def _classify(vecs, rows, part, simple, den: int):
+    """Type and level of the indecomposable component of a root set with
+    the given root and simple-root indices.
 
     The level is 2 / (invariant norm of a long root) = 2 den / (largest
     scaled norm).
     """
-    simple = _simple_indices(vecs)
     gram = [[sum(map(mul, vecs[i], rows[j])) for j in simple] for i in simple]
-    t = classify_simple_system(gram, len(vecs))
-    long_norm = max(sum(map(mul, v, row)) for v, row in zip(vecs, rows))
+    t = classify_simple_system(gram, len(part))
+    long_norm = max(sum(map(mul, vecs[i], rows[i])) for i in part)
     level, rem = divmod(2 * den, long_norm)
     if rem or level < 1:
         raise OrbifoldError(
             f"component of type {t} has non-integral level {Fraction(2 * den, long_norm)}"
         )
-    return t, level, simple
+    return t, level
 
 
 # -- the fixed-point subalgebra ----------------------------------------------
@@ -325,12 +350,10 @@ def fixed_subalgebra(a: ProductAlgebra, h: HVector):
         vecs = [d.iroots[j] for j in fixed]
         rows = [d.root_rows[j] for j in fixed]
         before, after = (0,) * off, (0,) * (a.rank - off - t.rank)
-        for part in _split(vecs, rows):
-            ty, level, simple = _classify(
-                [vecs[p] for p in part], [rows[p] for p in part], d.scale * k
-            )
-            roots = [before + tuple(D * c for c in vecs[p]) + after for p in part]
-            seeds.append(SeedSubalgebra(ty, level, tuple(roots[s] for s in simple), tuple(roots)))
+        lift = lambda i: before + tuple(D * c for c in vecs[i]) + after
+        for part, simple in _split(vecs, rows):
+            ty, level = _classify(vecs, rows, part, simple, d.scale * k)
+            seeds.append(SeedSubalgebra(ty, level, tuple(map(lift, simple)), tuple(map(lift, part))))
         off += t.rank
     seeds.sort(key=lambda s: (_shape_sort_key((s.type, s.level)), s.simple_roots))
     center = a.rank - sum(s.type.rank for s in seeds)
@@ -375,7 +398,8 @@ def assemble_root_subsystem(a: ProductAlgebra, fixed_roots, twisted_roots) -> Se
     parts = _split(roots, rows)
     if len(parts) != 1:
         raise OrbifoldError(f"assembled set splits into {len(parts)} components")
-    t, level, simple = _classify(roots, rows, _grid(a)[2])
+    part, simple = parts[0]
+    t, level = _classify(roots, rows, part, simple, _grid(a)[2])
     return SeedSubalgebra(t, level, tuple(roots[i] for i in simple), tuple(roots))
 
 

@@ -295,7 +295,8 @@ def run_scenario(sc: Scenario) -> Report:
         # whether a check proves that no twisted module reaches weight 1/2
         half_excluded = False
 
-        # order 2: all root pairings (h|alpha) are half-integral, at least one strictly
+        # order 2: all root pairings (h|alpha) are half-integral, at least one strictly;
+        # parse_scenario rejects any other h, so this guards scenarios built in code
         add("order-two-pairings", "half-integral with a strict value",
             _order_two_fault(a, h) or "half-integral with a strict value")
 
@@ -434,10 +435,30 @@ def _lattice_checks(sc: Scenario):
         "1 (vacuum) with all sectors > 1/2"
         if sectors_above_half and untwisted_min >= 1 and overall >= 1
         else f"untwisted {untwisted_min}, sectors {sector_mins}")
-    shape = lat.fixed_shape_A45(h)
+    shape = fixed_shape_A45(h)
     add("lattice-fixed-shape", sc.expect_fixed, shape)
     # the distinguished weight -h is absent from both untwisted and twisted spectra
     add("cartan-weight-exclusion", "-h is not a spectrum weight",
         "-h is not a spectrum weight" if not lat.in_projected_lattice(tuple(-x for x in h))
         else "occurs")
     return checks, sectors_above_half
+
+
+def fixed_shape_A45(h) -> SemisimpleShape:
+    """Fixed-point shape of the inner automorphism on the extended algebra.
+
+    Verifies the pairing pattern (alpha_i|Lambda) = (beta_i|Lambda') =
+    delta_{i,4} of 2h = (Lambda', Lambda, ..., Lambda), given as H_DEN h;
+    dropping the fourth node of each A4 leaves A3 x A3 at level 5 with a
+    two-dimensional center.
+    """
+    for i, alpha in enumerate(lat.A4_SIMPLE, start=1):
+        got = Fraction(lat.dot(alpha, h[5:10]), 5)
+        if got != (1 if i == 4 else 0):
+            raise lat.LatticeError(f"(alpha_{i}|Lambda) = {got}, expected {int(i == 4)}")
+    for i in (1, 2, 3, 4):
+        got = Fraction(lat.dot(lat.BETA5[i], h[:5]), 25)
+        if got != (1 if i == 4 else 0):
+            raise lat.LatticeError(f"(beta_{i}|Lambda') = {got}, expected {int(i == 4)}")
+    a3 = SimpleType.parse("A3")
+    return SemisimpleShape(((a3, 5), (a3, 5)), center_dim=2)

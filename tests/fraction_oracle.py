@@ -56,10 +56,15 @@ from math import prod
 
 def gram_row(d, u):
     """u.gram, so that (u|v) = sum_j row_j v_j."""
-    return [
+    return _gram_row(d, tuple(u))
+
+
+@lru_cache(maxsize=1 << 16)  # the pair oracles ask for the same rows again and again
+def _gram_row(d, u):
+    return tuple(
         sum((x * g[j] for x, g in zip(u, d.gram) if x and g[j]), Fraction(0))
         for j in range(d.rank)
-    ]
+    )
 
 
 def pair(d, u, v):

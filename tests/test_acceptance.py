@@ -31,7 +31,6 @@ from orbifold24.lattice import (
     NiemeierLattice,
     build_glue_code,
     enumerate_S,
-    fixed_shape_A45,
     inner_h,
     min_norm_shifted,
     twist_anomaly,
@@ -50,6 +49,7 @@ from orbifold24.qseries import (
     hauptmodul_S_power,
 )
 from orbifold24.rootsys import SimpleType, build_root_datum, weight_support
+from orbifold24.scenarios import fixed_shape_A45
 
 F = Fraction
 T = SimpleType.parse

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbifold24.affine import HVector
 from orbifold24.cli import _bundled_scenarios, main
-from orbifold24.scenarios import ScenarioError, parse_scenario
+from orbifold24.scenarios import ScenarioError, parse_scenario, run_scenario
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "src" / "orbifold24" / "scenarios"
@@ -312,6 +314,22 @@ def test_h_not_of_order_two_is_an_input_error(tmp_path, capsys, scn, h, message)
     assert main(["run", "--dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "h is not of order 2" in err and message in err
+
+
+def test_order_two_check_fails_for_a_scenario_built_in_code():
+    # parse_scenario rejects an h that is not of order 2, so only a Scenario
+    # built in code reaches the check; h = 0 is integral on every root
+    m1 = next(sc for sc in _bundled_scenarios() if sc.name == "M1")
+    zero = [[0] * t.rank for t, _ in m1.algebra.factors]
+    report = run_scenario(dataclasses.replace(m1, h=HVector.from_fundamental(m1.algebra, zero)))
+    check = next(c for c in report.checks if c.name == "order-two-pairings")
+    assert not check.ok and check.actual == "(h|alpha) is an integer on every root"
+    assert not report.passed
+    doctored = M1_TEXT.replace(
+        "h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0", "h: 0 0 0 0 0 0 | 0 0 | 0 0 | 0 0")
+    assert doctored != M1_TEXT
+    with pytest.raises(ScenarioError, match="h is not of order 2"):
+        parse_scenario(doctored)
 
 
 def test_base_weights_factor_count_checked():

@@ -23,11 +23,12 @@ from orbifold24.lattice import (
     H_DEN,
     NiemeierLattice,
     dot as lattice_dot,
-    fixed_shape_A45,
     in_projected_lattice,
     inner_h,
     min_norm_shifted,
+    twist_anomaly,
     twisted_sector_min_shift,
+    twisted_weight_one,
 )
 from orbifold24.orbifold import (
     SemisimpleShape,
@@ -43,7 +44,7 @@ from orbifold24.orbifold import (
     verlinde_simple_current,
 )
 from orbifold24.qseries import dimension_identities
-from orbifold24.scenarios import parse_scenario, run_scenario
+from orbifold24.scenarios import fixed_shape_A45, parse_scenario, run_scenario
 from orbifold24.rootsys import (
     IntWeight,
     MAX_RANK,
@@ -297,7 +298,8 @@ def test_lattice_stage_does_no_fraction_arithmetic(refuse_fraction_arithmetic):
     # the lattice stage's integer parts give the unguarded values without a
     # Fraction sum or product: construction (basis, Gram matrix, roots,
     # invariants), membership of 2h, (h|h), the shifted and twisted-sector
-    # minima, the fixed shape and the projected-lattice test on -h
+    # minima, the fixed shape, the projected-lattice test on -h, the twisted
+    # weight-one spaces and the twist anomaly
     def stage():
         N = NiemeierLattice()
         h = inner_h()
@@ -305,11 +307,14 @@ def test_lattice_stage_does_no_fraction_arithmetic(refuse_fraction_arithmetic):
         return (N.basis, N.gram, N.roots(), N.contains(h), lattice_dot(h, h),
                 min_norm_shifted(N, h, 4),
                 [twisted_sector_min_shift(h, eps, r) for eps in (1, -1) for r in (1, 2)],
-                fixed_shape_A45(h), in_projected_lattice(minus_h))
+                fixed_shape_A45(h), in_projected_lattice(minus_h),
+                [twisted_weight_one(eps, r) for eps in (1, -1) for r in (1, 2)],
+                twist_anomaly(5, [4, 4, 4, 4]))
 
     want = stage()
     assert want[3:5] == (True, 2 * H_DEN**2)
     assert want[5:7] == (2, [F(2, 5)] * 4) and want[8] is False
+    assert [count for count, _ in want[9]] == [5] * 4 and want[10] == F(4, 5)
     refuse_fraction_arithmetic()
     assert stage() == want
 
@@ -318,9 +323,8 @@ def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic,
     # with only the root data warm, the whole of run_scenario on M1-M4 runs in
     # integers: module tables, twisted lowest weights, certificates, h-norm,
     # fixed points, identification; Fractions are only built for the report
-    # text.  M5's lattice stage still adds Fractions (the twisted weight-one
-    # grid, the twist anomaly and the sector weights), so it stays out; its
-    # integer parts are guarded on their own above.
+    # text.  M5's lattice stage still adds Fractions (the sector weights), so
+    # it stays out; its integer parts are guarded on their own above.
     scenarios = [sc for sc in _bundled_scenarios() if not sc.lattice]
     assert [sc.name for sc in scenarios] == ["M1", "M2", "M3", "M4"]
     for t in TYPES:  # identify reaches candidate types up to the rank cap

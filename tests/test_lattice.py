@@ -35,7 +35,6 @@ from orbifold24.lattice import (
     build_glue_code,
     dot,
     enumerate_S,
-    fixed_shape_A45,
     in_projected_lattice,
     inner_h,
     min_norm_shifted,
@@ -46,6 +45,7 @@ from orbifold24.lattice import (
 )
 from orbifold24.orbifold import SemisimpleShape
 from orbifold24.rootsys import _to_integral
+from orbifold24.scenarios import fixed_shape_A45
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
