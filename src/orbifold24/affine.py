@@ -21,12 +21,12 @@ a return value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .rootsys import (
     IntWeight,
@@ -40,28 +40,49 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
 class AffineLabel:
-    """An irreducible module of X_{n,k}: dominant weight given by fundamental coefficients."""
+    """An irreducible module of X_{n,k}: dominant weight given by fundamental coefficients.
 
-    type: SimpleType
-    level: int
-    coeffs: tuple[int, ...]
-    datum: RootDatum = field(init=False, repr=False, compare=False)
-    weight_num: int = field(init=False, repr=False, compare=False)  # over _weight_den
+    Immutable; equality, hash and repr see (type, level, coeffs), not the
+    derived datum and weight_num (the conformal weight over _weight_den)."""
 
-    def __post_init__(self):
-        if self.level < 1:
+    __slots__ = ("type", "level", "coeffs", "datum", "weight_num")
+
+    def __init__(self, type: SimpleType, level: int, coeffs: tuple[int, ...]):
+        if level < 1:
             raise RootSystemError("level must be a positive integer")
-        d, c = build_root_datum(self.type), self.coeffs
-        object.__setattr__(self, "datum", d)
+        d, c = build_root_datum(type), coeffs
         if len(c) != d.rank or any(not isinstance(x, int) or x < 0 for x in c):
-            raise RootSystemError(f"bad weight coefficients {c} for {self.type}")
-        if sum(map(mul, d.comarks, c)) > self.level:
-            raise RootSystemError(f"{self.type} weight {c} not admissible at level {self.level}")
+            raise RootSystemError(f"bad weight coefficients {c} for {type}")
+        if sum(map(mul, d.comarks, c)) > level:
+            raise RootSystemError(f"{type} weight {c} not admissible at level {level}")
         # rho has every label 1: N (lambda+2rho|lambda) = sum_ij (c_i + 2) F_ij c_j
         num = sum((ci + 2) * sum(map(mul, row, c)) for ci, row in zip(c, d.fund_gram))
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "datum", d)
         object.__setattr__(self, "weight_num", num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return AffineLabel, (self.type, self.level, self.coeffs)
+
+    def __repr__(self):
+        return f"AffineLabel(type={self.type!r}, level={self.level!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.level, self.coeffs) == (other.type, other.level, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.type, self.level, self.coeffs))
 
     def __str__(self):
         return f"{self.type},{self.level}:({','.join(map(str, self.coeffs))})"
@@ -134,8 +155,7 @@ def twisted_lowest(m: AffineLabel, h: Vec) -> Fraction:
     return Fraction(*_lowest(m, m.datum.integral(h)))
 
 
-@dataclass(frozen=True)
-class TwistClassification:
+class TwistClassification(NamedTuple):
     kind: str  # "positive" | "zero_with_witness" | "negative_violation" | "precondition_violated"
     value: Fraction | None = None
     witness: str | None = None
@@ -177,17 +197,37 @@ def _certificate(m: AffineLabel, x: IntWeight) -> TwistClassification:
     return TwistClassification("negative_violation", val, "zero without witness")
 
 
-@dataclass(frozen=True)
 class ProductAlgebra:
-    """An ordered tensor product of simple affine factors at positive levels."""
+    """An ordered tensor product of simple affine factors at positive levels; immutable."""
 
-    factors: tuple[tuple[SimpleType, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[SimpleType, int], ...]):
+        if not factors:
             raise RootSystemError("product algebra needs at least one factor")
-        if any(k < 1 for _, k in self.factors):
+        if any(k < 1 for _, k in factors):
             raise RootSystemError("levels must be positive")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ProductAlgebra, (self.factors,)
+
+    def __repr__(self):
+        return f"ProductAlgebra(factors={self.factors!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @staticmethod
     def of(*factors) -> "ProductAlgebra":
@@ -217,8 +257,7 @@ class ProductAlgebra:
         return " ".join(f"{t},{k}" for t, k in self.factors)
 
 
-@dataclass(frozen=True)
-class ProductLabel:
+class ProductLabel(NamedTuple):
     algebra: ProductAlgebra
     labels: tuple[AffineLabel, ...]
 
@@ -230,19 +269,39 @@ class ProductLabel:
         return "(" + "; ".join(",".join(map(str, m.coeffs)) for m in self.labels) + ")"
 
 
-@dataclass(frozen=True)
 class HVector:
     """h in integers: one IntWeight per factor, in the factor's simple-root basis,
     and each factor's root pairings (q, [p_j]), (h|alpha_j) = p_j / q, computed
-    once when the HVector is made."""
+    once when the HVector is made.  Immutable; equality, hash and repr see
+    (algebra, ints), not the pairings."""
 
-    algebra: ProductAlgebra
-    ints: tuple[IntWeight, ...]
-    pairings: tuple[tuple[int, list[int]], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("algebra", "ints", "pairings")
 
-    def __post_init__(self):
-        pairings = tuple(d.root_pairings(x) for d, x in zip(self.algebra.data, self.ints))
+    def __init__(self, algebra: ProductAlgebra, ints: tuple[IntWeight, ...]):
+        pairings = tuple(d.root_pairings(x) for d, x in zip(algebra.data, ints))
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "pairings", pairings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return HVector, (self.algebra, self.ints)
+
+    def __repr__(self):
+        return f"HVector(algebra={self.algebra!r}, ints={self.ints!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.ints) == (other.algebra, other.ints)
+
+    def __hash__(self):
+        return hash((self.algebra, self.ints))
 
     @staticmethod
     def from_fundamental(algebra: ProductAlgebra, coeff_lists) -> "HVector":

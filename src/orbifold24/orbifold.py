@@ -39,12 +39,11 @@ the parts of a query need only their integer Gram matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, neg
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .rootsys import IntWeight, MAX_RANK, RootSystemError, SimpleType, build_root_datum, scaled_gram
 
@@ -107,15 +106,37 @@ def _shape_sort_key(ideal):
     return (t.letter, t.rank, k)
 
 
-@dataclass(frozen=True)
 class SemisimpleShape:
-    """A multiset of simple ideals with levels, plus an abelian center."""
+    """A multiset of simple ideals with levels, plus an abelian center.
 
-    ideals: tuple[tuple[SimpleType, int], ...]
-    center_dim: int = 0
+    Immutable; the ideals are kept sorted by (letter, rank, level), so two
+    shapes are equal when their multisets and centers are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "ideals", tuple(sorted(self.ideals, key=_shape_sort_key)))
+    __slots__ = ("ideals", "center_dim")
+
+    def __init__(self, ideals: tuple[tuple[SimpleType, int], ...], center_dim: int = 0):
+        object.__setattr__(self, "ideals", tuple(sorted(ideals, key=_shape_sort_key)))
+        object.__setattr__(self, "center_dim", center_dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SemisimpleShape, (self.ideals, self.center_dim)
+
+    def __repr__(self):
+        return f"SemisimpleShape(ideals={self.ideals!r}, center_dim={self.center_dim!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideals, self.center_dim) == (other.ideals, other.center_dim)
+
+    def __hash__(self):
+        return hash((self.ideals, self.center_dim))
 
     @property
     def dim(self) -> int:
@@ -156,8 +177,7 @@ class SemisimpleShape:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SeedSubalgebra:
+class SeedSubalgebra(NamedTuple):
     """A simple root subsystem spanned by ambient Cartan weight vectors; its
     roots are product weights on the ambient algebra's grid."""
 

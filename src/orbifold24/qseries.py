@@ -11,11 +11,11 @@ layer runs in integers: the S-powers only add the scalar 2^(12n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 C24_2 = 276  # binomial(24, 2)
 C48_2 = 1128  # binomial(48, 2)
@@ -247,8 +247,7 @@ def t_transform(s: QSeries) -> QSeries:
 # -- the character fit and the dimension formula -----------------------------
 
 
-@dataclass(frozen=True)
-class CharacterFit:
+class CharacterFit(NamedTuple):
     """The fixed-point character as a Laurent polynomial in the hauptmodul."""
 
     c0: Fraction

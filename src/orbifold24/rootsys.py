@@ -66,7 +66,6 @@ C_n: the long root last, G2: the short root first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -145,26 +144,67 @@ def _bareiss_inverse(M: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev, [row[n:] for row in A]
 
 
-@dataclass(frozen=True, order=True)
 class SimpleType:
-    """A simple Lie type X_n, e.g. SimpleType('D', 7)."""
+    """A simple Lie type X_n, e.g. SimpleType('D', 7): immutable, hashable
+    and ordered by (letter, rank)."""
 
-    letter: str
-    rank: int
+    __slots__ = ("letter", "rank")
 
-    def __post_init__(self):
+    def __init__(self, letter: str, rank: int):
         ok = (
-            self.letter == "A" and self.rank >= 1
-            or self.letter in ("B", "C") and self.rank >= 2
-            or self.letter == "D" and self.rank >= 3
-            or self.letter == "E" and self.rank in (6, 7, 8)
-            or self.letter == "F" and self.rank == 4
-            or self.letter == "G" and self.rank == 2
+            letter == "A" and rank >= 1
+            or letter in ("B", "C") and rank >= 2
+            or letter == "D" and rank >= 3
+            or letter == "E" and rank in (6, 7, 8)
+            or letter == "F" and rank == 4
+            or letter == "G" and rank == 2
         )
         if not ok:
-            raise RootSystemError(f"invalid simple type {self.letter}{self.rank}")
-        if self.rank > MAX_RANK:
-            raise RootSystemError(f"rank {self.rank} exceeds supported cap {MAX_RANK}")
+            raise RootSystemError(f"invalid simple type {letter}{rank}")
+        if rank > MAX_RANK:
+            raise RootSystemError(f"rank {rank} exceeds supported cap {MAX_RANK}")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SimpleType, (self.letter, self.rank)
+
+    def __repr__(self):
+        return f"SimpleType(letter={self.letter!r}, rank={self.rank!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.rank) == (other.letter, other.rank)
+
+    def __hash__(self):
+        return hash((self.letter, self.rank))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.rank) < (other.letter, other.rank)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.rank) <= (other.letter, other.rank)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.rank) > (other.letter, other.rank)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letter, self.rank) >= (other.letter, other.rank)
 
     @staticmethod
     def parse(s: str) -> "SimpleType":
@@ -257,7 +297,7 @@ class RootDatum:
 
     Attributes (all integer except gram and norms):
         type: the SimpleType.
-        gram: Gram matrix of the simple roots; norms: its diagonal.
+        gram: Gram matrix of the simple roots, igram / scale; norms: its diagonal.
         cartan: the Cartan matrix a[i][j] = 2(alpha_i|alpha_j)/(alpha_i|alpha_i),
             so the labels of x are cartan times its root coordinates.
         dual_coxeter: the dual Coxeter number.
@@ -278,10 +318,10 @@ class RootDatum:
         self.type = t
         n = t.rank
         self.rank = n
-        self.gram = _gram_matrix(t)
-        self.norms = [self.gram[i][i] for i in range(n)]
         self.scale, igram = scaled_gram(t)
         self.igram = [list(row) for row in igram]
+        self.gram = [[Fraction(g, self.scale) for g in row] for row in igram]
+        self.norms = [self.gram[i][i] for i in range(n)]
         if any(2 * g % row[i] for i, row in enumerate(self.igram) for g in row):
             raise RootSystemError(f"{t}: the Cartan matrix is not integral")
         self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(self.igram)]

@@ -9,8 +9,8 @@ check per stage; reports are deterministic byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice as lat
 from .affine import (
@@ -42,24 +42,62 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
 class Scenario:
-    name: str
-    algebra: ProductAlgebra
-    h: HVector
-    expect_h_norm: Fraction
-    expect_fixed: SemisimpleShape
-    expect_fixed_dim: int
-    expect_new_dim: int
-    expect_shape: SemisimpleShape
-    table_max_weight: Fraction | None = None
-    table_weights: frozenset | None = None
-    expect_table_counts: dict | None = None
-    base_weights: list | None = None
-    expect_twisted_seed: tuple | None = None
-    lattice: bool = False
-    assumptions: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """One order-2 inner twist and the expected outcome of every stage.
+
+    Mutable and unhashable; two scenarios are equal when all their fields
+    are, and assumptions and notes default to new empty lists."""
+
+    _FIELDS = ("name", "algebra", "h", "expect_h_norm", "expect_fixed", "expect_fixed_dim",
+               "expect_new_dim", "expect_shape", "table_max_weight", "table_weights",
+               "expect_table_counts", "base_weights", "expect_twisted_seed", "lattice",
+               "assumptions", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        algebra: ProductAlgebra,
+        h: HVector,
+        expect_h_norm: Fraction,
+        expect_fixed: SemisimpleShape,
+        expect_fixed_dim: int,
+        expect_new_dim: int,
+        expect_shape: SemisimpleShape,
+        table_max_weight: Fraction | None = None,
+        table_weights: frozenset | None = None,
+        expect_table_counts: dict | None = None,
+        base_weights: list | None = None,
+        expect_twisted_seed: tuple | None = None,
+        lattice: bool = False,
+        assumptions: list | None = None,
+        notes: list | None = None,
+    ):
+        self.name = name
+        self.algebra = algebra
+        self.h = h
+        self.expect_h_norm = expect_h_norm
+        self.expect_fixed = expect_fixed
+        self.expect_fixed_dim = expect_fixed_dim
+        self.expect_new_dim = expect_new_dim
+        self.expect_shape = expect_shape
+        self.table_max_weight = table_max_weight
+        self.table_weights = table_weights
+        self.expect_table_counts = expect_table_counts
+        self.base_weights = base_weights
+        self.expect_twisted_seed = expect_twisted_seed
+        self.lattice = lattice
+        self.assumptions = [] if assumptions is None else assumptions
+        self.notes = [] if notes is None else notes
+
+    def __repr__(self):
+        return f"Scenario({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, n) for n in self._FIELDS] == [getattr(other, n) for n in self._FIELDS]
+
+    __hash__ = None
 
 
 # every key parse_scenario reads; any other key is a typo that would skip checks
@@ -192,8 +230,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: str
     actual: str
@@ -203,13 +240,29 @@ class CheckResult:
         return self.expected == self.actual
 
 
-@dataclass
 class Report:
-    scenario: str
-    checks: list
-    assumptions: list
-    notes: list
-    error: str | None = None
+    """The checks of one scenario run, and the error that stopped it, if any.
+    Mutable and unhashable; two reports are equal when all their fields are."""
+
+    def __init__(self, scenario: str, checks: list, assumptions: list, notes: list,
+                 error: str | None = None):
+        self.scenario = scenario
+        self.checks = checks
+        self.assumptions = assumptions
+        self.notes = notes
+        self.error = error
+
+    def __repr__(self):
+        return (f"Report(scenario={self.scenario!r}, checks={self.checks!r}, "
+                f"assumptions={self.assumptions!r}, notes={self.notes!r}, error={self.error!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.scenario, self.checks, self.assumptions, self.notes, self.error)
+                == (other.scenario, other.checks, other.assumptions, other.notes, other.error))
+
+    __hash__ = None
 
     @property
     def passed(self) -> bool:

@@ -1,6 +1,7 @@
 """Each module loads only what it runs: the package namespace is lazy, the
-lattice module needs no other module of the package, and the orbifold
-module needs only the root systems."""
+lattice module needs no other module of the package, the orbifold module
+needs only the root systems, and no module loads `dataclasses` or the
+`inspect` it imports."""
 
 import json
 import os
@@ -51,6 +52,13 @@ def test_lattice_loads_no_other_package_module_and_no_dataclasses(statement):
     modules = loaded_after(statement)
     assert package_modules(modules) == {"orbifold24.lattice"}
     assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("module", ["cli", "rootsys", "affine", "orbifold", "qseries", "scenarios"])
+def test_module_loads_no_dataclasses_or_inspect(module):
+    modules = loaded_after(f"import orbifold24.{module}")
+    assert f"orbifold24.{module}" in modules
+    assert not {"dataclasses", "inspect"} & modules
 
 
 def test_orbifold_loads_only_the_root_systems():
