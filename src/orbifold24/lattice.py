@@ -6,7 +6,9 @@ its 30 integers: the tables, the basis, the Gram matrix, membership,
 `tau0` and every bounded enumeration work on these, and `dot` of two of
 them is 25 times their product.  The glue code lives in (Z/5)^6; digit g
 glues by the coset of g*(1,1,1,1,-4)/5, so every coordinate of m is the
-digit mod 5.  The order-5 isometry cycles the last five blocks.
+digit mod 5.  The order-5 isometry cycles the last five blocks.  Membership,
+`tau0`, `in_projected_lattice` and the two shifted-norm bounds refuse, with
+a LatticeError naming the length, anything but 30 integers.
 
 The inner twist's h is the integer vector 10h (`H_DEN`), integral for every
 order-2 h on A4; it is also 2h as a lattice vector.  The shifts of the
@@ -18,6 +20,12 @@ Fraction blocks are made, by `_block`, only for the vectors that leave as
 sets: the vectors of bounded norm and the roots, the shifted minimal sets
 and the twisted weight-one weights.  The twisted weight-one search and the
 twist anomaly run in integers too.
+
+The norm <= 4 vectors are 193 801 acyclic tuples.  The cyclic collector is
+paused while they are built, and then, unless the caller had the collector
+disabled or has frozen objects of its own, `_enumerate` hands them to the
+oldest generation with `gc.freeze()` and `gc.unfreeze()`, so the collector
+walks them once, at a full collection, instead of at each generation.
 
 The module is block arithmetic only: it imports no other module of the
 package, so loading it builds no root system.  The fixed-point shape of the
@@ -89,6 +97,14 @@ def _block(m) -> Block:
 def _blocks(v):
     """The six blocks of a flat integer vector."""
     return (v[i : i + 5] for i in range(0, 30, 5))
+
+
+def _require_flat(v) -> None:
+    """Refuse anything but a flat vector: 30 integers, five per block."""
+    if len(v) != 30:
+        raise LatticeError(f"{len(v)} coordinates given, a flat vector has 30")
+    if not all(isinstance(x, int) for x in v):
+        raise LatticeError(f"{tuple(v)} is not a vector of integers")
 
 
 def _limit(bound) -> int:
@@ -181,6 +197,7 @@ def build_glue_code() -> frozenset:
 
 def tau0(v):
     """The order-5 isometry: cycle the last five blocks of a flat vector."""
+    _require_flat(v)
     return v[:5] + v[25:] + v[5:25]
 
 
@@ -266,6 +283,7 @@ class NiemeierLattice:
 
     def contains(self, v) -> bool:
         """Whether the flat integer vector v = 5x gives a lattice vector x."""
+        _require_flat(v)
         try:
             word = tuple(map(a4_class_of, _blocks(v)))
         except LatticeError:
@@ -286,6 +304,19 @@ class NiemeierLattice:
         4-5 come from a list of (b4, b5) pairs, one per (digit4, digit5,
         budget), so each vector is one tuple concatenation.  No closure here
         refers to itself, so the call's caches are freed when it returns.
+
+        The output is acyclic, so no collection can free any of it, and each
+        pass of the cyclic collector over it is wasted.  The collector is
+        paused while it is built.  If the caller had it enabled, the
+        output is then handed to the oldest generation: `gc.freeze()` and
+        `gc.unfreeze()` move every tracked object there in O(1), walking
+        none, so the list is not walked by a young collection or again at
+        the middle generation.  The only other objects this promotes are
+        the caller's young ones, which would reach the oldest generation
+        anyway if they live.  A caller that has frozen objects itself
+        (`gc.get_freeze_count()` is not 0) is left as it is, since
+        `unfreeze` would thaw them; then, as with the collector disabled,
+        the caller's own collections walk the list.
         """
         limit = _limit(bound)
         # around the zero center n = |m|^2, the block's norm in units of 1/25
@@ -307,7 +338,7 @@ class NiemeierLattice:
             ]
 
         out = []
-        # the output holds no reference cycles, so collecting during the build only rescans it
+        # the output holds no reference cycles: a collection can only rescan it
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -329,6 +360,10 @@ class NiemeierLattice:
                                 out.extend(map((b0, b1, b2, b3).__add__, pairs45))
         finally:
             if gc_was_enabled:
+                # hand all to the oldest generation; unfreeze would thaw a caller's frozen objects
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
         return out
 
@@ -479,6 +514,7 @@ def min_norm_shifted(lattice: NiemeierLattice, h, bound) -> Fraction | None:
     coset minimum, and each word's sum, is an integer in units of
     1 / (25 DEN5^2).
     """
+    _require_flat(h)
     mins = [[_coset_min(g, [-x for x in w], DEN5) for g in range(5)] for w in _blocks(h)]
     totals = (sum(mins[i][g] for i, g in enumerate(word)) for word in lattice.glue)
     best = Fraction(min(totals), 25 * DEN5 * DEN5)

@@ -32,7 +32,9 @@ On labels the kernels are short integer products:
 * the roots are the Weyl orbits of the dominant roots, walked on labels
   by Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): from
   an element with m_i > 0, step to s_i of it only when no label before i
-  goes negative, so each orbit element is reached exactly once;
+  goes negative, so each orbit element is reached exactly once, with its
+  labels m, from which a root's row alpha.(scale gram) is m_j times half
+  the diagonal entry j;
 * the whole weight support of lambda (`weight_support`, the tests' oracle
   for the closed forms) is a descent and an orbit walk: the dominant
   weights below lambda are reached from lambda by subtracting positive
@@ -70,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -345,17 +347,23 @@ class RootDatum:
         if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
             raise RootSystemError(f"{t}: the fundamental weights' Gram matrix is not symmetric")
 
-        # every root is W-conjugate to the dominant root of its length
-        by_length = {self.igram[i][i]: i for i in range(n)}
+        # every root is W-conjugate to the dominant root of its length, and
+        # the walk gives each root's labels m, so its row alpha.igram, which is
+        # scale (alpha|alpha_j) = m_j (scale alpha_j|alpha_j)/2, costs no product
+        diag = [self.igram[i][i] for i in range(n)]
+        by_length = {norm: i for i, norm in enumerate(diag)}
         roots = []
         for norm in sorted(by_length):
             i = by_length[norm]
             unit = tuple(int(j == i) for j in range(n))
             top = self.dominant_int(IntWeight(1, unit, tuple(r[i] for r in self.cartan)))
-            roots.extend(self._orbit(top))
+            roots.extend(
+                (w, tuple(x * g // 2 for x, g in zip(m, diag)), norm) for w, m in self._orbit(top)
+            )
         if len(roots) != t.num_roots:
             raise RootSystemError(f"{t}: generated {len(roots)} roots, expected {t.num_roots}")
-        self.iroots = sorted(roots)
+        roots.sort()
+        self.iroots = [w for w, _, _ in roots]
         theta = top.coords  # the dominant root of the largest norm, the highest root
         self.comarks = tuple(
             x * self.igram[j][j] // (2 * self.scale) for j, x in enumerate(theta)
@@ -365,15 +373,12 @@ class RootDatum:
             raise RootSystemError(f"{t}: 1 + (rho|theta) is not the dual Coxeter number")
         self.dual_coxeter = t.dual_coxeter
 
-        self.root_rows = [self.scaled_row(r) for r in self.iroots]
-        # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee
-        self.positive_coroots = []
-        for r, row in zip(self.iroots, self.root_rows):
-            if sum(r) > 0:
-                norm = sum(map(mul, r, row))
-                self.positive_coroots.append(
-                    tuple(a * self.igram[i][i] // norm for i, a in enumerate(r))
-                )
+        self.root_rows = [row for _, row, _ in roots]
+        # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee, and
+        # scale (alpha|alpha) is the norm of the dominant root alpha was walked from
+        self.positive_coroots = [
+            tuple(a * g // norm for a, g in zip(r, diag)) for r, _, norm in roots if sum(r) > 0
+        ]
 
     # -- the Fraction accessors, derived from the integer data --------------
 
@@ -468,15 +473,17 @@ class RootDatum:
                 m[j] -= c * a
         return IntWeight(x.den, tuple(w), tuple(m))
 
-    def _orbit(self, top: IntWeight) -> list[tuple[int, ...]]:
-        """Root coordinates (times den) of the Weyl orbit of a dominant weight.
+    def _orbit(self, top: IntWeight) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+        """(root coordinates, labels), both times den, of every element of
+        the Weyl orbit of a dominant weight, each yielded once.
 
         Snow's rule: every element but top has one parent, s_i of it for the
         first i with a negative label, so a child s_i(mu) of mu (m_i > 0) is
         taken only when its labels before i are all >= 0.
         """
-        out = [top.coords]
-        stack = [(top.coords, top.labels)]
+        first = (top.coords, top.labels)
+        yield first
+        stack = [first]
         while stack:
             w, m = stack.pop()
             for i, c in enumerate(m):
@@ -484,13 +491,12 @@ class RootDatum:
                     m2 = list(m)
                     for j, a in self._columns[i]:
                         m2[j] -= c * a
-                    if all(x >= 0 for x in m2[:i]):
+                    if not i or min(m2[:i]) >= 0:
                         w2 = list(w)
                         w2[i] -= c
-                        w2 = tuple(w2)
-                        out.append(w2)
-                        stack.append((w2, m2))
-        return out
+                        child = (tuple(w2), m2)
+                        yield child
+                        stack.append(child)
 
 
 @lru_cache(maxsize=None)
@@ -522,7 +528,8 @@ def _orbit_vecs(d: RootDatum, labels: tuple[int, ...]) -> frozenset[Vec]:
     over fund_den, and each value gets one Fraction object."""
     N = d.fund_den
     # the orbit walk reads coordinates and labels on one scale, here N
-    points = d._orbit(IntWeight(N, tuple(d._label_coords(labels)), tuple(N * x for x in labels)))
+    top = IntWeight(N, tuple(d._label_coords(labels)), tuple(N * x for x in labels))
+    points = [w for w, _ in d._orbit(top)]
     frac = {x: Fraction(x, N) for x in {x for w in points for x in w}}
     return frozenset(tuple(map(frac.__getitem__, w)) for w in points)
 

@@ -400,7 +400,7 @@ def descent_support(d, lam):
     points = [
         w
         for m in dominant
-        for w in d._orbit(IntWeight(N, tuple(d._label_coords(m)), tuple(N * x for x in m)))
+        for w, _ in d._orbit(IntWeight(N, tuple(d._label_coords(m)), tuple(N * x for x in m)))
     ]
     return {tuple(Fraction(x, N) for x in w) for w in points}
 

@@ -3,6 +3,7 @@ judges a gain by the pair rule."""
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 from pathlib import Path
@@ -68,3 +69,45 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(chan
     assert summary["run_s"]["gain"] is gain
     # setup_s and peak_rss_mb tie in every pair, so they show no gain
     assert summary["setup_s"]["gain"] is summary["peak_rss_mb"]["gain"] is False
+
+
+def test_both_sides_run_from_exports_at_paths_of_equal_length(tmp_path, monkeypatch):
+    tool = load_tool()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "tracked.txt").write_text("committed\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    git("add", "-A")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com", "commit", "-q", "-m", "base")
+    (repo / "tracked.txt").write_text("edited\n")
+    (repo / "sub").mkdir()
+    (repo / "sub" / "new.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+
+    seen = []
+
+    def fake_bench(tree, workload, seed):
+        seen.append({
+            "tree": tree,
+            "tracked": (tree / "tracked.txt").read_text(),
+            "new": (tree / "sub" / "new.txt").is_file(),
+            "ignored": (tree / "ignored.txt").exists(),
+        })
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "setup_s": 0.1, "run_s": 0.1, "peak_rss_mb": 20.0}
+
+    monkeypatch.setattr(tool, "ROOT", repo)
+    monkeypatch.setattr(tool, "bench", fake_bench)
+    assert tool.main(["--base", "HEAD", "--workload", "lattice", "--pairs", "1",
+                      "--first-seed", "1", "--out", str(tmp_path / "BENCH.json")]) == 0
+    base, change = seen  # the first pair runs the base first
+    assert len(str(base["tree"])) == len(str(change["tree"]))
+    assert base["tree"].parent == change["tree"].parent
+    assert repo not in (base["tree"], change["tree"])
+    assert (base["tracked"], base["new"]) == ("committed\n", False)
+    assert (change["tracked"], change["new"], change["ignored"]) == ("edited\n", True, False)

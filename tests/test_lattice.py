@@ -553,6 +553,76 @@ def test_enumeration_leaves_no_cache_cycles():
             gc.enable()
 
 
+def young_ids():
+    return {id(o) for g in (0, 1) for o in gc.get_objects(generation=g)}
+
+
+def test_enumeration_hands_its_output_to_the_oldest_generation(N):
+    # a young collection would otherwise walk all 193 801 vectors, and then
+    # the middle generation's collection again
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        vectors = N.vectors_of_norm_at_most(4)
+        young = young_ids()
+        assert not any(id(v) in young for v in vectors)
+    finally:
+        if not was:
+            gc.disable()
+
+
+def test_enumeration_leaves_a_callers_frozen_objects_frozen(N):
+    expected = N.vectors_of_norm_at_most(2)
+    was = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert N.vectors_of_norm_at_most(2) == expected
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        if not was:
+            gc.disable()
+
+
+def test_enumeration_with_the_collector_disabled_makes_no_handoff(N):
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        vectors = N.vectors_of_norm_at_most(2)
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() == 0
+        # no collection ran, so the new vectors are still young
+        young = young_ids()
+        assert all(id(v) in young for v in vectors)
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("length", [0, 5, 25, 29, 31, 35])
+def test_flat_vectors_of_the_wrong_length_are_refused(N, h, length):
+    v = (h * 2)[:length]
+    for call in (
+        lambda: N.contains(v),
+        lambda: tau0(v),
+        lambda: in_projected_lattice(v),
+        lambda: min_norm_shifted(N, v, 4),
+        lambda: twisted_sector_min_shift(v, 1, 1),
+    ):
+        with pytest.raises(LatticeError, match=f"^{length} coordinates given"):
+            call()
+
+
+def test_flat_vectors_of_non_integers_are_refused(N, h):
+    v = (F(1, 2),) + h[1:]
+    for call in (lambda: N.contains(v), lambda: tau0(v), lambda: min_norm_shifted(N, v, 4)):
+        with pytest.raises(LatticeError, match="not a vector of integers"):
+            call()
+
+
 def test_dropped_lattice_is_freed():
     ref = weakref.ref(NiemeierLattice())
     gc.collect()

@@ -371,6 +371,19 @@ def test_integer_datum_matches_fraction_oracle(name):
     assert all(F(x) == oracle.pair(d, theta, w) for x, w in zip(d.comarks, fund))
 
 
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_root_rows_and_coroots_match_their_products(name):
+    # both are read off the labels of the orbit walk, not multiplied out
+    d = RootDatum(SimpleType.parse(name))
+    assert d.root_rows == [d.scaled_row(r) for r in d.iroots]
+    # alpha^vee = 2 alpha / (alpha|alpha) in the basis of simple coroots
+    coroots = []
+    for r in d.positive_roots:
+        norm = oracle.pair(d, r, r)
+        coroots.append(tuple(a * n / norm for a, n in zip(r, d.norms)))
+    assert d.positive_coroots == coroots
+
+
 def test_bareiss_inverse_against_fractions():
     rng = random.Random(6)
     for _ in range(200):

@@ -3,9 +3,13 @@
     python3 tools/bench_pairs.py --base REV --workload NAME \
         --pairs 10 --first-seed 6101 --out BENCH_6.json
 
-Run from the root of the repository.  The base revision is exported with
-`git archive` into a temporary directory; the working tree is the
-change.  Each pair runs `python3 perfbench/run.py --workload NAME
+Run from the root of the repository.  Both sides run from one temporary
+directory, at paths of equal length, so that neither the path nor the
+file system sets a side apart: the base revision is exported there with
+`git archive`, and the change is a copy of the working tree's files, the
+ones `git ls-files --cached --others --exclude-standard` lists, so
+uncommitted edits and new files that git does not ignore are included.
+Each pair runs `python3 perfbench/run.py --workload NAME
 --seed S --seconds 20 --trace 0` once in each tree, the seed
 stepping up by one per pair and the side that runs first alternating, so
 that a drift of the machine's speed falls on both sides alike.
@@ -31,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,11 +47,13 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 SECONDS = 20
+# the two sides' directories, names of one length
+BASE_DIR, CHANGE_DIR = "parent", "change"
 
 
 def export(rev: str, into: Path) -> Path:
-    """The files of revision rev, extracted under into/rev."""
-    dest = into / rev.replace("/", "_")
+    """The files of revision rev, extracted under into/parent."""
+    dest = into / BASE_DIR
     dest.mkdir()
     archive = into / f"{dest.name}.tar"
     with open(archive, "wb") as fh:
@@ -54,6 +61,24 @@ def export(rev: str, into: Path) -> Path:
     with tarfile.open(archive) as tar:
         tar.extractall(dest)
     archive.unlink()
+    return dest
+
+
+def export_worktree(into: Path) -> Path:
+    """The working tree's files that git tracks or would track, copied under
+    into/change.  A tracked file deleted from the working tree is left out."""
+    dest = into / CHANGE_DIR
+    dest.mkdir()
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
     return dest
 
 
@@ -119,7 +144,7 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"base": export(args.base, Path(tmp)), "change": ROOT}
+        trees = {"base": export(args.base, Path(tmp)), "change": export_worktree(Path(tmp))}
         pairs = []
         for i in range(args.pairs):
             seed = args.first_seed + i
