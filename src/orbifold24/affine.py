@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .rootsys import (
     IntWeight,
+    Record,
     RootDatum,
     RootSystemError,
     SimpleType,
@@ -40,13 +41,14 @@ from .rootsys import (
 )
 
 
-class AffineLabel:
+class AffineLabel(Record):
     """An irreducible module of X_{n,k}: dominant weight given by fundamental coefficients.
 
-    Immutable; equality, hash and repr see (type, level, coeffs), not the
-    derived datum and weight_num (the conformal weight over _weight_den)."""
+    _KEY leaves out the derived datum and weight_num (the conformal weight
+    over _weight_den)."""
 
     __slots__ = ("type", "level", "coeffs", "datum", "weight_num")
+    _KEY = ("type", "level", "coeffs")
 
     def __init__(self, type: SimpleType, level: int, coeffs: tuple[int, ...]):
         if level < 1:
@@ -63,26 +65,6 @@ class AffineLabel:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "datum", d)
         object.__setattr__(self, "weight_num", num)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return AffineLabel, (self.type, self.level, self.coeffs)
-
-    def __repr__(self):
-        return f"AffineLabel(type={self.type!r}, level={self.level!r}, coeffs={self.coeffs!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.type, self.level, self.coeffs) == (other.type, other.level, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.type, self.level, self.coeffs))
 
     def __str__(self):
         return f"{self.type},{self.level}:({','.join(map(str, self.coeffs))})"
@@ -197,10 +179,11 @@ def _certificate(m: AffineLabel, x: IntWeight) -> TwistClassification:
     return TwistClassification("negative_violation", val, "zero without witness")
 
 
-class ProductAlgebra:
-    """An ordered tensor product of simple affine factors at positive levels; immutable."""
+class ProductAlgebra(Record):
+    """An ordered tensor product of simple affine factors at positive levels."""
 
     __slots__ = ("factors",)
+    _KEY = ("factors",)
 
     def __init__(self, factors: tuple[tuple[SimpleType, int], ...]):
         if not factors:
@@ -208,26 +191,6 @@ class ProductAlgebra:
         if any(k < 1 for _, k in factors):
             raise RootSystemError("levels must be positive")
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ProductAlgebra, (self.factors,)
-
-    def __repr__(self):
-        return f"ProductAlgebra(factors={self.factors!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     @staticmethod
     def of(*factors) -> "ProductAlgebra":
@@ -269,39 +232,19 @@ class ProductLabel(NamedTuple):
         return "(" + "; ".join(",".join(map(str, m.coeffs)) for m in self.labels) + ")"
 
 
-class HVector:
+class HVector(Record):
     """h in integers: one IntWeight per factor, in the factor's simple-root basis,
     and each factor's root pairings (q, [p_j]), (h|alpha_j) = p_j / q, computed
-    once when the HVector is made.  Immutable; equality, hash and repr see
-    (algebra, ints), not the pairings."""
+    once when the HVector is made.  _KEY leaves out the pairings."""
 
     __slots__ = ("algebra", "ints", "pairings")
+    _KEY = ("algebra", "ints")
 
     def __init__(self, algebra: ProductAlgebra, ints: tuple[IntWeight, ...]):
         pairings = tuple(d.root_pairings(x) for d, x in zip(algebra.data, ints))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "pairings", pairings)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return HVector, (self.algebra, self.ints)
-
-    def __repr__(self):
-        return f"HVector(algebra={self.algebra!r}, ints={self.ints!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.ints) == (other.algebra, other.ints)
-
-    def __hash__(self):
-        return hash((self.algebra, self.ints))
 
     @staticmethod
     def from_fundamental(algebra: ProductAlgebra, coeff_lists) -> "HVector":

@@ -136,21 +136,17 @@ def _coset_ball(digit: int, center5, max_norm) -> list:
     r = isqrt(limit)
     # |m - c| <= r, with m = digit mod 5
     ranges = [range(c - r + (digit - c + r) % 5, c + r + 1, 5) for c in center5[:4]]
+    # the prefixes (m_1..m_i, their n) within the limit, extended one coordinate at a time
+    prefixes = [((), 0)]
+    for c, values in zip(center5, ranges):
+        prefixes = [(p + (m,), n) for p, used in prefixes for m in values
+                    if (n := used + (m - c) ** 2) <= limit]
     ball = []
-
-    def rec(i, ms, used):
-        if i == 4:
-            m = -sum(ms)  # = digit mod 5, as each of the four others is
-            n = used + (m - center5[4]) ** 2
-            if n <= limit:
-                ball.append((tuple(ms) + (m,), n))
-            return
-        for m in ranges[i]:
-            n = used + (m - center5[i]) ** 2
-            if n <= limit:
-                rec(i + 1, ms + [m], n)
-
-    rec(0, [], 0)
+    for p, used in prefixes:
+        m = -sum(p)  # = digit mod 5, as each of the four others is
+        n = used + (m - center5[4]) ** 2
+        if n <= limit:
+            ball.append((p + (m,), n))
     ball.sort()
     return ball
 

@@ -45,7 +45,8 @@ from math import lcm
 from operator import add, mul, neg
 from typing import TYPE_CHECKING, NamedTuple
 
-from .rootsys import IntWeight, MAX_RANK, RootSystemError, SimpleType, build_root_datum, scaled_gram
+from .rootsys import (IntWeight, MAX_RANK, Record, RootSystemError, SimpleType, build_root_datum,
+                      scaled_gram)
 
 if TYPE_CHECKING:  # named in annotations only, so loading orbifold leaves affine unloaded
     from .affine import HVector, ProductAlgebra
@@ -106,37 +107,18 @@ def _shape_sort_key(ideal):
     return (t.letter, t.rank, k)
 
 
-class SemisimpleShape:
+class SemisimpleShape(Record):
     """A multiset of simple ideals with levels, plus an abelian center.
 
-    Immutable; the ideals are kept sorted by (letter, rank, level), so two
-    shapes are equal when their multisets and centers are."""
+    The ideals are kept sorted by (letter, rank, level), so two shapes are
+    equal when their multisets and centers are."""
 
     __slots__ = ("ideals", "center_dim")
+    _KEY = ("ideals", "center_dim")
 
     def __init__(self, ideals: tuple[tuple[SimpleType, int], ...], center_dim: int = 0):
         object.__setattr__(self, "ideals", tuple(sorted(ideals, key=_shape_sort_key)))
         object.__setattr__(self, "center_dim", center_dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SemisimpleShape, (self.ideals, self.center_dim)
-
-    def __repr__(self):
-        return f"SemisimpleShape(ideals={self.ideals!r}, center_dim={self.center_dim!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ideals, self.center_dim) == (other.ideals, other.center_dim)
-
-    def __hash__(self):
-        return hash((self.ideals, self.center_dim))
 
     @property
     def dim(self) -> int:
@@ -269,17 +251,15 @@ def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
 # invariant form: (x|y) = x.row(y) / den.
 
 
-def _simple_indices(vecs) -> list[int]:
-    """Indices of the simple roots of a root set, in increasing order of the
-    vectors: the positive roots (first non-zero coordinate positive, the
-    order induced by a generic linear functional) that are not a difference
-    of two positive roots.
+def _keys(vecs) -> list[int]:
+    """Integer keys of integer vectors: a vector's coordinates, first
+    coordinate most significant, read as the digits of a number in balanced
+    base 4m + 1, m the largest absolute coordinate.
 
-    The test runs on integer keys: a vector's coordinates, first coordinate
-    most significant, read as the digits of a number in balanced base
-    4m + 1, m the largest absolute coordinate.  The difference of two roots
-    has digits of absolute value at most 2m, so it too has a unique key; a
-    key is positive exactly when its vector is, and keys order as vectors do.
+    The key is linear.  A difference of two of the vectors has digits of
+    absolute value at most 2m, so it too has a unique key; a key is positive
+    exactly when its vector's first non-zero coordinate is, and keys order
+    as vectors do.
     """
     base = 4 * max(abs(c) for v in vecs for c in v) + 1
     keys = []
@@ -288,7 +268,16 @@ def _simple_indices(vecs) -> list[int]:
         for c in v:
             key = key * base + c
         keys.append(key)
-    positive = {key: i for i, key in enumerate(keys) if key > 0}
+    return keys
+
+
+def _simple_indices(vecs) -> list[int]:
+    """Indices of the simple roots of a root set, in increasing order of the
+    vectors: the positive roots (first non-zero coordinate positive, the
+    order induced by a generic linear functional) that are not a difference
+    of two positive roots, tested on their `_keys`.
+    """
+    positive = {key: i for i, key in enumerate(_keys(vecs)) if key > 0}
     return [
         i for key, i in sorted(positive.items())
         if not any(key - p in positive for p in positive)
@@ -467,19 +456,12 @@ def _root_keys(t: SimpleType):
     """Integer keys of the roots of a type, the key -> index map and the
     indices of the positive roots, cached.
 
-    A root's key is its root coordinates read as the digits of a number in
-    balanced base 2m+1, m the largest absolute coordinate.  The key is linear
-    and one-to-one on roots, so the reflection s_b x = x - c b, with
-    c = 2(x|b)/(b|b), is the root whose key is key(x) - c * key(b).
+    The `_keys` of the roots are linear and one-to-one on roots, so the
+    reflection s_b x = x - c b, with c = 2(x|b)/(b|b), is the root whose key
+    is key(x) - c * key(b).
     """
     roots = build_root_datum(t).iroots
-    base = 2 * max(abs(c) for r in roots for c in r) + 1
-    keys = []
-    for r in roots:
-        key = 0
-        for c in reversed(r):
-            key = key * base + c
-        keys.append(key)
+    keys = _keys(roots)
     positive = [i for i, r in enumerate(roots) if sum(r) > 0]
     return keys, {key: i for i, key in enumerate(keys)}, positive
 

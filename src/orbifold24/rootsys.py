@@ -60,6 +60,12 @@ the Fraction form as their oracle.  The
 `Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
 `fundamental_weights`, `rho` and `theta` are derived on each access.
 
+`Fields` and `Record` are the base classes of the package's value types:
+`Fields` gives `__repr__` and `__eq__` over the attribute names in a class's
+`_KEY`, which are also its constructor's positional arguments, and
+`Record` makes a slotted type immutable, picklable and hashable on the
+same names.  `SimpleType` is the first `Record`.
+
 Simple-root numbering follows the Bourbaki tables, which is also the
 numbering used by the explicit Gram matrices this package has to match
 (E6: chain 1-3-4-5-6 with node 2 on node 4, D_n: fork at the far end,
@@ -71,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -146,11 +152,55 @@ def _bareiss_inverse(M: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev, [row[n:] for row in A]
 
 
-class SimpleType:
-    """A simple Lie type X_n, e.g. SimpleType('D', 7): immutable, hashable
-    and ordered by (letter, rank)."""
+class Fields:
+    """__repr__ and __eq__ over the fields named in a subclass's _KEY, which
+    are also the constructor's positional arguments.  A class that defines
+    __eq__ gets __hash__ = None, so a subclass is unhashable unless it is a
+    Record."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_KEY" in vars(cls):
+            # x._key(x) is the tuple of x's _KEY fields (the field itself when
+            # there is one), read in C: as fast as a written-out tuple
+            cls._key = attrgetter(*cls._KEY)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._KEY)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+
+class Record(Fields):
+    """An immutable Fields: it refuses assignment and deletion, pickles and
+    copies by its constructor, and hashes its _KEY fields.  Its __init__ sets
+    each slot once with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self._KEY)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+class SimpleType(Record):
+    """A simple Lie type X_n, e.g. SimpleType('D', 7), ordered by (letter, rank)."""
 
     __slots__ = ("letter", "rank")
+    _KEY = ("letter", "rank")
 
     def __init__(self, letter: str, rank: int):
         ok = (
@@ -168,45 +218,25 @@ class SimpleType:
         object.__setattr__(self, "letter", letter)
         object.__setattr__(self, "rank", rank)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SimpleType, (self.letter, self.rank)
-
-    def __repr__(self):
-        return f"SimpleType(letter={self.letter!r}, rank={self.rank!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letter, self.rank) == (other.letter, other.rank)
-
-    def __hash__(self):
-        return hash((self.letter, self.rank))
-
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.letter, self.rank) < (other.letter, other.rank)
+        return self._key(self) < other._key(other)
 
     def __le__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.letter, self.rank) <= (other.letter, other.rank)
+        return self._key(self) <= other._key(other)
 
     def __gt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.letter, self.rank) > (other.letter, other.rank)
+        return self._key(self) > other._key(other)
 
     def __ge__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.letter, self.rank) >= (other.letter, other.rank)
+        return self._key(self) >= other._key(other)
 
     @staticmethod
     def parse(s: str) -> "SimpleType":

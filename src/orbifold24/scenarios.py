@@ -35,23 +35,22 @@ from .orbifold import (
     verlinde_simple_current,
 )
 from .qseries import dimension_identities
-from .rootsys import SimpleType, dominates, neg_dominant
+from .rootsys import Fields, SimpleType, dominates, neg_dominant
 
 
 class ScenarioError(ValueError):
     pass
 
 
-class Scenario:
+class Scenario(Fields):
     """One order-2 inner twist and the expected outcome of every stage.
 
-    Mutable and unhashable; two scenarios are equal when all their fields
-    are, and assumptions and notes default to new empty lists."""
+    Mutable; assumptions and notes default to new empty lists."""
 
-    _FIELDS = ("name", "algebra", "h", "expect_h_norm", "expect_fixed", "expect_fixed_dim",
-               "expect_new_dim", "expect_shape", "table_max_weight", "table_weights",
-               "expect_table_counts", "base_weights", "expect_twisted_seed", "lattice",
-               "assumptions", "notes")
+    _KEY = ("name", "algebra", "h", "expect_h_norm", "expect_fixed", "expect_fixed_dim",
+            "expect_new_dim", "expect_shape", "table_max_weight", "table_weights",
+            "expect_table_counts", "base_weights", "expect_twisted_seed", "lattice",
+            "assumptions", "notes")
 
     def __init__(
         self,
@@ -88,16 +87,6 @@ class Scenario:
         self.lattice = lattice
         self.assumptions = [] if assumptions is None else assumptions
         self.notes = [] if notes is None else notes
-
-    def __repr__(self):
-        return f"Scenario({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return [getattr(self, n) for n in self._FIELDS] == [getattr(other, n) for n in self._FIELDS]
-
-    __hash__ = None
 
 
 # every key parse_scenario reads; any other key is a typo that would skip checks
@@ -240,9 +229,10 @@ class CheckResult(NamedTuple):
         return self.expected == self.actual
 
 
-class Report:
-    """The checks of one scenario run, and the error that stopped it, if any.
-    Mutable and unhashable; two reports are equal when all their fields are."""
+class Report(Fields):
+    """The checks of one scenario run, and the error that stopped it, if any; mutable."""
+
+    _KEY = ("scenario", "checks", "assumptions", "notes", "error")
 
     def __init__(self, scenario: str, checks: list, assumptions: list, notes: list,
                  error: str | None = None):
@@ -251,18 +241,6 @@ class Report:
         self.assumptions = assumptions
         self.notes = notes
         self.error = error
-
-    def __repr__(self):
-        return (f"Report(scenario={self.scenario!r}, checks={self.checks!r}, "
-                f"assumptions={self.assumptions!r}, notes={self.notes!r}, error={self.error!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.scenario, self.checks, self.assumptions, self.notes, self.error)
-                == (other.scenario, other.checks, other.assumptions, other.notes, other.error))
-
-    __hash__ = None
 
     @property
     def passed(self) -> bool:
@@ -337,11 +315,16 @@ def derive_seeds(sc: Scenario):
     return shape, seeds, psi
 
 
+def _check(name: str, claim, holds: bool, otherwise) -> CheckResult:
+    """The check `name` of the claim: it reads the claim when it holds, and
+    the text of `otherwise` when not."""
+    claim = str(claim)
+    return CheckResult(name, claim, claim if holds else str(otherwise))
+
+
 def run_scenario(sc: Scenario) -> Report:
     checks: list[CheckResult] = []
-    add = lambda name, expected, actual: checks.append(
-        CheckResult(name, str(expected), str(actual))
-    )
+    add = checks.append
 
     try:
         a, h = sc.algebra, sc.h
@@ -350,15 +333,15 @@ def run_scenario(sc: Scenario) -> Report:
 
         # order 2: all root pairings (h|alpha) are half-integral, at least one strictly;
         # parse_scenario rejects any other h, so this guards scenarios built in code
-        add("order-two-pairings", "half-integral with a strict value",
-            _order_two_fault(a, h) or "half-integral with a strict value")
+        fault = _order_two_fault(a, h)
+        add(_check("order-two-pairings", "half-integral with a strict value", not fault, fault))
 
         # assumption for the twisted lowest-weight theory: (h|alpha) >= -1
-        add("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
-            "(h|alpha) >= -1 on all roots" if all(p >= -q for q, ps in h.pairings for p in ps)
-            else "violated")
+        add(_check("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
+                   all(p >= -q for q, ps in h.pairings for p in ps), "violated"))
 
-        add("h-norm", sc.expect_h_norm, h.norm_invariant())
+        norm = h.norm_invariant()
+        add(_check("h-norm", sc.expect_h_norm, norm == sc.expect_h_norm, norm))
 
         # integral-weight module table
         if sc.table_max_weight is not None:
@@ -367,17 +350,18 @@ def run_scenario(sc: Scenario) -> Report:
             for _, w in table:
                 counts[w] = counts.get(w, 0) + 1
             fmt = lambda cs: " ".join(f"{w}:{n}" for w, n in sorted(cs.items()))
-            add("module-table", fmt(sc.expect_table_counts), fmt(counts))
+            add(_check("module-table", fmt(sc.expect_table_counts),
+                       counts == sc.expect_table_counts, fmt(counts)))
             labels = [lbl for lbl, _ in table]
             if sc.table_weights is not None:
                 labels.append(_vacuum_label(a))
-            add("spectrum-half-integral", True, spectrum_half_integral(a, h, labels))
+            add(_check("spectrum-half-integral", True, spectrum_half_integral(a, h, labels), False))
 
             # no module may reach twisted weight 1/2, so the half-graded part is 0
             low = min(product_twisted_lowest(lbl, h) for lbl in labels)
             half_excluded = low > Fraction(1, 2)
-            add("twisted-weights-exclude-half", "minimum > 1/2",
-                "minimum > 1/2" if half_excluded else f"minimum {low}")
+            add(_check("twisted-weights-exclude-half", "minimum > 1/2", half_excluded,
+                       f"minimum {low}"))
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
             doms = [neg_dominant(d, x).times(k) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
@@ -385,24 +369,24 @@ def run_scenario(sc: Scenario) -> Report:
                 all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
                 for lbl in labels
             )
-            add("cartan-weight-exclusion", "-k.h is not a module weight",
-                "-k.h is not a module weight" if not occurs else "occurs in some module")
+            add(_check("cartan-weight-exclusion", "-k.h is not a module weight", not occurs,
+                       "occurs in some module"))
 
         # twisted lowest weights of every module of every factor are >= 0
         bad = [(str(m), c.kind) for m, c in module_certificates(a, h)
                if c.kind not in ("positive", "zero_with_witness")]
-        add("twisted-nonnegativity", "all factor modules nonnegative",
-            "all factor modules nonnegative" if not bad else f"violations: {bad[:3]}")
+        add(_check("twisted-nonnegativity", "all factor modules nonnegative", not bad,
+                   f"violations: {bad[:3]}"))
 
         # fixed-point subalgebra and the seeds used for identification
         shape, seeds, psi = derive_seeds(sc)
-        add("fixed-shape", sc.expect_fixed, shape)
-        add("fixed-dim", sc.expect_fixed_dim, shape.dim)
+        add(_check("fixed-shape", sc.expect_fixed, shape == sc.expect_fixed, shape))
+        add(_check("fixed-dim", sc.expect_fixed_dim, shape.dim == sc.expect_fixed_dim, shape.dim))
         if psi is not None:
             exp_t, exp_k, exp_n = sc.expect_twisted_seed
-            add("twisted-subsystem",
-                f"{exp_t},{exp_k} with {exp_n} roots",
-                f"{psi.type},{psi.level} with {len(psi.roots)} roots")
+            got = f"{psi.type},{psi.level} with {len(psi.roots)} roots"
+            want = f"{exp_t},{exp_k} with {exp_n} roots"
+            add(_check("twisted-subsystem", want, got == want, got))
 
         # the lattice checks bound the twisted sectors' lowest weights, which
         # the dimension formula needs; they are reported after it
@@ -414,26 +398,28 @@ def run_scenario(sc: Scenario) -> Report:
         # the dimension formula, closed form cross-checked against the series
         # route; the half-graded part is 0 only where a check above proved it
         new_dim, _ = dimension_identities(a.dim, shape.dim, 0)
-        add("dimension-formula", sc.expect_new_dim,
-            new_dim if half_excluded else
-            f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
-            " every twisted weight > 1/2")
+        add(_check("dimension-formula", sc.expect_new_dim,
+                   half_excluded and new_dim == sc.expect_new_dim,
+                   new_dim if half_excluded else
+                   f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
+                   " every twisted weight > 1/2"))
         checks.extend(lattice_checks)
 
         # identification of the new weight-one algebra
         found = identify(a.rank, new_dim, [(s.type, s.level) for s in seeds])
-        add("identification", f"unique {sc.expect_shape}",
-            "unique " + str(found[0]) if len(found) == 1 else f"{len(found)} shapes: "
-            + "; ".join(map(str, found)))
+        add(_check("identification", f"unique {sc.expect_shape}", found == [sc.expect_shape],
+                   "unique " + str(found[0]) if len(found) == 1 else f"{len(found)} shapes: "
+                   + "; ".join(map(str, found))))
 
         # the four-module fusion algebra behind the extension
         for a_sign in (1, -1):
             try:
                 verlinde_simple_current(a_sign)
-                add(f"simple-current(a={a_sign:+d})", "fusion is a simple current",
-                    "fusion is a simple current")
+                fault = None
             except OrbifoldError as exc:
-                add(f"simple-current(a={a_sign:+d})", "fusion is a simple current", str(exc))
+                fault = exc
+            add(_check(f"simple-current(a={a_sign:+d})", "fusion is a simple current",
+                       fault is None, fault))
     except Exception as exc:  # a stage that raises is an error, not a failed check
         return Report(sc.name, checks, sc.assumptions, sc.notes, error=f"{type(exc).__name__}: {exc}")
 
@@ -442,16 +428,15 @@ def run_scenario(sc: Scenario) -> Report:
 
 def _lattice_checks(sc: Scenario):
     checks = []
-    add = lambda name, expected, actual: checks.append(
-        CheckResult(name, str(expected), str(actual))
-    )
+    add = checks.append
     N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
-    add("glue-code-order", 125, len(N.glue))
-    add("lattice-roots", 120, len(N.roots()))
+    add(_check("glue-code-order", 125, len(N.glue) == 125, len(N.glue)))
+    roots = len(N.roots())
+    add(_check("lattice-roots", 120, roots == 120, roots))
     h = lat.inner_h()  # H_DEN h, which is also 2h as a lattice vector
-    add("lattice-h-norm", sc.expect_h_norm, Fraction(lat.dot(h, h), lat.H_DEN**2))
-    add("lattice-h-membership", "2h in the lattice",
-        "2h in the lattice" if N.contains(h) else "missing")
+    norm = Fraction(lat.dot(h, h), lat.H_DEN**2)
+    add(_check("lattice-h-norm", sc.expect_h_norm, norm == sc.expect_h_norm, norm))
+    add(_check("lattice-h-membership", "2h in the lattice", N.contains(h), "missing"))
     adds = []
     for eps in (1, -1):
         for r in (1, 2):
@@ -462,20 +447,17 @@ def _lattice_checks(sc: Scenario):
             adds.append((eps, r, Fraction(lat.dot(d, d), 25),
                          Fraction(lat.dot(h[:5], d), 5 * lat.H_DEN), len(S), cnt,
                          sorted(S) == weights))
-    add("shift-vectors", "norm 2/5, orthogonal to h, all four sectors",
-        "norm 2/5, orthogonal to h, all four sectors"
-        if all(n == Fraction(2, 5) and p == 0 for _, _, n, p, _, _, _ in adds)
-        else str(adds))
-    add("shifted-minimal-sets", "5 vectors in each of 4 sectors",
-        "5 vectors in each of 4 sectors" if all(s == 5 for *_, s, _, _ in adds)
-        else str([s for *_, s, _, _ in adds]))
-    add("twisted-weight-one", "dimension 5 per sector, weights match",
-        "dimension 5 per sector, weights match"
-        if all(c == 5 and m for *_, c, m in adds) else str(adds))
-    add("twist-anomaly", Fraction(4, 5), lat.twist_anomaly(5, [4, 4, 4, 4]))
+    add(_check("shift-vectors", "norm 2/5, orthogonal to h, all four sectors",
+               all(n == Fraction(2, 5) and p == 0 for _, _, n, p, _, _, _ in adds), adds))
+    add(_check("shifted-minimal-sets", "5 vectors in each of 4 sectors",
+               all(s == 5 for *_, s, _, _ in adds), [s for *_, s, _, _ in adds]))
+    add(_check("twisted-weight-one", "dimension 5 per sector, weights match",
+               all(c == 5 and m for *_, c, m in adds), adds))
+    anomaly = lat.twist_anomaly(5, [4, 4, 4, 4])
+    add(_check("twist-anomaly", Fraction(4, 5), anomaly == Fraction(4, 5), anomaly))
     mn = lat.min_norm_shifted(N, h, 4)
-    add("shifted-norm-minimum", "minimum >= 6/5",
-        f"minimum >= 6/5" if mn is not None and mn >= Fraction(6, 5) else f"minimum {mn}")
+    add(_check("shifted-norm-minimum", "minimum >= 6/5",
+               mn is not None and mn >= Fraction(6, 5), f"minimum {mn}"))
     sector_mins = [
         Fraction(4, 5) + lat.twisted_sector_min_shift(h, eps, r) / 2
         for eps in (1, -1)
@@ -484,16 +466,14 @@ def _lattice_checks(sc: Scenario):
     untwisted_min = mn / 2  # weight of a pure lattice vector under the twist
     overall = min([untwisted_min] + sector_mins)
     sectors_above_half = min(sector_mins) > Fraction(1, 2)
-    add("twisted-minimum-weight", "1 (vacuum) with all sectors > 1/2",
-        "1 (vacuum) with all sectors > 1/2"
-        if sectors_above_half and untwisted_min >= 1 and overall >= 1
-        else f"untwisted {untwisted_min}, sectors {sector_mins}")
+    add(_check("twisted-minimum-weight", "1 (vacuum) with all sectors > 1/2",
+               sectors_above_half and untwisted_min >= 1 and overall >= 1,
+               f"untwisted {untwisted_min}, sectors {sector_mins}"))
     shape = fixed_shape_A45(h)
-    add("lattice-fixed-shape", sc.expect_fixed, shape)
+    add(_check("lattice-fixed-shape", sc.expect_fixed, shape == sc.expect_fixed, shape))
     # the distinguished weight -h is absent from both untwisted and twisted spectra
-    add("cartan-weight-exclusion", "-h is not a spectrum weight",
-        "-h is not a spectrum weight" if not lat.in_projected_lattice(tuple(-x for x in h))
-        else "occurs")
+    add(_check("cartan-weight-exclusion", "-h is not a spectrum weight",
+               not lat.in_projected_lattice(tuple(-x for x in h)), "occurs"))
     return checks, sectors_above_half
 
 

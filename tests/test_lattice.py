@@ -290,6 +290,18 @@ def test_class_ball_negative_bound_is_empty():
         assert a4_class_ball(g, GLUE_REP, -1) == []
 
 
+def test_coset_ball_leaves_no_reference_cycles():
+    # a self-calling nested function left a cycle per call: 111 objects here
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert lattice._coset_ball(0, lattice.ZERO5, 4)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4), _centers())
 @example(0, ZERO)

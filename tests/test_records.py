@@ -2,12 +2,14 @@
 hash, ordering, immutability and repr, pinned as the program relies on them."""
 
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from orbifold24 import affine, orbifold, qseries, rootsys, scenarios
 from orbifold24.affine import (
     AffineLabel,
     HVector,
@@ -17,7 +19,7 @@ from orbifold24.affine import (
 )
 from orbifold24.orbifold import SeedSubalgebra, SemisimpleShape
 from orbifold24.qseries import CharacterFit, QSeries
-from orbifold24.rootsys import MAX_RANK, RootSystemError, SimpleType
+from orbifold24.rootsys import MAX_RANK, Fields, Record, RootSystemError, SimpleType
 from orbifold24.scenarios import CheckResult, Report, Scenario
 
 A1, G2, A3 = SimpleType("A", 1), SimpleType("G", 2), SimpleType("A", 3)
@@ -237,3 +239,28 @@ def test_reprs():
                                   "SemisimpleShape"])
 def test_records_told_from_tuples_are_not_tuples(name):
     assert not isinstance(frozen_records()[name], tuple)
+
+
+RECORD_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__repr__", "__eq__", "__hash__"}
+
+
+def package_classes():
+    """The classes the record-defining modules define, NamedTuples aside:
+    collections writes their methods."""
+    return [c for m in (rootsys, affine, orbifold, qseries, scenarios)
+            for c in vars(m).values()
+            if inspect.isclass(c) and c.__module__ == m.__name__ and not issubclass(c, tuple)]
+
+
+def test_record_methods_live_in_fields_and_record():
+    # QSeries compares only the known part of two series, so it keeps its own
+    owners = {c.__name__ for c in package_classes() if RECORD_METHODS & set(vars(c))}
+    assert owners == {"Fields", "Record", "QSeries"}
+
+
+def test_every_record_type_is_in_the_contract_tests():
+    records = {c.__name__ for c in package_classes() if issubclass(c, Record) and c is not Record}
+    assert records == {"SimpleType", "AffineLabel", "ProductAlgebra", "HVector", "SemisimpleShape"}
+    assert records <= set(FIELDS)
+    assert {c.__name__ for c in package_classes() if issubclass(c, Fields)} == \
+        records | {"Fields", "Record", "Scenario", "Report"}
