@@ -86,19 +86,13 @@ def _modules(t: SimpleType, k: int) -> tuple[AffineLabel, ...]:
     if k < 1:
         raise RootSystemError("level must be a positive integer")
     d = build_root_datum(t)
-    # (theta | lambda) = sum_i c_i (theta | Lambda_i), the integer comarks
-    marks = d.comarks
-    labels = []
-
-    def rec(idx, budget, acc):
-        if idx == d.rank:
-            labels.append(AffineLabel(t, k, tuple(acc)))
-            return
-        for c in range(budget // marks[idx] + 1):
-            rec(idx + 1, budget - c * marks[idx], acc + [c])
-
-    rec(0, k, [])
-    return tuple(labels)
+    # (theta | lambda) = sum_i c_i (theta | Lambda_i), the integer comarks; the
+    # coefficient prefixes carry the level they leave, extended one coordinate at a time
+    prefixes = [((), k)]
+    for mark in d.comarks:
+        prefixes = [(p + (c,), budget - c * mark) for p, budget in prefixes
+                    for c in range(budget // mark + 1)]
+    return tuple(AffineLabel(t, k, p) for p, _ in prefixes)
 
 
 def enumerate_modules(t: SimpleType, k: int) -> list[AffineLabel]:

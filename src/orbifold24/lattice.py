@@ -21,7 +21,9 @@ sets: the vectors of bounded norm and the roots, the shifted minimal sets
 and the twisted weight-one weights.  The twisted weight-one search and the
 twist anomaly run in integers too.
 
-The norm <= 4 vectors are 193 801 acyclic tuples.  The cyclic collector is
+The norm <= 4 vectors are 193 801 acyclic tuples, each a three-block
+prefix joined to one of a glue word's lists of three-block suffixes, which
+`_enumerate` builds per word and budget.  The cyclic collector is
 paused while they are built, and then, unless the caller had the collector
 disabled or has frozen objects of its own, `_enumerate` hands them to the
 oldest generation with `gc.freeze()` and `gc.unfreeze()`, so the collector
@@ -295,11 +297,13 @@ class NiemeierLattice:
 
         Each glue digit's coset ball is enumerated once, at the full bound,
         with every block's norm in units of 1/25.  The blocks under a budget
-        are a slice of that sorted ball, so the four nested loops over blocks
-        0-3 only add integers, and vectors share their block objects.  Blocks
-        4-5 come from a list of (b4, b5) pairs, one per (digit4, digit5,
-        budget), so each vector is one tuple concatenation.  No closure here
-        refers to itself, so the call's caches are freed when it returns.
+        are a slice of that sorted ball, so the three nested loops over blocks
+        0-2 only add integers, and vectors share their block objects.  Blocks
+        3-5 come from a list of (b3, b4, b5) triples within the remaining
+        budget, built on first use in a dict that lives for one glue word (no
+        two words share their last three digits), so each vector is one tuple
+        concatenation.  No closure here refers to itself, so the call's caches
+        are freed when it returns.
 
         The output is acyclic, so no collection can free any of it, and each
         pass of the cyclic collector over it is wasted.  The collector is
@@ -325,14 +329,6 @@ class NiemeierLattice:
         def fitting(g, budget):
             return [(b, n) for b, n in balls[g] if n <= budget]
 
-        @lru_cache(maxsize=None)
-        def pairs(g4, g5, budget):
-            return [
-                (b4, b5)
-                for b4, n4 in fitting(g4, budget - min_norm[g5])
-                for b5, _ in fitting(g5, budget - n4)
-            ]
-
         out = []
         # the output holds no reference cycles: a collection can only rescan it
         gc_was_enabled = gc.isenabled()
@@ -345,15 +341,23 @@ class NiemeierLattice:
                 tail = [*accumulate(min_norm[g] for g in word[::-1])][::-1] + [0]
                 if tail[0] > limit:
                     continue
-
+                g3, g4, g5 = word[3], word[4], word[5]
+                # the (b3, b4, b5) lists of this word's last three digits, by budget
+                suffixes = {}
                 for b0, n0 in fitting(word[0], limit - tail[1]):
                     for b1, n1 in fitting(word[1], limit - n0 - tail[2]):
                         u1 = n0 + n1
                         for b2, n2 in fitting(word[2], limit - u1 - tail[3]):
-                            u2 = u1 + n2
-                            for b3, n3 in fitting(word[3], limit - u2 - tail[4]):
-                                pairs45 = pairs(word[4], word[5], limit - u2 - n3)
-                                out.extend(map((b0, b1, b2, b3).__add__, pairs45))
+                            budget = limit - u1 - n2
+                            triples = suffixes.get(budget)
+                            if triples is None:
+                                triples = suffixes[budget] = [
+                                    (b3, b4, b5)
+                                    for b3, n3 in fitting(g3, budget - tail[4])
+                                    for b4, n4 in fitting(g4, budget - n3 - tail[5])
+                                    for b5, _ in fitting(g5, budget - n3 - n4)
+                                ]
+                            out.extend(map((b0, b1, b2).__add__, triples))
         finally:
             if gc_was_enabled:
                 # hand all to the oldest generation; unfreeze would thaw a caller's frozen objects

@@ -185,30 +185,28 @@ def _cartan_permutation_match(C, target) -> bool:
     tgt_prof = [row_profile(target, i) for i in range(n)]
     if sorted(src_prof) != sorted(tgt_prof):
         return False
-    assignment = [-1] * n
-    used = [False] * n
+    return _extend_match(C, target, src_prof, tgt_prof, [])
 
-    def rec(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or src_prof[j] != tgt_prof[i]:
-                continue
-            ok = True
-            for i2 in range(i):
-                j2 = assignment[i2]
-                if C[j][j2] != target[i][i2] or C[j2][j] != target[i2][i]:
-                    ok = False
-                    break
-            if ok:
-                used[j] = True
-                assignment[i] = j
-                if rec(i + 1):
-                    return True
-                used[j] = False
-        return False
 
-    return rec(0)
+def _extend_match(C, target, src_prof, tgt_prof, assignment) -> bool:
+    """Whether the partial match `assignment`, the index of C given to each of
+    target's first indices, extends to a full one; its state is passed, not
+    closed over, so the search leaves no reference cycle."""
+    i = len(assignment)
+    if i == len(C):
+        return True
+    for j in range(len(C)):
+        if j in assignment or src_prof[j] != tgt_prof[i]:
+            continue
+        for i2, j2 in enumerate(assignment):
+            if C[j][j2] != target[i][i2] or C[j2][j] != target[i2][i]:
+                break
+        else:
+            assignment.append(j)
+            if _extend_match(C, target, src_prof, tgt_prof, assignment):
+                return True
+            assignment.pop()
+    return False
 
 
 def _cartan_matrix(gram) -> list[list[int]]:

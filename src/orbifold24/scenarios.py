@@ -355,13 +355,16 @@ def run_scenario(sc: Scenario) -> Report:
             labels = [lbl for lbl, _ in table]
             if sc.table_weights is not None:
                 labels.append(_vacuum_label(a))
-            add(_check("spectrum-half-integral", True, spectrum_half_integral(a, h, labels), False))
+            # the twisted weights n + (h|mu) + <h|h>/2 lie in Z/2 only if <h|h> is an integer
+            half_integral = norm.denominator == 1 and spectrum_half_integral(a, h, labels)
+            add(_check("spectrum-half-integral", True, half_integral, False))
 
             # no module may reach twisted weight 1/2, so the half-graded part is 0
             low = min(product_twisted_lowest(lbl, h) for lbl in labels)
-            half_excluded = low > Fraction(1, 2)
-            add(_check("twisted-weights-exclude-half", "minimum > 1/2", half_excluded,
+            above_half = low > Fraction(1, 2)
+            add(_check("twisted-weights-exclude-half", "minimum > 1/2", above_half,
                        f"minimum {low}"))
+            half_excluded = half_integral and above_half
 
             # the distinguished Cartan weight -sum k_i h_i must not occur in V
             doms = [neg_dominant(d, x).times(k) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
@@ -402,7 +405,7 @@ def run_scenario(sc: Scenario) -> Report:
                    half_excluded and new_dim == sc.expect_new_dim,
                    new_dim if half_excluded else
                    f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
-                   " every twisted weight > 1/2"))
+                   " a half-integral grading with every twisted weight > 1/2"))
         checks.extend(lattice_checks)
 
         # identification of the new weight-one algebra

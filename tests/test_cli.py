@@ -428,6 +428,31 @@ def test_dimension_formula_fails_unless_half_graded_part_is_proved_zero(text):
     assert dim.actual.startswith("unproven: 168 assumes dim V_1/2 = 0")
 
 
+def test_dimension_formula_needs_an_integral_h_norm():
+    # <h|h> = 3/2 puts every twisted weight in 3/4 + Z/2, so the grading is
+    # not half-integral, though every table label's spectrum is
+    from orbifold24.scenarios import run_scenario
+
+    edits = {
+        "h": "0 0 0 0 0 0 | 0 1/2 | 0 1/2 | 0 1/2",
+        "expect_h_norm": "3/2",
+        "expect_fixed": "E6,3 A1,1^3 A1,3^3",
+        "expect_fixed_dim": "96",
+        "expect_new_dim": "192",
+    }
+    lines = []
+    for line in (SCENARIOS / "m1.scn").read_text().splitlines(keepends=True):
+        key = line.partition(":")[0]
+        if key not in ("base_weights", "expect_twisted_seed"):
+            lines.append(f"{key}: {edits[key]}\n" if key in edits else line)
+    checks = {c.name: c for c in run_scenario(parse_scenario("".join(lines))).checks}
+    passing = ("h-norm", "module-table", "twisted-weights-exclude-half", "fixed-shape", "fixed-dim")
+    assert all(checks[name].ok for name in passing)
+    assert not checks["spectrum-half-integral"].ok
+    dim = checks["dimension-formula"]
+    assert not dim.ok and dim.actual.startswith("unproven: 192 ")
+
+
 def test_lattice_value_must_be_true_or_false(tmp_path):
     # a typo in the value would otherwise skip every lattice check
     text = (SCENARIOS / "m5.scn").read_text()

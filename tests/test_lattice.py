@@ -19,7 +19,7 @@ from fraction_oracle import (
     projected_form_ok,
     vec_dot,
 )
-from orbifold24 import lattice
+from orbifold24 import affine, lattice
 from orbifold24.lattice import (
     A4_SIMPLE,
     BETA5,
@@ -43,8 +43,8 @@ from orbifold24.lattice import (
     twisted_sector_min_shift,
     twisted_weight_one,
 )
-from orbifold24.orbifold import SemisimpleShape
-from orbifold24.rootsys import _to_integral
+from orbifold24.orbifold import SemisimpleShape, _cartan_permutation_match
+from orbifold24.rootsys import SimpleType, _to_integral, build_root_datum
 from orbifold24.scenarios import fixed_shape_A45
 
 F = Fraction
@@ -290,13 +290,30 @@ def test_class_ball_negative_bound_is_empty():
         assert a4_class_ball(g, GLUE_REP, -1) == []
 
 
-def test_coset_ball_leaves_no_reference_cycles():
-    # a self-calling nested function left a cycle per call: 111 objects here
+def _cold_e8_level_3_modules(N):
+    affine._modules.cache_clear()
+    return affine._modules(SimpleType("E", 8), 3)
+
+
+def _d7_cartan_matches_itself(N):
+    C = build_root_datum(SimpleType("D", 7)).cartan
+    return _cartan_permutation_match(C, C)
+
+
+# a self-calling nested function left a cycle per call: 111 objects after the
+# coset ball, 9 after the E8 modules and 28 after the D7 match
+@pytest.mark.parametrize("call", [
+    lambda N: lattice._coset_ball(0, lattice.ZERO5, 4),
+    lambda N: N.vectors_of_norm_at_most(4),
+    _cold_e8_level_3_modules,
+    _d7_cartan_matches_itself,
+], ids=["coset-ball", "norm-4-vectors", "e8-modules", "cartan-match"])
+def test_search_leaves_no_reference_cycles(N, call):
     was = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        assert lattice._coset_ball(0, lattice.ZERO5, 4)
+        assert call(N)
         assert gc.collect() == 0
     finally:
         (gc.enable if was else gc.disable)()
@@ -468,7 +485,16 @@ def test_enumeration_matches_per_prefix_oracle(N):
 
 
 @pytest.mark.parametrize(
-    "word", [(0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 1, 4, 4, 1), (0, 0, 1, 2, 3, 4)]
+    "word",
+    [
+        (0, 0, 0, 0, 0, 0),
+        (0, 1, 1, 1, 1, 1),
+        (1, 0, 1, 4, 4, 1),
+        (0, 0, 1, 2, 3, 4),
+        # last three digits distinct and non-zero
+        (0, 1, 0, 4, 3, 2),
+        (0, 2, 0, 3, 1, 4),
+    ],
 )
 def test_norm4_word_matches_per_prefix_oracle(N, norm4_by_word, word):
     assert word in N.glue
@@ -544,7 +570,7 @@ def test_enumeration_pauses_the_collector(N):
 
 
 def test_enumeration_leaves_no_cache_cycles():
-    # each call's fitting and pairs caches must go with the call, without
+    # each call's fitting cache and suffix lists must go with the call, without
     # waiting for a cyclic collection
     wrapper = type(lru_cache(maxsize=None)(abs))
 
