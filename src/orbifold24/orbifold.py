@@ -420,33 +420,62 @@ def seeds_meeting(a: ProductAlgebra, seeds, roots) -> list[SeedSubalgebra]:
 # -- sub-root-system embeddings ----------------------------------------------
 
 
+# byte b -> b ^ 0x80: turns the bytes d + 128 of a biased row into the two's
+# complement bytes of the signed entries d
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+
+
 @lru_cache(maxsize=None)
 def _root_pairings(t: SimpleType):
     """scale * (r|s) for all pairs of roots of a type, and the scaled norms, cached.
 
-    Built by linearity, one C-level pass per row.  The row of alpha_i is
-    column i of root_rows.  A positive root r of height above one is
-    r' + alpha_i for a positive root r' of height one less (Humphreys, Lie
-    Algebras, 10.2), so walking by height, row(r) = row(r') + row(alpha_i),
-    with r' found by its key.  iroots is sorted and closed under negation,
-    so root n-1-j is minus root j, and so is its row.
+    Built by linearity.  The row of alpha_i is column i of root_rows.  A
+    positive root r of height above one is r' + alpha_i for a positive root
+    r' of height one less (Humphreys, Lie Algebras, 10.2), so walking by
+    height, row(r) = row(r') + row(alpha_i), with r' found by its key.
+    iroots is sorted and closed under negation, so root n-1-j is minus root
+    j, and so is its row.
+
+    During the walk a row is one integer, its entries the signed digits of
+    base 256 (entry s times 256**s), so a row costs one integer addition and
+    its negative one negation.  Each entry is at most the largest scaled norm
+    in absolute value (Cauchy-Schwarz), which the build checks is below 128,
+    so adding 128 to every digit leaves bytes; a row is unpacked once, from
+    those bytes, into a list of ints.
     """
     d = build_root_datum(t)
+    top = max(row[i] for i, row in enumerate(d.igram))
+    if top >= 128:
+        raise OrbifoldError(f"root pairings of {t} reach {top}, beyond one signed byte")
     keys, index, positive = _root_keys(t)
     n = len(d.iroots)
-    P = [None] * n
+    bias = int.from_bytes(b"\x80" * n, "little")
+    X = [0] * n
     simple = {}  # i -> the index of alpha_i
     for j in sorted(positive, key=lambda j: sum(d.iroots[j])):
         r = d.iroots[j]
         if sum(r) == 1:
-            simple[r.index(1)] = j
-            P[j] = [row[r.index(1)] for row in d.root_rows]
+            i = r.index(1)
+            simple[i] = j
+            X[j] = int.from_bytes(bytes([row[i] + 128 for row in d.root_rows]), "little") - bias
         else:
             # r - alpha_i has balanced digits when r_i > 0, so a key match is that root
             s = next(s for i, s in simple.items() if r[i] and keys[j] - keys[s] in index)
-            P[j] = list(map(add, P[index[keys[j] - keys[s]]], P[s]))
-        P[n - 1 - j] = list(map(neg, P[j]))
+            X[j] = X[index[keys[j] - keys[s]]] + X[s]
+        X[n - 1 - j] = -X[j]
+    P = [memoryview((bias + x).to_bytes(n, "little").translate(_FLIP)).cast("b").tolist()
+         for x in X]
     return P, [P[i][i] for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _roots_by_norm(t: SimpleType) -> dict[int, list[int]]:
+    """The indices of the roots of a type, in increasing order, grouped by
+    their scaled norm, cached."""
+    groups: dict[int, list[int]] = {}
+    for j, norm in enumerate(_root_pairings(t)[1]):
+        groups.setdefault(norm, []).append(j)
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -468,9 +497,10 @@ def _find_gram_embedding(target: SimpleType, required_gram) -> bool:
     """Backtracking search for roots of the target with a prescribed Gram matrix.
 
     The required Gram matrix is an integer matrix in the target's scale, so
-    its entries are compared directly with those of _root_pairings.  Domains
-    are filtered forward after every placement and the next index is always
-    the one with the smallest domain.
+    its entries are compared directly with those of _root_pairings.  Each
+    index starts from the roots of its norm, read from _roots_by_norm.
+    Domains are filtered forward after every placement and the next index
+    is always the one with the smallest domain.
 
     Each node tries one root per orbit of W', the group generated by the
     reflections in the roots orthogonal to every placed root (its positive
@@ -480,52 +510,63 @@ def _find_gram_embedding(target: SimpleType, required_gram) -> bool:
     itself and completions to completions; by Steinberg's theorem (Humphreys,
     Reflection Groups and Coxeter Groups, 1.12) W' is the whole pointwise
     stabilizer of the placed roots, so no Weyl group element prunes more.
+    At the top no root is placed, so W' is the Weyl group W, which acts
+    transitively on the roots of one length (Humphreys, Lie Algebras, 10.4
+    Lemma C): the smallest starting domain is one orbit, so it is cut to its
+    first root.
     """
+    by_norm = _roots_by_norm(target)
+    domains = [by_norm.get(row[i]) for i, row in enumerate(required_gram)]
+    if not all(domains):
+        return False
+    if domains:
+        i = min(range(len(domains)), key=lambda j: len(domains[j]))
+        domains[i] = domains[i][:1]
     P, norms = _root_pairings(target)
     keys, index, positive = _root_keys(target)
-    k = len(required_gram)
-    domains = []
-    for i in range(k):
-        want = required_gram[i][i]
-        dom = [j for j, norm in enumerate(norms) if norm == want]
-        if not dom:
-            return False
-        domains.append(dom)
+    return _extend_embedding(P, norms, keys, index, required_gram, domains,
+                             frozenset(range(len(domains))), positive)
 
-    def rec(domains, unplaced, perp):
-        if not unplaced:
-            return True
-        i = min(unplaced, key=lambda j: len(domains[j]))
-        rest = unplaced - {i}
-        want = required_gram[i]
-        failed = set()
-        for r in domains[i]:
-            if r in failed:
-                continue
-            row = P[r]
-            new_domains = list(domains)
-            for j in rest:
-                nd = [s for s in domains[j] if row[s] == want[j]]
-                if not nd:
-                    break
-                new_domains[j] = nd
-            else:
-                if rec(new_domains, rest, [b for b in perp if row[b] == 0]):
-                    return True
-            failed.add(r)
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                xrow, xkey = P[x], keys[x]
-                for b in perp:
-                    if xrow[b]:
-                        y = index[xkey - 2 * xrow[b] // norms[b] * keys[b]]
-                        if y not in failed:
-                            failed.add(y)
-                            stack.append(y)
-        return False
 
-    return rec(domains, frozenset(range(k)), positive)
+def _extend_embedding(P, norms, keys, index, required_gram, domains, unplaced, perp) -> bool:
+    """Whether roots can be placed at the indices in `unplaced`, each in its
+    domain, with the required pairings; the node of `_find_gram_embedding`,
+    its state passed, not closed over, so the search leaves no reference cycle."""
+    if not unplaced:
+        return True
+    i = min(unplaced, key=lambda j: len(domains[j]))
+    rest = unplaced - {i}
+    want = required_gram[i]
+    last = domains[i][-1]
+    failed = set()
+    for r in domains[i]:
+        if r in failed:
+            continue
+        row = P[r]
+        new_domains = list(domains)
+        for j in rest:
+            nd = [s for s in domains[j] if row[s] == want[j]]
+            if not nd:
+                break
+            new_domains[j] = nd
+        else:
+            if _extend_embedding(P, norms, keys, index, required_gram, new_domains, rest,
+                                 [b for b in perp if row[b] == 0]):
+                return True
+        if r == last:  # no candidate is left for the orbit to rule out
+            break
+        failed.add(r)
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            xrow, xkey = P[x], keys[x]
+            for b in perp:
+                if xrow[b]:
+                    y = index[xkey - 2 * xrow[b] // norms[b] * keys[b]]
+                    if y not in failed:
+                        failed.add(y)
+                        stack.append(y)
+    return False
 
 
 def _required_gram(target: SimpleType, parts_scaled):
@@ -634,58 +675,62 @@ def identify(rank_budget: int, dim_target: int, seeds) -> list[SemisimpleShape]:
     candidates = _candidate_ideals(rank_budget, dim_target, ratio)
 
     multisets: list[tuple] = []
-
-    def enum(idx, rank_left, dim_left, acc):
-        if rank_left == 0 and dim_left == 0:
-            multisets.append(tuple(acc))
-            return
-        if idx == len(candidates) or rank_left <= 0 or dim_left <= 0:
-            return
-        t, k = candidates[idx]
-        max_copies = min(rank_left // t.rank, dim_left // t.dim)
-        for copies in range(max_copies, -1, -1):
-            enum(
-                idx + 1,
-                rank_left - copies * t.rank,
-                dim_left - copies * t.dim,
-                acc + [(t, k)] * copies,
-            )
-
-    enum(0, rank_budget, dim_target, [])
-
-    def admits_seeds(ideals) -> bool:
-        options = []
-        for seed in seed_keys:
-            opts = []
-            for slot, ideal in enumerate(ideals):
-                for xi in _seed_placements(seed, ideal):
-                    opts.append((slot, xi))
-            if not opts:
-                return False
-            options.append(opts)
-
-        def assign(i, per_slot):
-            if i == len(seed_keys):
-                return True
-            for slot, xi in options[i]:
-                per_slot.setdefault(slot, [])
-                per_slot[slot].append((seed_keys[i][0], xi))
-                parts = tuple(t for t, _ in per_slot[slot])
-                scalings = tuple(x for _, x in per_slot[slot])
-                ok = sum(t.rank for t in parts) <= ideals[slot][0].rank and _embedding_query(
-                    ideals[slot][0], parts, scalings
-                )
-                if ok and assign(i + 1, per_slot):
-                    return True
-                per_slot[slot].pop()
-                if not per_slot[slot]:
-                    del per_slot[slot]
-            return False
-
-        return assign(0, {})
-
-    shapes = {str(SemisimpleShape(m)): SemisimpleShape(m) for m in multisets if admits_seeds(m)}
+    _ideal_multisets(candidates, 0, rank_budget, dim_target, [], multisets)
+    admitted = (SemisimpleShape(m) for m in multisets if _admits_seeds(seed_keys, m))
+    shapes = {str(shape): shape for shape in admitted}
     return [shapes[k] for k in sorted(shapes)]
+
+
+def _ideal_multisets(candidates, idx, rank_left, dim_left, acc, out) -> None:
+    """Append to `out` every multiset of the candidates from index idx on, as
+    a tuple in candidate order with the most copies first, that uses up
+    exactly the rank and dimension left; acc holds the ideals chosen so far."""
+    if rank_left == 0 and dim_left == 0:
+        out.append(tuple(acc))
+        return
+    if idx == len(candidates) or rank_left <= 0 or dim_left <= 0:
+        return
+    t, k = candidates[idx]
+    max_copies = min(rank_left // t.rank, dim_left // t.dim)
+    for copies in range(max_copies, -1, -1):
+        _ideal_multisets(candidates, idx + 1, rank_left - copies * t.rank,
+                         dim_left - copies * t.dim, acc + [(t, k)] * copies, out)
+
+
+def _admits_seeds(seed_keys, ideals) -> bool:
+    """Whether every seed (type, level) can be placed in one of the ideals,
+    at an admissible level scaling, with the seeds sharing an ideal embedding
+    in it as an orthogonal sum."""
+    options = []
+    for seed in seed_keys:
+        opts = [(slot, xi) for slot, ideal in enumerate(ideals)
+                for xi in _seed_placements(seed, ideal)]
+        if not opts:
+            return False
+        options.append(opts)
+    return _assign_seeds(seed_keys, ideals, options, 0, {})
+
+
+def _assign_seeds(seed_keys, ideals, options, i, per_slot) -> bool:
+    """Whether seeds i onward can be placed, given the (type, scaling) pairs
+    already placed in each slot of `per_slot`; its state is passed, not
+    closed over, so the search leaves no reference cycle."""
+    if i == len(seed_keys):
+        return True
+    for slot, xi in options[i]:
+        placed = per_slot.setdefault(slot, [])
+        placed.append((seed_keys[i][0], xi))
+        parts = tuple(t for t, _ in placed)
+        scalings = tuple(x for _, x in placed)
+        ok = sum(t.rank for t in parts) <= ideals[slot][0].rank and _embedding_query(
+            ideals[slot][0], parts, scalings
+        )
+        if ok and _assign_seeds(seed_keys, ideals, options, i + 1, per_slot):
+            return True
+        placed.pop()
+        if not placed:
+            del per_slot[slot]
+    return False
 
 
 # -- the Verlinde check --------------------------------------------------------

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from orbifold24.orbifold import (
     _embedding_query,
     _required_gram,
+    _root_keys,
     _root_pairings,
+    _roots_by_norm,
 )
-from orbifold24.rootsys import SimpleType
+from orbifold24.rootsys import MAX_RANK, SimpleType
 
 T = SimpleType.parse
 
@@ -19,6 +21,38 @@ SMALL_TARGETS = [T(n) for n in (
     "A1 A2 A3 A4 A5 A6 B3 B4 B5 B6 C2 C3 C4 C5 C6 D4 D5 D6 E6 F4 G2".split()
 )]
 PART_TYPES = [t for t in SMALL_TARGETS if t.rank <= 4]
+# the top-level shortcut and the packed pairing rows serve every target, so
+# the sweep also covers the largest ones
+LARGE_TARGETS = [T(n) for n in ("E7", "E8", "D12")]
+
+
+ALL_TYPES = (
+    [T(f"A{n}") for n in range(1, MAX_RANK + 1)]
+    + [T(f"{x}{n}") for x in "BC" for n in range(2, MAX_RANK + 1)]
+    + [T(f"D{n}") for n in range(3, MAX_RANK + 1)]
+    + [T(n) for n in ("E6", "E7", "E8", "F4", "G2")]
+)
+
+
+@pytest.mark.parametrize("target", ALL_TYPES, ids=str)
+def test_roots_of_one_norm_form_one_weyl_orbit(target):
+    # the search tries one root at the top, which the oracle below does too;
+    # this checks the transitivity that makes it sound, on the roots' keys
+    P, norms = _root_pairings(target)
+    keys, index, positive = _root_keys(target)
+    by_norm = _roots_by_norm(target)
+    assert sorted(j for group in by_norm.values() for j in group) == list(range(len(norms)))
+    for norm, group in by_norm.items():
+        assert group == sorted(group) and {norms[j] for j in group} == {norm}
+        orbit, stack = {group[0]}, [group[0]]
+        while stack:
+            x = stack.pop()
+            for b in positive:
+                y = index[keys[x] - 2 * P[x][b] // norms[b] * keys[b]]
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        assert orbit == set(group)
 
 
 def unpruned_gram_embedding(target, required_gram) -> bool:
@@ -74,7 +108,7 @@ def parts_of_rank_at_most(n):
 SWEEP_PARTS = parts_of_rank_at_most(4)
 
 
-@pytest.mark.parametrize("target", SMALL_TARGETS, ids=str)
+@pytest.mark.parametrize("target", SMALL_TARGETS + LARGE_TARGETS, ids=str)
 def test_pruned_search_matches_oracle_on_every_small_part(target):
     assert len(SWEEP_PARTS) == 30
     for parts in SWEEP_PARTS:

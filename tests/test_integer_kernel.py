@@ -12,6 +12,7 @@ too, which the last tests hold them to.
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from orbifold24.lattice import (
     twisted_weight_one,
 )
 from orbifold24.orbifold import (
+    OrbifoldError,
     SemisimpleShape,
     _embedding_cached,
     _embedding_query,
@@ -180,6 +182,27 @@ def test_root_pairings_match_dense_build(name):
     P, norms = _root_pairings(d.type)
     assert P == dense_root_pairings(d)
     assert norms == [P[i][i] for i in range(n)]
+    # the packed build needs every entry in one signed byte: Cauchy-Schwarz
+    # bounds it by the largest norm, which the diagonal reaches
+    assert max(abs(x) for row in P for x in row) == max(norms) <= 6
+
+
+def _scaled_datum(t, c):
+    """The root datum of t with its form scaled by c, for the bound of the packed rows."""
+    d = build_root_datum(t)
+    scale = lambda rows: [[c * x for x in row] for row in rows]
+    return SimpleNamespace(igram=scale(d.igram), iroots=d.iroots, root_rows=scale(d.root_rows))
+
+
+def test_packed_root_pairings_hold_126_and_refuse_132(monkeypatch):
+    g2 = T("G2")
+    P = _root_pairings(g2)[0]
+    # G2's largest scaled norm is 6: times 21 its entries reach 126, times 22 they reach 132
+    monkeypatch.setattr(orbifold, "build_root_datum", lambda t: _scaled_datum(g2, 21))
+    assert _root_pairings.__wrapped__(g2)[0] == [[21 * x for x in row] for row in P]
+    monkeypatch.setattr(orbifold, "build_root_datum", lambda t: _scaled_datum(g2, 22))
+    with pytest.raises(OrbifoldError, match="G2"):
+        _root_pairings.__wrapped__(g2)
 
 
 # one target per scale: 1, 2 and 3

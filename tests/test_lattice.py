@@ -43,7 +43,13 @@ from orbifold24.lattice import (
     twisted_sector_min_shift,
     twisted_weight_one,
 )
-from orbifold24.orbifold import SemisimpleShape, _cartan_permutation_match
+from orbifold24.orbifold import (
+    SemisimpleShape,
+    _cartan_permutation_match,
+    _embedding_cached,
+    embeds,
+    identify,
+)
 from orbifold24.rootsys import SimpleType, _to_integral, build_root_datum
 from orbifold24.scenarios import fixed_shape_A45
 
@@ -300,14 +306,27 @@ def _d7_cartan_matches_itself(N):
     return _cartan_permutation_match(C, C)
 
 
+def _cold_a1_a5_in_e7(N):
+    _embedding_cached.cache_clear()
+    return embeds([SimpleType("A", 1), SimpleType("A", 5)], SimpleType("E", 7))
+
+
+def _cold_identify(N):
+    _embedding_cached.cache_clear()
+    return identify(12, 120, [(SimpleType("A", 2), 1)])
+
+
 # a self-calling nested function left a cycle per call: 111 objects after the
-# coset ball, 9 after the E8 modules and 28 after the D7 match
+# coset ball, 9 after the E8 modules, 28 after the D7 match, 15 after the
+# embedding query and 93 after the identification
 @pytest.mark.parametrize("call", [
     lambda N: lattice._coset_ball(0, lattice.ZERO5, 4),
     lambda N: N.vectors_of_norm_at_most(4),
     _cold_e8_level_3_modules,
     _d7_cartan_matches_itself,
-], ids=["coset-ball", "norm-4-vectors", "e8-modules", "cartan-match"])
+    _cold_a1_a5_in_e7,
+    _cold_identify,
+], ids=["coset-ball", "norm-4-vectors", "e8-modules", "cartan-match", "embeds", "identify"])
 def test_search_leaves_no_reference_cycles(N, call):
     was = gc.isenabled()
     gc.disable()
