@@ -7,13 +7,18 @@ den * (root coordinates) and den * (Dynkin labels).  The invariant form is
 normalized so that long roots have squared length 2 (hence short roots
 have squared length 1, or 2/3 for G2).
 
-Each RootDatum holds only integer data: the Cartan matrix, scale * gram
-(scale is the lcm of the Gram denominators: 1 for A/B/D/E and C2, 2 for
-C_n with n >= 3 and F4, 3 for G2), the roots `iroots` in root coordinates
-with their rows alpha.(scale gram), the fundamental weights in root
-coordinates over one denominator, the matrix of their pairings
-(Lambda_i|Lambda_j) over one denominator (both from a fraction-free
-inverse of the Cartan matrix), and the comarks (theta|Lambda_j).
+`scaled_gram` builds each type's Gram matrix in integers from its Dynkin
+diagram, as scale * gram (scale is the lcm of the Gram denominators: 1 for
+A/B/D/E and C2, 2 for C_n with n >= 3 and F4, 3 for G2).  A RootDatum
+builds at construction, in integers, what every caller reads: the Cartan
+matrix, scale * gram, the roots `iroots` in root coordinates with their
+rows alpha.(scale gram), and the comarks (theta|Lambda_j).  The rest is
+built on its first read and kept (`functools.cached_property`): the
+`Fraction` gram and norms, the coroots of the positive roots, and the
+weight data, which is the fundamental weights in root coordinates over one
+denominator and the matrix of their pairings (Lambda_i|Lambda_j) over one
+denominator, both from one fraction-free inverse of the Cartan matrix.  An
+embedding query reads none of the rest, so it builds none of it.
 
 On labels the kernels are short integer products:
 
@@ -75,9 +80,9 @@ C_n: the long root last, G2: the short root first).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import attrgetter, mul, sub
+from operator import attrgetter, floordiv, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -262,74 +267,52 @@ class SimpleType(Record):
         return f"{self.letter}{self.rank}"
 
 
-def _gram_matrix(t: SimpleType) -> list[list[Fraction]]:
-    """Gram matrix (alpha_i | alpha_j) of the simple roots, long norm 2."""
-    n = t.rank
-    one, half = Fraction(1), Fraction(1, 2)
-    G = [[Fraction(0)] * n for _ in range(n)]
-
-    def set_edge(i, j, val):
-        G[i][j] = G[j][i] = val
-
-    if t.letter == "A":
-        for i in range(n):
-            G[i][i] = 2 * one
-        for i in range(n - 1):
-            set_edge(i, i + 1, -one)
-    elif t.letter == "B":
-        # alpha_n short (norm 1)
-        for i in range(n):
-            G[i][i] = 2 * one if i < n - 1 else one
-        for i in range(n - 1):
-            set_edge(i, i + 1, -one)
-    elif t.letter == "C":
-        # alpha_1..alpha_{n-1} short (norm 1), alpha_n long
-        for i in range(n):
-            G[i][i] = one if i < n - 1 else 2 * one
-        for i in range(n - 2):
-            set_edge(i, i + 1, -half)
-        set_edge(n - 2, n - 1, -one)
-    elif t.letter == "D":
-        for i in range(n):
-            G[i][i] = 2 * one
-        for i in range(n - 2):
-            set_edge(i, i + 1, -one)
-        set_edge(n - 3, n - 1, -one)
-    elif t.letter == "E":
-        for i in range(n):
-            G[i][i] = 2 * one
-        chain = [0] + list(range(2, n))
-        for a, b in zip(chain, chain[1:]):
-            set_edge(a, b, -one)
-        set_edge(1, 3, -one)
-    elif t.letter == "F":
-        for i, d in enumerate([2, 2, 1, 1]):
-            G[i][i] = d * one
-        set_edge(0, 1, -one)
-        set_edge(1, 2, -one)
-        set_edge(2, 3, -half)
-    elif t.letter == "G":
-        G[0][0] = Fraction(2, 3)
-        G[1][1] = 2 * one
-        set_edge(0, 1, -one)
-    return G
-
-
 @lru_cache(maxsize=None)
 def scaled_gram(t: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(scale, scale * gram) of a type, cached: scale is the lcm of the Gram
-    denominators, so the second is the integer Gram matrix igram."""
-    gram = _gram_matrix(t)
-    scale = lcm(*(g.denominator for row in gram for g in row))
-    return scale, tuple(tuple(int(g * scale) for g in row) for row in gram)
+    denominators, so the second is the integer Gram matrix igram.
+
+    Built in integers from the Dynkin diagram as 6 gram, which is integral
+    (every norm is 2, 1 or 2/3), and divided by its gcd g with 6, so that
+    scale = 6 / g is the least integer that clears the denominators.  Two
+    joined simple roots pair to minus half the larger of their norms.
+    """
+    n, letter = t.rank, t.letter
+    # 6 (alpha_i|alpha_i): 12 for a long root, 6 for a short one, 4 for G2's
+    norms = [12] * n
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if letter == "B":
+        norms[-1] = 6  # alpha_n short
+    elif letter == "C":
+        norms[:-1] = [6] * (n - 1)  # the long root last
+    elif letter == "D":
+        edges[-1] = (n - 3, n - 1)  # fork at the far end
+    elif letter == "E":
+        edges = [(0, 2)] + edges[2:] + [(1, 3)]  # chain 1-3-4-...-n, node 2 on node 4
+    elif letter == "F":
+        norms = [12, 12, 6, 6]
+    elif letter == "G":
+        norms = [4, 12]  # the short root first
+    G = [[0] * n for _ in range(n)]
+    for i, x in enumerate(norms):
+        G[i][i] = x
+    for i, j in edges:
+        G[i][j] = G[j][i] = -max(norms[i], norms[j]) // 2
+    g = gcd(6, *(x for row in G for x in row))
+    return 6 // g, tuple(tuple(x // g for x in row) for row in G)
 
 
 class RootDatum:
     """A simple root system with exact pairings, roots and weight data.
 
-    Attributes (all integer except gram and norms):
+    Construction builds, in integers, what every caller reads.  The members
+    listed under "on first read" are built when first read, once
+    (`functools.cached_property`), and are then plain attributes of the
+    instance; the four fund_* members come from one fraction-free inverse of
+    the Cartan matrix.  The embedding search reads none of them.
+
+    Attributes (all integer except gram and norms), at construction:
         type: the SimpleType.
-        gram: Gram matrix of the simple roots, igram / scale; norms: its diagonal.
         cartan: the Cartan matrix a[i][j] = 2(alpha_i|alpha_j)/(alpha_i|alpha_i),
             so the labels of x are cartan times its root coordinates.
         dual_coxeter: the dual Coxeter number.
@@ -338,12 +321,14 @@ class RootDatum:
         igram: the integer matrix scale * gram.
         iroots: the roots in root coordinates, sorted.
         root_rows: alpha.igram for every root alpha, in the order of iroots.
+        comarks: (theta|Lambda_j), so (theta|lambda) = comarks . labels.
+    on first read:
+        gram: Gram matrix of the simple roots, igram / scale; norms: its diagonal.
         positive_coroots: alpha^vee of every positive root in the basis of
             simple coroots, in the order of the positive roots in iroots.
         fund_den, fund_coords: Lambda_j = fund_coords[j] / fund_den in root
             coordinates.
         fund_gram_den, fund_gram: (Lambda_i|Lambda_j) = fund_gram[i][j] / fund_gram_den.
-        comarks: (theta|Lambda_j), so (theta|lambda) = comarks . labels.
     """
 
     def __init__(self, t: SimpleType):
@@ -352,63 +337,102 @@ class RootDatum:
         self.rank = n
         self.scale, igram = scaled_gram(t)
         self.igram = [list(row) for row in igram]
-        self.gram = [[Fraction(g, self.scale) for g in row] for row in igram]
-        self.norms = [self.gram[i][i] for i in range(n)]
-        if any(2 * g % row[i] for i, row in enumerate(self.igram) for g in row):
+        if any(2 * g % row[i] for i, row in enumerate(igram) for g in row):
             raise RootSystemError(f"{t}: the Cartan matrix is not integral")
-        self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(self.igram)]
+        self.cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(igram)]
         # column i of the Cartan matrix (the labels of alpha_i), its non-zero entries
         self._columns = [
             tuple((j, row[i]) for j, row in enumerate(self.cartan) if row[i]) for i in range(n)
         ]
 
-        # Lambda_j is column j of cartan^-1; (Lambda_i|Lambda_j) = (cartan^-1)_ij (alpha_i|alpha_i)/2
-        p, adj = _bareiss_inverse(self.cartan)
-        if p < 0:
-            p, adj = -p, [[-x for x in row] for row in adj]
-        g = gcd(p, *(x for row in adj for x in row))
-        self.fund_den = p // g
-        self.fund_coords = [tuple(row[j] // g for row in adj) for j in range(n)]
-        F = [[x * self.igram[i][i] for x in row] for i, row in enumerate(adj)]
-        N = 2 * self.scale * p
-        g = gcd(N, *(x for row in F for x in row))
-        self.fund_gram_den = N // g
-        self.fund_gram = [[x // g for x in row] for row in F]
-        if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
-            raise RootSystemError(f"{t}: the fundamental weights' Gram matrix is not symmetric")
-
         # every root is W-conjugate to the dominant root of its length, and
         # the walk gives each root's labels m, so its row alpha.igram, which is
-        # scale (alpha|alpha_j) = m_j (scale alpha_j|alpha_j)/2, costs no product
-        diag = [self.igram[i][i] for i in range(n)]
+        # scale (alpha|alpha_j) = m_j (scale alpha_j|alpha_j)/2, is one product
+        # per entry, by half the diagonal; where a diagonal entry is odd (the
+        # short simple roots of B_n and C2) the product is halved instead
+        diag = [row[i] for i, row in enumerate(igram)]
+        if any(g % 2 for g in diag):
+            twos = (2,) * n
+            row_of = lambda m: tuple(map(floordiv, map(mul, m, diag), twos))
+        else:
+            half = [g // 2 for g in diag]
+            row_of = lambda m: tuple(map(mul, m, half))
         by_length = {norm: i for i, norm in enumerate(diag)}
         roots = []
         for norm in sorted(by_length):
             i = by_length[norm]
             unit = tuple(int(j == i) for j in range(n))
             top = self.dominant_int(IntWeight(1, unit, tuple(r[i] for r in self.cartan)))
-            roots.extend(
-                (w, tuple(x * g // 2 for x, g in zip(m, diag)), norm) for w, m in self._orbit(top)
-            )
+            roots.extend((w, row_of(m)) for w, m in self._orbit(top))
         if len(roots) != t.num_roots:
             raise RootSystemError(f"{t}: generated {len(roots)} roots, expected {t.num_roots}")
         roots.sort()
-        self.iroots = [w for w, _, _ in roots]
+        self.iroots = [w for w, _ in roots]
+        self.root_rows = [row for _, row in roots]
         theta = top.coords  # the dominant root of the largest norm, the highest root
-        self.comarks = tuple(
-            x * self.igram[j][j] // (2 * self.scale) for j, x in enumerate(theta)
-        )
+        self.comarks = tuple(x * diag[j] // (2 * self.scale) for j, x in enumerate(theta))
         # h_vee = 1 + (rho|theta), and (rho|theta) is the sum of the comarks
         if 1 + sum(self.comarks) != t.dual_coxeter:
             raise RootSystemError(f"{t}: 1 + (rho|theta) is not the dual Coxeter number")
         self.dual_coxeter = t.dual_coxeter
 
-        self.root_rows = [row for _, row, _ in roots]
+    # -- built on first read -------------------------------------------------
+
+    @cached_property
+    def gram(self) -> list[list[Fraction]]:
+        return [[Fraction(g, self.scale) for g in row] for row in self.igram]
+
+    @cached_property
+    def norms(self) -> list[Fraction]:
+        return [row[i] for i, row in enumerate(self.gram)]
+
+    @cached_property
+    def positive_coroots(self) -> list[tuple[int, ...]]:
         # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee, and
-        # scale (alpha|alpha) is the norm of the dominant root alpha was walked from
-        self.positive_coroots = [
-            tuple(a * g // norm for a, g in zip(r, diag)) for r, _, norm in roots if sum(r) > 0
-        ]
+        # scale (alpha|alpha) = alpha.igram.alpha is alpha's row dotted with alpha
+        diag = [row[i] for i, row in enumerate(self.igram)]
+        out = []
+        for r, row in zip(self.iroots, self.root_rows):
+            if sum(r) > 0:
+                norm = sum(map(mul, r, row))
+                out.append(tuple(a * g // norm for a, g in zip(r, diag)))
+        return out
+
+    @cached_property
+    def _weights(self) -> tuple[int, list[tuple[int, ...]], int, list[list[int]]]:
+        """(fund_den, fund_coords, fund_gram_den, fund_gram).  Lambda_j is
+        column j of cartan^-1, and (Lambda_i|Lambda_j) is
+        (cartan^-1)_ij (alpha_i|alpha_i)/2, which must be symmetric."""
+        n = self.rank
+        p, adj = _bareiss_inverse(self.cartan)
+        if p < 0:
+            p, adj = -p, [[-x for x in row] for row in adj]
+        g = gcd(p, *(x for row in adj for x in row))
+        fund_coords = [tuple(row[j] // g for row in adj) for j in range(n)]
+        F = [[x * self.igram[i][i] for x in row] for i, row in enumerate(adj)]
+        if any(F[i][j] != F[j][i] for i in range(n) for j in range(i)):
+            raise RootSystemError(
+                f"{self.type}: the fundamental weights' Gram matrix is not symmetric"
+            )
+        N = 2 * self.scale * p
+        h = gcd(N, *(x for row in F for x in row))
+        return p // g, fund_coords, N // h, [[x // h for x in row] for row in F]
+
+    @cached_property
+    def fund_den(self) -> int:
+        return self._weights[0]
+
+    @cached_property
+    def fund_coords(self) -> list[tuple[int, ...]]:
+        return self._weights[1]
+
+    @cached_property
+    def fund_gram_den(self) -> int:
+        return self._weights[2]
+
+    @cached_property
+    def fund_gram(self) -> list[list[int]]:
+        return self._weights[3]
 
     # -- the Fraction accessors, derived from the integer data --------------
 
@@ -509,24 +533,31 @@ class RootDatum:
 
         Snow's rule: every element but top has one parent, s_i of it for the
         first i with a negative label, so a child s_i(mu) of mu (m_i > 0) is
-        taken only when its labels before i are all >= 0.
+        taken only when its labels before i are all >= 0.  The step raises
+        every other label (the off-diagonal Cartan entries are <= 0) and makes
+        label i negative, so i is the child's first negative label p.  Of the
+        children of an element with first negative label p (p = rank at top),
+        one with i < p is taken untested, and one with i > p is refused
+        untested when alpha_i is orthogonal to alpha_p, as its label p stays
+        negative.
         """
+        cartan, columns = self.cartan, self._columns
         first = (top.coords, top.labels)
         yield first
-        stack = [first]
+        stack = [(*first, self.rank)]
         while stack:
-            w, m = stack.pop()
+            w, m, p = stack.pop()
             for i, c in enumerate(m):
-                if c > 0:
+                if c > 0 and (i < p or cartan[p][i]):
                     m2 = list(m)
-                    for j, a in self._columns[i]:
+                    for j, a in columns[i]:
                         m2[j] -= c * a
-                    if not i or min(m2[:i]) >= 0:
+                    if i < p or min(m2[:i]) >= 0:
                         w2 = list(w)
                         w2[i] -= c
-                        child = (tuple(w2), m2)
-                        yield child
-                        stack.append(child)
+                        w2 = tuple(w2)
+                        yield w2, m2
+                        stack.append((w2, m2, i))
 
 
 @lru_cache(maxsize=None)

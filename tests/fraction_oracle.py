@@ -4,8 +4,10 @@ This is how the package computed before the integer Dynkin-label kernel:
 every weight is a tuple of Fractions in the simple-root basis, pairings go
 through the Fraction Gram matrix, roots are Weyl orbits found by a
 breadth-first search with a `seen` set, and the fundamental weights solve
-a Fraction linear system in the Gram matrix.  It reads only `d.gram`, `d.rank` and `d.type`
-of a root datum, so it shares no arithmetic with the code it checks.
+a Fraction linear system in the Gram matrix.  The Gram matrix is its own,
+built in Fractions from the Dynkin diagram (`gram_matrix`), and it reads
+only `d.rank` and `d.type` of a root datum, so it shares no arithmetic with
+the code it checks.
 
 The weight support is how the package enumerated it before the dominant
 descent: walk the whole box 0 <= c <= (root coordinates of lambda), keep
@@ -54,6 +56,61 @@ from itertools import product
 from math import prod
 
 
+@lru_cache(maxsize=None)
+def gram_matrix(t) -> list[list[Fraction]]:
+    """Gram matrix (alpha_i | alpha_j) of the simple roots of a SimpleType,
+    long norm 2, in the Bourbaki numbering."""
+    n = t.rank
+    one, half = Fraction(1), Fraction(1, 2)
+    G = [[Fraction(0)] * n for _ in range(n)]
+
+    def set_edge(i, j, val):
+        G[i][j] = G[j][i] = val
+
+    if t.letter == "A":
+        for i in range(n):
+            G[i][i] = 2 * one
+        for i in range(n - 1):
+            set_edge(i, i + 1, -one)
+    elif t.letter == "B":
+        # alpha_n short (norm 1)
+        for i in range(n):
+            G[i][i] = 2 * one if i < n - 1 else one
+        for i in range(n - 1):
+            set_edge(i, i + 1, -one)
+    elif t.letter == "C":
+        # alpha_1..alpha_{n-1} short (norm 1), alpha_n long
+        for i in range(n):
+            G[i][i] = one if i < n - 1 else 2 * one
+        for i in range(n - 2):
+            set_edge(i, i + 1, -half)
+        set_edge(n - 2, n - 1, -one)
+    elif t.letter == "D":
+        for i in range(n):
+            G[i][i] = 2 * one
+        for i in range(n - 2):
+            set_edge(i, i + 1, -one)
+        set_edge(n - 3, n - 1, -one)
+    elif t.letter == "E":
+        for i in range(n):
+            G[i][i] = 2 * one
+        chain = [0] + list(range(2, n))
+        for a, b in zip(chain, chain[1:]):
+            set_edge(a, b, -one)
+        set_edge(1, 3, -one)
+    elif t.letter == "F":
+        for i, d in enumerate([2, 2, 1, 1]):
+            G[i][i] = d * one
+        set_edge(0, 1, -one)
+        set_edge(1, 2, -one)
+        set_edge(2, 3, -half)
+    elif t.letter == "G":
+        G[0][0] = Fraction(2, 3)
+        G[1][1] = 2 * one
+        set_edge(0, 1, -one)
+    return G
+
+
 def gram_row(d, u):
     """u.gram, so that (u|v) = sum_j row_j v_j."""
     return _gram_row(d, tuple(u))
@@ -62,7 +119,7 @@ def gram_row(d, u):
 @lru_cache(maxsize=1 << 16)  # the pair oracles ask for the same rows again and again
 def _gram_row(d, u):
     return tuple(
-        sum((x * g[j] for x, g in zip(u, d.gram) if x and g[j]), Fraction(0))
+        sum((x * g[j] for x, g in zip(u, gram_matrix(d.type)) if x and g[j]), Fraction(0))
         for j in range(d.rank)
     )
 
@@ -74,9 +131,7 @@ def pair(d, u, v):
 @lru_cache(maxsize=None)
 def _coroot_columns(t):
     """Per i, the pairs (j, 2(alpha_j|alpha_i)/(alpha_i|alpha_i)) with a non-zero value."""
-    from orbifold24.rootsys import build_root_datum
-
-    G = build_root_datum(t).gram
+    G = gram_matrix(t)
     n = len(G)
     return [[(j, 2 * G[j][i] / G[i][i]) for j in range(n) if G[j][i]] for i in range(n)]
 
@@ -134,11 +189,12 @@ def datum(t):
     d = build_root_datum(t)
     n = d.rank
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    by_length = {d.gram[i][i]: simple[i] for i in range(n)}
+    G = gram_matrix(t)
+    by_length = {G[i][i]: simple[i] for i in range(n)}
     orbits = set().union(*(weyl_orbit(d, a) for a in by_length.values()))
     roots = sorted(tuple(map(Fraction, r)) for r in orbits)
     # (Lambda_j|alpha_i) = delta_ij (alpha_i|alpha_i)/2
-    fund = solve(d.gram, [[d.gram[i][i] / 2 if i == j else 0 for i in range(n)] for j in range(n)])
+    fund = solve(G, [[G[i][i] / 2 if i == j else 0 for i in range(n)] for j in range(n)])
     rho = tuple(sum(w[i] for w in fund) for i in range(n))
     theta = max(roots, key=sum)
     return roots, fund, rho, theta
@@ -163,7 +219,7 @@ def dominant_conjugate(d, v):
     while (i := next((i for i, c in enumerate(m) if c < 0), None)) is not None:
         c = m[i]
         v[i] -= c
-        for j, row in enumerate(d.gram):
+        for j, row in enumerate(gram_matrix(d.type)):
             if row[i]:
                 m[j] -= c * 2 * row[i] / row[j]  # <alpha_i, alpha_j^vee>
     return tuple(v)
@@ -308,7 +364,7 @@ def level_transfer(long_norm, ambient_level):
 
 def cartan(d):
     """a[i][j] = <alpha_j, alpha_i^vee> = 2(alpha_i|alpha_j)/(alpha_i|alpha_i)."""
-    return [[int(2 * g / row[i]) for g in row] for i, row in enumerate(d.gram)]
+    return [[int(2 * g / row[i]) for g in row] for i, row in enumerate(gram_matrix(d.type))]
 
 
 def box_size(d, lam):

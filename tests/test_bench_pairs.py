@@ -27,6 +27,7 @@ def test_measuring_a_workload_again_keeps_the_earlier_runs(tmp_path, monkeypatch
                 "setup_s": 0.1, "run_s": float(next(runs)), "peak_rss_mb": 20.0}
 
     monkeypatch.setattr(tool, "export", lambda rev, into: into)
+    monkeypatch.setattr(tool, "export_worktree", lambda into: into)
     monkeypatch.setattr(tool, "bench", fake_bench)
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"history": ["kept"]}))

@@ -10,6 +10,7 @@ too, which the last tests hold them to.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -136,6 +137,37 @@ def test_kernel_is_the_scaled_gram(name):
     assert dot(row, u) == oracle.pair(d, u, v)
 
 
+@pytest.mark.parametrize("name", TYPES)
+def test_scaled_gram_is_the_oracle_gram_over_its_lcm(name):
+    G = oracle.gram_matrix(T(name))
+    L = lcm(*(g.denominator for row in G for g in row))
+    assert scaled_gram(T(name)) == (L, tuple(tuple(int(g * L) for g in row) for row in G))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_members_built_on_first_read_match_fraction_oracle(name):
+    # a fresh datum, so that every member below is built here, on its first read
+    d = RootDatum(T(name))
+    G = oracle.gram_matrix(d.type)
+    assert d.gram == G
+    assert d.norms == [G[i][i] for i in range(d.rank)]
+    # alpha^vee = 2 alpha / (alpha|alpha) in the basis of simple coroots
+    norms = [G[i][i] for i in range(d.rank)]
+    roots, fund, _, _ = oracle.datum(d.type)
+    assert d.positive_coroots == [
+        tuple(a * g / oracle.pair(d, r, r) for a, g in zip(r, norms)) for r in roots if sum(r) > 0
+    ]
+    # Lambda_j = fund_coords[j] / fund_den, over the least common denominator
+    assert d.fund_den == lcm(*(x.denominator for w in fund for x in w))
+    assert [tuple(F(x, d.fund_den) for x in w) for w in d.fund_coords] == fund
+    pairings = [[oracle.pair(d, u, v) for v in fund] for u in fund]
+    assert d.fund_gram_den == lcm(*(x.denominator for row in pairings for x in row))
+    assert [[F(x, d.fund_gram_den) for x in row] for row in d.fund_gram] == pairings
+    # once read, each is an attribute of the instance
+    assert {"gram", "norms", "positive_coroots", "fund_den", "fund_coords", "fund_gram_den",
+            "fund_gram"} <= set(vars(d))
+
+
 @pytest.mark.parametrize("name", ["A1", "C3", "G2"])
 def test_kernel_rejects_wrong_arity(name):
     d = build_root_datum(T(name))
@@ -233,6 +265,31 @@ def test_query_builds_no_root_datum_for_its_parts():
     assert _embedding_cached.__wrapped__(target, ((T("A5"), 1), (T("A5"), 1)))
     assert not _embedding_cached.__wrapped__(target, ((T("E7"), 1),))
     assert build_root_datum.cache_info().currsize == before
+
+
+def test_cold_queries_do_no_fraction_arithmetic_and_build_no_weight_data(
+    refuse_fraction_arithmetic,
+):
+    # from cold caches, a query reads the target's roots, their rows and the
+    # integer Gram matrices, built in integers; the Fraction gram, the
+    # coroots and the weight data are left unbuilt
+    for cache in (build_root_datum, scaled_gram, orbifold._root_pairings,
+                  orbifold._roots_by_norm, orbifold._root_keys, _embedding_cached):
+        cache.cache_clear()
+    refuse_fraction_arithmetic()
+    for target, parts, want in [
+        ("D12", ("A5", "A5"), True),
+        ("D12", ("D8", "D4"), True),
+        ("D12", ("E7",), False),
+        ("E7", ("A5", "A2"), True),
+        ("E7", ("D7",), False),
+        ("E7", ("E6", "A1"), False),
+    ]:
+        parts = tuple(map(T, parts))
+        assert orbifold.embeds(parts[0] if len(parts) == 1 else parts, T(target)) is want
+    for target in ("D12", "E7"):
+        assert not {"fund_coords", "fund_gram", "positive_coroots"} & set(
+            vars(build_root_datum(T(target))))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 import fraction_oracle as oracle
 from fraction_oracle import coroot_pairing, reflect
+from orbifold24 import rootsys
 from orbifold24.rootsys import (
     MAX_RANK,
     RootDatum,
@@ -382,6 +383,20 @@ def test_root_rows_and_coroots_match_their_products(name):
         norm = oracle.pair(d, r, r)
         coroots.append(tuple(a * n / norm for a, n in zip(r, d.norms)))
     assert d.positive_coroots == coroots
+
+
+def test_asymmetric_weight_gram_is_refused_on_its_first_read(monkeypatch):
+    def skewed(M):
+        p, R = real(M)
+        R[0][1] += 1
+        return p, R
+
+    real = rootsys._bareiss_inverse
+    monkeypatch.setattr(rootsys, "_bareiss_inverse", skewed)
+    d = RootDatum(SimpleType.parse("A3"))  # construction builds no weight data
+    assert "fund_gram" not in vars(d)
+    with pytest.raises(RootSystemError, match="A3: the fundamental weights' Gram matrix"):
+        d.fund_gram
 
 
 def test_bareiss_inverse_against_fractions():
