@@ -27,7 +27,7 @@ _HOMES = {
     ), "qseries"),
     **dict.fromkeys((
         "RootDatum", "RootSystemError", "SimpleType", "build_root_datum", "min_pairing",
-        "weight_support", "weyl_dimension",
+        "weight_support",
     ), "rootsys"),
 }
 _SUBMODULES = frozenset(_HOMES.values())

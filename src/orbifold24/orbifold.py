@@ -124,10 +124,6 @@ class SemisimpleShape(Record):
     def dim(self) -> int:
         return sum(t.dim for t, _ in self.ideals) + self.center_dim
 
-    @property
-    def rank(self) -> int:
-        return sum(t.rank for t, _ in self.ideals) + self.center_dim
-
     @staticmethod
     def parse(s: str) -> "SemisimpleShape":
         ideals = []

@@ -9,16 +9,15 @@ have squared length 1, or 2/3 for G2).
 
 `scaled_gram` builds each type's Gram matrix in integers from its Dynkin
 diagram, as scale * gram (scale is the lcm of the Gram denominators: 1 for
-A/B/D/E and C2, 2 for C_n with n >= 3 and F4, 3 for G2).  A RootDatum
-builds at construction, in integers, what every caller reads: the Cartan
-matrix, scale * gram, the roots `iroots` in root coordinates with their
-rows alpha.(scale gram), and the comarks (theta|Lambda_j).  The rest is
-built on its first read and kept (`functools.cached_property`): the
-`Fraction` gram and norms, the coroots of the positive roots, and the
-weight data, which is the fundamental weights in root coordinates over one
-denominator and the matrix of their pairings (Lambda_i|Lambda_j) over one
-denominator, both from one fraction-free inverse of the Cartan matrix.  An
-embedding query reads none of the rest, so it builds none of it.
+A/B/D/E and C2, 2 for C_n with n >= 3 and F4, 3 for G2).  A RootDatum holds
+integers only.  It builds at construction what every caller reads: the
+Cartan matrix, scale * gram, the roots `iroots` in root coordinates with
+their rows alpha.(scale gram), and the comarks (theta|Lambda_j).  The weight
+data alone is built on its first read and kept (`functools.cached_property`):
+the fundamental weights in root coordinates over one denominator and the
+matrix of their pairings (Lambda_i|Lambda_j) over one denominator, both from
+one fraction-free inverse of the Cartan matrix.  An embedding query reads
+none of it, so it builds none of it.
 
 On labels the kernels are short integer products:
 
@@ -53,17 +52,14 @@ On labels the kernels are short integer products:
 
 `Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
 public functions (`weight_from_fundamental`, `min_pairing`,
-`support_contains`, `weight_support`, `weyl_dimension`)
-take and give Vecs and convert once, through `integral`, to the
-`IntWeight` that `dominant_int` and `label_pairing` act on.  `from_fundamental`
-makes an IntWeight from Dynkin labels; `root_pairings` takes one and gives
-(x|alpha) on every root as integers over one denominator, which is how
-(h|alpha) is tested for integrality or a bound: `affine.HVector` calls it
-once per factor when it is made.  No Fraction form pairs two Vecs: weights
-are paired in integers (`label_pairing`, `scaled_row`), and the tests keep
-the Fraction form as their oracle.  The
-`Fraction` accessors `roots`, `positive_roots`, `simple_roots`,
-`fundamental_weights`, `rho` and `theta` are derived on each access.
+`support_contains`, `weight_support`) take and give Vecs and convert once,
+through `integral`, to the `IntWeight` that `dominant_int` and
+`label_pairing` act on.  `from_fundamental` makes an IntWeight from Dynkin
+labels; `root_pairings` takes one and gives (x|alpha) on every root as
+integers over one denominator, which is how (h|alpha) is tested for
+integrality or a bound: `affine.HVector` calls it once per factor when it is
+made.  No Fraction form pairs two Vecs or holds the Gram matrix, the roots
+or the Weyl dimensions: the tests keep those as their oracle.
 
 `Fields` and `Record` are the base classes of the package's value types:
 `Fields` gives `__repr__` and `__eq__` over the attribute names in a class's
@@ -202,7 +198,8 @@ class Record(Fields):
 
 
 class SimpleType(Record):
-    """A simple Lie type X_n, e.g. SimpleType('D', 7), ordered by (letter, rank)."""
+    """A simple Lie type X_n, e.g. SimpleType('D', 7).  Types have no order of
+    their own: the package sorts them by orbifold._shape_sort_key."""
 
     __slots__ = ("letter", "rank")
     _KEY = ("letter", "rank")
@@ -222,26 +219,6 @@ class SimpleType(Record):
             raise RootSystemError(f"rank {rank} exceeds supported cap {MAX_RANK}")
         object.__setattr__(self, "letter", letter)
         object.__setattr__(self, "rank", rank)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) < other._key(other)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) <= other._key(other)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) > other._key(other)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) >= other._key(other)
 
     @staticmethod
     def parse(s: str) -> "SimpleType":
@@ -305,27 +282,25 @@ def scaled_gram(t: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 class RootDatum:
     """A simple root system with exact pairings, roots and weight data.
 
-    Construction builds, in integers, what every caller reads.  The members
-    listed under "on first read" are built when first read, once
-    (`functools.cached_property`), and are then plain attributes of the
-    instance; the four fund_* members come from one fraction-free inverse of
-    the Cartan matrix.  The embedding search reads none of them.
+    Every member is an integer, or built of integers.  Construction builds
+    what every caller reads; only the four fund_* members, which come from
+    one fraction-free inverse of the Cartan matrix, are built on their first
+    read, once (`functools.cached_property`), and are then plain attributes
+    of the instance.  The embedding search reads none of them.
 
-    Attributes (all integer except gram and norms), at construction:
+    Attributes, at construction:
         type: the SimpleType.
         cartan: the Cartan matrix a[i][j] = 2(alpha_i|alpha_j)/(alpha_i|alpha_i),
             so the labels of x are cartan times its root coordinates.
         dual_coxeter: the dual Coxeter number.
         scale: lcm of the Gram denominators (1 for A/B/D/E and C2, 2 for
             C_n with n >= 3 and F4, 3 for G2).
-        igram: the integer matrix scale * gram.
+        igram: the integer matrix scale * gram, gram the Gram matrix of the
+            simple roots.
         iroots: the roots in root coordinates, sorted.
         root_rows: alpha.igram for every root alpha, in the order of iroots.
         comarks: (theta|Lambda_j), so (theta|lambda) = comarks . labels.
     on first read:
-        gram: Gram matrix of the simple roots, igram / scale; norms: its diagonal.
-        positive_coroots: alpha^vee of every positive root in the basis of
-            simple coroots, in the order of the positive roots in iroots.
         fund_den, fund_coords: Lambda_j = fund_coords[j] / fund_den in root
             coordinates.
         fund_gram_den, fund_gram: (Lambda_i|Lambda_j) = fund_gram[i][j] / fund_gram_den.
@@ -379,26 +354,6 @@ class RootDatum:
     # -- built on first read -------------------------------------------------
 
     @cached_property
-    def gram(self) -> list[list[Fraction]]:
-        return [[Fraction(g, self.scale) for g in row] for row in self.igram]
-
-    @cached_property
-    def norms(self) -> list[Fraction]:
-        return [row[i] for i, row in enumerate(self.gram)]
-
-    @cached_property
-    def positive_coroots(self) -> list[tuple[int, ...]]:
-        # alpha^vee = sum_i a_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee, and
-        # scale (alpha|alpha) = alpha.igram.alpha is alpha's row dotted with alpha
-        diag = [row[i] for i, row in enumerate(self.igram)]
-        out = []
-        for r, row in zip(self.iroots, self.root_rows):
-            if sum(r) > 0:
-                norm = sum(map(mul, r, row))
-                out.append(tuple(a * g // norm for a, g in zip(r, diag)))
-        return out
-
-    @cached_property
     def _weights(self) -> tuple[int, list[tuple[int, ...]], int, list[list[int]]]:
         """(fund_den, fund_coords, fund_gram_den, fund_gram).  Lambda_j is
         column j of cartan^-1, and (Lambda_i|Lambda_j) is
@@ -433,35 +388,6 @@ class RootDatum:
     @cached_property
     def fund_gram(self) -> list[list[int]]:
         return self._weights[3]
-
-    # -- the Fraction accessors, derived from the integer data --------------
-
-    @property
-    def roots(self) -> list[Vec]:
-        """All roots in the simple-root basis, sorted."""
-        return [tuple(map(Fraction, r)) for r in self.iroots]
-
-    @property
-    def positive_roots(self) -> list[Vec]:
-        return [tuple(map(Fraction, r)) for r in self.iroots if sum(r) > 0]
-
-    @property
-    def simple_roots(self) -> list[Vec]:
-        return [tuple(Fraction(int(j == i)) for j in range(self.rank)) for i in range(self.rank)]
-
-    @property
-    def fundamental_weights(self) -> list[Vec]:
-        return [tuple(Fraction(x, self.fund_den) for x in w) for w in self.fund_coords]
-
-    @property
-    def rho(self) -> Vec:
-        """Half the sum of the positive roots, the sum of the fundamental weights."""
-        return tuple(Fraction(sum(col), self.fund_den) for col in zip(*self.fund_coords))
-
-    @property
-    def theta(self) -> Vec:
-        """The highest root."""
-        return tuple(map(Fraction, max(self.iroots, key=sum)))
 
     # -- pairings of Vecs ---------------------------------------------------
 
@@ -659,23 +585,6 @@ def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
     non-integral, so one test of lam - dom(mu) answers both.
     """
     return dominates(d, _require_dominant_integral(d, lam), d.dominant_int(d.integral(mu)))
-
-
-def weyl_dimension(d: RootDatum, lam: Vec) -> int:
-    """Dimension of the irreducible module by the Weyl dimension formula.
-
-    prod <lam+rho, a^vee> / prod <rho, a^vee> over the positive roots, in
-    integers: <lam+rho, a^vee> is the dot product of the Dynkin labels of
-    lam, each plus one, with the simple-coroot coordinates of a^vee.
-    """
-    labels = [c + 1 for c in _require_dominant_integral(d, lam)]
-    num = den = 1
-    for c in d.positive_coroots:
-        num *= sum(map(mul, c, labels))
-        den *= sum(c)
-    if num % den:
-        raise RootSystemError(f"{d.type}: the Weyl dimension of {lam} is not an integer")
-    return num // den
 
 
 @lru_cache(maxsize=1024)

@@ -296,23 +296,29 @@ def _vacuum_label(a: ProductAlgebra) -> ProductLabel:
 
 
 def derive_seeds(sc: Scenario):
-    """Fixed shape plus the seed list used for identification.
+    """Fixed shape, the seed list used for identification, and what the
+    twisted sector assembled (None when the scenario gives no base weights).
 
     When twisted-sector base weights are configured, the fixed components
     meeting the twisted roots are merged into the assembled subsystem,
-    which replaces them in the seed list.
+    which replaces them in the seed list, and the third item reads
+    "type,level with n roots".  Base weights that do not assemble are a
+    fault of the scenario: the seeds stay the fixed-point ones, and the
+    third item is the fault's text.
     """
     a, h = sc.algebra, sc.h
     shape, seeds = fixed_subalgebra(a, h)
-    psi = None
-    if sc.base_weights is not None:
+    if sc.base_weights is None:
+        return shape, seeds, None
+    try:
         tw = twisted_sector_roots(a, h, sc.base_weights)
         tw = tw + [negate(t) for t in tw]
         joined = seeds_meeting(a, seeds, tw)
-        fixed_part = [r for s in joined for r in s.roots]
-        psi = assemble_root_subsystem(a, fixed_part, tw)
-        seeds = [s for s in seeds if s not in joined] + [psi]
-    return shape, seeds, psi
+        psi = assemble_root_subsystem(a, [r for s in joined for r in s.roots], tw)
+    except OrbifoldError as exc:
+        return shape, seeds, str(exc)
+    seeds = [s for s in seeds if s not in joined] + [psi]
+    return shape, seeds, f"{psi.type},{psi.level} with {len(psi.roots)} roots"
 
 
 def _check(name: str, claim, holds: bool, otherwise) -> CheckResult:
@@ -382,14 +388,13 @@ def run_scenario(sc: Scenario) -> Report:
                    f"violations: {bad[:3]}"))
 
         # fixed-point subalgebra and the seeds used for identification
-        shape, seeds, psi = derive_seeds(sc)
+        shape, seeds, twisted = derive_seeds(sc)
         add(_check("fixed-shape", sc.expect_fixed, shape == sc.expect_fixed, shape))
         add(_check("fixed-dim", sc.expect_fixed_dim, shape.dim == sc.expect_fixed_dim, shape.dim))
-        if psi is not None:
+        if twisted is not None:
             exp_t, exp_k, exp_n = sc.expect_twisted_seed
-            got = f"{psi.type},{psi.level} with {len(psi.roots)} roots"
             want = f"{exp_t},{exp_k} with {exp_n} roots"
-            add(_check("twisted-subsystem", want, got == want, got))
+            add(_check("twisted-subsystem", want, twisted == want, twisted))
 
         # the lattice checks bound the twisted sectors' lowest weights, which
         # the dimension formula needs; they are reported after it

@@ -7,7 +7,9 @@ breadth-first search with a `seen` set, and the fundamental weights solve
 a Fraction linear system in the Gram matrix.  The Gram matrix is its own,
 built in Fractions from the Dynkin diagram (`gram_matrix`), and it reads
 only `d.rank` and `d.type` of a root datum, so it shares no arithmetic with
-the code it checks.
+the code it checks.  `datum` gives a type's roots, fundamental weights, rho
+and theta in Fractions, and `weyl_dimension` the dimension of a module from
+them, which is how the tests bound the supports they enumerate.
 
 The weight support is how the package enumerated it before the dominant
 descent: walk the whole box 0 <= c <= (root coordinates of lambda), keep
@@ -53,7 +55,7 @@ series of the package, through its public constructor.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +200,26 @@ def datum(t):
     rho = tuple(sum(w[i] for w in fund) for i in range(n))
     theta = max(roots, key=sum)
     return roots, fund, rho, theta
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(t):
+    return [tuple(map(int, r)) for r in datum(t)[0] if sum(r) > 0]
+
+
+def weyl_dimension(d, lam):
+    """dim L(lam) by the Weyl dimension formula, prod (lam + rho|alpha) / (rho|alpha)
+    over the positive roots alpha.  Both rows, of rho and of lam + rho, come
+    from the Fraction Gram matrix and are put over one denominator D, which
+    the quotient cancels, so each factor is an integer dot product."""
+    rho = datum(d.type)[2]
+    rows = [gram_row(d, rho), gram_row(d, [a + b for a, b in zip(lam, rho)])]
+    D = lcm(*(x.denominator for row in rows for x in row))
+    den, num = (
+        prod(sum(x * a for x, a in zip(row, r) if a) for r in _positive_roots(d.type))
+        for row in ([int(x * D) for x in row] for row in rows)
+    )
+    return Fraction(num, den)
 
 
 def weight_from_fundamental(d, coeffs):

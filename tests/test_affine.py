@@ -252,9 +252,8 @@ def test_certificate_vacuum():
 
 def test_certificate_fundamental_zero():
     t = SimpleType.parse("A3")
-    d = AffineLabel(t, 1, (1, 0, 0)).datum
     m = AffineLabel(t, 1, (1, 0, 0))
-    h = tuple(-x for x in d.fundamental_weights[0])
+    h = tuple(-x for x in oracle.datum(t)[1][0])
     cert = twisted_positivity_certificate(m, h)
     assert cert.kind == "zero_with_witness" and cert.witness == "j=1"
     assert twisted_lowest(m, h) == 0
@@ -272,8 +271,7 @@ def test_certificate_positive():
 def test_certificate_precondition_violation_reported():
     t = SimpleType.parse("A1")
     m = AffineLabel(t, 1, (1,))
-    d = m.datum
-    h = tuple(-x for x in d.theta)  # (h|theta) = -2 < -1
+    h = tuple(-x for x in oracle.datum(t)[3])  # (h|theta) = -2 < -1
     assert twisted_positivity_certificate(m, h).kind == "precondition_violated"
 
 
@@ -326,14 +324,15 @@ def test_production_path_enumerates_no_support(monkeypatch):
 
 
 def test_production_path_uses_only_the_integer_kernel(monkeypatch):
-    # the Fraction accessors of the root datum are boundary helpers: parsing
-    # and running all five bundled scenarios, with fresh root data and twist
-    # caches, reaches none of them
+    # a Vec enters the integer kernel only through RootDatum.integral (every
+    # Vec function of rootsys and affine calls it) and leaves it only through
+    # weight_from_fundamental: parsing and running all five bundled
+    # scenarios, with fresh root data and twist caches, reaches neither
     def boundary(*args):
-        raise AssertionError("Fraction boundary helper reached")
+        raise AssertionError("Vec boundary helper reached")
 
-    for name in ("roots", "positive_roots", "simple_roots", "fundamental_weights", "rho", "theta"):
-        monkeypatch.setattr(RootDatum, name, property(boundary))
+    for name in ("integral", "weight_from_fundamental"):
+        monkeypatch.setattr(RootDatum, name, boundary)
     rootsys.build_root_datum.cache_clear()
     affine._twist.cache_clear()
     rootsys.neg_dominant.cache_clear()

@@ -134,6 +134,26 @@ def test_failing_expectation_gives_exit_one(tmp_path):
     assert "A3,1 D7,3 G2,1" in proc.stdout
 
 
+def test_base_weights_that_do_not_assemble_fail_the_twisted_subsystem(tmp_path):
+    # M1's base weights do not fit this h: their roots meet the fixed ones in
+    # a non-crystallographic pair, a fault of the scenario, not of the program
+    doctored = M1_TEXT.replace(
+        "h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0", "h: -1/2 0 0 0 0 -1/2 | 0 0 | 0 0 | 0 0"
+    ).replace("expect_h_norm: 2", "expect_h_norm: 3")
+    assert "h: -1/2" in doctored and "expect_h_norm: 3" in doctored and "base_weights:" in doctored
+    (tmp_path / "m1x.scn").write_text(doctored)
+    proc = run_cli("run", "--dir", str(tmp_path), "--json")
+    assert proc.returncode == 1, proc.stderr
+    records = {r["check"]: r for r in json.loads(proc.stdout)}
+    assert "run" not in records
+    twisted = records["twisted-subsystem"]
+    assert twisted["status"] == "fail" and twisted["expected"] == "A3,1 with 12 roots"
+    assert twisted["actual"].startswith("non-crystallographic pair")
+    # the run goes on with the fixed-point seeds, to identification and beyond
+    assert records["identification"]["status"] == "fail"
+    assert "simple-current(a=-1)" in records
+
+
 def test_json_report(tmp_path):
     doctored = M1_TEXT.replace("expect_h_norm: 2", "expect_h_norm: 5")
     (tmp_path / "m1x.scn").write_text(doctored)

@@ -23,7 +23,7 @@ EXPORTS = [
     "hauptmodul", "hauptmodul_S_power", "identify", "integral_spectrum_table", "min_pairing",
     "orbifold", "product_twisted_lowest", "qseries", "rootsys", "spectrum_half_integral",
     "t_transform", "twisted_positivity_certificate", "twisted_sector_roots",
-    "verlinde_simple_current", "weight_support", "weyl_dimension",
+    "verlinde_simple_current", "weight_support",
 ]
 
 

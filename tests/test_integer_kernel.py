@@ -1,9 +1,10 @@
 """The integer pairing kernel of RootDatum against exact Fraction oracles.
 
 Every Gram matrix becomes integral once scaled by the lcm of its
-denominators, and every root has integer coordinates, so root pairings, the
-embedding search and the Weyl dimension formula run in integers.  Each of
-them is checked here against the rational computation it replaced.  The
+denominators, and every root has integer coordinates, so root pairings and
+the embedding search run in integers.  Each of them is checked here against
+the rational computation it replaced, as is the oracle's Weyl dimension,
+which puts its Fraction rows over one denominator.  The
 dimension-formula series, the Verlinde check, the shifted-norm minimum and
 the fixed-point and twisted-subsystem path of scenario M1 run in integers
 too, which the last tests hold them to.
@@ -56,7 +57,6 @@ from orbifold24.rootsys import (
     SimpleType,
     build_root_datum,
     scaled_gram,
-    weyl_dimension,
 )
 
 F = Fraction
@@ -104,11 +104,6 @@ def sample_rows(n):
     return sorted({0, n // 3, 2 * n // 3, n - 1})
 
 
-def gram_row(d, v):
-    """v.gram over the rationals, so that (v|w) = sum_j row_j w_j."""
-    return [sum(v[k] * d.gram[k][j] for k in range(d.rank)) for j in range(d.rank)]
-
-
 def dot(row, w):
     return sum(x * y for x, y in zip(row, w) if y)
 
@@ -117,18 +112,19 @@ def dot(row, w):
 def test_kernel_is_the_scaled_gram(name):
     d = build_root_datum(T(name))
     assert d.scale == (1 if name == "C2" else SCALE[name[0]])
-    assert d.igram == [[d.scale * g for g in row] for row in d.gram]
+    assert d.igram == [[d.scale * g for g in row] for row in oracle.gram_matrix(d.type)]
     assert all(isinstance(x, int) for row in d.igram for x in row)
-    assert d.iroots == d.roots
+    roots, fund, rho, theta = oracle.datum(d.type)
+    assert d.iroots == roots
     assert all(isinstance(x, int) for r in d.iroots for x in r)
     # vectors with mixed denominators, not in the root lattice
-    v = tuple(x / 2 + y / 3 for x, y in zip(d.rho, d.fundamental_weights[0]))
-    u = tuple(x / 5 - y for x, y in zip(d.theta, d.fundamental_weights[-1]))
-    row = gram_row(d, v)
+    v = tuple(x / 2 + y / 3 for x, y in zip(rho, fund[0]))
+    u = tuple(x / 5 - y for x, y in zip(theta, fund[-1]))
+    row = oracle.gram_row(d, v)
     q, pairings = d.root_pairings(d.integral(v))
     assert q > 0 and all(isinstance(p, int) for p in pairings)
     got = [F(p, q) for p in pairings]
-    assert got == [oracle.pair(d, v, a) for a in d.roots]
+    assert got == [oracle.pair(d, v, a) for a in roots]
     # (v|u) and (v|v) from the integer row of v against the Fraction row
     x, y = d.integral(v), d.integral(u)
     irow = d.scaled_row(x.coords)
@@ -148,15 +144,7 @@ def test_scaled_gram_is_the_oracle_gram_over_its_lcm(name):
 def test_members_built_on_first_read_match_fraction_oracle(name):
     # a fresh datum, so that every member below is built here, on its first read
     d = RootDatum(T(name))
-    G = oracle.gram_matrix(d.type)
-    assert d.gram == G
-    assert d.norms == [G[i][i] for i in range(d.rank)]
-    # alpha^vee = 2 alpha / (alpha|alpha) in the basis of simple coroots
-    norms = [G[i][i] for i in range(d.rank)]
-    roots, fund, _, _ = oracle.datum(d.type)
-    assert d.positive_coroots == [
-        tuple(a * g / oracle.pair(d, r, r) for a, g in zip(r, norms)) for r in roots if sum(r) > 0
-    ]
+    fund = oracle.datum(d.type)[1]
     # Lambda_j = fund_coords[j] / fund_den, over the least common denominator
     assert d.fund_den == lcm(*(x.denominator for w in fund for x in w))
     assert [tuple(F(x, d.fund_den) for x in w) for w in d.fund_coords] == fund
@@ -164,8 +152,7 @@ def test_members_built_on_first_read_match_fraction_oracle(name):
     assert d.fund_gram_den == lcm(*(x.denominator for row in pairings for x in row))
     assert [[F(x, d.fund_gram_den) for x in row] for row in d.fund_gram] == pairings
     # once read, each is an attribute of the instance
-    assert {"gram", "norms", "positive_coroots", "fund_den", "fund_coords", "fund_gram_den",
-            "fund_gram"} <= set(vars(d))
+    assert {"fund_den", "fund_coords", "fund_gram_den", "fund_gram"} <= set(vars(d))
 
 
 @pytest.mark.parametrize("name", ["A1", "C3", "G2"])
@@ -189,7 +176,7 @@ def test_kernel_rejects_wrong_arity(name):
 def test_root_pairings_match_fraction_oracle(name):
     d = build_root_datum(T(name))
     P, norms = _root_pairings(d.type)
-    roots = d.roots
+    roots = oracle.datum(d.type)[0]
     n = len(roots)
     assert len(P) == n and norms == [P[i][i] for i in range(n)]
     int_roots = [tuple(map(int, s)) for s in roots]
@@ -197,11 +184,11 @@ def test_root_pairings_match_fraction_oracle(name):
         # every pair: the upper triangle against the oracle, the rest by symmetry
         assert P == [list(col) for col in zip(*P)]
         for i in range(n):
-            row = gram_row(d, roots[i])
+            row = oracle.gram_row(d, roots[i])
             assert P[i][i:] == [d.scale * dot(row, s) for s in int_roots[i:]]
     else:
         for i in sample_rows(n):
-            row = gram_row(d, roots[i])
+            row = oracle.gram_row(d, roots[i])
             assert P[i] == [d.scale * dot(row, s) for s in int_roots]
 
 
@@ -271,8 +258,7 @@ def test_cold_queries_do_no_fraction_arithmetic_and_build_no_weight_data(
     refuse_fraction_arithmetic,
 ):
     # from cold caches, a query reads the target's roots, their rows and the
-    # integer Gram matrices, built in integers; the Fraction gram, the
-    # coroots and the weight data are left unbuilt
+    # integer Gram matrices, built in integers; the weight data is left unbuilt
     for cache in (build_root_datum, scaled_gram, orbifold._root_pairings,
                   orbifold._roots_by_norm, orbifold._root_keys, _embedding_cached):
         cache.cache_clear()
@@ -288,8 +274,7 @@ def test_cold_queries_do_no_fraction_arithmetic_and_build_no_weight_data(
         parts = tuple(map(T, parts))
         assert orbifold.embeds(parts[0] if len(parts) == 1 else parts, T(target)) is want
     for target in ("D12", "E7"):
-        assert not {"fund_coords", "fund_gram", "positive_coroots"} & set(
-            vars(build_root_datum(T(target))))
+        assert not {"fund_coords", "fund_gram"} & set(vars(build_root_datum(T(target))))
 
 
 @pytest.mark.parametrize(
@@ -314,18 +299,22 @@ def test_level_transfer_queries_scale_the_required_gram(target, part, xi, expect
 
 @pytest.mark.parametrize("name", [t for t in TYPES if T(t).rank <= 8])
 def test_weyl_dimension_matches_fraction_product(name):
+    # the oracle's Weyl dimension, which the support tests' size filters read
     d = build_root_datum(T(name))
-    positive = [tuple(map(int, a)) for a in d.positive_roots]
+    roots, _, rho, theta = oracle.datum(d.type)
+    positive = [tuple(map(int, a)) for a in roots if sum(a) > 0]
     den = F(1)
     for a in positive:
-        den *= dot(gram_row(d, d.rho), a)
+        den *= dot(oracle.gram_row(d, rho), a)
     for m in enumerate_modules(d.type, 2):
         lam = oracle.label_weight(m)
-        row = gram_row(d, [x + y for x, y in zip(lam, d.rho)])
+        row = oracle.gram_row(d, [x + y for x, y in zip(lam, rho)])
         num = F(1)
         for a in positive:
             num *= dot(row, a)
-        assert weyl_dimension(d, lam) == num / den
+        assert oracle.weyl_dimension(d, lam) == num / den
+    assert oracle.weyl_dimension(d, (F(0),) * d.rank) == 1
+    assert oracle.weyl_dimension(d, theta) == d.type.dim
 
 
 def test_coroot_pairing_stays_a_fraction():
@@ -334,7 +323,8 @@ def test_coroot_pairing_stays_a_fraction():
         for i in range(d.rank):
             c = oracle.coroot_pairing(d, v, i)
             assert isinstance(c, Fraction)
-            assert c == 2 * dot(gram_row(d, v), d.simple_roots[i]) / d.norms[i]
+            # 2 (v|alpha_i) / (alpha_i|alpha_i) from the integer Gram matrix, whose scale cancels
+            assert c == 2 * sum(x * row[i] for x, row in zip(v, d.igram)) / F(d.igram[i][i])
 
 
 def test_series_verlinde_and_shifted_minimum_do_no_fraction_arithmetic(refuse_fraction_arithmetic):

@@ -106,7 +106,7 @@ def test_shape_parse_rejects_multiplicity_below_one(text):
 
 def test_shape_dim_and_rank():
     s = SemisimpleShape.parse("D5,3 A1,1^2 A1,3^2 G2,1 U(1)")
-    assert s.dim == 72 and s.rank == 12
+    assert s.dim == 72 and sum(t.rank for t, _ in s.ideals) + s.center_dim == 12
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -132,13 +132,14 @@ def test_m1_fixed_root_sets_match_stated_description():
     # factor 4: the whole G2
     a, h = SCENARIOS["M1"]
     _, seeds = fixed_subalgebra(a, h)
-    e6, g2 = a.data[0], a.data[1]
-    small = {g2.theta, tuple(-x for x in g2.theta),
-             g2.simple_roots[0], tuple(-x for x in g2.simple_roots[0])}
+    e6_roots = fraction_oracle.datum(T("E6"))[0]
+    g2_roots, _, _, theta = fraction_oracle.datum(T("G2"))
+    alpha_1 = (F(1), F(0))
+    small = {theta, tuple(-x for x in theta), alpha_1, tuple(-x for x in alpha_1)}
     want = (
-        [at_factor(a, 0, r) for r in e6.roots if r[0] == r[5]]
+        [at_factor(a, 0, r) for r in e6_roots if r[0] == r[5]]
         + [at_factor(a, i, r) for i in (1, 2) for r in small]
-        + [at_factor(a, 3, r) for r in g2.roots]
+        + [at_factor(a, 3, r) for r in g2_roots]
     )
     assert {r for s in seeds for r in s.roots} == set(flat(a, want))
 
@@ -149,8 +150,8 @@ def test_m2_fixed_root_set_matches_stated_description():
     a, h = SCENARIOS["M2"]
     _, seeds = fixed_subalgebra(a, h)
     d6 = next(s for s in seeds if str(s.type) == "D6")
-    d7 = a.data[0]
-    assert set(d6.roots) == set(flat(a, [at_factor(a, 0, r) for r in d7.roots if r[5] == r[6]]))
+    d7_roots = fraction_oracle.datum(T("D7"))[0]
+    assert set(d6.roots) == set(flat(a, [at_factor(a, 0, r) for r in d7_roots if r[5] == r[6]]))
 
 
 def test_fixed_subalgebra_trivial_h():
@@ -260,8 +261,8 @@ def test_assemble_twisted_subsystem():
 
 def test_assemble_single_pair_is_a1():
     a, h = SCENARIOS["M1"]
-    d = a.data[1]
-    r = product_weight(a, ints(a, at_factor(a, 1, d.theta)))
+    theta = fraction_oracle.datum(T("G2"))[3]
+    r = product_weight(a, ints(a, at_factor(a, 1, theta)))
     seed = assemble_root_subsystem(a, [r, negate(r)], [])
     assert str(seed.type) == "A1" and seed.level == 1
 
@@ -565,7 +566,7 @@ def oracle_fixed_subalgebra(a, h):
     fixed = []
     for i, ((t, _), d, comp) in enumerate(zip(a.factors, a.data, fraction_oracle.h_components(h))):
         row = fraction_oracle.gram_row(d, comp)
-        for alpha in d.roots:
+        for alpha in fraction_oracle.datum(t)[0]:
             val = sum((x * y for x, y in zip(row, alpha)), F(0))
             if (2 * val).denominator != 1:
                 raise OrbifoldError(f"(h|alpha) = {val} is not half-integral on factor {t}")
@@ -625,14 +626,15 @@ def twist(draw, t):
     """A dominant h with (h|alpha_j) in {0, 1/2, 1}, not all 0, and
     (h|theta) <= 1, moved by a random Weyl word."""
     d = build_root_datum(t)
+    theta = fraction_oracle.datum(t)[3]
     p = [0] * d.rank  # 2 (h|alpha_j)
     budget = 2  # 2 (h|theta) <= 2
     for j in draw(st.permutations(range(d.rank))):
-        p[j] = draw(st.sampled_from([v for v in (0, 1, 2) if d.theta[j] * v <= budget]))
-        budget -= d.theta[j] * p[j]
+        p[j] = draw(st.sampled_from([v for v in (0, 1, 2) if theta[j] * v <= budget]))
+        budget -= theta[j] * p[j]
     assume(any(p))
     # Dynkin label of h: (h|alpha_j) / ((alpha_j|alpha_j)/2)
-    h = d.weight_from_fundamental([F(x) / d.norms[j] for j, x in enumerate(p)])
+    h = d.weight_from_fundamental([x / F(d.igram[j][j], d.scale) for j, x in enumerate(p)])
     for i in draw(st.lists(st.integers(0, d.rank - 1), max_size=2 * d.rank)):
         h = reflect(d, h, i)
     return h
@@ -737,7 +739,7 @@ def test_classify_simple_system_builds_no_root_datum(monkeypatch):
                 t = SimpleType(letter, n)
             except RootSystemError:
                 continue
-            grams[t] = build_root_datum(t).gram
+            grams[t] = fraction_oracle.gram_matrix(t)
     assert len(grams) == 49
 
     def refuse(t):

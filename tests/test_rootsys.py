@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -16,7 +17,6 @@ from orbifold24.rootsys import (
     min_pairing,
     support_contains,
     weight_support,
-    weyl_dimension,
 )
 
 F = Fraction
@@ -29,6 +29,16 @@ ALL_TYPES = [
 
 def wt(d, *coeffs):
     return d.weight_from_fundamental([F(c) for c in coeffs])
+
+
+def fund(d):
+    """The fundamental weights of d's type, from the Fraction oracle."""
+    return oracle.datum(d.type)[1]
+
+
+def theta(d):
+    """The highest root of d's type, from the Fraction oracle."""
+    return oracle.datum(d.type)[3]
 
 
 # -- construction and datum invariants ----------------------------------------
@@ -48,15 +58,15 @@ def test_rank_cap():
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_datum_invariants(name):
     d = build_root_datum(SimpleType.parse(name))
-    assert len(d.roots) == d.type.num_roots == d.type.dim - d.rank
-    assert oracle.pair(d, d.theta, d.theta) == 2
-    assert all(oracle.pair(d, r, r) in (F(2), F(1), F(2, 3)) for r in d.roots)
+    assert len(d.iroots) == d.type.num_roots == d.type.dim - d.rank
+    assert oracle.pair(d, theta(d), theta(d)) == 2 and theta(d) in d.iroots
+    assert all(oracle.pair(d, r, r) in (F(2), F(1), F(2, 3)) for r in d.iroots)
     # fundamental weight duality: 2(Lambda_j|alpha_i)/(alpha_i|alpha_i) = delta_ij
-    for j, w in enumerate(d.fundamental_weights):
+    for j, w in enumerate(d.fund_coords):
         for i in range(d.rank):
-            assert coroot_pairing(d, w, i) == (1 if i == j else 0)
-    root_set = set(d.roots)
-    for r in d.roots:
+            assert coroot_pairing(d, w, i) == (d.fund_den if i == j else 0)
+    root_set = set(d.iroots)
+    for r in d.iroots:
         assert tuple(-x for x in r) in root_set
         for i in range(d.rank):
             assert reflect(d, r, i) in root_set
@@ -73,52 +83,52 @@ def test_dual_coxeter_numbers(name, hv):
 
 def test_a1_datum():
     d = build_root_datum(SimpleType.parse("A1"))
-    assert len(d.roots) == 2 and d.dual_coxeter == 2
-    alpha = d.simple_roots[0]
-    assert d.fundamental_weights[0] == tuple(x / 2 for x in alpha)
+    assert len(d.iroots) == 2 and d.dual_coxeter == 2
+    # Lambda_1 = alpha_1 / 2
+    assert (d.fund_den, d.fund_coords) == (2, [(1,)])
 
 
 def test_g2_gram_convention():
+    # gram = igram / scale: (alpha_1|alpha_1) = 2/3, (alpha_2|alpha_2) = 2, (alpha_1|alpha_2) = -1
     d = build_root_datum(SimpleType.parse("G2"))
-    assert d.gram[0][0] == F(2, 3)
-    assert d.gram[1][1] == 2
-    assert d.gram[0][1] == -1
+    assert d.scale == 3 and d.igram == [[2, -3], [-3, 6]]
 
 
 def test_e6_gram_convention():
     # chain among nodes 3..6, node 1 tied to 3, node 2 tied to 4
     d = build_root_datum(SimpleType.parse("E6"))
-    G = d.gram
-    assert all(G[i][i] == 2 for i in range(6))
+    G = d.igram
+    assert d.scale == 1 and all(G[i][i] == 2 for i in range(6))
     edges = {(i + 1, j + 1) for i in range(6) for j in range(6) if i < j and G[i][j] != 0}
     assert edges == {(1, 3), (2, 4), (3, 4), (4, 5), (5, 6)}
 
 
 def test_e7_gram_convention():
     d = build_root_datum(SimpleType.parse("E7"))
-    G = d.gram
-    assert all(G[i][i] == 2 for i in range(7))
+    G = d.igram
+    assert d.scale == 1 and all(G[i][i] == 2 for i in range(7))
     edges = {(i + 1, j + 1) for i in range(7) for j in range(7) if i < j and G[i][j] != 0}
     assert edges == {(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7)}
 
 
 def test_d7_gram_convention():
     d = build_root_datum(SimpleType.parse("D7"))
-    G = d.gram
-    assert all(G[i][i] == 2 for i in range(7))
+    G = d.igram
+    assert d.scale == 1 and all(G[i][i] == 2 for i in range(7))
     assert G[4][6] == -1 and G[5][6] == 0  # node 7 tied to node 5
 
 
 def test_c5_gram_convention():
+    # norms 1, 1, 1, 1, 2 and (alpha_1|alpha_2) = -1/2, (alpha_4|alpha_5) = -1, on scale 2
     d = build_root_datum(SimpleType.parse("C5"))
-    G = d.gram
-    assert [G[i][i] for i in range(5)] == [1, 1, 1, 1, 2]
-    assert G[0][1] == F(-1, 2) and G[3][4] == -1
+    G = d.igram
+    assert d.scale == 2 and [G[i][i] for i in range(5)] == [2, 2, 2, 2, 4]
+    assert G[0][1] == -1 and G[3][4] == -2
 
 
 def test_d7_counts():
     d = build_root_datum(SimpleType.parse("D7"))
-    assert len(d.roots) == 84 and d.dual_coxeter == 12
+    assert len(d.iroots) == 84 and d.dual_coxeter == 12
 
 
 # -- weight supports -----------------------------------------------------------
@@ -134,9 +144,8 @@ def string_bfs_support(d, lam):
         for i in range(d.rank):
             m = coroot_pairing(d, mu, i)
             if m > 0:
-                alpha = d.simple_roots[i]
                 for k in range(1, int(m) + 1):
-                    nu = tuple(x - k * a for x, a in zip(mu, alpha))
+                    nu = mu[:i] + (mu[i] - k,) + mu[i + 1:]
                     if nu not in seen:
                         seen.add(nu)
                         queue.append(nu)
@@ -163,20 +172,20 @@ def test_support_against_string_oracle(name, coeffs):
 
 def test_support_a1():
     d = build_root_datum(SimpleType.parse("A1"))
-    lam = d.fundamental_weights[0]
+    lam = fund(d)[0]
     assert weight_support(d, lam) == {lam, tuple(-x for x in lam)}
 
 
 def test_support_e6_adjoint():
     d = build_root_datum(SimpleType.parse("E6"))
-    sup = weight_support(d, d.theta)
+    sup = weight_support(d, theta(d))
     assert len(sup) == 73
-    assert sup == set(d.roots) | {tuple(F(0) for _ in range(6))}
+    assert sup == set(d.iroots) | {tuple(F(0) for _ in range(6))}
 
 
 def test_support_g2_seven_dim():
     d = build_root_datum(SimpleType.parse("G2"))
-    sup = weight_support(d, d.fundamental_weights[0])
+    sup = weight_support(d, fund(d)[0])
     assert len(sup) == 7
     assert tuple(F(0) for _ in range(2)) in sup
     assert sum(1 for mu in sup if oracle.pair(d, mu, mu) == F(2, 3)) == 6
@@ -200,7 +209,7 @@ def test_support_rejects_non_dominant():
 
 def test_support_contains():
     d = build_root_datum(SimpleType.parse("A2"))
-    lam = d.theta
+    lam = theta(d)
     assert support_contains(d, lam, tuple(F(0) for _ in range(2)))
     assert not support_contains(d, lam, wt(d, 2, 2))
 
@@ -208,32 +217,16 @@ def test_support_contains():
 def test_support_contains_rejects_wrong_arity():
     d = build_root_datum(SimpleType.parse("A2"))
     with pytest.raises(RootSystemError):
-        support_contains(d, d.theta, (F(0), F(0), F(5)))
+        support_contains(d, theta(d), (F(0), F(0), F(5)))
 
 
 def test_min_pairing_rejects_wrong_arity():
     d = build_root_datum(SimpleType.parse("A2"))
     with pytest.raises(RootSystemError):
-        min_pairing(d, (F(1, 2),), d.theta)
+        min_pairing(d, (F(1, 2),), theta(d))
 
 
 # -- dimensions ----------------------------------------------------------------
-
-
-def test_weyl_dimension_trivial_and_adjoint():
-    for name in ("A1", "C5", "E6", "G2"):
-        d = build_root_datum(SimpleType.parse(name))
-        assert weyl_dimension(d, tuple(F(0) for _ in range(d.rank))) == 1
-        assert weyl_dimension(d, d.theta) == d.type.dim
-
-
-def test_weyl_dimension_values():
-    d = build_root_datum(SimpleType.parse("E7"))
-    assert weyl_dimension(d, d.theta) == 133
-    d = build_root_datum(SimpleType.parse("A4"))
-    assert weyl_dimension(d, d.theta) == 24
-    d = build_root_datum(SimpleType.parse("E6"))
-    assert weyl_dimension(d, d.fundamental_weights[0]) == 27
 
 
 def test_support_size_vs_dimension():
@@ -241,11 +234,11 @@ def test_support_size_vs_dimension():
     for n in (2, 3, 4, 5):
         d = build_root_datum(SimpleType.parse(f"A{n}"))
         for j in range(n):
-            lam = d.fundamental_weights[j]
-            assert len(weight_support(d, lam)) == weyl_dimension(d, lam)
-    # the G2 adjoint has a weight of multiplicity two
+            lam = fund(d)[j]
+            assert len(weight_support(d, lam)) == oracle.weyl_dimension(d, lam)
+    # the G2 adjoint, the module of highest weight theta, has a weight of multiplicity two
     d = build_root_datum(SimpleType.parse("G2"))
-    assert len(weight_support(d, d.theta)) < weyl_dimension(d, d.theta)
+    assert len(weight_support(d, theta(d))) < d.type.dim
 
 
 # the minuscule weights (Bourbaki numbering) of every type up to rank 12
@@ -263,8 +256,8 @@ def test_support_size_is_dimension_on_every_minuscule_weight():
     assert len(MINUSCULE) == 133
     for name, j in MINUSCULE:
         d = build_root_datum(SimpleType.parse(name))
-        lam = d.fundamental_weights[j - 1]
-        assert len(weight_support(d, lam)) == weyl_dimension(d, lam), (name, j)
+        lam = fund(d)[j - 1]
+        assert len(weight_support(d, lam)) == oracle.weyl_dimension(d, lam), (name, j)
 
 
 def test_support_of_d12_with_a_large_box():
@@ -275,7 +268,7 @@ def test_support_of_d12_with_a_large_box():
     sup = weight_support(d, lam)
     assert len(sup) == 26624
     # the dominant weights below lam are lam and Lambda_12 = lam - (e_1 - e_12)
-    assert lam in sup and d.fundamental_weights[11] in sup
+    assert lam in sup and fund(d)[11] in sup
 
 
 # -- minimum pairings ----------------------------------------------------------
@@ -284,22 +277,22 @@ def test_support_of_d12_with_a_large_box():
 def test_min_pairing_zero_h():
     d = build_root_datum(SimpleType.parse("C3"))
     zero = tuple(F(0) for _ in range(3))
-    assert min_pairing(d, zero, d.theta) == 0
+    assert min_pairing(d, zero, theta(d)) == 0
 
 
 def test_min_pairing_e6_twist_vector():
     d = build_root_datum(SimpleType.parse("E6"))
     h = wt(d, F(1, 2), 0, 0, 0, 0, F(-1, 2))
-    assert min_pairing(d, h, d.theta) == F(-1, 2)
+    assert min_pairing(d, h, theta(d)) == F(-1, 2)
 
 
 def test_min_pairing_negation_on_adjoint():
     for name in ("A3", "D4", "G2"):
         d = build_root_datum(SimpleType.parse(name))
-        h = d.fundamental_weights[0]
+        h = fund(d)[0]
         neg_h = tuple(-x for x in h)
-        sup = weight_support(d, d.theta)
-        assert min_pairing(d, neg_h, d.theta) == -max(oracle.pair(d, h, mu) for mu in sup)
+        sup = weight_support(d, theta(d))
+        assert min_pairing(d, neg_h, theta(d)) == -max(oracle.pair(d, h, mu) for mu in sup)
 
 
 LEMMA_BOUNDS = [
@@ -339,7 +332,7 @@ LEMMA_BOUNDS = [
 def test_weight_bound_lemmas(name, hc, lc, bound):
     d = build_root_datum(SimpleType.parse(name))
     h = wt(d, *hc)
-    lam = d.theta if lc == "theta" else wt(d, *lc)
+    lam = theta(d) if lc == "theta" else wt(d, *lc)
     assert min_pairing(d, h, lam) >= bound
 
 
@@ -357,32 +350,48 @@ EVERY_TYPE = (
 def test_integer_datum_matches_fraction_oracle(name):
     # a fresh datum: the label orbits and the Bareiss inverse, not a cached one
     d = RootDatum(SimpleType.parse(name))
-    roots, fund, rho, theta = oracle.datum(d.type)
-    assert d.roots == roots
+    roots, weights, _, top = oracle.datum(d.type)
     assert d.iroots == [tuple(map(int, r)) for r in roots]
-    assert d.positive_roots == [r for r in roots if sum(r) > 0]
-    assert d.fundamental_weights == fund
-    assert d.rho == rho
-    assert d.theta == theta
     # F / N = (Lambda_i|Lambda_j), with N the least common denominator
-    rows = [oracle.gram_row(d, u) for u in fund]
-    pairings = [[sum(a * b for a, b in zip(row, v)) for v in fund] for row in rows]
+    rows = [oracle.gram_row(d, u) for u in weights]
+    pairings = [[sum(a * b for a, b in zip(row, v)) for v in weights] for row in rows]
     assert [[F(x, d.fund_gram_den) for x in row] for row in d.fund_gram] == pairings
     assert d.fund_gram_den == max(x.denominator for row in pairings for x in row)
-    assert all(F(x) == oracle.pair(d, theta, w) for x, w in zip(d.comarks, fund))
+    assert all(F(x) == oracle.pair(d, top, w) for x, w in zip(d.comarks, weights))
 
 
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_root_rows_and_coroots_match_their_products(name):
-    # both are read off the labels of the orbit walk, not multiplied out
+    # the rows are read off the labels of the orbit walk, not multiplied out
     d = RootDatum(SimpleType.parse(name))
     assert d.root_rows == [d.scaled_row(r) for r in d.iroots]
-    # alpha^vee = 2 alpha / (alpha|alpha) in the basis of simple coroots
-    coroots = []
-    for r in d.positive_roots:
-        norm = oracle.pair(d, r, r)
-        coroots.append(tuple(a * n / norm for a, n in zip(r, d.norms)))
-    assert d.positive_coroots == coroots
+    # and weight_support reads a root's labels <alpha, alpha_j^vee> =
+    # 2 (alpha|alpha_j)/(alpha_j|alpha_j) back off its row
+    diag = [row[j] for j, row in enumerate(d.igram)]
+    assert [tuple(F(2 * x, g) for x, g in zip(row, diag)) for row in d.root_rows] == [
+        tuple(coroot_pairing(d, r, j) for j in range(d.rank)) for r in d.iroots
+    ]
+
+
+def leaves(x):
+    """Everything in x that is not a list, tuple or set, at any depth."""
+    if isinstance(x, (list, tuple, set, frozenset)):
+        return [leaf for item in x for leaf in leaves(item)]
+    return [x]
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_root_datum_holds_integers_only(name):
+    # every member, those built on first read included, is made of ints:
+    # the Fraction forms of the root data live in the tests' oracle
+    d = RootDatum(SimpleType.parse(name))
+    cached = [k for k, v in vars(RootDatum).items() if isinstance(v, cached_property)]
+    assert {"fund_den", "fund_coords", "fund_gram_den", "fund_gram"} <= set(cached)
+    for k in cached:
+        getattr(d, k)
+    assert set(cached) <= set(vars(d))
+    members = [v for k, v in vars(d).items() if k != "type"]
+    assert type(d.type) is SimpleType and {type(x) for x in leaves(members)} == {int}
 
 
 def test_asymmetric_weight_gram_is_refused_on_its_first_read(monkeypatch):

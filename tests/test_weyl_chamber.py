@@ -42,7 +42,6 @@ from orbifold24.rootsys import (
     neg_dominant,
     support_contains,
     weight_support,
-    weyl_dimension,
 )
 
 F = Fraction
@@ -65,7 +64,7 @@ def small_labels(name):
     t = SimpleType.parse(name)
     d = build_root_datum(t)
     weights = map(oracle.label_weight, enumerate_modules(t, 2))
-    return [lam for lam in weights if weyl_dimension(d, lam) <= MAX_DIM]
+    return [lam for lam in weights if oracle.weyl_dimension(d, lam) <= MAX_DIM]
 
 
 @lru_cache(maxsize=16)
@@ -101,19 +100,21 @@ def test_closed_forms_match_enumeration(case, data):
     d, lam, h, mus = case
     support, ordered, den, scaled = enumerated(d, lam)
 
-    h_den, h_alpha = _to_integral([oracle.pair(d, h, a) for a in d.simple_roots])
+    # (h|alpha_j) for each simple root alpha_j
+    h_den, h_alpha = _to_integral(oracle.gram_row(d, h))
     brute = min(sum(map(mul, mu, h_alpha)) for mu in scaled)
     assert min_pairing(d, h, lam) == Fraction(brute, den * h_den)
 
     # draw indices: a strategy over the weights themselves would hash them all
     inside = [ordered[i] for i in data.draw(st.lists(st.integers(0, len(ordered) - 1), max_size=4))]
-    above = tuple(l + t for l, t in zip(lam, d.theta))
+    _, fund, _, theta = oracle.datum(d.type)
+    above = tuple(l + t for l, t in zip(lam, theta))
     queries = [lam, above] + mus + inside
     index = st.integers(0, d.rank - 1)
     queries += [reflect(d, mu, data.draw(index)) for mu in queries]
     # weights off the coset lam + Q as well (Lambda_1 is in Q only for E8, F4, G2)
     queries += [
-        tuple(a + b for a, b in zip(mu, v)) for mu in inside for v in (h, d.fundamental_weights[0])
+        tuple(a + b for a, b in zip(mu, v)) for mu in inside for v in (h, fund[0])
     ]
     for mu in queries:
         assert support_contains(d, lam, mu) == (mu in support), mu
@@ -170,8 +171,9 @@ def test_shared_orbits_match_per_call_enumerator(name):
     # in one order and not in the other, or evicted in between
     t = SimpleType.parse(name)
     weights = map(oracle.label_weight, enumerate_modules(t, 2))
-    labels = [lam for lam in weights if weyl_dimension(build_root_datum(t), lam) <= SHARED_MAX_DIM]
-    expected = {lam: oracle.descent_support(build_root_datum(t), lam) for lam in labels}
+    d = build_root_datum(t)
+    labels = [lam for lam in weights if oracle.weyl_dimension(d, lam) <= SHARED_MAX_DIM]
+    expected = {lam: oracle.descent_support(d, lam) for lam in labels}
     for order in (labels, labels[::-1]):
         d = RootDatum(t)
         for lam in order:
