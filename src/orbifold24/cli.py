@@ -60,26 +60,24 @@ def product_table_text(factors, max_weight, weights) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scenarios_in(root, label) -> list[Scenario]:
+    """The .scn files of a directory in name order, each parsed under the
+    name label(file) that its errors carry."""
+    files = sorted((e for e in root.iterdir() if e.name.endswith(".scn")), key=lambda e: e.name)
+    return [parse_scenario(e.read_text(), label(e)) for e in files]
+
+
 def _bundled_scenarios() -> list[Scenario]:
-    root = resources.files("orbifold24") / "scenarios"
-    out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".scn"):
-            out.append(parse_scenario(entry.read_text(), entry.name))
-    return out
-
-
-def _dir_scenarios(directory: str) -> list[Scenario]:
-    if not Path(directory).is_dir():
-        raise ScenarioError(f"no scenario directory {directory!r}")
-    out = []
-    for path in sorted(Path(directory).glob("*.scn")):
-        out.append(parse_scenario(path.read_text(), str(path)))
-    return out
+    return _scenarios_in(resources.files("orbifold24") / "scenarios", lambda e: e.name)
 
 
 def _load_scenarios(args) -> list[Scenario]:
-    scenarios = _dir_scenarios(args.dir) if args.dir else _bundled_scenarios()
+    if not args.dir:
+        scenarios = _bundled_scenarios()
+    elif Path(args.dir).is_dir():
+        scenarios = _scenarios_in(Path(args.dir), str)
+    else:
+        raise ScenarioError(f"no scenario directory {args.dir!r}")
     if getattr(args, "scenario", None):
         scenarios = [s for s in scenarios if s.name == args.scenario]
         if not scenarios:

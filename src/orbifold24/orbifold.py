@@ -45,8 +45,8 @@ from math import lcm
 from operator import add, mul, neg
 from typing import TYPE_CHECKING, NamedTuple
 
-from .rootsys import (IntWeight, MAX_RANK, Record, RootSystemError, SimpleType, build_root_datum,
-                      scaled_gram)
+from .rootsys import (IntWeight, MAX_RANK, Record, SimpleType, build_root_datum, scaled_gram,
+                      simple_types)
 
 if TYPE_CHECKING:  # named in annotations only, so loading orbifold leaves affine unloaded
     from .affine import HVector, ProductAlgebra
@@ -65,16 +65,26 @@ class OrbifoldError(ValueError):
 def _grid(a: ProductAlgebra) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """(D, G, den) of a product algebra, cached: the grid denominator, and
     the invariant form on the grid, (x|y) = x.G.y / den."""
-    data = a.data
-    D = 2 * lcm(*(d.fund_den for d in data))
-    L = lcm(*(d.scale * k for (_, k), d in zip(a.factors, data)))
-    G, off = [[0] * a.rank for _ in range(a.rank)], 0
-    for (_, k), d in zip(a.factors, data):
-        m = L // (d.scale * k)
-        for i, row in enumerate(d.igram):
-            G[off + i][off : off + d.rank] = [m * g for g in row]
-        off += d.rank
-    return D, tuple(map(tuple, G)), L * D * D
+    D = 2 * lcm(*(d.fund_den for d in a.data))
+    L = lcm(*(scaled_gram(t)[0] * k for t, k in a.factors))
+    return D, tuple(map(tuple, _block_gram(a.factors, L))), L * D * D
+
+
+def _block_gram(parts, unit: int) -> list[list[int]] | None:
+    """The block-diagonal integer matrix with one block igram(t) * unit /
+    (scale(t) * k) per part (t, k), or None when an entry is not an integer."""
+    total = sum(t.rank for t, _ in parts)
+    G, off = [[0] * total for _ in range(total)], 0
+    for t, k in parts:
+        scale, igram = scaled_gram(t)
+        for i, row in enumerate(igram):
+            for j, g in enumerate(row):
+                q, rem = divmod(g * unit, scale * k)
+                if rem:
+                    return None
+                G[off + i][off + j] = q
+        off += t.rank
+    return G
 
 
 def _rows(a: ProductAlgebra, vecs) -> list[tuple[int, ...]]:
@@ -223,14 +233,7 @@ def classify_simple_system(simple_gram, num_roots: int) -> SimpleType:
     is built.
     """
     C = _cartan_matrix(simple_gram)
-    n = len(C)
-    # A before D and C before B, so the coincidences D3=A3 and B2=C2 get
-    # their canonical names
-    for letter in "ACBDEFG":
-        try:
-            t = SimpleType(letter, n)
-        except RootSystemError:
-            continue
+    for t in simple_types(len(C)):
         if t.num_roots == num_roots and _cartan_permutation_match(
             C, _cartan_matrix(scaled_gram(t)[1])
         ):
@@ -567,28 +570,10 @@ def _extend_embedding(P, norms, keys, index, required_gram, domains, unplaced, p
 
 def _required_gram(target: SimpleType, parts_scaled):
     """The Gram matrix that the parts, each with its Gram matrix divided by
-    its level scaling xi, need as an orthogonal sum inside the target, or
-    None when it cannot be met.
-
-    The matrix is block diagonal and is built in the target's integers: an
-    entry g of a part's integer Gram becomes g * scale(target) / (scale(part) * xi).
-    An entry that is not integral matches no pair of target roots.
-    """
-    scale = scaled_gram(target)[0]
-    total = sum(t.rank for t, _ in parts_scaled)
-    G = [[0] * total for _ in range(total)]
-    off = 0
-    for t, xi in parts_scaled:
-        part_scale, igram = scaled_gram(t)
-        div = part_scale * xi
-        for i, row in enumerate(igram):
-            for j, g in enumerate(row):
-                q, rem = divmod(g * scale, div)
-                if rem:
-                    return None
-                G[off + i][off + j] = q
-        off += t.rank
-    return G
+    its level scaling xi, need as an orthogonal sum inside the target, in the
+    target's integers scale(target) * gram, or None when it cannot be met: an
+    entry that is not integral matches no pair of target roots."""
+    return _block_gram(parts_scaled, scaled_gram(target)[0])
 
 
 @lru_cache(maxsize=None)
@@ -618,16 +603,10 @@ def embeds(x, y: SimpleType) -> bool:
 
 def _candidate_ideals(rank_budget: int, dim_target: int, ratio: Fraction):
     """Simple ideals (type, level) with h_vee = ratio * level, bounded by
-    the rank and dimension budget.  B2 and D3 are reported as C2 and A3."""
+    the rank and dimension budget, one per isomorphism class of type."""
     out = []
-    for letter in "ABCDEFG":
-        for rank in range(1, min(rank_budget, MAX_RANK) + 1):
-            if (letter, rank) in (("B", 2), ("D", 3)):
-                continue
-            try:
-                t = SimpleType(letter, rank)
-            except RootSystemError:
-                continue
+    for rank in range(1, rank_budget + 1):
+        for t in simple_types(rank):
             if t.dim > dim_target:
                 continue
             level, rem = divmod(t.dual_coxeter * ratio.denominator, ratio.numerator)

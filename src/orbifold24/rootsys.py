@@ -244,6 +244,15 @@ class SimpleType(Record):
         return f"{self.letter}{self.rank}"
 
 
+def simple_types(rank: int) -> list[SimpleType]:
+    """The simple types of a rank, one per isomorphism class, in letter
+    order: B2 = C2 is named C2 and D3 = A3 is named A3."""
+    return [SimpleType(letter, rank) for letter, ok in (
+        ("A", rank >= 1), ("B", rank >= 3), ("C", rank >= 2), ("D", rank >= 4),
+        ("E", rank in (6, 7, 8)), ("F", rank == 4), ("G", rank == 2),
+    ) if ok and rank <= MAX_RANK]
+
+
 @lru_cache(maxsize=None)
 def scaled_gram(t: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(scale, scale * gram) of a type, cached: scale is the lcm of the Gram

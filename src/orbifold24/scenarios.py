@@ -97,6 +97,11 @@ _KNOWN_FIELDS = frozenset({
 })
 
 
+# the premise of the dimension formula, stated by the runner in every report
+GRADING = ("the twisted-sector character is taken to lie in q^(-1/2) Z[[q^(1/2)]]"
+           " (half-integral grading)")
+
+
 def _order_two_fault(a: ProductAlgebra, h: HVector) -> str | None:
     """Why h is not of order 2, or None: every root pairing (h|alpha) = p/q
     must be half-integral, and at least one not an integer."""
@@ -125,6 +130,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if key not in _KNOWN_FIELDS:
             raise ScenarioError(f"{source}:{lineno}: unknown field '{key}'")
         fields.setdefault(key, []).append(value.strip())
+    if GRADING in fields.get("assume", []):
+        raise ScenarioError(f"{source}: the runner states the grading assumption itself;"
+                            " drop its assume line")
 
     def one(key, default=None):
         vals = fields.get(key)
@@ -415,9 +423,10 @@ def run_scenario(sc: Scenario) -> Report:
 
         # identification of the new weight-one algebra
         found = identify(a.rank, new_dim, [(s.type, s.level) for s in seeds])
+        listed = "; ".join(map(str, found))
         add(_check("identification", f"unique {sc.expect_shape}", found == [sc.expect_shape],
-                   "unique " + str(found[0]) if len(found) == 1 else f"{len(found)} shapes: "
-                   + "; ".join(map(str, found))))
+                   f"unique {listed}" if len(found) == 1 else
+                   f"{len(found)} shapes: {listed}" if found else "0 shapes"))
 
         # the four-module fusion algebra behind the extension
         for a_sign in (1, -1):
@@ -429,9 +438,10 @@ def run_scenario(sc: Scenario) -> Report:
             add(_check(f"simple-current(a={a_sign:+d})", "fusion is a simple current",
                        fault is None, fault))
     except Exception as exc:  # a stage that raises is an error, not a failed check
-        return Report(sc.name, checks, sc.assumptions, sc.notes, error=f"{type(exc).__name__}: {exc}")
-
-    return Report(sc.name, checks, sc.assumptions, sc.notes)
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        error = None
+    return Report(sc.name, checks, [*sc.assumptions, GRADING], sc.notes, error)
 
 
 def _lattice_checks(sc: Scenario):

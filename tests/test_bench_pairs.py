@@ -72,6 +72,28 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(chan
     assert summary["setup_s"]["gain"] is summary["peak_rss_mb"]["gain"] is False
 
 
+WIDE = [1.0, 1.2, 0.8, 1.3, 0.7, 1.1, 0.9, 1.25, 0.75, 1.0]  # quartiles 0.825-1.175
+
+
+@pytest.mark.parametrize("base,change,unresolved", [
+    (BASE, [1.00] * 10, False),  # a spread of 0.035 within a bound of 0.25
+    (WIDE, [1.00] * 10, True),  # a spread of 0.35 beyond it
+    (WIDE, [0.69] * 10, False),  # every change run beats every parent run
+    (WIDE, [0.69] * 9 + [0.70], True),  # one change run ties the parent's best
+])
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(base, change, unresolved):
+    summary = load_tool().summarize(pairs_of(base, change))
+    assert summary["run_s"]["unresolved"] is unresolved
+    # setup_s and peak_rss_mb do not spread at all
+    assert summary["setup_s"]["unresolved"] is summary["peak_rss_mb"]["unresolved"] is False
+
+
+def test_bench_29_supports_run_s_would_read_unresolved():
+    record = json.loads((TOOL.parent.parent / "BENCH_29.json").read_text())
+    pairs = record["workloads"]["supports"]["pairs"]
+    assert load_tool().summarize(pairs)["run_s"]["unresolved"] is True
+
+
 def test_both_sides_run_from_exports_at_paths_of_equal_length(tmp_path, monkeypatch):
     tool = load_tool()
     repo = tmp_path / "repo"

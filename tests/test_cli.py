@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from orbifold24.affine import HVector
 from orbifold24.cli import _bundled_scenarios, main
-from orbifold24.scenarios import ScenarioError, parse_scenario, run_scenario
+from orbifold24.scenarios import GRADING, ScenarioError, parse_scenario, run_scenario
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parents[1] / "src" / "orbifold24" / "scenarios"
@@ -63,6 +64,24 @@ def test_m4_m5_reports_carry_assumptions(scenario_reports):
     assert any("assumed" in a for a in scenario_reports["M5"].assumptions)
 
 
+def test_runner_states_the_grading_assumption(scenario_reports):
+    # no bundled file states the grading, yet every report does, after the
+    # file's own assumptions
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        assert GRADING not in path.read_text()
+    for rep in scenario_reports.values():
+        assert rep.assumptions[-1] == GRADING and GRADING not in rep.assumptions[:-1]
+    assert len(scenario_reports["M4"].assumptions) == 2
+    assert scenario_reports["M1"].assumptions == [GRADING]
+
+
+def test_repeated_grading_assumption_is_refused(tmp_path):
+    (tmp_path / "m1x.scn").write_text(M1_TEXT + f"assume: {GRADING}\n")
+    proc = run_cli("run", "--dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert "m1x.scn" in proc.stderr and "grading" in proc.stderr
+
+
 def test_list_command():
     proc = run_cli("list")
     assert proc.returncode == 0
@@ -90,6 +109,15 @@ def test_dump_tables_matches_golden(tmp_path):
     assert produced == expected
     for name in expected:
         assert (tmp_path / name).read_text() == (DATA / name).read_text()
+
+
+def test_dump_tables_stdout_matches_golden(capsys):
+    # one section per table, in this order, each body the golden file's text
+    names = ["e6_3", "g2_1", "g2_2", "d7_3", "a3_1", "e7_3", "a5_1", "c5_3", "a1_1",
+             "t_e63_g21_3", "t_d73_a31_g21", "t_e73_a51", "t_c53_g22_a11"]
+    assert main(["dump-tables"]) == 0
+    expected = "".join(f"== {n} ==\n" + (DATA / f"{n}.tbl").read_text() for n in names)
+    assert capsys.readouterr().out == expected
 
 
 def test_empty_directory_runs_clean(tmp_path):
@@ -152,6 +180,19 @@ def test_base_weights_that_do_not_assemble_fail_the_twisted_subsystem(tmp_path):
     # the run goes on with the fixed-point seeds, to identification and beyond
     assert records["identification"]["status"] == "fail"
     assert "simple-current(a=-1)" in records
+
+
+def test_no_shape_found_reads_0_shapes(tmp_path):
+    doctored = M1_TEXT.replace(
+        "h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0", "h: -1/2 0 0 0 0 -1/2 | 0 0 | 0 0 | 0 0"
+    ).replace("expect_h_norm: 2", "expect_h_norm: 3")
+    assert "h: -1/2" in doctored and "expect_h_norm: 3" in doctored
+    (tmp_path / "m1x.scn").write_text(doctored)
+    proc = run_cli("run", "--dir", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] identification: expected unique A3,1 D7,3 G2,1, got 0 shapes\n" in proc.stdout
+    row = next(line for line in proc.stdout.splitlines() if line.startswith("M1 "))
+    assert re.split(r"\s{2,}", row)[3:] == ["0 shapes", "FAIL"]
 
 
 def test_json_report(tmp_path):

@@ -1,7 +1,7 @@
-"""Each module loads only what it runs: the package namespace is lazy, the
-lattice module needs no other module of the package, the orbifold module
-needs only the root systems, and no module loads `dataclasses` or the
-`inspect` it imports."""
+"""Each module loads only what it runs: the package root loads no submodule
+and exports no names, the lattice module needs no other module of the
+package, the orbifold module needs only the root systems, and no module
+loads `dataclasses` or the `inspect` it imports."""
 
 import json
 import os
@@ -14,18 +14,6 @@ import pytest
 import orbifold24
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-EXPORTS = [
-    "AffineLabel", "HVector", "ProductAlgebra", "ProductLabel", "QSeries", "RootDatum",
-    "RootSystemError", "SeedSubalgebra", "SemisimpleShape", "SimpleType", "affine",
-    "assemble_root_subsystem", "build_root_datum", "character_fit", "conformal_weight",
-    "dimension_identities", "embeds", "enumerate_modules", "eta24", "fixed_subalgebra",
-    "hauptmodul", "hauptmodul_S_power", "identify", "integral_spectrum_table", "min_pairing",
-    "orbifold", "product_twisted_lowest", "qseries", "rootsys", "spectrum_half_integral",
-    "t_transform", "twisted_positivity_certificate", "twisted_sector_roots",
-    "verlinde_simple_current", "weight_support",
-]
-
 
 def loaded_after(statement):
     """The names in sys.modules after a fresh interpreter runs the statement."""
@@ -66,15 +54,8 @@ def test_orbifold_loads_only_the_root_systems():
     assert package_modules(modules) == {"orbifold24.orbifold", "orbifold24.rootsys"}
 
 
-def test_names_resolve_to_their_home_objects():
-    assert orbifold24.__all__ == EXPORTS
-    for name in EXPORTS:
-        value = getattr(orbifold24, name)
-        if name in ("affine", "orbifold", "qseries", "rootsys"):
-            assert value is sys.modules[f"orbifold24.{name}"]
-        else:
-            assert value is getattr(sys.modules[value.__module__], name), name
-            assert value.__module__.startswith("orbifold24.")
-    assert set(EXPORTS) <= set(dir(orbifold24))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        orbifold24.no_such_name
+def test_root_exports_nothing():
+    """Every name is imported from its home module; the root holds no aliases."""
+    assert not hasattr(orbifold24, "identify")
+    with pytest.raises(ImportError):
+        from orbifold24 import identify  # noqa: F401

@@ -55,6 +55,15 @@ def test_rank_cap():
         SimpleType("A", 13)
 
 
+def test_simple_types_name_each_isomorphism_class_once():
+    listed = [t for n in range(MAX_RANK + 2) for t in rootsys.simple_types(n)]
+    # the 49 types up to rank 12 less B2 and D3, which are C2 and A3
+    assert len(listed) == len(set(listed)) == 47
+    assert SimpleType("B", 2) not in listed and SimpleType("D", 3) not in listed
+    assert [str(t) for t in rootsys.simple_types(2)] == ["A2", "C2", "G2"]
+    assert [str(t) for t in rootsys.simple_types(4)] == ["A4", "B4", "C4", "D4", "F4"]
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_datum_invariants(name):
     d = build_root_datum(SimpleType.parse(name))

@@ -21,7 +21,10 @@ each side, the number of pairs in which the change was better (lower),
 median times 1 + the metric's bound in BENCHMARK.json `end_to_end`, and
 `gain`: whether the change was better in at least nine tenths of the pairs
 (a tie counts for neither side) and its median is below the parent's by
-more than the parent's interquartile range.
+more than the parent's interquartile range, and `unresolved`: whether the
+parent's interquartile range exceeds its median times the bound, so that
+the runs cannot tell a change within the bound from one beyond it, unless
+every run of the change was better than every run of the parent.
 It also records the machine and the Python version.  Keys of an existing
 record that this run does not measure (other workloads, a hand-entered
 history of earlier changes) are kept, so one file can gather several runs.
@@ -110,6 +113,7 @@ def summarize(pairs: list[dict]) -> dict:
         change = [p["change"][m] for p in pairs]
         base_q, change_q = quartiles(base), quartiles(change)
         better = sum(c < b for b, c in zip(base, change))
+        spread = base_q["q3"] - base_q["q1"]
         out[m] = {
             "base": base_q,
             "change": change_q,
@@ -117,7 +121,8 @@ def summarize(pairs: list[dict]) -> dict:
             "pairs": len(pairs),
             "within_bound": change_q["median"] <= base_q["median"] * (1 + BOUNDS[m]),
             "gain": 10 * better >= 9 * len(pairs)
-            and base_q["median"] - change_q["median"] > base_q["q3"] - base_q["q1"],
+            and base_q["median"] - change_q["median"] > spread,
+            "unresolved": spread > base_q["median"] * BOUNDS[m] and max(change) >= min(base),
         }
     return out
 
