@@ -411,8 +411,8 @@ def run_scenario(sc: Scenario) -> Report:
             lattice_checks, sectors_above_half = _lattice_checks(sc)
             half_excluded = half_excluded or sectors_above_half
 
-        # the dimension formula, closed form cross-checked against the series
-        # route; the half-graded part is 0 only where a check above proved it
+        # the dimension formula, in closed form; the half-graded part is 0
+        # only where a check above proved it
         new_dim, _ = dimension_identities(a.dim, shape.dim, 0)
         add(_check("dimension-formula", sc.expect_new_dim,
                    half_excluded and new_dim == sc.expect_new_dim,

@@ -43,13 +43,14 @@ a second route to each seed's level, apart from the invariant norm the
 package classifies by.
 
 The q-series, the hauptmodul, its S-powers and the character fit at the
-end are how the package computed them before its integer series: a
-coefficient is a Fraction in a dict, and an inverse divides by the leading
-coefficient term by term.  Its eta powers multiply out the product factor
-by factor rather than through the pentagonal numbers, so they share no
-expansion with the package.  The Verlinde check there sums Fraction
-S-matrix entries.  rescale_exponents substitutes q -> q^(num/den) in a
-series of the package, through its public constructor.
+end are how they were computed before the integer series of
+`qseries_oracle`: a coefficient is a Fraction in a dict, and an inverse
+divides by the leading coefficient term by term.  Its eta powers multiply
+out the product factor by factor rather than through the pentagonal
+numbers, so they share no expansion with `qseries_oracle`.  The Verlinde
+check there sums Fraction S-matrix entries.  rescale_exponents substitutes
+q -> q^(num/den) in a series of `qseries_oracle`, through its public
+constructor.
 """
 
 from fractions import Fraction
@@ -626,7 +627,7 @@ def character_fit(dim_g1, dim_half, trunc):
 
 
 def rescale_exponents(s, num, den=1):
-    """The package's series s in q^(1/2) with q -> q^(num/den), again in q^(1/2).
+    """The `qseries_oracle` series s in q^(1/2) with q -> q^(num/den), again in q^(1/2).
 
     The coefficient at n/2 moves to n num / (2 den), which must stay in
     (1/2)Z; s is known below trunc/2, so the image is known below

@@ -43,13 +43,10 @@ from orbifold24.orbifold import (
     identify,
     verlinde_simple_current,
 )
-from orbifold24.qseries import (
-    dimension_identities,
-    hauptmodul,
-    hauptmodul_S_power,
-)
+from orbifold24.qseries import dimension_identities
 from orbifold24.rootsys import SimpleType, build_root_datum, weight_support
 from orbifold24.scenarios import fixed_shape_A45
+from qseries_oracle import hauptmodul, hauptmodul_S_power, series_route
 
 F = Fraction
 T = SimpleType.parse
@@ -143,9 +140,11 @@ def test_criterion_06_dimension_formula():
              (72, 32, 0, 48), (48, 32, 0, 72)]
     with criterion(6, "dimension-formula"):
         for v1, g1, half, expected in cases:
-            new_dim, g2 = dimension_identities(v1, g1, half)  # raises if routes differ
+            new_dim, g2 = dimension_identities(v1, g1, half)  # the closed form
             assert new_dim == expected, (v1, g1)
             assert g2 == 98580
+            # the series route: Z + Z(S tau) + Z(ST tau) at q^0, Z at q^1, Z(S tau) at q^-1/2
+            assert series_route(v1, g1, half) == (new_dim, g2, F(half, 2)), (v1, g1)
         import math
         assert 98580 == math.comb(24, 2) + 24 * 2**12
 

@@ -231,24 +231,30 @@ def test_stage_error_is_reported_apart_from_failures(monkeypatch, capsys):
 
 def test_failed_verification_step_is_not_a_pass_under_optimization():
     # under python -O, where assert statements are stripped, a verification
-    # step that fails must still stop the run: here the weight-two
-    # coefficient of the fitted character disagrees with the closed form
+    # step that fails must still stop the run: here every root datum the run
+    # builds disagrees with the dual Coxeter table.  The scenarios are parsed
+    # first, with the table intact, so the fault shows in the run, not the parse
     code = (
         "import sys\n"
-        "from orbifold24 import qseries\n"
-        "from orbifold24.cli import main\n"
-        "qseries.DIM_CONSTANT += 1\n"
-        "sys.exit(main(['run']))\n"
+        "from orbifold24 import cli, rootsys\n"
+        "parsed = cli._bundled_scenarios()\n"
+        "cli._bundled_scenarios = lambda: parsed\n"
+        "for letter, h in list(rootsys._DUAL_COXETER.items()):\n"
+        "    rootsys._DUAL_COXETER[letter] = lambda n, h=h: h(n) + 1\n"
+        "rootsys.build_root_datum.cache_clear()\n"
+        "sys.exit(cli.main(['run']))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert "PASS" not in proc.stdout
-    assert "QSeriesError: the fitted weight-two coefficient is not" in proc.stdout
+    assert proc.stdout.count(": 1 + (rho|theta) is not the dual Coxeter number") == 5
+    assert "error: RootSystemError: E6: 1 + (rho|theta) is not the dual Coxeter number" in proc.stdout
     assert "0/5 scenarios pass" in proc.stdout
 
 
 def test_trunc_is_not_an_option(capsys):
-    # the series depth follows from the coefficients the dimension formula reads
+    # run reads the dimension formula in closed form; the series oracle in
+    # tests/qseries_oracle.py has its one depth, IDENTITIES_TRUNC
     assert main(["run", "--trunc", "30"]) == 2
     assert "unrecognized arguments: --trunc" in capsys.readouterr().err
 

@@ -1,7 +1,8 @@
 """Each module loads only what it runs: the package root loads no submodule
 and exports no names, the lattice module needs no other module of the
-package, the orbifold module needs only the root systems, and no module
-loads `dataclasses` or the `inspect` it imports."""
+package, the orbifold module needs only the root systems, the dimension
+formula needs nothing, and no module loads `dataclasses` or the `inspect`
+it imports."""
 
 import json
 import os
@@ -47,6 +48,13 @@ def test_module_loads_no_dataclasses_or_inspect(module):
     modules = loaded_after(f"import orbifold24.{module}")
     assert f"orbifold24.{module}" in modules
     assert not {"dataclasses", "inspect"} & modules
+
+
+def test_qseries_is_closed_form_only():
+    # the dimension formula needs no other package module and no Fractions
+    modules = loaded_after("import orbifold24.qseries")
+    assert package_modules(modules) == {"orbifold24.qseries"}
+    assert "fractions" not in modules
 
 
 def test_orbifold_loads_only_the_root_systems():

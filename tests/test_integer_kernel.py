@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 import fraction_oracle as oracle
-from orbifold24 import affine, orbifold, qseries, rootsys
+from orbifold24 import affine, orbifold, rootsys
 from orbifold24.affine import HVector, ProductAlgebra, enumerate_modules
 from orbifold24.cli import _bundled_scenarios
 from orbifold24.lattice import (
@@ -402,7 +402,7 @@ def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic,
         scaled_gram(T(t))
     for cache in (affine._modules, affine._twist, rootsys.neg_dominant, orbifold._grid,
                   orbifold._root_pairings, orbifold._root_keys, orbifold._embedding_cached,
-                  orbifold.verlinde_simple_current, qseries._euler_product_pow24):
+                  orbifold.verlinde_simple_current):
         cache.cache_clear()
     refuse_fraction_arithmetic()
     for sc in scenarios:

@@ -4,20 +4,19 @@ import pytest
 
 import fraction_oracle as oracle
 from fraction_oracle import rescale_exponents
-from orbifold24.qseries import (
+from orbifold24.qseries import DIM_CONSTANT, QSeriesError, dimension_identities
+from qseries_oracle import (
     C24_2,
     C48_2,
-    DIM_CONSTANT,
     IDENTITIES_TRUNC,
     QSeries,
-    QSeriesError,
     character_fit,
     constant,
-    dimension_identities,
     eta24,
     fitted_S_series,
     hauptmodul,
     hauptmodul_S_power,
+    series_route,
     t_transform,
 )
 
@@ -192,6 +191,57 @@ def test_dimension_identities_nonzero_half():
     assert g2 == 98580 + 2**12
 
 
+def _closed_route(v1, g1, half):
+    new_dim, g2 = dimension_identities(v1, g1, half)
+    return new_dim, g2, F(half, 2)
+
+
+def _step(point, axis):
+    return tuple(x + (i == axis) for i, x in enumerate(point))
+
+
+def test_series_route_is_affine_and_equals_the_closed_form():
+    """The closed form in `orbifold24.qseries` is the series route, for every input.
+
+    The dimension formula dim V~_1 = 3 dim g_1 - dim V_1 + 24 (1 - dim_half)
+    comes from the character Z(tau) + Z(S tau) + Z(ST tau) of the orbifold
+    (arXiv:1501.05094; van Ekeren-Möller-Scheithauer, arXiv:1507.08142).  The
+    series route fits Z = f + c0 + c_{-1} f^-1 + 2^23 f^-2 with
+    c0 = dim_g1 + 24 and c_{-1} = 2^11 (dim_half + 48), both affine in
+    (dim_V1, dim_g1, dim_half); the powers of the hauptmodul f and of its
+    S-transform do not depend on the inputs.  Each coefficient the route
+    reads (the constant term of Z + Z(S tau) + Z(ST tau) - dim_V1, the q^1
+    coefficient of Z and the q^(-1/2) coefficient of Z(S tau)) is a fixed
+    linear combination of 1, c0, c_{-1} and dim_V1, since the Laurent sum and
+    the T-transform are linear in them.  So the route is an affine map of the
+    three dimensions, as the closed forms are, and two affine maps that agree
+    at the four affinely independent points (0,0,0), (1,0,0), (0,1,0),
+    (0,0,1) agree everywhere.  The grid checks the affinity itself: the
+    difference along each input is the same at every grid point, where the
+    closed form agrees as well.
+    """
+    grid = [(v1, g1, half) for v1 in (0, 1, 5) for g1 in (0, 2, 7) for half in (0, 1, 3)]
+    route = {p: series_route(*p) for p in grid}
+    route.update({_step(p, axis): series_route(*_step(p, axis))
+                  for p in grid for axis in range(3)})
+    for axis in range(3):
+        diffs = {tuple(b - a for a, b in zip(route[p], route[_step(p, axis)])) for p in grid}
+        assert len(diffs) == 1, (axis, diffs)
+    for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        assert series_route(*p) == _closed_route(*p), p
+    assert all(route[p] == _closed_route(*p) for p in route)
+
+
+def test_series_route_at_the_bundled_scenarios():
+    from orbifold24.cli import _bundled_scenarios
+
+    pairs = [(sc.algebra.dim, sc.expect_fixed_dim) for sc in _bundled_scenarios()]
+    assert pairs == [(v1, g1) for v1, g1, _, _ in DIM_CASES]
+    for v1, g1 in pairs:
+        assert series_route(v1, g1, 0) == _closed_route(v1, g1, 0) == (
+            3 * g1 - v1 + 24, DIM_CONSTANT, 0)
+
+
 def test_inverse_requires_nonzero():
     with pytest.raises(QSeriesError):
         constant(0, 4).inverse()
@@ -209,7 +259,7 @@ def test_truncation_propagates():
 def test_cached_hauptmodul_series_are_not_shared():
     # the eta products under the hauptmodul are cached; a caller that changes
     # a returned series must not change any later result
-    expected = dimension_identities(120, 48, 0)
+    expected = series_route(120, 48, 0)
     builders = [lambda: hauptmodul(22)] + [
         lambda n=n: hauptmodul_S_power(n, 22) for n in (1, -1, -2)
     ]
@@ -221,11 +271,11 @@ def test_cached_hauptmodul_series_are_not_shared():
         first.nums.clear()
         again = build()
         assert again is not first and again.coeffs == before
-    assert dimension_identities(120, 48, 0) == expected
+    assert series_route(120, 48, 0) == expected
 
 
 def test_identities_truncation_is_the_least_that_works():
-    # dimension_identities reads Z at q^-1, q^0, q^1 and Z(S tau) at q^(-1/2), q^0
+    # series_route reads Z at q^-1, q^0, q^1 and Z(S tau) at q^(-1/2), q^0
     def reads(trunc):
         fit = character_fit(72, 0, trunc)
         s = fitted_S_series(fit, trunc)

@@ -20,7 +20,6 @@ from orbifold24.affine import (
     TwistClassification,
 )
 from orbifold24.orbifold import SeedSubalgebra, SemisimpleShape
-from orbifold24.qseries import CharacterFit, QSeries
 from orbifold24.rootsys import MAX_RANK, Fields, Record, RootSystemError, SimpleType
 from orbifold24.scenarios import CheckResult, Report, Scenario
 
@@ -53,7 +52,6 @@ def frozen_records():
         "HVector": h_vector(),
         "SemisimpleShape": shape(),
         "SeedSubalgebra": SeedSubalgebra(A1, 2, ((2, 0),), ((2, 0), (-2, 0))),
-        "CharacterFit": CharacterFit(F(3), F(5), QSeries({-2: 1}, 2, 1)),
         "CheckResult": CheckResult("x", "1", "2"),
     }
 
@@ -72,8 +70,6 @@ def test_constructors_take_positional_and_keyword_arguments():
         SeedSubalgebra(A1, 2, ((2,),), ((2,), (-2,)))
     assert CheckResult(name="x", expected="1", actual="1").ok
     assert not CheckResult("x", "1", "2").ok
-    fit = CharacterFit(c0=F(1), c_minus1=F(2), series=QSeries({}, 1, 1))
-    assert (fit.c0, fit.c_minus1) == (1, 2)
     pl = ProductLabel(algebra=ALGEBRA, labels=(label(), AffineLabel(G2, 1, (0, 0))))
     assert pl.coeffs == ((1,), (0, 0))
     assert str(pl) == "(1; 0,0)"
@@ -134,11 +130,7 @@ def test_equality_is_by_value_within_one_type():
     for name, x in frozen_records().items():
         y = copy.copy(x)
         assert x == y and pickle.loads(pickle.dumps(x)) == x, name
-        if name == "CharacterFit":  # its series is unhashable
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(x)
-        else:
-            assert hash(x) == hash(y), name
+        assert hash(x) == hash(y), name
     assert SimpleType("A", 1) != ("A", 1)
     assert shape() != SemisimpleShape(shape().ideals)
     assert ALGEBRA != ProductAlgebra.of(("A1", 2))
@@ -169,8 +161,7 @@ def test_simple_types_sort_by_letter_then_rank():
 
 FIELDS = {"SimpleType": "rank", "AffineLabel": "level", "TwistClassification": "kind",
           "ProductAlgebra": "factors", "ProductLabel": "labels", "HVector": "ints",
-          "SemisimpleShape": "center_dim", "SeedSubalgebra": "roots", "CharacterFit": "c0",
-          "CheckResult": "actual"}
+          "SemisimpleShape": "center_dim", "SeedSubalgebra": "roots", "CheckResult": "actual"}
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -219,9 +210,6 @@ def test_reprs():
     assert repr(records["SeedSubalgebra"]) == (
         "SeedSubalgebra(type=SimpleType(letter='A', rank=1), level=2, simple_roots=((2, 0),), "
         "roots=((2, 0), (-2, 0)))")
-    assert repr(records["CharacterFit"]) == (
-        "CharacterFit(c0=Fraction(3, 1), c_minus1=Fraction(5, 1), "
-        "series=QSeries(1*q^(-2/2); trunc 2/2))")
     assert repr(records["CheckResult"]) == "CheckResult(name='x', expected='1', actual='2')"
     assert repr(Report("M1", [CheckResult("x", "1", "1")], ["a"], [])) == (
         "Report(scenario='M1', checks=[CheckResult(name='x', expected='1', actual='1')], "
@@ -256,9 +244,8 @@ def package_classes():
 
 
 def test_record_methods_live_in_fields_and_record():
-    # QSeries compares only the known part of two series, so it keeps its own
     owners = {c.__name__ for c in package_classes() if RECORD_METHODS & set(vars(c))}
-    assert owners == {"Fields", "Record", "QSeries"}
+    assert owners == {"Fields", "Record"}
 
 
 def test_every_record_type_is_in_the_contract_tests():
