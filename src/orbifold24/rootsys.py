@@ -30,9 +30,10 @@ On labels the kernels are short integer products:
   min_pairing = -(lambda|dom(-h)); `neg_dominant` keeps dom(-h) per
   (datum, h) in one fixed-size cache, which min_pairing and affine's twist
   cache both read, so a repeated h is walked once;
-* lambda - x in Q+ is read off the root coordinates of lambda, the
-  integer combination of the fundamental weights (`dominates`), which
-  gives support_contains;
+* lambda - x in Q+ is read off the root coordinates of lambda over one
+  denominator (`_covers`): `dominates` takes them from lambda's labels,
+  the integer combination of the fundamental weights, and
+  support_contains from lambda's own IntWeight;
 * the roots are the Weyl orbits of the dominant roots, walked on labels
   by Snow's rule (D. Snow, "Weyl group orbits", ACM TOMS 16, 1990): from
   an element with m_i > 0, step to s_i of it only when no label before i
@@ -41,25 +42,33 @@ On labels the kernels are short integer products:
   the diagonal entry j;
 * the whole weight support of lambda (`weight_support`, the tests' oracle
   for the closed forms) is a descent and an orbit walk: the dominant
-  weights below lambda are reached from lambda by subtracting positive
-  roots through dominant weights (J. Stembridge, "The partial order of
-  dominant weights", Adv. Math. 136, 1998), and each is expanded to its
-  Weyl orbit by Snow's walk.  The orbits are kept in one fixed-size
-  cache keyed by (datum, dominant labels), each as a frozenset of Vecs,
-  and a support is a new set, the union of its orbit sets, which copies
-  their stored hashes: an orbit that is still cached is neither walked
-  nor hashed again, and the supports that contain it share its tuples.
+  weights below lambda are reached from lambda by subtracting the labels
+  of positive roots (`positive_labels`, built once per datum) through
+  dominant weights (J. Stembridge, "The partial order of dominant
+  weights", Adv. Math. 136, 1998), and each is expanded to its Weyl orbit
+  by Snow's walk.  The orbits are kept in one fixed-size cache keyed by
+  (datum, dominant labels), each as a frozenset of Vecs in canonical
+  form, and a support is a new set, the union of its orbit sets, which
+  copies their stored hashes: an orbit that is still cached is neither
+  walked nor hashed again, and the supports that contain it share its
+  tuples.
 
-`Vec`, a tuple of `Fraction` root coordinates, is the boundary type: the
-public functions (`weight_from_fundamental`, `min_pairing`,
+`Vec`, a tuple of exact rational root coordinates, is the boundary type:
+the public functions (`weight_from_fundamental`, `min_pairing`,
 `support_contains`, `weight_support`) take and give Vecs and convert once,
 through `integral`, to the `IntWeight` that `dominant_int` and
-`label_pairing` act on.  `from_fundamental` makes an IntWeight from Dynkin
-labels; `root_pairings` takes one and gives (x|alpha) on every root as
-integers over one denominator, which is how (h|alpha) is tested for
-integrality or a bound: `affine.HVector` calls it once per factor when it is
-made.  No Fraction form pairs two Vecs or holds the Gram matrix, the roots
-or the Weyl dimensions: the tests keep those as their oracle.
+`label_pairing` act on.  A Vec they give is in canonical form
+(`_rational`): a coordinate is an `int` when it is integral and a
+`Fraction` only otherwise.  As Fraction(4, 2) == 2 and the two hash alike,
+values, equality and set membership are those of an all-Fraction Vec, but
+an int hashes and compares in C, where Fraction.__hash__ is Python code
+that takes a modular inverse.  min_pairing gives a `Fraction`, integral or
+not.  `from_fundamental` makes an IntWeight from Dynkin labels;
+`root_pairings` takes one and gives (x|alpha) on every root as integers
+over one denominator, which is how (h|alpha) is tested for integrality or
+a bound: `affine.HVector` calls it once per factor when it is made.  No
+Fraction form pairs two Vecs or holds the Gram matrix, the roots or the
+Weyl dimensions: the tests keep those as their oracle.
 
 `Fields` and `Record` are the base classes of the package's value types:
 `Fields` gives `__repr__` and `__eq__` over the attribute names in a class's
@@ -81,7 +90,9 @@ from math import gcd, lcm
 from operator import attrgetter, floordiv, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
-Vec = tuple[Fraction, ...]
+# exact rational root coordinates; a Vec this module gives holds each one in
+# canonical form (`_rational`): an int when integral, else a Fraction
+Vec = tuple[int | Fraction, ...]
 
 MAX_RANK = 12
 
@@ -111,9 +122,17 @@ class RootSystemError(ValueError):
 
 
 def _to_integral(v) -> tuple[int, tuple[int, ...]]:
-    """(D, D*v) for a rational vector v, with D the lcm of its denominators."""
-    D = lcm(*(x.denominator for x in v))
-    return D, tuple(x.numerator * (D // x.denominator) for x in v)
+    """(D, D*v) for a rational vector v, with D the lcm of its denominators,
+    each of which is read once (a Fraction's is a Python property)."""
+    dens = [x.denominator for x in v]
+    D = lcm(*dens)
+    return D, tuple([x.numerator * (D // q) for x, q in zip(v, dens)])
+
+
+def _rational(num: int, den: int) -> int | Fraction:
+    """num / den in canonical form: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class IntWeight(NamedTuple):
@@ -292,10 +311,11 @@ class RootDatum:
     """A simple root system with exact pairings, roots and weight data.
 
     Every member is an integer, or built of integers.  Construction builds
-    what every caller reads; only the four fund_* members, which come from
-    one fraction-free inverse of the Cartan matrix, are built on their first
-    read, once (`functools.cached_property`), and are then plain attributes
-    of the instance.  The embedding search reads none of them.
+    what every caller reads; the four fund_* members, which come from one
+    fraction-free inverse of the Cartan matrix, and positive_labels are
+    built on their first read, once (`functools.cached_property`), and are
+    then plain attributes of the instance.  The embedding search reads none
+    of them.
 
     Attributes, at construction:
         type: the SimpleType.
@@ -313,6 +333,8 @@ class RootDatum:
         fund_den, fund_coords: Lambda_j = fund_coords[j] / fund_den in root
             coordinates.
         fund_gram_den, fund_gram: (Lambda_i|Lambda_j) = fund_gram[i][j] / fund_gram_den.
+        positive_labels: the Dynkin labels of the positive roots, in the
+            order of iroots.
     """
 
     def __init__(self, t: SimpleType):
@@ -383,6 +405,17 @@ class RootDatum:
         return p // g, fund_coords, N // h, [[x // h for x in row] for row in F]
 
     @cached_property
+    def positive_labels(self) -> list[tuple[int, ...]]:
+        """The labels 2(alpha|alpha_j)/(alpha_j|alpha_j) of every positive root
+        alpha: its row alpha.igram over the diagonal, doubled."""
+        diag = [row[i] for i, row in enumerate(self.igram)]
+        return [
+            tuple(2 * x // g for x, g in zip(row, diag))
+            for r, row in zip(self.iroots, self.root_rows)
+            if sum(r) > 0
+        ]
+
+    @cached_property
     def fund_den(self) -> int:
         return self._weights[0]
 
@@ -445,7 +478,7 @@ class RootDatum:
     def weight_from_fundamental(self, coeffs) -> Vec:
         """The Vec of the weight with the given (rational) Dynkin labels."""
         x = self.from_fundamental(coeffs)
-        return tuple(Fraction(c, x.den) for c in x.coords)
+        return tuple(_rational(c, x.den) for c in x.coords)
 
     def dominant_int(self, x: IntWeight) -> IntWeight:
         """The dominant weight in the Weyl orbit of x.
@@ -504,12 +537,14 @@ def build_root_datum(t: SimpleType) -> RootDatum:
 # -- weight supports -------------------------------------------------------
 
 
-def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[int, ...]:
+def _require_dominant_integral(d: RootDatum, lam: Vec) -> tuple[IntWeight, tuple[int, ...]]:
+    """lam as an IntWeight, and its Dynkin labels, which must be non-negative
+    integers."""
     x = d.integral(lam)
     if any(m < 0 or m % x.den for m in x.labels):
-        fund = tuple(Fraction(m, x.den) for m in x.labels)
-        raise RootSystemError(f"{d.type}: weight {fund} is not dominant integral")
-    return tuple(m // x.den for m in x.labels)
+        fund = ", ".join(str(_rational(m, x.den)) for m in x.labels)
+        raise RootSystemError(f"{d.type}: weight ({fund}) is not dominant integral")
+    return x, tuple(m // x.den for m in x.labels)
 
 
 # how many Weyl orbits weight_support keeps, the latest asked
@@ -521,13 +556,13 @@ def _orbit_vecs(d: RootDatum, labels: tuple[int, ...]) -> frozenset[Vec]:
     """The Weyl orbit of the dominant weight with the given integer labels,
     as Vecs, walked once by Snow's rule (`_orbit`) and kept while it is
     among the ORBIT_CACHE latest asked.  Every coordinate is an integer
-    over fund_den, and each value gets one Fraction object."""
+    over fund_den, and each distinct value is made canonical once."""
     N = d.fund_den
     # the orbit walk reads coordinates and labels on one scale, here N
     top = IntWeight(N, tuple(d._label_coords(labels)), tuple(N * x for x in labels))
     points = [w for w, _ in d._orbit(top)]
-    frac = {x: Fraction(x, N) for x in {x for w in points for x in w}}
-    return frozenset(tuple(map(frac.__getitem__, w)) for w in points)
+    value = {x: _rational(x, N) for x in {x for w in points for x in w}}
+    return frozenset(tuple(map(value.__getitem__, w)) for w in points)
 
 
 def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
@@ -538,22 +573,16 @@ def weight_support(d: RootDatum, lam: Vec) -> set[Vec]:
     is reached from lam by subtracting one positive root at a time through
     dominant weights (J. Stembridge, "The partial order of dominant
     weights", Adv. Math. 136, 1998), so subtracting the labels of each
-    positive root and keeping the dominant results finds them all.  Then
-    the Weyl orbit of each (`_orbit_vecs`), which Snow's walk builds and
-    hashes once while it stays in the orbit cache.  The result is a new
-    set, the union of the shared orbit sets, which copies their stored
-    hashes; changing it changes no later result.  min_pairing and
+    positive root (`positive_labels`) and keeping the dominant results
+    finds them all.  Then the Weyl orbit of each (`_orbit_vecs`), which
+    Snow's walk builds and hashes once while it stays in the orbit cache.
+    The result is a new set, the union of the shared orbit sets, which
+    copies their stored hashes; changing it changes no later result.  min_pairing and
     support_contains answer their questions in closed form without it, and
     the tests use it as their oracle.
     """
-    labels = _require_dominant_integral(d, lam)
-    diag = [row[i] for i, row in enumerate(d.igram)]
-    # the labels of alpha are 2(alpha|alpha_j)/(alpha_j|alpha_j)
-    steps = [
-        tuple(2 * x // g for x, g in zip(row, diag))
-        for r, row in zip(d.iroots, d.root_rows)
-        if sum(r) > 0
-    ]
+    labels = _require_dominant_integral(d, lam)[1]
+    steps = d.positive_labels
     dominant, stack = {labels}, [labels]
     while stack:
         m = stack.pop()
@@ -572,15 +601,19 @@ def label_pairing(d: RootDatum, labels, x: IntWeight) -> int:
     return sum(c * w * d.igram[j][j] for j, (c, w) in enumerate(zip(labels, x.coords)) if c)
 
 
-def dominates(d: RootDatum, labels, x: IntWeight) -> bool:
-    """Whether lambda - x lies in Q+, for lambda given by its labels.
+def _covers(N: int, coords, x: IntWeight) -> bool:
+    """Whether lambda - x lies in Q+, for lambda with root coordinates
+    coords / N: every coordinate of the difference,
+    (x.den coords - N x.coords) / (N x.den), must be a non-negative integer."""
+    D = x.den
+    ND = N * D
+    return all(z >= 0 and z % ND == 0 for z in (D * l - N * y for l, y in zip(coords, x.coords)))
 
-    The root coordinates of lambda are sum_j lambda_j fund_coords[j] / fund_den;
-    every coordinate of the difference must be a non-negative integer.
-    """
-    N, D = d.fund_den, x.den
-    diffs = (D * l - N * y for l, y in zip(d._label_coords(labels), x.coords))
-    return all(z >= 0 and z % (N * D) == 0 for z in diffs)
+
+def dominates(d: RootDatum, labels, x: IntWeight) -> bool:
+    """Whether lambda - x lies in Q+, for lambda given by its labels, whose
+    root coordinates are sum_j lambda_j fund_coords[j] / fund_den."""
+    return _covers(d.fund_den, d._label_coords(labels), x)
 
 
 def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
@@ -591,9 +624,11 @@ def support_contains(d: RootDatum, lam: Vec, mu: Vec) -> bool:
     conjugate (the support is Weyl invariant and its dominant part is the
     dominant weights below lam).  The second condition implies the first:
     W moves an integral weight only by roots and keeps a non-integral one
-    non-integral, so one test of lam - dom(mu) answers both.
+    non-integral, so one test of lam - dom(mu) answers both, on the root
+    coordinates of lam's own IntWeight.
     """
-    return dominates(d, _require_dominant_integral(d, lam), d.dominant_int(d.integral(mu)))
+    x = _require_dominant_integral(d, lam)[0]
+    return _covers(x.den, x.coords, d.dominant_int(d.integral(mu)))
 
 
 @lru_cache(maxsize=1024)
@@ -610,6 +645,6 @@ def min_pairing(d: RootDatum, h: Vec, lam: Vec) -> Fraction:
     the Weyl orbit of lam, and (x|lam) over the orbit of x is largest at
     the dominant conjugate of x.
     """
-    labels = _require_dominant_integral(d, lam)
+    labels = _require_dominant_integral(d, lam)[1]
     x = neg_dominant(d, d.integral(h))
     return Fraction(-label_pairing(d, labels, x), 2 * d.scale * x.den)

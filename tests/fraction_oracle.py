@@ -460,7 +460,7 @@ def descent_support(d, lam):
     dominant weights, then the Weyl orbit of each by Snow's walk."""
     from orbifold24.rootsys import IntWeight, _require_dominant_integral
 
-    labels = _require_dominant_integral(d, lam)
+    labels = _require_dominant_integral(d, lam)[1]
     N = d.fund_den
     diag = [row[i] for i, row in enumerate(d.igram)]
     steps = [

@@ -48,10 +48,13 @@ def test_measuring_a_workload_again_keeps_the_earlier_runs(tmp_path, monkeypatch
     assert "earlier" not in record["workloads"]["lattice"]
 
 
+def run_of(run_s, correct=True, failed=0):
+    return {"correct": correct, "attempted": 100, "failed": failed,
+            "setup_s": 1.0, "run_s": run_s, "peak_rss_mb": 20.0}
+
+
 def pairs_of(base, change):
-    return [{"base": {"setup_s": 1.0, "run_s": b, "peak_rss_mb": 20.0},
-             "change": {"setup_s": 1.0, "run_s": c, "peak_rss_mb": 20.0}}
-            for b, c in zip(base, change)]
+    return [{"base": run_of(b), "change": run_of(c)} for b, c in zip(base, change)]
 
 
 BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.9825-1.0175
@@ -70,6 +73,36 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(chan
     assert summary["run_s"]["gain"] is gain
     # setup_s and peak_rss_mb tie in every pair, so they show no gain
     assert summary["setup_s"]["gain"] is summary["peak_rss_mb"]["gain"] is False
+
+
+@pytest.mark.parametrize("base_runs,change_runs,gain", [
+    # one wrong change run: no gain, however fast
+    ({}, {3: {"correct": False}}, False),
+    # a wrong parent run does not hold the change back
+    ({3: {"correct": False}}, {}, True),
+    # the change fails a larger share of its operations
+    ({}, {3: {"failed": 1}}, False),
+    ({0: {"failed": 1}}, {3: {"failed": 2}}, False),
+    # an equal or smaller failed share is no bar
+    ({0: {"failed": 2}}, {3: {"failed": 2}}, True),
+    ({0: {"failed": 2}}, {3: {"failed": 1}}, True),
+])
+def test_gain_needs_every_change_run_correct_and_no_larger_failed_share(
+        base_runs, change_runs, gain):
+    pairs = pairs_of(BASE, [0.80] * 10)  # a gain on timing alone
+    for side, edits in (("base", base_runs), ("change", change_runs)):
+        for i, fields in edits.items():
+            pairs[i][side].update(fields)
+    summary = load_tool().summarize(pairs)
+    assert summary["run_s"]["gain"] is gain
+    base_failed = sum(f.get("failed", 0) for f in base_runs.values())
+    change_failed = sum(f.get("failed", 0) for f in change_runs.values())
+    assert summary["outcomes"] == {
+        "base": {"all_correct": all(f.get("correct", True) for f in base_runs.values()),
+                 "failed_share": base_failed / 1000},
+        "change": {"all_correct": all(f.get("correct", True) for f in change_runs.values()),
+                   "failed_share": change_failed / 1000},
+    }
 
 
 WIDE = [1.0, 1.2, 0.8, 1.3, 0.7, 1.1, 0.9, 1.25, 0.75, 1.0]  # quartiles 0.825-1.175

@@ -155,6 +155,17 @@ def test_members_built_on_first_read_match_fraction_oracle(name):
     assert {"fund_den", "fund_coords", "fund_gram_den", "fund_gram"} <= set(vars(d))
 
 
+@pytest.mark.parametrize("name", TYPES)
+def test_positive_labels_are_the_oracle_positive_roots_labels_built_once(name):
+    d = RootDatum(T(name))
+    assert "positive_labels" not in vars(d)
+    positive = [r for r in oracle.datum(d.type)[0] if sum(r) > 0]
+    labels = d.positive_labels
+    assert labels == [oracle.to_fundamental(d, r) for r in positive]
+    assert all(type(x) is int for a in labels for x in a)
+    assert d.positive_labels is labels
+
+
 @pytest.mark.parametrize("name", ["A1", "C3", "G2"])
 def test_kernel_rejects_wrong_arity(name):
     d = build_root_datum(T(name))

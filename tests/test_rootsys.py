@@ -216,6 +216,23 @@ def test_support_rejects_non_dominant():
         weight_support(d, wt(d, F(1, 2), 0))
 
 
+@pytest.mark.parametrize("query", [
+    lambda d, lam: weight_support(d, lam),
+    lambda d, lam: min_pairing(d, wt(d, F(1, 2), 0), lam),
+    lambda d, lam: support_contains(d, lam, wt(d, 0, 0)),
+], ids=["weight_support", "min_pairing", "support_contains"])
+@pytest.mark.parametrize("labels,text", [
+    ((F(1, 2), 0), "(1/2, 0)"),
+    ((-1, 1), "(-1, 1)"),
+    ((F(-2, 3), F(4, 3)), "(-2/3, 4/3)"),
+])
+def test_not_dominant_integral_error_prints_the_labels(query, labels, text):
+    d = build_root_datum(SimpleType.parse("A2"))
+    with pytest.raises(RootSystemError) as err:
+        query(d, wt(d, *labels))
+    assert str(err.value) == f"A2: weight {text} is not dominant integral"
+
+
 def test_support_contains():
     d = build_root_datum(SimpleType.parse("A2"))
     lam = theta(d)

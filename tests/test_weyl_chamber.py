@@ -331,3 +331,43 @@ def test_zero_weight_witnesses_match_fraction_oracle():
                 assert (cert.kind, cert.witness) == oracle.certificate(d, m.coeffs, k, h)
                 witnesses += cert.witness is not None
     assert witnesses > 10
+
+
+# -- canonical coordinates ---------------------------------------------------------
+
+
+def canonical(v):
+    """Whether each coordinate of v is an int when it is integral, and
+    otherwise a Fraction with denominator > 1."""
+    return all(type(x) is int or type(x) is Fraction and x.denominator > 1 for x in v)
+
+
+@pytest.mark.parametrize("name", [name for name in TYPES if int(name[1:]) <= 8])
+def test_vecs_are_canonical_and_equal_the_fraction_oracle(name):
+    # every label at levels 1 and 2 of dimension <= MAX_DIM; the box walk is the
+    # oracle where its box has at most MAX_BOX points, and beyond that (the
+    # boxes of all these labels hold 7.2 million points) the per-call descent,
+    # whose weights are all Fractions
+    t = SimpleType.parse(name)
+    d = build_root_datum(t)
+    n = d.rank
+    for j in range(n):
+        for c in (1, F(1, 2), F(-1, 3)):
+            coeffs = [c if i == j else 0 for i in range(n)]
+            v = d.weight_from_fundamental(coeffs)
+            assert canonical(v) and v == oracle.weight_from_fundamental(d, coeffs), coeffs
+    hs = [d.weight_from_fundamental([0] * n), d.weight_from_fundamental([F(1, 2)] * n)]
+    for m in enumerate_modules(t, 2):
+        lam = d.weight_from_fundamental(m.coeffs)
+        assert canonical(lam) and lam == oracle.weight_from_fundamental(d, m.coeffs)
+        for h in hs:
+            assert type(min_pairing(d, h, lam)) is Fraction
+            assert type(twisted_lowest(m, h)) is Fraction
+        if oracle.weyl_dimension(d, lam) > MAX_DIM:
+            continue
+        support = weight_support(d, lam)
+        assert all(map(canonical, support)), m.coeffs
+        if oracle.box_size(d, lam) <= MAX_BOX:
+            assert support == oracle.weight_support(d, lam), m.coeffs
+        else:
+            assert support == oracle.descent_support(d, lam), m.coeffs

@@ -15,13 +15,16 @@ stepping up by one per pair and the side that runs first alternating, so
 that a drift of the machine's speed falls on both sides alike.
 
 The record keeps, per workload: the seeds, every pair's metrics and
-`correct`/`failed` fields, and per metric the median and quartiles of
+`correct`/`attempted`/`failed` fields; per side, under `outcomes`, whether
+every run was correct (`all_correct`) and the share of attempted operations
+that failed (`failed_share`); and per metric the median and quartiles of
 each side, the number of pairs in which the change was better (lower),
 `within_bound`: whether the change's median is at most the parent's
 median times 1 + the metric's bound in BENCHMARK.json `end_to_end`, and
-`gain`: whether the change was better in at least nine tenths of the pairs
-(a tie counts for neither side) and its median is below the parent's by
-more than the parent's interquartile range, and `unresolved`: whether the
+`gain`: whether every run of the change was correct, its failed share is
+no larger than the parent's, it was better in at least nine tenths of the
+pairs (a tie counts for neither side) and its median is below the parent's
+by more than the parent's interquartile range, and `unresolved`: whether the
 parent's interquartile range exceeds its median times the bound, so that
 the runs cannot tell a change within the bound from one beyond it, unless
 every run of the change was better than every run of the parent.
@@ -106,8 +109,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def outcomes(runs: list[dict]) -> dict:
+    """Whether every run was correct, and the share of the runs' attempted
+    operations that failed (0 if none was attempted)."""
+    attempted = sum(r["attempted"] for r in runs)
+    return {"all_correct": all(r["correct"] for r in runs),
+            "failed_share": sum(r["failed"] for r in runs) / attempted if attempted else 0.0}
+
+
 def summarize(pairs: list[dict]) -> dict:
-    out = {}
+    sides = {side: outcomes([p[side] for p in pairs]) for side in ("base", "change")}
+    # a faster change counts as a gain only if it is no less right
+    sound = (sides["change"]["all_correct"]
+             and sides["change"]["failed_share"] <= sides["base"]["failed_share"])
+    out = {"outcomes": sides}
     for m in METRICS:
         base = [p["base"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
@@ -120,7 +135,7 @@ def summarize(pairs: list[dict]) -> dict:
             "change_better": better,
             "pairs": len(pairs),
             "within_bound": change_q["median"] <= base_q["median"] * (1 + BOUNDS[m]),
-            "gain": 10 * better >= 9 * len(pairs)
+            "gain": sound and 10 * better >= 9 * len(pairs)
             and base_q["median"] - change_q["median"] > spread,
             "unresolved": spread > base_q["median"] * BOUNDS[m] and max(change) >= min(base),
         }
