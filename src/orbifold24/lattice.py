@@ -16,18 +16,19 @@ order-5 twist are `DELTA5`.  The norm bounds for h take coset minima around
 its rational centers in closed form, as integer squared distances in one
 unit, and a Fraction is made once, for the value returned.
 
-Fraction blocks are made, by `_block`, only for the vectors that leave as
-sets: the vectors of bounded norm and the roots, the shifted minimal sets
-and the twisted weight-one weights.  The twisted weight-one search and the
-twist anomaly run in integers too.
+Fraction blocks are made only for the vectors that leave as sets: the
+vectors of bounded norm and the roots, the shifted minimal sets and the
+twisted weight-one weights.  The twisted weight-one search and the twist
+anomaly run in integers too.
 
-The norm <= 4 vectors are 193 801 acyclic tuples, each a three-block
-prefix joined to one of a glue word's lists of three-block suffixes, which
-`_enumerate` builds per word and budget.  The cyclic collector is
-paused while they are built, and then, unless the caller had the collector
-disabled or has frozen objects of its own, `_enumerate` hands them to the
-oldest generation with `gc.freeze()` and `gc.unfreeze()`, so the collector
-walks them once, at a full collection, instead of at each generation.
+The norm <= 4 vectors are 193 801 acyclic tuples in 100 classes of one
+glue word and one tuple of block norms.  Each class is a Cartesian product
+of coset-ball shells, which `_enumerate` builds with `itertools.product`,
+so C makes every vector.  The cyclic collector is paused while they are
+built, and then, unless the caller had the collector disabled or has
+frozen objects of its own, `_enumerate` hands them to the oldest
+generation with `gc.freeze()` and `gc.unfreeze()`, so the collector walks
+them once, at a full collection, instead of at each generation.
 
 The module is block arithmetic only: it imports no other module of the
 package, so loading it builds no root system.  The fixed-point shape of the
@@ -38,8 +39,7 @@ from __future__ import annotations
 
 import gc
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import isqrt
 from operator import mul
 
@@ -242,8 +242,15 @@ class NiemeierLattice:
         if any(p % 25 for row in products for p in row):
             raise LatticeError("Gram matrix is not integral")
         self.gram = [[p // 25 for p in row] for row in products]
-        # an even lattice has no norm-1 vectors: the roots are the nonzero vectors of norm <= 2
-        self._roots = tuple(v for v in self._enumerate(2) if any(map(any, v)))
+        # an even lattice has no norm-1 vectors: the roots are the nonzero vectors of norm <= 2;
+        # the first is zero, as the zero word and then its norm tuple (0, ..., 0) come first
+        vectors = self._enumerate(2)
+        # the roots by glue word, then by the blocks as 5v; each shared block is converted once
+        blocks = {id(b): b for v in vectors for b in v}
+        five = {i: tuple(c.numerator * 5 // c.denominator for c in b) for i, b in blocks.items()}
+        digit = {i: m[0] % 5 for i, m in five.items()}
+        self._roots = tuple(sorted(vectors[1:], key=lambda v: (
+            *map(digit.__getitem__, map(id, v)), *map(five.__getitem__, map(id, v)))))
         self._check_invariants()
 
     # -- construction ------------------------------------------------------
@@ -289,21 +296,20 @@ class NiemeierLattice:
         return word in self.glue
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
-        """All lattice vectors of norm <= bound, glue word by glue word."""
+        """All lattice vectors of norm <= bound, in the order of `_enumerate`."""
         return self._enumerate(bound)
 
     def _enumerate(self, bound) -> list[LVec]:
-        """The lattice vectors of norm <= bound.
+        """The lattice vectors of norm <= bound: by glue word in sorted order,
+        then by the tuple of block norms in lexicographic order, then by the
+        blocks, lexicographic by 5v.
 
         Each glue digit's coset ball is enumerated once, at the full bound,
-        with every block's norm in units of 1/25.  The blocks under a budget
-        are a slice of that sorted ball, so the three nested loops over blocks
-        0-2 only add integers, and vectors share their block objects.  Blocks
-        3-5 come from a list of (b3, b4, b5) triples within the remaining
-        budget, built on first use in a dict that lives for one glue word (no
-        two words share their last three digits), so each vector is one tuple
-        concatenation.  No closure here refers to itself, so the call's caches
-        are freed when it returns.
+        and split into shells of one block norm n = |5v|^2, each sorted by
+        5v.  A word's vectors with one norm tuple are the Cartesian product of
+        six shells, so `itertools.product` builds each such class in C, and
+        vectors share their block objects.  The norm tuples are walked block
+        by block, pruned by the least norm the remaining blocks can take.
 
         The output is acyclic, so no collection can free any of it, and each
         pass of the cyclic collector over it is wasted.  The collector is
@@ -319,15 +325,17 @@ class NiemeierLattice:
         the caller's own collections walk the list.
         """
         limit = _limit(bound)
-        # around the zero center n = |m|^2, the block's norm in units of 1/25
-        balls = {
-            g: [(_block(m), n) for m, n in _coset_ball(g, ZERO5, bound)] for g in range(5)
-        }
-        min_norm = {g: min(n for _, n in ball) for g, ball in balls.items() if ball}
-
-        @lru_cache(maxsize=None)
-        def fitting(g, budget):
-            return [(b, n) for b, n in balls[g] if n <= budget]
+        # every coordinate m_i of a block within the limit has m_i^2 <= limit: make each m_i/5 once
+        r = isqrt(max(limit, 0))
+        fifth = {x: Fraction(x, 5) for x in range(-r, r + 1)}
+        # shells[g]: block norm n -> the blocks of digit g with |5v|^2 = n, sorted by 5v
+        shells = [{} for _ in range(5)]
+        for g, shell in enumerate(shells):
+            for m, n in _coset_ball(g, ZERO5, bound):
+                shell.setdefault(n, []).append(tuple(map(fifth.__getitem__, m)))
+        shells = [dict(sorted(shell.items())) for shell in shells]
+        # each digit's least block norm, above the limit when its ball is empty
+        least = [min(shell, default=limit + 1) for shell in shells]
 
         out = []
         # the output holds no reference cycles: a collection can only rescan it
@@ -335,29 +343,18 @@ class NiemeierLattice:
         gc.disable()
         try:
             for word in sorted(self.glue):
-                if any(g not in min_norm for g in word):
-                    continue
                 # tail[i]: the least norm blocks i..5 can take
-                tail = [*accumulate(min_norm[g] for g in word[::-1])][::-1] + [0]
+                tail = [*accumulate(map(least.__getitem__, word[::-1]))][::-1] + [0]
                 if tail[0] > limit:
                     continue
-                g3, g4, g5 = word[3], word[4], word[5]
-                # the (b3, b4, b5) lists of this word's last three digits, by budget
-                suffixes = {}
-                for b0, n0 in fitting(word[0], limit - tail[1]):
-                    for b1, n1 in fitting(word[1], limit - n0 - tail[2]):
-                        u1 = n0 + n1
-                        for b2, n2 in fitting(word[2], limit - u1 - tail[3]):
-                            budget = limit - u1 - n2
-                            triples = suffixes.get(budget)
-                            if triples is None:
-                                triples = suffixes[budget] = [
-                                    (b3, b4, b5)
-                                    for b3, n3 in fitting(g3, budget - tail[4])
-                                    for b4, n4 in fitting(g4, budget - n3 - tail[5])
-                                    for b5, _ in fitting(g5, budget - n3 - n4)
-                                ]
-                            out.extend(map((b0, b1, b2).__add__, triples))
+                # (the shells of a norm tuple within the limit, their norm sum), by norm tuple
+                classes = [((), 0)]
+                for i in range(6):
+                    shell = shells[word[i]]
+                    classes = [(c + (shell[n],), used + n) for c, used in classes for n in shell
+                               if used + n + tail[i + 1] <= limit]
+                for factors, _ in classes:
+                    out.extend(product(*factors))
         finally:
             if gc_was_enabled:
                 # hand all to the oldest generation; unfreeze would thaw a caller's frozen objects

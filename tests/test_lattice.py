@@ -1,8 +1,8 @@
 import gc
+import hashlib
 import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 from math import ceil, floor, isqrt
 from pathlib import Path
@@ -318,15 +318,17 @@ def _cold_identify(N):
 
 # a self-calling nested function left a cycle per call: 111 objects after the
 # coset ball, 9 after the E8 modules, 28 after the D7 match, 15 after the
-# embedding query and 93 after the identification
+# embedding query and 93 after the identification; a fresh lattice and its
+# norm <= 2 vectors are the path `run` takes for the lattice scenario
 @pytest.mark.parametrize("call", [
     lambda N: lattice._coset_ball(0, lattice.ZERO5, 4),
     lambda N: N.vectors_of_norm_at_most(4),
+    lambda N: NiemeierLattice().vectors_of_norm_at_most(2),
     _cold_e8_level_3_modules,
     _d7_cartan_matches_itself,
     _cold_a1_a5_in_e7,
     _cold_identify,
-], ids=["coset-ball", "norm-4-vectors", "e8-modules", "cartan-match", "embeds", "identify"])
+], ids=["coset-ball", "norm-4-vectors", "fresh-lattice-norm-2", "e8-modules", "cartan-match", "embeds", "identify"])
 def test_search_leaves_no_reference_cycles(N, call):
     was = gc.isenabled()
     gc.disable()
@@ -370,7 +372,10 @@ def test_lattice_roots(N):
     roots = N.roots()
     assert len(roots) == 120
     assert all(vec_dot(r, r) == 2 for r in roots)
-    assert roots == tuple(v for v in N.vectors_of_norm_at_most(2) if vec_dot(v, v) == 2)
+    # by glue word, then by the blocks as 5v: the order tests/data/lattice.txt pins
+    norm2 = [v for v in N.vectors_of_norm_at_most(2) if vec_dot(v, v) == 2]
+    keys = enumeration_keys(norm2)
+    assert roots == tuple(v for _, v in sorted(zip(((w, m) for w, _, m in keys), norm2)))
 
 
 def det_fraction(M) -> Fraction:
@@ -449,6 +454,24 @@ def per_prefix_vectors(word, bound):
     return out
 
 
+def enumeration_keys(vectors):
+    """Each vector's (glue word, block norms, blocks as 5v), the enumeration's
+    order; blocks are shared between vectors, so each is converted once."""
+    parts, keys = {}, []
+    for v in vectors:
+        for b in v:
+            if id(b) not in parts:
+                m = fives(b)
+                parts[id(b)] = (a4_class_of(m), sum(x * x for x in m), m)
+        keys.append(tuple(zip(*(parts[id(b)] for b in v))))
+    return keys
+
+
+def in_enumeration_order(vectors):
+    keys = enumeration_keys(vectors)
+    return [vectors[i] for i in sorted(range(len(vectors)), key=keys.__getitem__)]
+
+
 @pytest.fixture(scope="module")
 def norm4(N):
     return N.vectors_of_norm_at_most(4)
@@ -500,7 +523,7 @@ def test_norm4_counts_and_symmetry(norm4):
 
 def test_enumeration_matches_per_prefix_oracle(N):
     oracle = [v for w in sorted(N.glue) for v in per_prefix_vectors(w, 2)]
-    assert N.vectors_of_norm_at_most(2) == oracle
+    assert N.vectors_of_norm_at_most(2) == in_enumeration_order(oracle)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +541,7 @@ def test_enumeration_matches_per_prefix_oracle(N):
 def test_norm4_word_matches_per_prefix_oracle(N, norm4_by_word, word):
     assert word in N.glue
     got = norm4_by_word[word]
-    assert got and got == per_prefix_vectors(word, 4)
+    assert got and got == in_enumeration_order(per_prefix_vectors(word, 4))
 
 
 def test_enumeration_builds_each_coset_ball_once(N, monkeypatch):
@@ -535,17 +558,32 @@ def test_enumeration_builds_each_coset_ball_once(N, monkeypatch):
 
 
 def test_norm4_is_increasing_in_word_then_blocks(norm4):
-    # sorted glue words, then lexicographic in each coset ball's order (by 5v)
-    key_of = {}
-    for v in norm4:
-        for b in v:
-            if id(b) not in key_of:
-                key_of[id(b)] = (a4_class_of(fives(b)), fives(b))
-    keys = []
-    for v in norm4:
-        parts = [key_of[id(b)] for b in v]
-        keys.append((tuple(g for g, _ in parts), tuple(m for _, m in parts)))
+    # sorted glue words, then the tuples of block norms, then lexicographic by 5v
+    keys = enumeration_keys(norm4)
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# the count and a SHA-256 over the sorted keys of the former per-prefix
+# enumeration, each vector keyed by its blocks' indices among the 191 blocks
+# of the coset balls at norm 4, sorted by 5v
+@pytest.mark.parametrize("bound, count, digest", [
+    (0, 1, "3ab4d5f9321f7a3ef6d502d4c82e9e78b77822abb149b3275cf62d02dac3aa36"),
+    (F(6, 5), 1, "3ab4d5f9321f7a3ef6d502d4c82e9e78b77822abb149b3275cf62d02dac3aa36"),
+    (2, 121, "2c4ad3ff901a3f47faeebaea96435ed7ab33fae08571664fc49d3209e72e13ed"),
+    (F(13, 5), 121, "2c4ad3ff901a3f47faeebaea96435ed7ab33fae08571664fc49d3209e72e13ed"),
+    (3, 121, "2c4ad3ff901a3f47faeebaea96435ed7ab33fae08571664fc49d3209e72e13ed"),
+    (4, 193801, "99cddc6eca4318ed83b6da1cc27611417ff617bc64a6d38b0ff93abfef086eb1"),
+])
+def test_enumeration_keeps_the_former_vectors(N, bound, count, digest):
+    balls = [m for g in range(5) for m, _ in oracle_coset_ball(g, ZERO5, 4)[1]]
+    index = {m: i for i, m in enumerate(sorted(balls))}
+    vectors = N.vectors_of_norm_at_most(bound)
+    # the blocks are shared, so each is converted once
+    blocks = {id(b): b for v in vectors for b in v}
+    block_index = {i: index[fives(b)] for i, b in blocks.items()}
+    keys = [bytes(map(block_index.__getitem__, map(id, v))) for v in vectors]
+    assert len(keys) == len(set(keys)) == count
+    assert hashlib.sha256(b"".join(sorted(keys))).hexdigest() == digest
 
 
 def test_norm4_blocks_are_shared_coset_ball_blocks(norm4):
@@ -586,28 +624,6 @@ def test_enumeration_pauses_the_collector(N):
     finally:
         gc.callbacks.remove(count)
     assert len(collections) <= 5, Counter(collections)
-
-
-def test_enumeration_leaves_no_cache_cycles():
-    # each call's fitting cache and suffix lists must go with the call, without
-    # waiting for a cyclic collection
-    wrapper = type(lru_cache(maxsize=None)(abs))
-
-    def leftover_caches():
-        return [
-            o.__qualname__ for o in gc.get_objects()
-            if isinstance(o, wrapper) and o.__qualname__.startswith("NiemeierLattice._enumerate.")
-        ]
-
-    was = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        assert len(NiemeierLattice().vectors_of_norm_at_most(2)) == 121
-        assert leftover_caches() == []
-    finally:
-        if was:
-            gc.enable()
 
 
 def young_ids():
