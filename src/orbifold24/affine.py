@@ -278,6 +278,13 @@ def integral_spectrum_table(
     return table
 
 
+def max_label_weight(a: ProductAlgebra) -> Fraction:
+    """The largest conformal weight of a product label: the sum of each
+    factor's largest module weight."""
+    return Fraction(*_sum_on_lcm([(max(m.weight_num for m in _modules(t, k)), _weight_den(d, k))
+                                  for d, (t, k) in zip(a.data, a.factors)]))
+
+
 def product_twisted_lowest(m: ProductLabel, h: HVector) -> Fraction:
     """Lowest twisted L(0)-weight of a product label: factorwise sum."""
     return Fraction(*_sum_on_lcm([_lowest(label, x) for label, x in zip(m.labels, h.ints)]))

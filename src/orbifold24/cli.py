@@ -76,6 +76,9 @@ def _load_scenarios(args) -> list[Scenario]:
         scenarios = _bundled_scenarios()
     elif Path(args.dir).is_dir():
         scenarios = _scenarios_in(Path(args.dir), str)
+        # an empty run would pass without a single check
+        if not scenarios:
+            raise ScenarioError(f"no .scn files in scenario directory {args.dir!r}")
     else:
         raise ScenarioError(f"no scenario directory {args.dir!r}")
     if getattr(args, "scenario", None):

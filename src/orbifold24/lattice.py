@@ -23,12 +23,12 @@ anomaly run in integers too.
 
 The norm <= 4 vectors are 193 801 acyclic tuples in 100 classes of one
 glue word and one tuple of block norms.  Each class is a Cartesian product
-of coset-ball shells, which `_enumerate` builds with `itertools.product`,
-so C makes every vector.  The cyclic collector is paused while they are
-built, and then, unless the caller had the collector disabled or has
-frozen objects of its own, `_enumerate` hands them to the oldest
-generation with `gc.freeze()` and `gc.unfreeze()`, so the collector walks
-them once, at a full collection, instead of at each generation.
+of coset-ball shells, which `vectors_of_norm_at_most` builds with
+`itertools.product`, so C makes every vector.  The cyclic collector is
+paused while they are built, and then, unless the caller had the collector
+disabled or has frozen objects of its own, the method hands them to the
+oldest generation with `gc.freeze()` and `gc.unfreeze()`, so the collector
+walks them once, at a full collection, instead of at each generation.
 
 The module is block arithmetic only: it imports no other module of the
 package, so loading it builds no root system.  The fixed-point shape of the
@@ -244,7 +244,7 @@ class NiemeierLattice:
         self.gram = [[p // 25 for p in row] for row in products]
         # an even lattice has no norm-1 vectors: the roots are the nonzero vectors of norm <= 2;
         # the first is zero, as the zero word and then its norm tuple (0, ..., 0) come first
-        vectors = self._enumerate(2)
+        vectors = self.vectors_of_norm_at_most(2)
         # the roots by glue word, then by the blocks as 5v; each shared block is converted once
         blocks = {id(b): b for v in vectors for b in v}
         five = {i: tuple(c.numerator * 5 // c.denominator for c in b) for i, b in blocks.items()}
@@ -296,11 +296,7 @@ class NiemeierLattice:
         return word in self.glue
 
     def vectors_of_norm_at_most(self, bound) -> list[LVec]:
-        """All lattice vectors of norm <= bound, in the order of `_enumerate`."""
-        return self._enumerate(bound)
-
-    def _enumerate(self, bound) -> list[LVec]:
-        """The lattice vectors of norm <= bound: by glue word in sorted order,
+        """All lattice vectors of norm <= bound: by glue word in sorted order,
         then by the tuple of block norms in lexicographic order, then by the
         blocks, lexicographic by 5v.
 

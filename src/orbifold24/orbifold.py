@@ -32,9 +32,10 @@ factors are orthogonal.  On the grid the invariant form is
 (x|y) = x.G.y / (L D^2), G block diagonal with blocks
 igram_i * L / (scale_i k_i), L the lcm of the scale_i k_i; this is the
 form of assemble_root_subsystem and seeds_meeting.  The embedding search
-compares root pairings of its target as entries of one cached integer
-matrix, scale * (r|s), built row by row by linearity along the root poset;
-the parts of a query need only their integer Gram matrices.
+reads one cached table per target type: the pairings scale * (r|s) of its
+roots as integer rows, each made from the simple roots' columns by
+linearity, with the roots' norms, integer keys and positive half; the parts
+of a query need only their integer Gram matrices.
 """
 
 from __future__ import annotations
@@ -424,80 +425,68 @@ def seeds_meeting(a: ProductAlgebra, seeds, roots) -> list[SeedSubalgebra]:
 _FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
-@lru_cache(maxsize=None)
-def _root_pairings(t: SimpleType):
-    """scale * (r|s) for all pairs of roots of a type, and the scaled norms, cached.
+class _SearchTable(NamedTuple):
+    """The roots of an embedding target as the search reads them, by index
+    in the order of iroots."""
 
-    Built by linearity.  The row of alpha_i is column i of root_rows.  A
-    positive root r of height above one is r' + alpha_i for a positive root
-    r' of height one less (Humphreys, Lie Algebras, 10.2), so walking by
-    height, row(r) = row(r') + row(alpha_i), with r' found by its key.
-    iroots is sorted and closed under negation, so root n-1-j is minus root
-    j, and so is its row.
-
-    During the walk a row is one integer, its entries the signed digits of
-    base 256 (entry s times 256**s), so a row costs one integer addition and
-    its negative one negation.  Each entry is at most the largest scaled norm
-    in absolute value (Cauchy-Schwarz), which the build checks is below 128,
-    so adding 128 to every digit leaves bytes; a row is unpacked once, from
-    those bytes, into a list of ints.
-    """
-    d = build_root_datum(t)
-    top = max(row[i] for i, row in enumerate(d.igram))
-    if top >= 128:
-        raise OrbifoldError(f"root pairings of {t} reach {top}, beyond one signed byte")
-    keys, index, positive = _root_keys(t)
-    n = len(d.iroots)
-    bias = int.from_bytes(b"\x80" * n, "little")
-    X = [0] * n
-    simple = {}  # i -> the index of alpha_i
-    for j in sorted(positive, key=lambda j: sum(d.iroots[j])):
-        r = d.iroots[j]
-        if sum(r) == 1:
-            i = r.index(1)
-            simple[i] = j
-            X[j] = int.from_bytes(bytes([row[i] + 128 for row in d.root_rows]), "little") - bias
-        else:
-            # r - alpha_i has balanced digits when r_i > 0, so a key match is that root
-            s = next(s for i, s in simple.items() if r[i] and keys[j] - keys[s] in index)
-            X[j] = X[index[keys[j] - keys[s]]] + X[s]
-        X[n - 1 - j] = -X[j]
-    P = [memoryview((bias + x).to_bytes(n, "little").translate(_FLIP)).cast("b").tolist()
-         for x in X]
-    return P, [P[i][i] for i in range(n)]
+    rows: list[list[int]]  # rows[r][s] = scale * (r|s)
+    norms: list[int]  # the diagonal, rows[r][r]
+    by_norm: dict[int, list[int]]  # scaled norm -> the roots of that norm, increasing
+    keys: list[int]  # the `_keys` of the roots
+    index: dict[int, int]  # key -> root
+    positive: range  # the positive roots, the upper half of iroots
 
 
 @lru_cache(maxsize=None)
-def _roots_by_norm(t: SimpleType) -> dict[int, list[int]]:
-    """The indices of the roots of a type, in increasing order, grouped by
-    their scaled norm, cached."""
-    groups: dict[int, list[int]] = {}
-    for j, norm in enumerate(_root_pairings(t)[1]):
-        groups.setdefault(norm, []).append(j)
-    return groups
+def _search_table(t: SimpleType) -> _SearchTable:
+    """The search table of a type, cached, built in one pass over its roots.
 
+    The form is bilinear, (r|s) = sum_i r_i (alpha_i|s), so the row of a
+    root r is the sum over i of r_i times column i of root_rows.  iroots is
+    sorted and closed under negation, so root n-1-j is minus root j, and so
+    is its row, and the positive roots are the upper half.
 
-@lru_cache(maxsize=None)
-def _root_keys(t: SimpleType):
-    """Integer keys of the roots of a type, the key -> index map and the
-    indices of the positive roots, cached.
+    A row is built as one integer, its entries the signed digits of base 256
+    (entry s times 256**s), so a column costs one multiplication and a
+    negative row one negation.  Each entry is at most the largest scaled
+    norm in absolute value (Cauchy-Schwarz), which the build checks is below
+    128, so adding 128 to every digit leaves bytes; a row is unpacked once,
+    from those bytes, into a list of ints.
 
     The `_keys` of the roots are linear and one-to-one on roots, so the
     reflection s_b x = x - c b, with c = 2(x|b)/(b|b), is the root whose key
     is key(x) - c * key(b).
     """
-    roots = build_root_datum(t).iroots
+    d = build_root_datum(t)
+    top = max(row[i] for i, row in enumerate(d.igram))
+    if top >= 128:
+        raise OrbifoldError(f"root pairings of {t} reach {top}, beyond one signed byte")
+    roots, n = d.iroots, len(d.iroots)
+    bias = int.from_bytes(b"\x80" * n, "little")
+    cols = [int.from_bytes(bytes([row[i] + 128 for row in d.root_rows]), "little") - bias
+            for i in range(len(d.igram))]
+    X = [0] * n
+    positive = range(n // 2, n)
+    for j in positive:
+        X[j] = sum(map(mul, roots[j], cols))
+        X[n - 1 - j] = -X[j]
+    rows = [memoryview((bias + x).to_bytes(n, "little").translate(_FLIP)).cast("b").tolist()
+            for x in X]
+    norms = [row[j] for j, row in enumerate(rows)]
+    by_norm: dict[int, list[int]] = {}
+    for j, norm in enumerate(norms):
+        by_norm.setdefault(norm, []).append(j)
     keys = _keys(roots)
-    positive = [i for i, r in enumerate(roots) if sum(r) > 0]
-    return keys, {key: i for i, key in enumerate(keys)}, positive
+    return _SearchTable(rows, norms, by_norm, keys, {key: j for j, key in enumerate(keys)},
+                        positive)
 
 
 def _find_gram_embedding(target: SimpleType, required_gram) -> bool:
     """Backtracking search for roots of the target with a prescribed Gram matrix.
 
     The required Gram matrix is an integer matrix in the target's scale, so
-    its entries are compared directly with those of _root_pairings.  Each
-    index starts from the roots of its norm, read from _roots_by_norm.
+    its entries are compared directly with the rows of the target's
+    `_search_table`.  Each index starts from the roots of its norm.
     Domains are filtered forward after every placement and the next index
     is always the one with the smallest domain.
 
@@ -514,25 +503,24 @@ def _find_gram_embedding(target: SimpleType, required_gram) -> bool:
     Lemma C): the smallest starting domain is one orbit, so it is cut to its
     first root.
     """
-    by_norm = _roots_by_norm(target)
-    domains = [by_norm.get(row[i]) for i, row in enumerate(required_gram)]
+    table = _search_table(target)
+    domains = [table.by_norm.get(row[i]) for i, row in enumerate(required_gram)]
     if not all(domains):
         return False
     if domains:
         i = min(range(len(domains)), key=lambda j: len(domains[j]))
         domains[i] = domains[i][:1]
-    P, norms = _root_pairings(target)
-    keys, index, positive = _root_keys(target)
-    return _extend_embedding(P, norms, keys, index, required_gram, domains,
-                             frozenset(range(len(domains))), positive)
+    return _extend_embedding(table, required_gram, domains, frozenset(range(len(domains))),
+                             table.positive)
 
 
-def _extend_embedding(P, norms, keys, index, required_gram, domains, unplaced, perp) -> bool:
+def _extend_embedding(table, required_gram, domains, unplaced, perp) -> bool:
     """Whether roots can be placed at the indices in `unplaced`, each in its
     domain, with the required pairings; the node of `_find_gram_embedding`,
     its state passed, not closed over, so the search leaves no reference cycle."""
     if not unplaced:
         return True
+    P, norms, _, keys, index, _ = table
     i = min(unplaced, key=lambda j: len(domains[j]))
     rest = unplaced - {i}
     want = required_gram[i]
@@ -549,7 +537,7 @@ def _extend_embedding(P, norms, keys, index, required_gram, domains, unplaced, p
                 break
             new_domains[j] = nd
         else:
-            if _extend_embedding(P, norms, keys, index, required_gram, new_domains, rest,
+            if _extend_embedding(table, required_gram, new_domains, rest,
                                  [b for b in perp if row[b] == 0]):
                 return True
         if r == last:  # no candidate is left for the orbit to rule out
@@ -568,19 +556,13 @@ def _extend_embedding(P, norms, keys, index, required_gram, domains, unplaced, p
     return False
 
 
-def _required_gram(target: SimpleType, parts_scaled):
-    """The Gram matrix that the parts, each with its Gram matrix divided by
-    its level scaling xi, need as an orthogonal sum inside the target, in the
-    target's integers scale(target) * gram, or None when it cannot be met: an
-    entry that is not integral matches no pair of target roots."""
-    return _block_gram(parts_scaled, scaled_gram(target)[0])
-
-
 @lru_cache(maxsize=None)
 def _embedding_cached(target: SimpleType, parts_scaled) -> bool:
     """Whether the parts, each with its Gram matrix divided by its level
-    scaling xi, embed orthogonally in the target."""
-    G = _required_gram(target, parts_scaled)
+    scaling xi, embed orthogonally in the target: whether roots of the target
+    meet their block Gram matrix in the target's integers scale * gram.  No
+    pair of roots meets an entry that is not integral (G is None)."""
+    G = _block_gram(parts_scaled, scaled_gram(target)[0])
     return G is not None and _find_gram_embedding(target, G)
 
 

@@ -14,11 +14,10 @@ from typing import NamedTuple
 
 from . import lattice as lat
 from .affine import (
-    AffineLabel,
     HVector,
     ProductAlgebra,
-    ProductLabel,
     integral_spectrum_table,
+    max_label_weight,
     module_certificates,
     product_twisted_lowest,
     spectrum_half_integral,
@@ -297,12 +296,6 @@ class Report(Fields):
         return recs
 
 
-def _vacuum_label(a: ProductAlgebra) -> ProductLabel:
-    return ProductLabel(
-        a, tuple(AffineLabel(t, k, (0,) * t.rank) for t, k in a.factors)
-    )
-
-
 def derive_seeds(sc: Scenario):
     """Fixed shape, the seed list used for identification, and what the
     twisted sector assembled (None when the scenario gives no base weights).
@@ -359,16 +352,19 @@ def run_scenario(sc: Scenario) -> Report:
 
         # integral-weight module table
         if sc.table_max_weight is not None:
-            table = integral_spectrum_table(a, sc.table_max_weight, sc.table_weights)
+            # every product label of integral weight: no label exceeds the cap
+            spectrum = integral_spectrum_table(a, max_label_weight(a))
             counts: dict[int, int] = {}
-            for _, w in table:
-                counts[w] = counts.get(w, 0) + 1
+            for _, w in spectrum:
+                if w <= sc.table_max_weight and (sc.table_weights is None or w in sc.table_weights):
+                    counts[w] = counts.get(w, 0) + 1
             fmt = lambda cs: " ".join(f"{w}:{n}" for w, n in sorted(cs.items()))
             add(_check("module-table", fmt(sc.expect_table_counts),
                        counts == sc.expect_table_counts, fmt(counts)))
-            labels = [lbl for lbl, _ in table]
-            if sc.table_weights is not None:
-                labels.append(_vacuum_label(a))
+            # the proof set depends on the algebra alone, not on the table: the
+            # vacuum and every label of integral weight >= 2 (a module of weight 1
+            # would make V_1 larger than the given algebra)
+            labels = [lbl for lbl, w in spectrum if w != 1]
             # the twisted weights n + (h|mu) + <h|h>/2 lie in Z/2 only if <h|h> is an integer
             half_integral = norm.denominator == 1 and spectrum_half_integral(a, h, labels)
             add(_check("spectrum-half-integral", True, half_integral, False))

@@ -121,10 +121,28 @@ def test_unresolved_when_the_parent_spread_exceeds_the_bound(base, change, unres
     assert summary["setup_s"]["unresolved"] is summary["peak_rss_mb"]["unresolved"] is False
 
 
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_fewer_than_ten_pairs_read_unresolved(n):
+    tool = load_tool()
+    assert tool.MIN_PAIRS == 10
+    # at 10 pairs these resolve; on fewer they do not, even where every
+    # change run beats every parent run
+    resolved = tool.summarize(pairs_of(BASE, [1.00] * 10))
+    assert not any(resolved[m]["unresolved"] for m in tool.METRICS)
+    for change in ([1.00] * n, [0.50] * n):
+        summary = tool.summarize(pairs_of(BASE[:n], change))
+        assert all(summary[m]["unresolved"] for m in tool.METRICS)
+
+
 def test_bench_29_supports_run_s_would_read_unresolved():
+    tool = load_tool()
     record = json.loads((TOOL.parent.parent / "BENCH_29.json").read_text())
     pairs = record["workloads"]["supports"]["pairs"]
-    assert load_tool().summarize(pairs)["run_s"]["unresolved"] is True
+    assert tool.summarize(pairs)["run_s"]["unresolved"] is True
+    # unresolved by its spread too, not only by its 8 pairs
+    assert len(pairs) == 8
+    summary = tool.summarize(pairs + pairs[:2])
+    assert summary["run_s"]["unresolved"] is True
 
 
 def test_both_sides_run_from_exports_at_paths_of_equal_length(tmp_path, monkeypatch):

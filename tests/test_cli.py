@@ -120,10 +120,14 @@ def test_dump_tables_stdout_matches_golden(capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_empty_directory_runs_clean(tmp_path):
-    proc = run_cli("run", "--dir", str(tmp_path))
-    assert proc.returncode == 0
-    assert "0/0" in proc.stdout
+@pytest.mark.parametrize("command", ["run", "list"])
+def test_directory_without_scenarios_is_rejected(tmp_path, command):
+    # a directory with no .scn files must not pass as a run of no checks
+    (tmp_path / "notes.txt").write_text("not a scenario\n")
+    proc = run_cli(command, "--dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"no .scn files in scenario directory '{tmp_path}'" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["run", "list"])
@@ -193,6 +197,53 @@ def test_no_shape_found_reads_0_shapes(tmp_path):
     assert "[FAIL] identification: expected unique A3,1 D7,3 G2,1, got 0 shapes\n" in proc.stdout
     row = next(line for line in proc.stdout.splitlines() if line.startswith("M1 "))
     assert re.split(r"\s{2,}", row)[3:] == ["0 shapes", "FAIL"]
+
+
+def test_a_narrow_table_does_not_narrow_the_proof(tmp_path):
+    # the Baseline's M1 file with a table of weight 0 only: the proof that no
+    # twisted module reaches weight 1/2 still covers every module
+    doctored = M1_TEXT
+    for old, new in [
+        ("h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0", "h: -1/2 0 0 0 0 -1/2 | 0 0 | 0 0 | 0 0"),
+        ("expect_h_norm: 2", "expect_h_norm: 3"),
+        ("table_max_weight: 3", "table_max_weight: 0"),
+        ("expect_table_counts: 0:1 2:9 3:2", "expect_table_counts: 0:1"),
+        ("expect_fixed: D5,3 A1,1^2 A1,3^2 G2,1 U(1)", "expect_fixed: D5,3 G2,1^3 U(1)"),
+        ("expect_fixed_dim: 72", "expect_fixed_dim: 88"),
+        ("expect_new_dim: 120", "expect_new_dim: 168"),
+    ]:
+        assert old in doctored
+        doctored = doctored.replace(old, new)
+    doctored = "\n".join(line for line in doctored.splitlines()
+                         if not line.startswith(("base_weights:", "expect_twisted_seed:")))
+    (tmp_path / "m1x.scn").write_text(doctored)
+    proc = run_cli("run", "-v", "--dir", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert "[ok]   module-table: 0:1\n" in proc.stdout
+    assert ("[FAIL] twisted-weights-exclude-half: expected minimum > 1/2, got minimum 1/2\n"
+            in proc.stdout)
+    assert "[FAIL] dimension-formula: expected 168, got unproven: 168 " in proc.stdout
+
+
+@pytest.mark.parametrize("name,size", [("M1", 12), ("M2", 24), ("M3", 8), ("M4", 28)])
+def test_narrowing_a_table_leaves_the_proof_set(monkeypatch, name, size):
+    from orbifold24 import scenarios
+
+    proof_sets = []
+    spectrum_half_integral = scenarios.spectrum_half_integral
+
+    def recorded(a, h, labels):
+        proof_sets.append(sorted(lbl.coeffs for lbl in labels))
+        return spectrum_half_integral(a, h, labels)
+
+    monkeypatch.setattr(scenarios, "spectrum_half_integral", recorded)
+    sc = next(s for s in _bundled_scenarios() if s.name == name)
+    assert run_scenario(sc).passed
+    narrow = copy.copy(sc)
+    narrow.table_max_weight, narrow.table_weights = 0, None
+    narrow.expect_table_counts = {0: 1}
+    assert run_scenario(narrow).passed
+    assert len(proof_sets[0]) == size and proof_sets[1] == proof_sets[0]
 
 
 def test_json_report(tmp_path):

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbifold24.orbifold import (
-    _embedding_query,
-    _required_gram,
-    _root_keys,
-    _root_pairings,
-    _roots_by_norm,
-)
-from orbifold24.rootsys import MAX_RANK, SimpleType
+from orbifold24.orbifold import _block_gram, _embedding_query, _search_table
+from orbifold24.rootsys import MAX_RANK, SimpleType, build_root_datum, scaled_gram
 
 T = SimpleType.parse
 
@@ -38,9 +32,7 @@ ALL_TYPES = (
 def test_roots_of_one_norm_form_one_weyl_orbit(target):
     # the search tries one root at the top, which the oracle below does too;
     # this checks the transitivity that makes it sound, on the roots' keys
-    P, norms = _root_pairings(target)
-    keys, index, positive = _root_keys(target)
-    by_norm = _roots_by_norm(target)
+    P, norms, by_norm, keys, index, positive = _search_table(target)
     assert sorted(j for group in by_norm.values() for j in group) == list(range(len(norms)))
     for norm, group in by_norm.items():
         assert group == sorted(group) and {norms[j] for j in group} == {norm}
@@ -55,10 +47,44 @@ def test_roots_of_one_norm_form_one_weyl_orbit(target):
         assert orbit == set(group)
 
 
+# the Fraction oracle's cut-off for full matrices; larger types are checked on sample rows
+FULL_RANK = 8
+
+
+def sample_rows(n):
+    return sorted({0, n // 3, 2 * n // 3, n - 1})
+
+
+@pytest.mark.parametrize("target", ALL_TYPES, ids=str)
+def test_reflection_keys_name_the_reflected_roots(target):
+    # the orbit walk reflects x in b as index[key(x) - c key(b)]; check that
+    # this is the root x - c b, with c = 2(x|b)/(b|b) taken from root_rows
+    d = build_root_datum(target)
+    roots, n = d.iroots, len(d.iroots)
+    P, norms, by_norm, keys, index, positive = _search_table(target)
+    assert list(positive) == [j for j, r in enumerate(roots) if all(c >= 0 for c in r)]
+    assert list(positive) == list(range(n // 2, n))
+    assert norms == [P[j][j] for j in range(n)]
+    assert sorted(j for group in by_norm.values() for j in group) == list(range(n))
+    assert all(norms[j] == norm for norm, group in by_norm.items() for j in group)
+    assert index == {key: j for j, key in enumerate(keys)} and len(index) == n
+    reflected = 0
+    for x in range(n) if target.rank <= FULL_RANK else sample_rows(n):
+        for b in positive:
+            two_xb, rem = divmod(2 * sum(c * r for c, r in zip(roots[x], d.root_rows[b])),
+                                 sum(c * r for c, r in zip(roots[b], d.root_rows[b])))
+            assert rem == 0
+            if two_xb:
+                image = tuple(p - two_xb * q for p, q in zip(roots[x], roots[b]))
+                assert roots[index[keys[x] - two_xb * keys[b]]] == image, (x, b)
+                reflected += 1
+    assert reflected
+
+
 def unpruned_gram_embedding(target, required_gram) -> bool:
     """The search with only the first placement reduced by the Weyl group:
     every later node tries every root of its domain."""
-    P, norms = _root_pairings(target)
+    P, norms = _search_table(target)[:2]
     k = len(required_gram)
     domains = []
     for i in range(k):
@@ -91,7 +117,7 @@ def unpruned_gram_embedding(target, required_gram) -> bool:
 
 
 def oracle_query(target, parts, scalings) -> bool:
-    G = _required_gram(target, tuple(zip(parts, scalings)))
+    G = _block_gram(tuple(zip(parts, scalings)), scaled_gram(target)[0])
     return G is not None and unpruned_gram_embedding(target, G)
 
 

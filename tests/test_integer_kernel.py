@@ -36,10 +36,10 @@ from orbifold24.lattice import (
 from orbifold24.orbifold import (
     OrbifoldError,
     SemisimpleShape,
+    _block_gram,
     _embedding_cached,
     _embedding_query,
-    _required_gram,
-    _root_pairings,
+    _search_table,
     assemble_root_subsystem,
     fixed_subalgebra,
     negate,
@@ -76,13 +76,14 @@ FULL_MATRIX_RANK = 8
 
 def dense_root_pairings(d):
     """The pairing matrix by one integer dot product per entry, as it was
-    built before the walk along the root poset."""
+    built before the packed rows."""
     return [[sum(map(mul, r, row)) for row in d.root_rows] for r in d.iroots]
 
 
 def required_gram_from_root_data(target, parts_scaled):
-    """_required_gram as it read each part's scale and integer Gram matrix
-    from the part's whole root datum."""
+    """The Gram matrix an embedding query asks of the target's roots, as it
+    was built from each part's whole root datum, for its scale and integer
+    Gram matrix."""
     scale = build_root_datum(target).scale
     total = sum(t.rank for t, _ in parts_scaled)
     G = [[0] * total for _ in range(total)]
@@ -186,7 +187,7 @@ def test_kernel_rejects_wrong_arity(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_root_pairings_match_fraction_oracle(name):
     d = build_root_datum(T(name))
-    P, norms = _root_pairings(d.type)
+    P, norms = _search_table(d.type)[:2]
     roots = oracle.datum(d.type)[0]
     n = len(roots)
     assert len(P) == n and norms == [P[i][i] for i in range(n)]
@@ -209,7 +210,7 @@ def test_root_pairings_match_dense_build(name):
     n = len(d.iroots)
     # the negative of root j sits at n-1-j, which the build relies on
     assert all(d.iroots[n - 1 - j] == tuple(-x for x in d.iroots[j]) for j in range(n))
-    P, norms = _root_pairings(d.type)
+    P, norms = _search_table(d.type)[:2]
     assert P == dense_root_pairings(d)
     assert norms == [P[i][i] for i in range(n)]
     # the packed build needs every entry in one signed byte: Cauchy-Schwarz
@@ -226,13 +227,13 @@ def _scaled_datum(t, c):
 
 def test_packed_root_pairings_hold_126_and_refuse_132(monkeypatch):
     g2 = T("G2")
-    P = _root_pairings(g2)[0]
+    P = _search_table(g2).rows
     # G2's largest scaled norm is 6: times 21 its entries reach 126, times 22 they reach 132
     monkeypatch.setattr(orbifold, "build_root_datum", lambda t: _scaled_datum(g2, 21))
-    assert _root_pairings.__wrapped__(g2)[0] == [[21 * x for x in row] for row in P]
+    assert _search_table.__wrapped__(g2).rows == [[21 * x for x in row] for row in P]
     monkeypatch.setattr(orbifold, "build_root_datum", lambda t: _scaled_datum(g2, 22))
     with pytest.raises(OrbifoldError, match="G2"):
-        _root_pairings.__wrapped__(g2)
+        _search_table.__wrapped__(g2)
 
 
 # one target per scale: 1, 2 and 3
@@ -242,22 +243,23 @@ GRAM_PARTS = [T(n) for n in TYPES if T(n).rank <= 8]
 
 @pytest.mark.parametrize("target", GRAM_TARGETS, ids=str)
 def test_required_gram_matches_root_data_form(target):
+    G = scaled_gram(target)[0]
     for part in GRAM_PARTS:
         for xi in (1, 2, 3):
             key = ((part, xi),)
-            assert _required_gram(target, key) == required_gram_from_root_data(target, key), key
+            assert _block_gram(key, G) == required_gram_from_root_data(target, key), key
     for key in [
         ((T("A2"), 1), (T("A2"), 2)),
         ((T("D4"), 2), (T("A1"), 1), (T("G2"), 1)),
         ((T("B3"), 1), (T("C3"), 2)),
     ]:
-        assert _required_gram(target, key) == required_gram_from_root_data(target, key), key
+        assert _block_gram(key, G) == required_gram_from_root_data(target, key), key
 
 
 def test_query_builds_no_root_datum_for_its_parts():
     build_root_datum.cache_clear()
     target = build_root_datum(T("D12")).type
-    _root_pairings(target)
+    _search_table(target)
     before = build_root_datum.cache_info().currsize
     # the unwrapped query, so that an answer cached by another test cannot hide a build
     assert _embedding_cached.__wrapped__(target, ((T("A5"), 1), (T("A5"), 1)))
@@ -270,8 +272,7 @@ def test_cold_queries_do_no_fraction_arithmetic_and_build_no_weight_data(
 ):
     # from cold caches, a query reads the target's roots, their rows and the
     # integer Gram matrices, built in integers; the weight data is left unbuilt
-    for cache in (build_root_datum, scaled_gram, orbifold._root_pairings,
-                  orbifold._roots_by_norm, orbifold._root_keys, _embedding_cached):
+    for cache in (build_root_datum, scaled_gram, _search_table, _embedding_cached):
         cache.cache_clear()
     refuse_fraction_arithmetic()
     for target, parts, want in [
@@ -412,7 +413,7 @@ def test_algebra_scenarios_do_no_fraction_arithmetic(refuse_fraction_arithmetic,
         build_root_datum(T(t))
         scaled_gram(T(t))
     for cache in (affine._modules, affine._twist, rootsys.neg_dominant, orbifold._grid,
-                  orbifold._root_pairings, orbifold._root_keys, orbifold._embedding_cached,
+                  orbifold._search_table, orbifold._embedding_cached,
                   orbifold.verlinde_simple_current):
         cache.cache_clear()
     refuse_fraction_arithmetic()

@@ -24,10 +24,12 @@ median times 1 + the metric's bound in BENCHMARK.json `end_to_end`, and
 `gain`: whether every run of the change was correct, its failed share is
 no larger than the parent's, it was better in at least nine tenths of the
 pairs (a tie counts for neither side) and its median is below the parent's
-by more than the parent's interquartile range, and `unresolved`: whether the
-parent's interquartile range exceeds its median times the bound, so that
-the runs cannot tell a change within the bound from one beyond it, unless
-every run of the change was better than every run of the parent.
+by more than the parent's interquartile range, and `unresolved`: whether
+the record rests on fewer than 10 pairs (`MIN_PAIRS`), which on identical
+code have drifted by 16% in the median, or the parent's interquartile
+range exceeds its median times the bound, so that the runs cannot tell a
+change within the bound from one beyond it, unless every run of the change
+was better than every run of the parent.
 It also records the machine and the Python version.  Keys of an existing
 record that this run does not measure (other workloads, a hand-entered
 history of earlier changes) are kept, so one file can gather several runs.
@@ -53,6 +55,8 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "run_s", "peak_rss_mb")
 BOUNDS = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 SECONDS = 20
+# fewer pairs than this cannot resolve a metric
+MIN_PAIRS = 10
 # the two sides' directories, names of one length
 BASE_DIR, CHANGE_DIR = "parent", "change"
 
@@ -137,7 +141,8 @@ def summarize(pairs: list[dict]) -> dict:
             "within_bound": change_q["median"] <= base_q["median"] * (1 + BOUNDS[m]),
             "gain": sound and 10 * better >= 9 * len(pairs)
             and base_q["median"] - change_q["median"] > spread,
-            "unresolved": spread > base_q["median"] * BOUNDS[m] and max(change) >= min(base),
+            "unresolved": len(pairs) < MIN_PAIRS
+            or spread > base_q["median"] * BOUNDS[m] and max(change) >= min(base),
         }
     return out
 
