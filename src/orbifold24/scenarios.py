@@ -3,12 +3,19 @@
 A scenario file is plain key/value text describing one order-2 inner twist:
 the ambient product algebra, the Cartan element h (fundamental-weight
 coefficients per factor), and the expected outcomes of every pipeline
-stage.  The runner executes the stages in order and reports one named
-check per stage; reports are deterministic byte for byte.
+stage.  The runner derives, then compares.  `derive` runs the stages on the
+inputs alone (algebra, h, base weights, table, lattice flag) into one
+`Derivation`, reading no expectation.  `CHECKS`, one ordered table, then
+compares that record with the scenario, one named check per row, in report
+order: the premises on h, the affine spectrum route to dim V_1/2 = 0, twisted
+nonnegativity, the fixed points and twisted seed, the dimension formula, the
+lattice route (derived before the formula, which reads it), identification
+and fusion.  Reports are deterministic byte for byte.
 """
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,25 +58,12 @@ class Scenario(Fields):
             "expect_table_counts", "base_weights", "expect_twisted_seed", "lattice",
             "assumptions", "notes")
 
-    def __init__(
-        self,
-        name: str,
-        algebra: ProductAlgebra,
-        h: HVector,
-        expect_h_norm: Fraction,
-        expect_fixed: SemisimpleShape,
-        expect_fixed_dim: int,
-        expect_new_dim: int,
-        expect_shape: SemisimpleShape,
-        table_max_weight: Fraction | None = None,
-        table_weights: frozenset | None = None,
-        expect_table_counts: dict | None = None,
-        base_weights: list | None = None,
-        expect_twisted_seed: tuple | None = None,
-        lattice: bool = False,
-        assumptions: list | None = None,
-        notes: list | None = None,
-    ):
+    def __init__(self, name: str, algebra: ProductAlgebra, h: HVector, expect_h_norm: Fraction,
+                 expect_fixed: SemisimpleShape, expect_fixed_dim: int, expect_new_dim: int,
+                 expect_shape: SemisimpleShape, table_max_weight: Fraction | None = None,
+                 table_weights: frozenset | None = None, expect_table_counts: dict | None = None,
+                 base_weights: list | None = None, expect_twisted_seed: tuple | None = None,
+                 lattice: bool = False, assumptions: list | None = None, notes: list | None = None):
         self.name = name
         self.algebra = algebra
         self.h = h
@@ -101,15 +95,15 @@ GRADING = ("the twisted-sector character is taken to lie in q^(-1/2) Z[[q^(1/2)]
            " (half-integral grading)")
 
 
-def _order_two_fault(a: ProductAlgebra, h: HVector) -> str | None:
-    """Why h is not of order 2, or None: every root pairing (h|alpha) = p/q
+def _order_two_fault(a: ProductAlgebra, h: HVector) -> str:
+    """Why h is not of order 2, or "": every root pairing (h|alpha) = p/q
     must be half-integral, and at least one not an integer."""
     for (t, _), (q, ps) in zip(a.factors, h.pairings):
         if p := next((p for p in ps if 2 * p % q), None):
             return f"(h|alpha) = {Fraction(p, q)} on a root of {t}"
     if not any(p % q for q, ps in h.pairings for p in ps):
         return "(h|alpha) is an integer on every root"
-    return None
+    return ""
 
 
 def _parse_factor_lists(text: str):
@@ -149,9 +143,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
         lattice = one("lattice", "false")
         if lattice.lower() not in ("true", "false"):
-            raise ScenarioError(
-                f"{source}: field 'lattice' must be true or false, not {lattice!r}"
-            )
+            raise ScenarioError(f"{source}: field 'lattice' must be true or false, not {lattice!r}")
+        lattice = lattice.lower() == "true"
         factors = []
         for value in fields.get("factor", []):
             toks = value.split()
@@ -160,24 +153,24 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             factors.append((SimpleType.parse(toks[0]), int(toks[1])))
         algebra = ProductAlgebra(tuple(factors))
         # the lattice checks are made for the A4,5^2 algebra of the glued A4^6 lattice
-        if lattice.lower() == "true" and algebra != ProductAlgebra.of(("A4", 5), ("A4", 5)):
+        if lattice and algebra != ProductAlgebra.of(("A4", 5), ("A4", 5)):
             raise ScenarioError(f"{source}: lattice: true needs the algebra A4,5 A4,5, not {algebra}")
+        # the affine spectrum route does not describe the lattice algebra, and with
+        # both routes a report would state the Cartan-weight exclusion twice
+        if lattice and ("table_max_weight" in fields or "table_weights" in fields):
+            raise ScenarioError(f"{source}: lattice: true takes no module table")
         h = HVector.from_fundamental(algebra, _parse_factor_lists(one("h")))
         # every stage is made for an order-2 h
         if fault := _order_two_fault(algebra, h):
             raise ScenarioError(f"{source}: h is not of order 2: {fault}")
         sc = Scenario(
-            name=one("name"),
-            algebra=algebra,
-            h=h,
+            name=one("name"), algebra=algebra, h=h,
             expect_h_norm=Fraction(one("expect_h_norm")),
             expect_fixed=SemisimpleShape.parse(one("expect_fixed")),
             expect_fixed_dim=int(one("expect_fixed_dim")),
             expect_new_dim=int(one("expect_new_dim")),
             expect_shape=SemisimpleShape.parse(one("expect_shape")),
-            lattice=lattice.lower() == "true",
-            assumptions=fields.get("assume", []),
-            notes=fields.get("note", []),
+            lattice=lattice, assumptions=fields.get("assume", []), notes=fields.get("note", []),
         )
         # table_weights sets the maximum itself, so a second maximum is ambiguous
         if "table_max_weight" in fields and "table_weights" in fields:
@@ -208,14 +201,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             sc.expect_twisted_seed = (SimpleType.parse(t), int(k), int(n))
         # one half of a pair without the other would skip or break the check it feeds
         if ("base_weights" in fields) != ("expect_twisted_seed" in fields):
-            raise ScenarioError(
-                f"{source}: base_weights and expect_twisted_seed must be given together"
-            )
+            raise ScenarioError(f"{source}: base_weights and expect_twisted_seed must be given"
+                                " together")
         if ("expect_table_counts" in fields) != (sc.table_max_weight is not None):
-            raise ScenarioError(
-                f"{source}: expect_table_counts and a table (table_max_weight or"
-                " table_weights) must be given together"
-            )
+            raise ScenarioError(f"{source}: expect_table_counts and a table (table_max_weight or"
+                                " table_weights) must be given together")
     except ScenarioError:
         raise
     except (ValueError, IndexError, ZeroDivisionError) as exc:  # e.g. Fraction('1/0')
@@ -257,238 +247,248 @@ class Report(Fields):
     def status(self) -> str:
         """'pass', 'fail' (a check failed) or 'error' (a stage raised, so the
         checks after it never ran)."""
-        if self.error is not None:
-            return "error"
-        return "pass" if self.passed else "fail"
+        return "error" if self.error is not None else "pass" if self.passed else "fail"
 
     def lines(self, verbose: bool = False):
         out = [f"scenario {self.scenario}: {self.status.upper()}"]
-        for a in self.assumptions:
-            out.append(f"  assumption: {a}")
-        for n in self.notes:
-            out.append(f"  note: {n}")
+        out += [f"  assumption: {a}" for a in self.assumptions]
+        out += [f"  note: {n}" for n in self.notes]
         if self.error is not None:
             out.append(f"  error: {self.error}")
         for c in self.checks:
-            if c.ok:
-                if verbose:
-                    out.append(f"  [ok]   {c.name}: {c.actual}")
-            else:
+            if not c.ok:
                 out.append(f"  [FAIL] {c.name}: expected {c.expected}, got {c.actual}")
+            elif verbose:
+                out.append(f"  [ok]   {c.name}: {c.actual}")
         return out
 
     def records(self):
-        recs = [
-            {
-                "scenario": self.scenario,
-                "check": c.name,
-                "expected": c.expected,
-                "actual": c.actual,
-                "status": "pass" if c.ok else "fail",
-            }
-            for c in self.checks
-        ]
+        recs = [{"scenario": self.scenario, "check": c.name, "expected": c.expected,
+                 "actual": c.actual, "status": "pass" if c.ok else "fail"} for c in self.checks]
         if self.error is not None:
-            recs.append(
-                {"scenario": self.scenario, "check": "run", "expected": "completion",
-                 "actual": self.error, "status": "error"}
-            )
+            recs.append({"scenario": self.scenario, "check": "run", "expected": "completion",
+                         "actual": self.error, "status": "error"})
         return recs
 
 
-def derive_seeds(sc: Scenario):
-    """Fixed shape, the seed list used for identification, and what the
-    twisted sector assembled (None when the scenario gives no base weights).
+# -- derive, then compare ------------------------------------------------------
 
-    When twisted-sector base weights are configured, the fixed components
-    meeting the twisted roots are merged into the assembled subsystem,
-    which replaces them in the seed list, and the third item reads
-    "type,level with n roots".  Base weights that do not assemble are a
-    fault of the scenario: the seeds stay the fixed-point ones, and the
-    third item is the fault's text.
-    """
-    a, h = sc.algebra, sc.h
+# the value of every Derivation field that a raising stage kept from running
+UNREACHED = object()
+
+_SPECTRUM = ("table_counts", "half_integral", "lowest", "cartan_occurs")
+_LATTICE = ("glue", "lattice_roots", "lattice_norm", "member", "sectors", "anomaly", "min_norm",
+            "sector_mins", "untwisted_min", "lattice_shape", "minus_h")
+
+# every stage's actual value, in stage order: None marks a route the inputs do
+# not ask for, and error names the exception of a stage that raised
+Derivation = namedtuple(
+    "Derivation", ("order_fault", "lower_bound", "norm", *_SPECTRUM, "bad_modules", "shape",
+                   "seeds", "twisted", *_LATTICE, "half_graded_zero", "new_dim", "found",
+                   "fusion_plus", "fusion_minus", "error"), defaults=[UNREACHED] * 27 + [None])
+
+
+def _stages(a, h, base_weights, lattice, table_max_weight, table_weights):
+    """(field, value) pairs of the Derivation, each as soon as its stage ends."""
+    yield "order_fault", _order_two_fault(a, h)
+    # the premise of the twisted lowest-weight theory
+    yield "lower_bound", (lower_bound := all(p >= -q for q, ps in h.pairings for p in ps))
+    yield "norm", (norm := h.norm_invariant())
+    spectrum_route = lattice_route = False
+    if table_max_weight is None:
+        yield from ((f, None) for f in _SPECTRUM)
+    else:
+        # every product label of integral weight: no label exceeds the cap
+        spectrum = integral_spectrum_table(a, max_label_weight(a))
+        yield "table_counts", dict(Counter(
+            w for _, w in spectrum
+            if w <= table_max_weight and (table_weights is None or w in table_weights)))
+        # the proof set depends on the algebra alone, not on the table: the
+        # vacuum and every label of integral weight >= 2 (a module of weight 1
+        # would make V_1 larger than the given algebra)
+        labels = [lbl for lbl, w in spectrum if w != 1]
+        # the twisted weights n + (h|mu) + <h|h>/2 lie in Z/2 only if <h|h> is an integer
+        half_integral = norm.denominator == 1 and spectrum_half_integral(a, h, labels)
+        yield "half_integral", half_integral
+        yield "lowest", (low := min(product_twisted_lowest(lbl, h) for lbl in labels))
+        # the distinguished Cartan weight -sum k_i h_i must not occur in V
+        doms = [neg_dominant(d, x).times(k) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
+        yield "cartan_occurs", any(
+            all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
+            for lbl in labels)
+        # no module reaches twisted weight 1/2, so the half-graded part is 0; the
+        # least top-space weight is the lowest weight only when (h|alpha) >= -1
+        spectrum_route = lower_bound and half_integral and low > Fraction(1, 2)
+    yield "bad_modules", [(str(m), c.kind) for m, c in module_certificates(a, h)
+                          if c.kind not in ("positive", "zero_with_witness")]
     shape, seeds = fixed_subalgebra(a, h)
-    if sc.base_weights is None:
-        return shape, seeds, None
+    twisted = None
+    if base_weights is not None:
+        # the fixed components meeting the twisted roots merge into the assembled subsystem,
+        # which replaces them among the seeds; base weights that do not assemble are a
+        # fault of the scenario, and the seeds stay
+        try:
+            tw = twisted_sector_roots(a, h, base_weights)
+            tw = tw + [negate(t) for t in tw]
+            joined = seeds_meeting(a, seeds, tw)
+            psi = assemble_root_subsystem(a, [r for s in joined for r in s.roots], tw)
+        except OrbifoldError as exc:
+            twisted = str(exc)
+        else:
+            seeds = [s for s in seeds if s not in joined] + [psi]
+            twisted = f"{psi.type},{psi.level} with {len(psi.roots)} roots"
+    yield from (("shape", shape), ("seeds", seeds), ("twisted", twisted))
+    if not lattice:
+        yield from ((f, None) for f in _LATTICE)
+    else:
+        # the glued A4^6 lattice, for the lattice h inner_h(), which is H_DEN h and 2h
+        N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
+        yield from (("glue", len(N.glue)), ("lattice_roots", len(N.roots())))
+        hl = lat.inner_h()
+        yield from (("lattice_norm", Fraction(lat.dot(hl, hl), lat.H_DEN**2)),
+                    ("member", N.contains(hl)))
+        # per twisted sector: eps, r, |f^r|^2, (h|f^r), minimal shifted vectors,
+        # weight-one dimension, and whether those weights are the minimal vectors;
+        # the shift f^r is (delta^r, 0, ..., 0), with 5 delta^r = DELTA5[r]
+        sectors = []
+        for eps, r in ((1, 1), (1, 2), (-1, 1), (-1, 2)):
+            d, S = lat.DELTA5[r], lat.enumerate_S(eps, r)
+            cnt, weights = lat.twisted_weight_one(eps, r)
+            sectors.append((eps, r, Fraction(lat.dot(d, d), 25), Fraction(
+                lat.dot(hl[:5], d), 5 * lat.H_DEN), len(S), cnt, sorted(S) == weights))
+        yield "sectors", sectors
+        yield "anomaly", lat.twist_anomaly(5, [4, 4, 4, 4])
+        yield "min_norm", (mn := lat.min_norm_shifted(N, hl, 4))
+        sector_mins = [Fraction(4, 5) + lat.twisted_sector_min_shift(hl, eps, r) / 2
+                       for eps, r, *_ in sectors]
+        yield "sector_mins", sector_mins
+        yield "untwisted_min", mn / 2  # weight of a pure lattice vector under the twist
+        yield "lattice_shape", fixed_shape_A45(hl)
+        yield "minus_h", lat.in_projected_lattice(tuple(-x for x in hl))
+        lattice_route = min(sector_mins) > Fraction(1, 2)
+    # dim V_1/2 = 0, proved by a route, is what the dimension formula assumes
+    yield "half_graded_zero", spectrum_route or lattice_route
+    yield "new_dim", (new_dim := dimension_identities(a.dim, shape.dim, 0)[0])
+    yield "found", identify(a.rank, new_dim, [(s.type, s.level) for s in seeds])
+    # the four-module fusion algebra behind the extension
+    for field, sign in (("fusion_plus", 1), ("fusion_minus", -1)):
+        try:
+            verlinde_simple_current(sign)
+            fault = ""
+        except OrbifoldError as exc:
+            fault = str(exc)
+        yield field, fault
+
+
+def derive(algebra: ProductAlgebra, h: HVector, base_weights: list | None = None,
+           lattice: bool = False, table_max_weight: Fraction | None = None,
+           table_weights: frozenset | None = None) -> Derivation:
+    """Every stage's value for the twist h of the algebra, read from no
+    expectation.  A table runs the affine spectrum route to dim V_1/2 = 0,
+    base weights the twisted seed, and lattice the lattice route."""
+    got = {}
     try:
-        tw = twisted_sector_roots(a, h, sc.base_weights)
-        tw = tw + [negate(t) for t in tw]
-        joined = seeds_meeting(a, seeds, tw)
-        psi = assemble_root_subsystem(a, [r for s in joined for r in s.roots], tw)
-    except OrbifoldError as exc:
-        return shape, seeds, str(exc)
-    seeds = [s for s in seeds if s not in joined] + [psi]
-    return shape, seeds, f"{psi.type},{psi.level} with {len(psi.roots)} roots"
+        for field, value in _stages(algebra, h, base_weights, lattice, table_max_weight,
+                                    table_weights):
+            got[field] = value
+    except Exception as exc:  # a stage that raises is an error, not a failed check
+        return Derivation(**got, error=f"{type(exc).__name__}: {exc}")
+    return Derivation(**got)
 
 
-def _check(name: str, claim, holds: bool, otherwise) -> CheckResult:
-    """The check `name` of the claim: it reads the claim when it holds, and
-    the text of `otherwise` when not."""
-    claim = str(claim)
-    return CheckResult(name, claim, claim if holds else str(otherwise))
+def _counts(cs: dict) -> str:
+    return " ".join(f"{w}:{n}" for w, n in sorted(cs.items()))
+
+
+def _shapes(found: list) -> str:
+    listed = "; ".join(map(str, found))
+    return f"unique {listed}" if len(found) == 1 else f"{len(found)} shapes: {listed}" \
+        if found else "0 shapes"
+
+
+# A check reads a Derivation field (None there skips the row) and compares it with the
+# Scenario field `expect` (None: a claim about every input).  Its rule maps the derivation
+# and the expected value to (claim, holds, otherwise): the check reads the claim when it
+# holds, and otherwise when not.
+Row = namedtuple("Row", "name field expect rule")
+
+# every check, in report order; each route to dim V_1/2 = 0 states the Cartan-weight
+# exclusion, and parse_scenario refuses a scenario with both
+CHECKS = (
+    # parse_scenario rejects an h not of order 2, so this guards scenarios built in code
+    Row("order-two-pairings", "order_fault", None,
+        lambda d, _: ("half-integral with a strict value", not d.order_fault, d.order_fault)),
+    Row("pairing-lower-bound", "lower_bound", None,
+        lambda d, _: ("(h|alpha) >= -1 on all roots", d.lower_bound, "violated")),
+    Row("h-norm", "norm", "expect_h_norm", lambda d, e: (e, d.norm == e, d.norm)),
+    Row("module-table", "table_counts", "expect_table_counts",
+        lambda d, e: (_counts(e), d.table_counts == e, _counts(d.table_counts))),
+    Row("spectrum-half-integral", "half_integral", None, lambda d, _: (True, d.half_integral, False)),
+    Row("twisted-weights-exclude-half", "lowest", None,
+        lambda d, _: ("minimum > 1/2", d.lowest > Fraction(1, 2), f"minimum {d.lowest}")),
+    Row("cartan-weight-exclusion", "cartan_occurs", None,
+        lambda d, _: ("-k.h is not a module weight", not d.cartan_occurs, "occurs in some module")),
+    Row("twisted-nonnegativity", "bad_modules", None, lambda d, _: (
+        "all factor modules nonnegative", not d.bad_modules, f"violations: {d.bad_modules[:3]}")),
+    Row("fixed-shape", "shape", "expect_fixed", lambda d, e: (e, d.shape == e, d.shape)),
+    Row("fixed-dim", "shape", "expect_fixed_dim", lambda d, e: (e, d.shape.dim == e, d.shape.dim)),
+    Row("twisted-subsystem", "twisted", "expect_twisted_seed",
+        lambda d, e: (t := "{},{} with {} roots".format(*e), d.twisted == t, d.twisted)),
+    Row("dimension-formula", "new_dim", "expect_new_dim",
+        lambda d, e: (e, d.half_graded_zero and d.new_dim == e, d.new_dim if d.half_graded_zero
+                      else f"unproven: {d.new_dim} assumes dim V_1/2 = 0, but no check showed"
+                      " a half-integral grading with every twisted weight > 1/2")),
+    # the lattice route runs before the dimension formula, which reads it
+    Row("glue-code-order", "glue", None, lambda d, _: (125, d.glue == 125, d.glue)),
+    Row("lattice-roots", "lattice_roots", None,
+        lambda d, _: (120, d.lattice_roots == 120, d.lattice_roots)),
+    Row("lattice-h-norm", "lattice_norm", "expect_h_norm",
+        lambda d, e: (e, d.lattice_norm == e, d.lattice_norm)),
+    Row("lattice-h-membership", "member", None,
+        lambda d, _: ("2h in the lattice", d.member, "missing")),
+    Row("shift-vectors", "sectors", None, lambda d, _: (
+        "norm 2/5, orthogonal to h, all four sectors",
+        all(n == Fraction(2, 5) and p == 0 for _, _, n, p, *_ in d.sectors), d.sectors)),
+    Row("shifted-minimal-sets", "sectors", None, lambda d, _: (
+        "5 vectors in each of 4 sectors", all(s == 5 for *_, s, _, _ in d.sectors),
+        [s for *_, s, _, _ in d.sectors])),
+    Row("twisted-weight-one", "sectors", None, lambda d, _: (
+        "dimension 5 per sector, weights match", all(c == 5 and m for *_, c, m in d.sectors),
+        d.sectors)),
+    Row("twist-anomaly", "anomaly", None,
+        lambda d, _: (Fraction(4, 5), d.anomaly == Fraction(4, 5), d.anomaly)),
+    Row("shifted-norm-minimum", "min_norm", None, lambda d, _: ("minimum >= 6/5",
+        d.min_norm is not None and d.min_norm >= Fraction(6, 5), f"minimum {d.min_norm}")),
+    Row("twisted-minimum-weight", "untwisted_min", None, lambda d, _: (
+        "1 (vacuum) with all sectors > 1/2", min(d.untwisted_min, *d.sector_mins) >= 1,
+        f"untwisted {d.untwisted_min}, sectors {d.sector_mins}")),
+    Row("lattice-fixed-shape", "lattice_shape", "expect_fixed",
+        lambda d, e: (e, d.lattice_shape == e, d.lattice_shape)),
+    # the distinguished weight -h is absent from both untwisted and twisted spectra
+    Row("cartan-weight-exclusion", "minus_h", None,
+        lambda d, _: ("-h is not a spectrum weight", not d.minus_h, "occurs")),
+    Row("identification", "found", "expect_shape",
+        lambda d, e: (f"unique {e}", d.found == [e], _shapes(d.found))),
+    Row("simple-current(a=+1)", "fusion_plus", None,
+        lambda d, _: ("fusion is a simple current", not d.fusion_plus, d.fusion_plus)),
+    Row("simple-current(a=-1)", "fusion_minus", None,
+        lambda d, _: ("fusion is a simple current", not d.fusion_minus, d.fusion_minus)),
+)
 
 
 def run_scenario(sc: Scenario) -> Report:
-    checks: list[CheckResult] = []
-    add = checks.append
-
-    try:
-        a, h = sc.algebra, sc.h
-        # whether a check proves that no twisted module reaches weight 1/2
-        half_excluded = False
-
-        # order 2: all root pairings (h|alpha) are half-integral, at least one strictly;
-        # parse_scenario rejects any other h, so this guards scenarios built in code
-        fault = _order_two_fault(a, h)
-        add(_check("order-two-pairings", "half-integral with a strict value", not fault, fault))
-
-        # assumption for the twisted lowest-weight theory: (h|alpha) >= -1
-        add(_check("pairing-lower-bound", "(h|alpha) >= -1 on all roots",
-                   all(p >= -q for q, ps in h.pairings for p in ps), "violated"))
-
-        norm = h.norm_invariant()
-        add(_check("h-norm", sc.expect_h_norm, norm == sc.expect_h_norm, norm))
-
-        # integral-weight module table
-        if sc.table_max_weight is not None:
-            # every product label of integral weight: no label exceeds the cap
-            spectrum = integral_spectrum_table(a, max_label_weight(a))
-            counts: dict[int, int] = {}
-            for _, w in spectrum:
-                if w <= sc.table_max_weight and (sc.table_weights is None or w in sc.table_weights):
-                    counts[w] = counts.get(w, 0) + 1
-            fmt = lambda cs: " ".join(f"{w}:{n}" for w, n in sorted(cs.items()))
-            add(_check("module-table", fmt(sc.expect_table_counts),
-                       counts == sc.expect_table_counts, fmt(counts)))
-            # the proof set depends on the algebra alone, not on the table: the
-            # vacuum and every label of integral weight >= 2 (a module of weight 1
-            # would make V_1 larger than the given algebra)
-            labels = [lbl for lbl, w in spectrum if w != 1]
-            # the twisted weights n + (h|mu) + <h|h>/2 lie in Z/2 only if <h|h> is an integer
-            half_integral = norm.denominator == 1 and spectrum_half_integral(a, h, labels)
-            add(_check("spectrum-half-integral", True, half_integral, False))
-
-            # no module may reach twisted weight 1/2, so the half-graded part is 0
-            low = min(product_twisted_lowest(lbl, h) for lbl in labels)
-            above_half = low > Fraction(1, 2)
-            add(_check("twisted-weights-exclude-half", "minimum > 1/2", above_half,
-                       f"minimum {low}"))
-            half_excluded = half_integral and above_half
-
-            # the distinguished Cartan weight -sum k_i h_i must not occur in V
-            doms = [neg_dominant(d, x).times(k) for d, (_, k), x in zip(a.data, a.factors, h.ints)]
-            occurs = any(
-                all(dominates(d, f.coeffs, x) for d, f, x in zip(a.data, lbl.labels, doms))
-                for lbl in labels
-            )
-            add(_check("cartan-weight-exclusion", "-k.h is not a module weight", not occurs,
-                       "occurs in some module"))
-
-        # twisted lowest weights of every module of every factor are >= 0
-        bad = [(str(m), c.kind) for m, c in module_certificates(a, h)
-               if c.kind not in ("positive", "zero_with_witness")]
-        add(_check("twisted-nonnegativity", "all factor modules nonnegative", not bad,
-                   f"violations: {bad[:3]}"))
-
-        # fixed-point subalgebra and the seeds used for identification
-        shape, seeds, twisted = derive_seeds(sc)
-        add(_check("fixed-shape", sc.expect_fixed, shape == sc.expect_fixed, shape))
-        add(_check("fixed-dim", sc.expect_fixed_dim, shape.dim == sc.expect_fixed_dim, shape.dim))
-        if twisted is not None:
-            exp_t, exp_k, exp_n = sc.expect_twisted_seed
-            want = f"{exp_t},{exp_k} with {exp_n} roots"
-            add(_check("twisted-subsystem", want, twisted == want, twisted))
-
-        # the lattice checks bound the twisted sectors' lowest weights, which
-        # the dimension formula needs; they are reported after it
-        lattice_checks = []
-        if sc.lattice:
-            lattice_checks, sectors_above_half = _lattice_checks(sc)
-            half_excluded = half_excluded or sectors_above_half
-
-        # the dimension formula, in closed form; the half-graded part is 0
-        # only where a check above proved it
-        new_dim, _ = dimension_identities(a.dim, shape.dim, 0)
-        add(_check("dimension-formula", sc.expect_new_dim,
-                   half_excluded and new_dim == sc.expect_new_dim,
-                   new_dim if half_excluded else
-                   f"unproven: {new_dim} assumes dim V_1/2 = 0, but no check showed"
-                   " a half-integral grading with every twisted weight > 1/2"))
-        checks.extend(lattice_checks)
-
-        # identification of the new weight-one algebra
-        found = identify(a.rank, new_dim, [(s.type, s.level) for s in seeds])
-        listed = "; ".join(map(str, found))
-        add(_check("identification", f"unique {sc.expect_shape}", found == [sc.expect_shape],
-                   f"unique {listed}" if len(found) == 1 else
-                   f"{len(found)} shapes: {listed}" if found else "0 shapes"))
-
-        # the four-module fusion algebra behind the extension
-        for a_sign in (1, -1):
-            try:
-                verlinde_simple_current(a_sign)
-                fault = None
-            except OrbifoldError as exc:
-                fault = exc
-            add(_check(f"simple-current(a={a_sign:+d})", "fusion is a simple current",
-                       fault is None, fault))
-    except Exception as exc:  # a stage that raises is an error, not a failed check
-        error = f"{type(exc).__name__}: {exc}"
-    else:
-        error = None
-    return Report(sc.name, checks, [*sc.assumptions, GRADING], sc.notes, error)
-
-
-def _lattice_checks(sc: Scenario):
+    """derive, then check each row of CHECKS up to the first whose field a
+    stage error left UNREACHED."""
+    d = derive(sc.algebra, sc.h, sc.base_weights, sc.lattice, sc.table_max_weight,
+               sc.table_weights)
     checks = []
-    add = checks.append
-    N = lat.NiemeierLattice()  # constructor verifies even/unimodular/roots/cycle
-    add(_check("glue-code-order", 125, len(N.glue) == 125, len(N.glue)))
-    roots = len(N.roots())
-    add(_check("lattice-roots", 120, roots == 120, roots))
-    h = lat.inner_h()  # H_DEN h, which is also 2h as a lattice vector
-    norm = Fraction(lat.dot(h, h), lat.H_DEN**2)
-    add(_check("lattice-h-norm", sc.expect_h_norm, norm == sc.expect_h_norm, norm))
-    add(_check("lattice-h-membership", "2h in the lattice", N.contains(h), "missing"))
-    adds = []
-    for eps in (1, -1):
-        for r in (1, 2):
-            # the shift f^r is (delta^r, 0, ..., 0), with 5 delta^r = DELTA5[r]
-            d = lat.DELTA5[r]
-            S = lat.enumerate_S(eps, r)
-            cnt, weights = lat.twisted_weight_one(eps, r)
-            adds.append((eps, r, Fraction(lat.dot(d, d), 25),
-                         Fraction(lat.dot(h[:5], d), 5 * lat.H_DEN), len(S), cnt,
-                         sorted(S) == weights))
-    add(_check("shift-vectors", "norm 2/5, orthogonal to h, all four sectors",
-               all(n == Fraction(2, 5) and p == 0 for _, _, n, p, _, _, _ in adds), adds))
-    add(_check("shifted-minimal-sets", "5 vectors in each of 4 sectors",
-               all(s == 5 for *_, s, _, _ in adds), [s for *_, s, _, _ in adds]))
-    add(_check("twisted-weight-one", "dimension 5 per sector, weights match",
-               all(c == 5 and m for *_, c, m in adds), adds))
-    anomaly = lat.twist_anomaly(5, [4, 4, 4, 4])
-    add(_check("twist-anomaly", Fraction(4, 5), anomaly == Fraction(4, 5), anomaly))
-    mn = lat.min_norm_shifted(N, h, 4)
-    add(_check("shifted-norm-minimum", "minimum >= 6/5",
-               mn is not None and mn >= Fraction(6, 5), f"minimum {mn}"))
-    sector_mins = [
-        Fraction(4, 5) + lat.twisted_sector_min_shift(h, eps, r) / 2
-        for eps in (1, -1)
-        for r in (1, 2)
-    ]
-    untwisted_min = mn / 2  # weight of a pure lattice vector under the twist
-    overall = min([untwisted_min] + sector_mins)
-    sectors_above_half = min(sector_mins) > Fraction(1, 2)
-    add(_check("twisted-minimum-weight", "1 (vacuum) with all sectors > 1/2",
-               sectors_above_half and untwisted_min >= 1 and overall >= 1,
-               f"untwisted {untwisted_min}, sectors {sector_mins}"))
-    shape = fixed_shape_A45(h)
-    add(_check("lattice-fixed-shape", sc.expect_fixed, shape == sc.expect_fixed, shape))
-    # the distinguished weight -h is absent from both untwisted and twisted spectra
-    add(_check("cartan-weight-exclusion", "-h is not a spectrum weight",
-               not lat.in_projected_lattice(tuple(-x for x in h)), "occurs"))
-    return checks, sectors_above_half
+    for name, field, expect, rule in CHECKS:
+        if (value := getattr(d, field)) is UNREACHED:
+            break
+        if value is not None:
+            claim, holds, otherwise = rule(d, expect and getattr(sc, expect))
+            checks.append(CheckResult(name, str(claim), str(claim if holds else otherwise)))
+    return Report(sc.name, checks, [*sc.assumptions, GRADING], sc.notes, d.error)
 
 
 def fixed_shape_A45(h) -> SemisimpleShape:

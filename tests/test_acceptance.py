@@ -209,13 +209,13 @@ def test_criterion_07_q_series():
 
 def test_criterion_08_identification_uniqueness():
     from orbifold24.cli import _bundled_scenarios
-    from orbifold24.scenarios import derive_seeds
+    from orbifold24.scenarios import derive
 
     finals = {row[0]: (row[6], row[7]) for row in SCENARIO_DATA}
     with criterion(8, "identification-uniqueness"):
         for sc in _bundled_scenarios():
             new_dim, final = finals[sc.name]
-            _, seeds, _ = derive_seeds(sc)
+            seeds = derive(sc.algebra, sc.h, sc.base_weights).seeds
             found = identify(sc.algebra.rank, new_dim, [(s.type, s.level) for s in seeds])
             assert len(found) == 1, (sc.name, list(map(str, found)))
             assert found[0] == SemisimpleShape.parse(final), sc.name

@@ -225,6 +225,20 @@ def test_a_narrow_table_does_not_narrow_the_proof(tmp_path):
     assert "[FAIL] dimension-formula: expected 168, got unproven: 168 " in proc.stdout
 
 
+def test_a_violated_pairing_bound_leaves_the_dimension_formula_unproven(tmp_path, capsys):
+    # (h|alpha) = -3/2 on a root of E6: the least weight of a module's top space
+    # is then not its lowest twisted weight, so the spectrum route proves nothing
+    doctored = M1_TEXT.replace("h: 1/2 0 0 0 0 -1/2 | 0 1/2 | 0 1/2 | 0 0",
+                               "h: -3/2 0 0 0 0 0 | 0 1/2 | 0 1/2 | 0 0")
+    assert doctored != M1_TEXT
+    (tmp_path / "m1x.scn").write_text(doctored)
+    assert main(["run", "-v", "--dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] pairing-lower-bound: expected (h|alpha) >= -1 on all roots, got violated\n" in out
+    assert "[ok]   twisted-weights-exclude-half: minimum > 1/2\n" in out
+    assert "[FAIL] dimension-formula: expected 120, got unproven: 120 assumes dim V_1/2 = 0" in out
+
+
 @pytest.mark.parametrize("name,size", [("M1", 12), ("M2", 24), ("M3", 8), ("M4", 28)])
 def test_narrowing_a_table_leaves_the_proof_set(monkeypatch, name, size):
     from orbifold24 import scenarios
@@ -384,6 +398,13 @@ def test_parse_scenario_errors():
         parse_scenario("name: x\nname: y\n")
     with pytest.raises(ScenarioError):
         parse_scenario("just a line without a colon")
+    # a table on the lattice scenario ran both routes to dim V_1/2 = 0: the
+    # affine spectrum route, which does not describe the lattice algebra, failed
+    # module-table, and the report named cartan-weight-exclusion twice
+    m5 = (SCENARIOS / "m5.scn").read_text()
+    for table in ("table_max_weight: 2", "table_weights: 0 2"):
+        with pytest.raises(ScenarioError, match="lattice: true takes no module table"):
+            parse_scenario(m5 + table + "\nexpect_table_counts: 0:1\n")
 
 
 def test_base_weights_require_expected_seed():
